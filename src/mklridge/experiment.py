@@ -211,10 +211,14 @@ def dumps_canonical(obj, indent: int = 0) -> str:
 
 def write_json_atomic(obj, path) -> str:
     """Write canonical JSON via a temp file and rename."""
+    return _write_text_atomic(dumps_canonical(obj) + "\n", path)
+
+
+def _write_text_atomic(text: str, path) -> str:
+    """Write text via a temp file and rename; the temp file never outlives a failure."""
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
     os.makedirs(directory, exist_ok=True)
-    text = dumps_canonical(obj) + "\n"
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
@@ -602,11 +606,7 @@ def emit_tables(report: dict, out_dir, fmt: str = "csv") -> dict:
                     val = r[c]
                     cells.append(format_float(val) if isinstance(val, float) else str(val))
                 lines.append(",".join(cells))
-            text = "\n".join(lines) + "\n"
-            fd, tmp = tempfile.mkstemp(dir=out_dir, suffix=".tmp")
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write(text)
-            os.replace(tmp, path)
+            _write_text_atomic("\n".join(lines) + "\n", path)
         written[name] = path
 
     write_rows("absolute_metrics", rows, ("method", "metric", "mean", "std"))

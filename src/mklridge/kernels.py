@@ -268,8 +268,10 @@ class KernelFamily:
 
     ``features``, when present, holds one column per kernel such that
     K_k = outer(features[:, k], features[:, k]); solvers use it as an
-    exact fast path, and the Gram matrices of such families materialize
-    lazily on first access (idempotent, so benign under concurrency).
+    exact fast path (ridge systems are solved in |supp mu| dimensions when
+    that is below m, with the same residual guarantee as the dense solve),
+    and the Gram matrices of such families materialize lazily on first
+    access (idempotent, so benign under concurrency).
     ``kappa0`` bounds sqrt(sum_k K_k(x,x)^2) over the sample, verified by
     direct evaluation of the kernel diagonals.
     """

@@ -11,6 +11,7 @@ checked against each other. ``fit_l1`` is the L1-budget baseline.
 
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import dataclass
 from typing import Optional
@@ -46,33 +47,80 @@ def _gram_entries(K) -> np.ndarray:
     return K
 
 
-def _solve_pd(B: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Solve B a = y for symmetric positive definite B via Cholesky.
-
-    One iterative-refinement pass keeps the residual near machine level;
-    a residual above 1e-8 ||y|| is reported as a numerical failure with
-    an eigenvalue estimate of the offending matrix.
-    """
+def _cholesky(B: np.ndarray, smallest):
     try:
-        factor = scipy.linalg.cho_factor(B, lower=True, check_finite=False)
+        return scipy.linalg.cho_factor(B, lower=True, check_finite=False)
     except scipy.linalg.LinAlgError as exc:
-        smallest = float(np.linalg.eigvalsh(B)[0])
         raise NumericalError(
-            f"Cholesky factorization failed; smallest eigenvalue ~ {smallest:.6e}"
+            f"Cholesky factorization failed; smallest eigenvalue ~ {smallest():.6e}"
         ) from exc
-    alpha = scipy.linalg.cho_solve(factor, y, check_finite=False)
+
+
+def _refined(solve, matvec, y: np.ndarray, smallest) -> np.ndarray:
+    # One iterative-refinement pass keeps the residual y - matvec(alpha)
+    # near machine level; a residual above 1e-8 ||y|| is reported as a
+    # numerical failure with an eigenvalue estimate of the system matrix.
+    alpha = solve(y)
     ynorm = float(np.linalg.norm(y))
-    resid = y - B @ alpha
+    resid = y - matvec(alpha)
     if np.linalg.norm(resid) > 1e-14 * max(ynorm, 1.0):
-        alpha = alpha + scipy.linalg.cho_solve(factor, resid, check_finite=False)
-        resid = y - B @ alpha
+        alpha = alpha + solve(resid)
+        resid = y - matvec(alpha)
     if np.linalg.norm(resid) > 1e-8 * ynorm:
-        smallest = float(np.linalg.eigvalsh(B)[0])
         raise NumericalError(
             f"linear solve residual {np.linalg.norm(resid):.3e} exceeds tolerance; "
-            f"smallest eigenvalue ~ {smallest:.6e}"
+            f"smallest eigenvalue ~ {smallest():.6e}"
         )
     return alpha
+
+
+def _solve_pd(B: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Solve B a = y for symmetric positive definite B via Cholesky."""
+    def smallest():
+        return float(np.linalg.eigvalsh(B)[0])
+
+    factor = _cholesky(B, smallest)
+    return _refined(
+        lambda r: scipy.linalg.cho_solve(factor, r, check_finite=False),
+        lambda a: B @ a, y, smallest,
+    )
+
+
+def _ridge_solve(fam, mu: np.ndarray, y: np.ndarray, lam: float) -> np.ndarray:
+    """Solve (K(mu) + lam I) alpha = y for nonnegative weights mu.
+
+    A rank-one family whose weight support S has s < m kernels is solved
+    in s dimensions: with Fd = F[:, S] sqrt(mu_S) and H = Fd'Fd + lam I_s,
+    the Woodbury identity gives alpha = (y - Fd H^(-1) Fd' y) / lam. The
+    residual is taken against the m x m system without forming it, with
+    the same refinement and tolerance as ``_solve_pd``, which handles
+    every other case on the formed matrix.
+    """
+    support = mu > 0
+    s = int(np.count_nonzero(support))
+    if fam.features is None or s >= fam.m:
+        B = fam.combined_entries(mu)
+        B[np.diag_indices(fam.m)] += lam
+        return _solve_pd(B, y)
+    Fd = fam.features[:, support] * np.sqrt(mu[support])
+    H = Fd.T @ Fd
+    H[np.diag_indices(s)] += lam
+
+    def smallest():
+        # Eigenvalues of Fd Fd' + lam I: those of H, and lam (s < m).
+        return float(np.linalg.eigvalsh(H).min(initial=lam))
+
+    factor = _cholesky(H, smallest)
+    return _refined(
+        lambda r: (r - Fd @ scipy.linalg.cho_solve(factor, Fd.T @ r, check_finite=False)) / lam,
+        lambda a: lam * a + Fd @ (Fd.T @ a), y, smallest,
+    )
+
+
+def _ridge_value_grad(fam, y: np.ndarray, lam: float, mu: np.ndarray):
+    # G(mu) = y' alpha(mu) and its gradient -v(alpha(mu)) (Danskin).
+    alpha = _ridge_solve(fam, mu, y, lam)
+    return float(y @ alpha), -quad_forms(alpha, fam), alpha
 
 
 def krr_solve(K, y, lam: float) -> np.ndarray:
@@ -294,8 +342,7 @@ def fit_l2(family, y, lambda0: float, radius: float, mu0=None,
     if not epsilon > 0:
         raise ConfigError("epsilon must be positive")
 
-    eye = lam * np.eye(m)
-    alpha_next = _solve_pd(fam.combined_entries(mu0) + eye, y)
+    alpha_next = _ridge_solve(fam, mu0, y, lam)
 
     converged = False
     iterations = 0
@@ -307,7 +354,7 @@ def fit_l2(family, y, lambda0: float, radius: float, mu0=None,
         alpha = alpha_next
         v = quad_forms(alpha, fam)
         weights = update_weights(v, mu0, radius)
-        solved = _solve_pd(fam.combined_entries(weights.mu) + eye, y)
+        solved = _ridge_solve(fam, weights.mu, y, lam)
         alpha_next = eta * alpha + (1.0 - eta) * solved
         if not np.isfinite(alpha_next).all():
             raise NumericalError("weight-learning iteration diverged to non-finite values")
@@ -462,13 +509,7 @@ def oracle_fit(family, y, lambda0: float, radius: float, mu0=None,
     if not tol > 0:
         raise ConfigError("tol must be positive")
     mu0 = _validated_mu0(mu0, fam.p)
-    lam = lambda0 * fam.m
-    eye = lam * np.eye(fam.m)
-
-    def value_grad(mu):
-        alpha = _solve_pd(fam.combined_entries(mu) + eye, y)
-        v = quad_forms(alpha, fam)
-        return float(y @ alpha), -v, alpha
+    value_grad = functools.partial(_ridge_value_grad, fam, y, lambda0 * fam.m)
 
     if radius == 0.0:
         val, _, alpha = value_grad(mu0)
@@ -531,13 +572,7 @@ def fit_l1(family, y, lambda0: float, budget: float,
         raise ConfigError("lambda0 must be positive")
     if not budget > 0:
         raise ConfigError("budget must be positive")
-    lam = lambda0 * fam.m
-    eye = lam * np.eye(fam.m)
-
-    def value_grad(mu):
-        alpha = _solve_pd(fam.combined_entries(mu) + eye, y)
-        v = quad_forms(alpha, fam)
-        return float(y @ alpha), -v, alpha
+    value_grad = functools.partial(_ridge_value_grad, fam, y, lambda0 * fam.m)
 
     def project(x):
         return project_l1_orthant(x, budget)

@@ -15,9 +15,12 @@ settings.register_profile(
 )
 settings.load_profile("repeatable")
 
+# threadpoolctl also caps BLAS pools that were started before this file ran.
+# It is optional: without it the environment variables above already pin
+# BLAS to one thread, so only a missing module is tolerated here.
 try:
     from threadpoolctl import threadpool_limits
-
-    threadpool_limits(1)
-except Exception:
+except ImportError:
     pass
+else:
+    threadpool_limits(1)

@@ -205,6 +205,19 @@ def test_tables_normalized_baseline_is_one(tiny_report, tmp_path):
     assert uniform_rows and all(r["normalized_mean"] == 1.0 for r in uniform_rows)
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_tables_failed_replace_leaves_no_temp_file(fmt, tmp_path, monkeypatch):
+    report = {"methods": {"uniform": {"mean": {"rmse": 1.0}, "std": {"rmse": 0.0}}}}
+
+    def fail(src, dst):
+        raise OSError("replace failed")
+
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError):
+        emit_tables(report, tmp_path, fmt=fmt)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_tables_csv_json_identical_content(tiny_report, tmp_path):
     _, report = tiny_report
     w_csv = emit_tables(report, tmp_path / "c", fmt="csv")

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 
 import mklridge as mk
 from mklridge import ConfigError, KernelSpec, NumericalError, ShapeError
+from mklridge import solver
 from mklridge.solver import project_ball_orthant, project_l1_orthant
 
 from helpers import (ball_grid_points, dual_objective_grid_min,
@@ -167,6 +170,77 @@ def test_objective_zero_radius_is_plain_dual_value(seed):
     K0 = mk.combine(fam, mu0)
     direct = -lam * alpha @ alpha - alpha @ (K0.entries @ alpha) + 2 * alpha @ y
     assert mk.objective(alpha, y, lam, v, mu0, 0.0) == pytest.approx(direct, rel=1e-10, abs=1e-10)
+
+
+# --- feature-space ridge solve -------------------------------------------------
+
+@settings(max_examples=80)
+@given(
+    m=st.integers(2, 40),
+    p=st.integers(1, 60),
+    seed=st.integers(0, 10_000),
+    support=st.sampled_from(("random", "empty", "m-1")),
+)
+def test_feature_route_matches_dense_reference(m, p, seed, support):
+    rng = np.random.default_rng(seed)
+    F = rng.standard_normal((m, p))
+    F[:, rng.random(p) < 0.2] = 0.0
+    fam = mk.KernelFamily(features=F, sample_id="rank1")
+    s = {"random": int(rng.integers(0, min(p, m - 1) + 1)),
+         "empty": 0, "m-1": min(p, m - 1)}[support]
+    mu = np.zeros(p)
+    mu[rng.choice(p, size=s, replace=False)] = rng.uniform(0.01, 3.0, size=s)
+    y = rng.standard_normal(m)
+    lam = float(rng.uniform(0.005, 0.5)) * m
+    B = mk.combine(fam, mu).entries + lam * np.eye(m)
+    reference = solver._solve_pd(B, y)
+    # s < m, so the dense solver must not run.
+    with mock.patch.object(solver, "_solve_pd", side_effect=AssertionError("dense route")):
+        alpha = solver._ridge_solve(fam, mu, y, lam)
+    assert np.linalg.norm(alpha - reference) <= 1e-10 * np.linalg.norm(reference)
+    assert np.linalg.norm(B @ alpha - y) <= 1e-8 * np.linalg.norm(y)
+
+
+def test_feature_route_reports_eigenvalue_on_failure():
+    # A negative shift makes H = Fd'Fd + lam I indefinite.
+    fam = mk.KernelFamily(features=np.zeros((3, 1)), sample_id="zero")
+    with pytest.raises(NumericalError) as err:
+        solver._ridge_solve(fam, np.ones(1), np.ones(3), -1.0)
+    assert "smallest eigenvalue ~ -1.0" in str(err.value)
+
+
+@settings(max_examples=20)
+@given(m=st.integers(2, 20), extra=st.integers(0, 10), seed=st.integers(0, 10_000))
+def test_fit_l2_full_support_keeps_dense_route(m, extra, seed):
+    # fit_l2 weights are strictly positive, so s = p >= m here.
+    rng = np.random.default_rng(seed)
+    fam = mk.KernelFamily(features=rng.standard_normal((m, m + extra)), sample_id="rank1")
+    y = rng.standard_normal(m)
+    model, _ = mk.fit_l2(fam, y, 0.05, 1.0)
+    direct = mk.krr_solve(fam.combined_entries(model.weights.mu), y, model.lam)
+    assert model.alpha.tobytes() == direct.tobytes()
+
+
+def test_feature_route_fits_match_dense_family():
+    rng = np.random.default_rng(17)
+    X = rng.poisson(1.0, size=(40, 7)).astype(float)
+    fam = mk.rank1_family(X, include_offset=True)
+    dense = mk.KernelFamily.from_grams(fam.grams)
+    assert fam.features is not None and dense.features is None and fam.p < fam.m
+    y = X[:, 0] - X[:, 3] + 0.3 * rng.standard_normal(fam.m)
+    l2_fast, _ = mk.fit_l2(fam, y, 0.01, 1.0)
+    l2_dense, _ = mk.fit_l2(dense, y, 0.01, 1.0)
+    npt.assert_allclose(l2_fast.alpha, l2_dense.alpha, rtol=0, atol=1e-9)
+    npt.assert_allclose(l2_fast.weights.mu, l2_dense.weights.mu, rtol=0, atol=1e-9)
+    assert l2_fast.iterations == l2_dense.iterations
+    # Long projected-gradient runs amplify roundoff along their path, so
+    # the L1 comparison uses a setting that converges in a few steps.
+    l1_fast = mk.fit_l1(fam, y, 0.1, 1.0)
+    l1_dense = mk.fit_l1(dense, y, 0.1, 1.0)
+    assert np.count_nonzero(l1_fast.mu) < fam.p
+    npt.assert_allclose(l1_fast.alpha, l1_dense.alpha, rtol=0, atol=1e-9)
+    npt.assert_allclose(l1_fast.mu, l1_dense.mu, rtol=0, atol=1e-9)
+    assert l1_fast.iterations == l1_dense.iterations
 
 
 # --- fit_l2 -------------------------------------------------------------------
