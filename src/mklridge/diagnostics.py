@@ -11,9 +11,9 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import ConfigError, DataError, ShapeError
-from .kernels import (EXPLICIT_MAP_KINDS, KernelFamily, KernelSpec,
-                      _as_matrix, cross_gram)
-from .solver import MklModel, MuWeights, _as_vector, _solve_pd, quad_forms
+from .kernels import (KernelFamily, KernelSpec, _as_matrix, _as_vector,
+                      _explicit_features, as_family, cross_gram)
+from .solver import MklModel, MuWeights, _solve_pd, quad_forms
 
 
 def kkt_residuals(model: MklModel, family, y) -> tuple:
@@ -24,8 +24,6 @@ def kkt_residuals(model: MklModel, family, y) -> tuple:
     residual ||(mu - mu0) ||v|| - radius v|| / max(||v||, tiny), both
     near zero at a true solution.
     """
-    from .kernels import as_family
-
     fam = as_family(family)
     y = _as_vector(y, "y")
     alpha = model.alpha
@@ -72,23 +70,17 @@ def orthogonality_check(family: KernelFamily, X) -> Optional[bool]:
     """
     if family.specs is None:
         return None
-    if not all(s.kind in EXPLICIT_MAP_KINDS for s in family.specs):
-        return None
     X = _as_matrix(X)
+    F = _explicit_features(family.specs, X)
+    if F is None:
+        return None
     if X.shape[0] != family.m:
         raise ShapeError("sample row count differs from the family's sample size")
-    coords = []
-    for s in family.specs:
-        if s.kind == "rank1_feature":
-            active = bool(np.any(X[:, s.feature_index] != 0.0))
-            coords.append(("feature", s.feature_index, active))
-        else:
-            coords.append(("offset", 0, True))
-    for i in range(len(coords)):
-        for j in range(i + 1, len(coords)):
-            if coords[i][:2] == coords[j][:2] and coords[i][2] and coords[j][2]:
-                return False
-    return True
+    # A kernel's coordinate is its (kind, feature_index); an all-zero
+    # column is inactive and shares nothing.
+    active = [(s.kind, s.feature_index)
+              for s, live in zip(family.specs, np.any(F != 0.0, axis=0)) if live]
+    return len(set(active)) == len(active)
 
 
 @dataclass(frozen=True, eq=False)

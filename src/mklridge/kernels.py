@@ -116,20 +116,32 @@ class KernelSpec:
         return cls(**d)
 
 
-def _eval(spec: KernelSpec, x: np.ndarray, z: np.ndarray) -> float:
-    # Scalar kernel evaluation. build_gram routes non-rank-one entries
-    # through this same function so Gram entries and eval_kernel agree
-    # bit for bit.
-    if spec.kind == "linear":
-        return float(np.dot(x, z))
-    if spec.kind == "gaussian":
-        d = x - z
-        return float(np.exp(-np.dot(d, d) / (2.0 * spec.bandwidth * spec.bandwidth)))
-    if spec.kind == "polynomial":
-        return float((np.dot(x, z) + spec.offset) ** spec.degree)
+def _block(spec: KernelSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    # Kernel values between the rows of A and the rows of B: the one
+    # evaluator behind eval_kernel, build_gram and cross_gram. Entry (i, j)
+    # takes the same operations in the same order whatever the block shape,
+    # so a 1 x 1 block equals the matching entry of a larger one bit for
+    # bit, and A = B gives an exactly symmetric block. That is why dot
+    # products go through einsum (a GEMM's rounding depends on the shape)
+    # and Gaussian distances are direct differences (the expansion
+    # |a|^2 + |b|^2 - 2 a.b cancels catastrophically on offset data).
     if spec.kind == "rank1_feature":
-        return float(x[spec.feature_index] * z[spec.feature_index])
-    return 1.0  # constant_offset
+        return np.outer(A[:, spec.feature_index], B[:, spec.feature_index])
+    if spec.kind == "constant_offset":
+        return np.ones((A.shape[0], B.shape[0]))
+    if spec.kind == "gaussian":
+        out = np.empty((A.shape[0], B.shape[0]))
+        for i, a in enumerate(A):
+            D = B - a
+            np.einsum("jk,jk->j", D, D, out=out[i])
+        np.negative(out, out=out)
+        out /= 2.0 * spec.bandwidth * spec.bandwidth
+        return np.exp(out, out=out)
+    out = np.einsum("ik,jk->ij", A, B)
+    if spec.kind == "polynomial":
+        out += spec.offset
+        out **= spec.degree
+    return out
 
 
 def _check_index(spec: KernelSpec, dim: int):
@@ -142,8 +154,9 @@ def _check_index(spec: KernelSpec, dim: int):
 def eval_kernel(spec: KernelSpec, x, z) -> float:
     """Evaluate one kernel on a pair of points.
 
-    Consistent with :func:`build_gram`: for sample rows xi, xj the value
-    equals the corresponding Gram entry.
+    Evaluated as a 1 x 1 block of the evaluator behind :func:`build_gram`
+    and :func:`cross_gram`, so for sample rows xi, xj the value equals the
+    corresponding Gram or cross-matrix entry bit for bit.
     """
     x = _as_vector(x, "x")
     z = _as_vector(z, "z")
@@ -152,7 +165,7 @@ def eval_kernel(spec: KernelSpec, x, z) -> float:
     if not (np.isfinite(x).all() and np.isfinite(z).all()):
         raise DataError("kernel arguments contain non-finite values")
     _check_index(spec, x.shape[0])
-    return _eval(spec, x, z)
+    return float(_block(spec, x[None], z[None])[0, 0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -195,36 +208,23 @@ class GramMatrix:
 def build_gram(spec: KernelSpec, X) -> GramMatrix:
     """Pairwise kernel matrix over the rows of X.
 
-    The upper triangle is computed and mirrored, so the result is exactly
-    symmetric. Rank-one kinds use a vectorized outer product whose entries
-    coincide bitwise with :func:`eval_kernel`; the remaining kinds share
-    the scalar evaluation routine directly.
+    All kinds share one block evaluator with :func:`cross_gram` and
+    :func:`eval_kernel`, so every entry equals the matching
+    ``eval_kernel`` value bit for bit and the result is exactly symmetric
+    (Gaussian diagonals are exactly 1).
     """
     X = _as_matrix(X)
     if not np.isfinite(X).all():
         raise DataError("data matrix contains non-finite values")
-    m, d = X.shape
-    _check_index(spec, d)
-    sid = sample_id_of(X)
-    if spec.kind == "rank1_feature":
-        col = X[:, spec.feature_index]
-        entries = np.outer(col, col)
-    elif spec.kind == "constant_offset":
-        entries = np.ones((m, m))
-    else:
-        entries = np.empty((m, m))
-        for i in range(m):
-            xi = X[i]
-            entries[i, i] = _eval(spec, xi, xi)
-            for j in range(i + 1, m):
-                val = _eval(spec, xi, X[j])
-                entries[i, j] = val
-                entries[j, i] = val
-    return GramMatrix(entries=entries, sample_id=sid)
+    _check_index(spec, X.shape[1])
+    return GramMatrix(entries=_block(spec, X, X), sample_id=sample_id_of(X))
 
 
 def cross_gram(spec: KernelSpec, A, B) -> np.ndarray:
-    """Kernel values between rows of A and rows of B (len(A) x len(B))."""
+    """Kernel values between rows of A and rows of B (len(A) x len(B)).
+
+    Entry (i, j) equals ``eval_kernel(spec, A[i], B[j])`` bit for bit.
+    """
     A = _as_matrix(A)
     B = _as_matrix(B)
     if A.shape[1] != B.shape[1]:
@@ -232,16 +232,7 @@ def cross_gram(spec: KernelSpec, A, B) -> np.ndarray:
     if not (np.isfinite(A).all() and np.isfinite(B).all()):
         raise DataError("data matrix contains non-finite values")
     _check_index(spec, A.shape[1])
-    if spec.kind == "rank1_feature":
-        return np.outer(A[:, spec.feature_index], B[:, spec.feature_index])
-    if spec.kind == "constant_offset":
-        return np.ones((A.shape[0], B.shape[0]))
-    out = np.empty((A.shape[0], B.shape[0]))
-    for i in range(A.shape[0]):
-        ai = A[i]
-        for j in range(B.shape[0]):
-            out[i, j] = _eval(spec, ai, B[j])
-    return out
+    return _block(spec, A, B)
 
 
 def _kappa0_from_grams(grams: Sequence[GramMatrix]) -> float:
@@ -251,6 +242,8 @@ def _kappa0_from_grams(grams: Sequence[GramMatrix]) -> float:
 
 
 def _explicit_features(specs: Sequence[KernelSpec], X: np.ndarray) -> Optional[np.ndarray]:
+    # One column per kernel with K_k = outer(column, column) over the rows
+    # of X, or None when some kind has no finite explicit feature map.
     if not all(s.kind in EXPLICIT_MAP_KINDS for s in specs):
         return None
     cols = []
@@ -271,7 +264,12 @@ class KernelFamily:
     exact fast path (ridge systems are solved in |supp mu| dimensions when
     that is below m, with the same residual guarantee as the dense solve),
     and the Gram matrices of such families materialize lazily on first
-    access (idempotent, so benign under concurrency).
+    access (idempotent, so benign under concurrency). Families of other
+    kinds hold the Gram matrices that :func:`build_gram` evaluates.
+    Weighted sums over Gram matrices (:meth:`combined_entries` without
+    features, and :func:`combine` always) accumulate kernel by kernel in
+    index order; with features, ``combined_entries`` is one matrix
+    product instead, which may differ from ``combine`` in the last bits.
     ``kappa0`` bounds sqrt(sum_k K_k(x,x)^2) over the sample, verified by
     direct evaluation of the kernel diagonals.
     """
@@ -404,17 +402,25 @@ class KernelFamily:
         feats = None if self.features is None else self.features[:, ks]
         return KernelFamily(grams=grams, specs=specs, features=feats)
 
-    def combined_entries(self, mu) -> np.ndarray:
-        """Sum_k mu_k K_k as a raw array (feature fast path when possible)."""
+    def _weights(self, mu) -> np.ndarray:
         mu = _as_vector(mu, "mu")
         if mu.shape[0] != self.p:
             raise ShapeError(f"mu has length {mu.shape[0]}, family has {self.p} kernels")
-        if self.features is not None:
-            return (self.features * mu) @ self.features.T
+        return mu
+
+    def _accumulate(self, mu: np.ndarray) -> np.ndarray:
+        # Sum_k mu_k K_k over the Gram matrices, kernel by kernel in index order.
         out = np.zeros((self.m, self.m))
         for k in range(self.p):
             out += mu[k] * self.grams[k].entries
         return out
+
+    def combined_entries(self, mu) -> np.ndarray:
+        """Sum_k mu_k K_k as a raw array (feature fast path when possible)."""
+        mu = self._weights(mu)
+        if self.features is not None:
+            return (self.features * mu) @ self.features.T
+        return self._accumulate(mu)
 
 
 def as_family(obj) -> KernelFamily:
@@ -437,15 +443,10 @@ def combine(family, mu) -> GramMatrix:
     independent entrywise loop exactly.
     """
     fam = as_family(family)
-    mu = _as_vector(mu, "mu")
-    if mu.shape[0] != fam.p:
-        raise ShapeError(f"mu has length {mu.shape[0]}, family has {fam.p} kernels")
+    mu = fam._weights(mu)
     if np.any(mu < 0):
         raise ConfigError("combination weights must be nonnegative")
-    out = np.zeros((fam.m, fam.m))
-    for k in range(fam.p):
-        out += mu[k] * fam.grams[k].entries
-    return GramMatrix(entries=out, sample_id=fam.sample_id)
+    return GramMatrix(entries=fam._accumulate(mu), sample_id=fam.sample_id)
 
 
 def compute_kappa(family, mu_norm_bound: float) -> float:

@@ -19,8 +19,9 @@ from typing import Optional
 import numpy as np
 import scipy.linalg
 
+from . import kernels
 from .errors import ConfigError, NumericalError, ShapeError
-from .kernels import GramMatrix, as_family
+from .kernels import GramMatrix, _as_matrix, _as_vector, _explicit_features, as_family
 
 log = logging.getLogger(__name__)
 
@@ -29,13 +30,6 @@ NEG_QUAD_TOL = 1e-10
 
 # ||v|| at or below this (times p) is treated as the degenerate v = 0 case.
 DEGENERATE_V_TOL = 1e-14
-
-
-def _as_vector(x, name="vector") -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise ShapeError(f"{name} must be 1-d, got shape {x.shape}")
-    return x
 
 
 def _gram_entries(K) -> np.ndarray:
@@ -58,7 +52,8 @@ def _cholesky(B: np.ndarray, smallest):
 
 def _refined(solve, matvec, y: np.ndarray, smallest) -> np.ndarray:
     # One iterative-refinement pass keeps the residual y - matvec(alpha)
-    # near machine level; a residual above 1e-8 ||y|| is reported as a
+    # near machine level; a residual above 1e-8 ||y||, or a NaN one (a NaN
+    # in the system passes the unchecked Cholesky), is reported as a
     # numerical failure with an eigenvalue estimate of the system matrix.
     alpha = solve(y)
     ynorm = float(np.linalg.norm(y))
@@ -66,7 +61,7 @@ def _refined(solve, matvec, y: np.ndarray, smallest) -> np.ndarray:
     if np.linalg.norm(resid) > 1e-14 * max(ynorm, 1.0):
         alpha = alpha + solve(resid)
         resid = y - matvec(alpha)
-    if np.linalg.norm(resid) > 1e-8 * ynorm:
+    if not np.linalg.norm(resid) <= 1e-8 * ynorm:
         raise NumericalError(
             f"linear solve residual {np.linalg.norm(resid):.3e} exceeds tolerance; "
             f"smallest eigenvalue ~ {smallest():.6e}"
@@ -601,8 +596,6 @@ def predict_weighted(specs, mu, alpha, X_train, X):
     (returns a vector). Rank-one families are evaluated through their
     feature columns; other kinds fall back to per-kernel cross matrices.
     """
-    from .kernels import EXPLICIT_MAP_KINDS, cross_gram, _as_matrix  # local import avoids cycle
-
     if specs is None:
         raise ConfigError("prediction requires evaluable kernel specs")
     X_train = _as_matrix(X_train)
@@ -622,22 +615,17 @@ def predict_weighted(specs, mu, alpha, X_train, X):
     if alpha.shape[0] != X_train.shape[0]:
         raise ShapeError("alpha length differs from number of training rows")
 
-    if all(s.kind in EXPLICIT_MAP_KINDS for s in specs):
-        def feature_cols(M):
-            cols = [
-                M[:, s.feature_index] if s.kind == "rank1_feature" else np.ones(M.shape[0])
-                for s in specs
-            ]
-            return np.column_stack(cols)
-        f_train = feature_cols(X_train)
-        f_query = feature_cols(Xq)
-        out = f_query @ (mu * (f_train.T @ alpha))
+    f_train = _explicit_features(specs, X_train)
+    if f_train is not None:
+        out = _explicit_features(specs, Xq) @ (mu * (f_train.T @ alpha))
     else:
         out = np.zeros(Xq.shape[0])
         for k, spec in enumerate(specs):
             if mu[k] == 0.0:
                 continue
-            out += mu[k] * (cross_gram(spec, Xq, X_train) @ alpha)
+            # Looked up on the module at call time, so a wrapper installed
+            # over kernels.cross_gram (a profiler's, say) sees this call.
+            out += mu[k] * (kernels.cross_gram(spec, Xq, X_train) @ alpha)
     return float(out[0]) if single else out
 
 

@@ -153,6 +153,80 @@ def test_cross_gram_matches_eval():
                 assert C[i, j] == mk.eval_kernel(spec, A[i], B[j])
 
 
+def _scalar_reference(spec, x, z):
+    # Per-pair kernel formula, independent of the block evaluator behind
+    # build_gram, cross_gram and eval_kernel.
+    if spec.kind == "linear":
+        return float(np.dot(x, z))
+    if spec.kind == "gaussian":
+        d = x - z
+        return float(np.exp(-np.dot(d, d) / (2.0 * spec.bandwidth * spec.bandwidth)))
+    if spec.kind == "polynomial":
+        return float((np.dot(x, z) + spec.offset) ** spec.degree)
+    if spec.kind == "rank1_feature":
+        return float(x[spec.feature_index] * z[spec.feature_index])
+    return 1.0
+
+
+def _reference_scale(spec, x, z):
+    # Magnitude of the terms an entry sums: a dot product's roundoff is
+    # relative to sum |x_k z_k|, not to the (possibly cancelled) result.
+    if spec.kind == "linear":
+        return float(np.abs(x) @ np.abs(z))
+    if spec.kind == "polynomial":
+        return float((np.abs(x) @ np.abs(z) + spec.offset) ** spec.degree)
+    return abs(_scalar_reference(spec, x, z))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(mk.kernels.KINDS),
+    m=st.integers(1, 30),
+    n=st.integers(1, 30),
+    d=st.integers(1, 200),
+    offset_data=st.booleans(),
+    duplicates=st.integers(0, 5),
+    scale=st.floats(0.3, 3.0),
+    degree=st.integers(1, 3),
+    seed=st.integers(0, 10_000),
+)
+def test_block_evaluator_matches_scalar_reference(kind, m, n, d, offset_data, duplicates,
+                                                  scale, degree, seed):
+    rng = np.random.default_rng(seed)
+    # Offset data: coordinates near +-1e3 with spread 0.01 and a bandwidth
+    # of the same order as the spread.
+    spread = 0.01 if offset_data else 1.0
+    center = 1e3 * rng.choice([-1.0, 1.0], size=d) if offset_data else np.zeros(d)
+    X = center + spread * rng.standard_normal((m, d))
+    Z = center + spread * rng.standard_normal((n, d))
+    pairs = rng.integers(0, m, size=(duplicates, 2))
+    X[pairs[:, 0]] = X[pairs[:, 1]]
+    shared = min(m, n) // 2
+    Z[:shared] = X[:shared]
+    spec = {
+        "gaussian": KernelSpec.gaussian(scale * spread * np.sqrt(d)),
+        "linear": KernelSpec.linear(),
+        "polynomial": KernelSpec.polynomial(degree, scale),
+        "rank1_feature": KernelSpec.rank1(int(rng.integers(0, d))),
+        "constant_offset": KernelSpec.constant(),
+    }[kind]
+
+    G = mk.build_gram(spec, X).entries
+    C = mk.cross_gram(spec, X, Z)
+    assert np.array_equal(G, G.T)
+    if kind == "gaussian":
+        assert np.all(np.diag(G) == 1.0)
+    for i in range(m):
+        for j in range(m):
+            ref = _scalar_reference(spec, X[i], X[j])
+            assert abs(G[i, j] - ref) <= 1e-12 * _reference_scale(spec, X[i], X[j])
+        for j in range(n):
+            ref = _scalar_reference(spec, X[i], Z[j])
+            tol = 1e-12 * _reference_scale(spec, X[i], Z[j])
+            assert abs(C[i, j] - ref) <= tol
+            assert mk.eval_kernel(spec, X[i], Z[j]) == C[i, j]
+
+
 # --- combine ----------------------------------------------------------------
 
 def _random_family(seed, m=8, p=4):

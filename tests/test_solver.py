@@ -50,6 +50,12 @@ def test_krr_indefinite_matrix_reports_eigenvalue():
     assert "eigenvalue" in str(err.value)
 
 
+def test_krr_nan_matrix_raises():
+    # The Cholesky factor does not check for NaN; the residual test must.
+    with pytest.raises(NumericalError):
+        mk.krr_solve(np.array([[1.0, 0.0], [0.0, np.nan]]), [1.0, 1.0], 1.0)
+
+
 @settings(max_examples=30)
 @given(seed=st.integers(0, 10_000))
 def test_krr_residual_bound(seed):
@@ -207,6 +213,12 @@ def test_feature_route_reports_eigenvalue_on_failure():
     with pytest.raises(NumericalError) as err:
         solver._ridge_solve(fam, np.ones(1), np.ones(3), -1.0)
     assert "smallest eigenvalue ~ -1.0" in str(err.value)
+
+
+def test_feature_route_nan_features_raise():
+    fam = mk.KernelFamily(features=np.array([[1.0], [np.nan], [0.0]]), sample_id="nan")
+    with pytest.raises(NumericalError):
+        solver._ridge_solve(fam, np.ones(1), np.ones(3), 1.0)
 
 
 @settings(max_examples=20)
