@@ -13,7 +13,7 @@ import numpy as np
 from .errors import ConfigError, DataError, ShapeError
 from .kernels import (KernelFamily, KernelSpec, _as_matrix, _as_vector,
                       _explicit_features, as_family, cross_gram)
-from .solver import MklModel, MuWeights, _solve_pd, quad_forms
+from .solver import MklModel, MuWeights, krr_solve, quad_forms
 
 
 def kkt_residuals(model: MklModel, family, y) -> tuple:
@@ -176,7 +176,7 @@ def stability_trial(specs: Sequence[KernelSpec], X, y, lambda0: float,
     kappa = kappa0_all * (float(np.linalg.norm(weights.mu0)) + weights.radius)
 
     K = G[:m, :m]
-    alpha = _solve_pd(K + lam * np.eye(m), y)
+    alpha = krr_solve(K, y, lam)
     h_base = G[:, :m] @ alpha
     base_err = np.abs(h_base - y_E)
 
@@ -187,7 +187,7 @@ def stability_trial(specs: Sequence[KernelSpec], X, y, lambda0: float,
         idx = np.concatenate([keep, [m + t]])
         K_swap = G[np.ix_(idx, idx)]
         y_swap = np.concatenate([y[:-1], [swap_ys[t]]])
-        alpha_swap = _solve_pd(K_swap + lam * np.eye(m), y_swap)
+        alpha_swap = krr_solve(K_swap, y_swap, lam)
         h_swap = G[:, idx] @ alpha_swap
         delta = float(np.max(np.abs(h_swap - h_base)))
         max_err = float(max(base_err.max(), np.abs(h_swap - y_E).max()))

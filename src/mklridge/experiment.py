@@ -356,26 +356,17 @@ def _predict_rows(family: KernelFamily, mu, alpha, train_idx, query_idx) -> np.n
     return out
 
 
-def _fit_for_combo(method, family, y, combo, cfg: ExperimentConfig):
-    """Fit one method at one hyperparameter combo; returns (mu_full, alpha, info)."""
-    lambda0 = combo[0]
-    if method in ("l2mkl", "uniform"):
-        radius = combo[1] if method == "l2mkl" else 0.0
-        model, report = fit_l2(
-            family, y, lambda0, radius,
-            eta=cfg.eta, max_iters=cfg.max_iters,
-        )
-        info = {
-            "iterations": model.iterations,
-            "converged": model.converged,
-            "final_step": model.final_step,
-            "objective": report.objective_value,
-        }
-        return model.weights.mu, model.alpha, info, model
+def _fit_for_combo(method, family, y, combo: dict, cfg: ExperimentConfig):
+    """Fit one method at one hyperparameter combo.
+
+    Returns (mu_full, alpha, info, kkt_args); ``kkt_args`` is the
+    (model, family) pair whose KKT residuals the report records, or None
+    for ``l1mkl``, whose result is not a fixed-point model.
+    """
+    lambda0 = combo["lambda0"]
     if method == "l1mkl":
-        budget = combo[1]
         result = fit_l1(
-            family, y, lambda0, budget,
+            family, y, lambda0, combo["budget"],
             tol=cfg.l1_tol, max_iters=cfg.l1_max_iters,
         )
         info = {
@@ -384,44 +375,49 @@ def _fit_for_combo(method, family, y, combo, cfg: ExperimentConfig):
             "certificate_gap": result.certificate_gap,
             "objective": result.objective_value,
         }
-        return result.mu, result.alpha, info, result
+        return result.mu, result.alpha, info, None
     if method == "best_single":
-        kernel_idx = int(combo[1])
-        sub = family.select_kernels([kernel_idx])
-        model, report = fit_l2(sub, y, lambda0, 0.0, eta=cfg.eta, max_iters=cfg.max_iters)
+        fit_family = family.select_kernels([combo["kernel"]])
+    elif method in ("l2mkl", "uniform"):
+        fit_family = family
+    else:
+        raise ConfigError(f"unknown method {method!r}")
+    # uniform carries no radius: it is the L2 fit pinned at mu = mu0.
+    model, report = fit_l2(
+        fit_family, y, lambda0, combo.get("radius", 0.0),
+        eta=cfg.eta, max_iters=cfg.max_iters,
+    )
+    info = {
+        "iterations": model.iterations,
+        "converged": model.converged,
+        "final_step": model.final_step,
+        "objective": report.objective_value,
+    }
+    mu_full = model.weights.mu
+    if method == "best_single":
         mu_full = np.zeros(family.p)
-        mu_full[kernel_idx] = model.weights.mu[0]
-        info = {
-            "iterations": model.iterations,
-            "converged": model.converged,
-            "final_step": model.final_step,
-            "objective": report.objective_value,
-        }
-        return mu_full, model.alpha, info, model
-    raise ConfigError(f"unknown method {method!r}")
+        mu_full[combo["kernel"]] = model.weights.mu[0]
+    return mu_full, model.alpha, info, (model, fit_family)
 
 
-def _combo_grid(method, cfg: ExperimentConfig, p: int):
-    lams = sorted(cfg.lambda0_grid)
-    if method == "l2mkl":
-        return [(l0, r) for l0 in lams for r in sorted(cfg.radius_grid)]
-    if method == "l1mkl":
-        return [(l0, b) for l0 in lams for b in sorted(cfg.budget_grid)]
+def _kkt_entry(kkt_args, y) -> dict:
+    model, family = kkt_args
+    r_alpha, r_mu = diagnostics.kkt_residuals(model, family, y)
+    return {"alpha_residual": r_alpha, "mu_residual": r_mu}
+
+
+def _combo_grid(method, cfg: ExperimentConfig, p: int) -> list:
+    """The method's combos in search order: lambda0 ascending, then the
+    second parameter ascending, so CV ties go to the earliest combo."""
+    combos = [{"lambda0": l0} for l0 in sorted(cfg.lambda0_grid)]
     if method == "uniform":
-        return [(l0,) for l0 in lams]
-    if method == "best_single":
-        return [(l0, k) for l0 in lams for k in range(p)]
-    raise ConfigError(f"unknown method {method!r}")
-
-
-def _combo_label(method, combo) -> dict:
-    if method == "l2mkl":
-        return {"lambda0": combo[0], "radius": combo[1]}
-    if method == "l1mkl":
-        return {"lambda0": combo[0], "budget": combo[1]}
-    if method == "uniform":
-        return {"lambda0": combo[0]}
-    return {"lambda0": combo[0], "kernel": int(combo[1])}
+        return combos
+    key, grid = {
+        "l2mkl": ("radius", cfg.radius_grid),
+        "l1mkl": ("budget", cfg.budget_grid),
+        "best_single": ("kernel", range(p)),
+    }[method]
+    return [{**c, key: v} for c in combos for v in sorted(grid)]
 
 
 def _run_method_trial(method, family, train: Dataset, test: Dataset,
@@ -445,7 +441,7 @@ def _run_method_trial(method, family, train: Dataset, test: Dataset,
     for combo in _combo_grid(method, cfg, family.p):
         scores = []
         for tr_idx, va_idx, sub_family in fold_data:
-            mu_full, alpha, _info, _ = _fit_for_combo(method, sub_family, y[tr_idx], combo, cfg)
+            mu_full, alpha, _, _ = _fit_for_combo(method, sub_family, y[tr_idx], combo, cfg)
             preds = _predict_rows(family, mu_full, alpha, tr_idx, va_idx)
             scores.append(select_metric(preds, y[va_idx]))
         score = float(np.mean(scores))
@@ -453,7 +449,7 @@ def _run_method_trial(method, family, train: Dataset, test: Dataset,
             best_score = score
             best_combo = combo
 
-    mu_full, alpha, info, fitted = _fit_for_combo(method, family, y, best_combo, cfg)
+    mu_full, alpha, info, kkt_args = _fit_for_combo(method, family, y, best_combo, cfg)
     preds = predict_weighted(family.specs, mu_full, alpha, train.X, test.X)
     metrics = {}
     for name in cfg.metrics:
@@ -461,20 +457,10 @@ def _run_method_trial(method, family, train: Dataset, test: Dataset,
             continue
         metrics[name] = _METRIC_FNS[name](preds, test.y)
 
-    record = {
-        "chosen": _combo_label(method, best_combo),
-        "cv_score": best_score,
-        "metrics": metrics,
-    }
+    record = {"chosen": best_combo, "cv_score": best_score, "metrics": metrics}
     record.update(info)
-    if method in ("l2mkl", "uniform"):
-        r_alpha, r_mu = diagnostics.kkt_residuals(fitted, family, y)
-        record["kkt"] = {"alpha_residual": r_alpha, "mu_residual": r_mu}
-    elif method == "best_single":
-        kernel_idx = int(best_combo[1])
-        sub = family.select_kernels([kernel_idx])
-        r_alpha, r_mu = diagnostics.kkt_residuals(fitted, sub, y)
-        record["kkt"] = {"alpha_residual": r_alpha, "mu_residual": r_mu}
+    if kkt_args is not None:
+        record["kkt"] = _kkt_entry(kkt_args, y)
     return record
 
 
@@ -643,40 +629,24 @@ def run_fit(config: ExperimentConfig) -> dict:
     seed = np.random.SeedSequence(0 if config.seed is None else config.seed)
     train, _test, _audit = source.trial_data(seed.spawn(1)[0])
     family = build_family(config.kernels, train)
-    lambda0 = float(fit_cfg.get("lambda0", 0.1))
+    combo = {"lambda0": float(fit_cfg.get("lambda0", 0.1))}
+    if method == "l1mkl":
+        combo["budget"] = float(fit_cfg.get("budget", 1.0))
+    else:
+        combo["radius"] = float(fit_cfg.get("radius", 1.0)) if method == "l2mkl" else 0.0
     out = {
         "method": method,
-        "lambda0": lambda0,
+        "lambda0": combo["lambda0"],
         "rows": train.m,
         "kernels": family.p,
         "orthogonality": diagnostics.orthogonality_check(family, train.X),
     }
-    if method in ("l2mkl", "uniform"):
-        radius = float(fit_cfg.get("radius", 1.0)) if method == "l2mkl" else 0.0
-        model, report = fit_l2(family, train.y, lambda0, radius,
-                               eta=config.eta, max_iters=config.max_iters)
-        r_alpha, r_mu = diagnostics.kkt_residuals(model, family, train.y)
-        out.update({
-            "radius": radius,
-            "iterations": model.iterations,
-            "converged": model.converged,
-            "final_step": model.final_step,
-            "objective": report.objective_value,
-            "kkt": {"alpha_residual": r_alpha, "mu_residual": r_mu},
-            "mu": model.weights.mu.tolist(),
-        })
-    else:
-        budget = float(fit_cfg.get("budget", 1.0))
-        result = fit_l1(family, train.y, lambda0, budget,
-                        tol=config.l1_tol, max_iters=config.l1_max_iters)
-        out.update({
-            "budget": budget,
-            "iterations": result.iterations,
-            "converged": result.converged,
-            "certificate_gap": result.certificate_gap,
-            "objective": result.objective_value,
-            "mu": result.mu.tolist(),
-        })
+    out.update(combo)
+    mu, _alpha, info, kkt_args = _fit_for_combo(method, family, train.y, combo, config)
+    out.update(info)
+    if kkt_args is not None:
+        out["kkt"] = _kkt_entry(kkt_args, train.y)
+    out["mu"] = mu.tolist()
     return out
 
 

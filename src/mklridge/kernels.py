@@ -276,22 +276,22 @@ class KernelFamily:
 
     def __init__(self, grams=None, specs=None, features=None,
                  sample_id: Optional[str] = None, kappa0: Optional[float] = None):
-        if grams is None and features is None:
-            raise ConfigError("kernel family needs Gram matrices or feature columns")
+        if (grams is None) == (features is None):
+            raise ConfigError("kernel family needs either Gram matrices or feature columns")
         self.specs = None if specs is None else tuple(specs)
         self._grams = None
+        self.features = None
         if features is not None:
             f = np.asarray(features, dtype=np.float64)
             if f.ndim != 2 or f.shape[1] == 0:
                 raise ShapeError(f"features must be a nonempty 2-d matrix, got {f.shape}")
+            if not np.isfinite(f).all():
+                raise DataError("feature columns contain non-finite values")
             f = f.copy()
             f.flags.writeable = False
             self.features = f
-            self._m = f.shape[0]
-            self._p = f.shape[1]
+            self._m, self._p = f.shape
         else:
-            self.features = None
-        if grams is not None:
             grams = tuple(grams)
             if not grams:
                 raise ConfigError("kernel family must contain at least one kernel")
@@ -302,10 +302,6 @@ class KernelFamily:
                     raise ConfigError("all Gram matrices in a family must share one sample")
                 if g.m != m:
                     raise ShapeError("all Gram matrices in a family must share one dimension")
-            if self.features is not None and (self._m, self._p) != (m, len(grams)):
-                raise ShapeError(
-                    f"features must be ({m}, {len(grams)}), got {self.features.shape}"
-                )
             self._grams = grams
             self._m = m
             self._p = len(grams)
@@ -353,8 +349,7 @@ class KernelFamily:
         return cls(grams=grams, specs=specs)
 
     @classmethod
-    def from_grams(cls, mats, sample_id: Optional[str] = None,
-                   features=None) -> "KernelFamily":
+    def from_grams(cls, mats, sample_id: Optional[str] = None) -> "KernelFamily":
         """Wrap raw PSD matrices (no evaluable specs) into a family."""
         grams = []
         for mat in mats:
@@ -366,7 +361,7 @@ class KernelFamily:
                     np.asarray(mats[0], dtype=np.float64)
                 )
                 grams.append(GramMatrix(entries=mat, sample_id=sid))
-        return cls(grams=tuple(grams), features=features)
+        return cls(grams=tuple(grams))
 
     @property
     def p(self) -> int:
@@ -394,13 +389,11 @@ class KernelFamily:
         """Keep only the listed kernels (same sample)."""
         ks = list(kernel_indices)
         specs = None if self.specs is None else tuple(self.specs[k] for k in ks)
-        if self.features is not None and self._grams is None:
+        if self.features is not None:
             return KernelFamily(
                 specs=specs, features=self.features[:, ks], sample_id=self.sample_id,
             )
-        grams = tuple(self.grams[k] for k in ks)
-        feats = None if self.features is None else self.features[:, ks]
-        return KernelFamily(grams=grams, specs=specs, features=feats)
+        return KernelFamily(grams=tuple(self.grams[k] for k in ks), specs=specs)
 
     def _weights(self, mu) -> np.ndarray:
         mu = _as_vector(mu, "mu")

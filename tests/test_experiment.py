@@ -8,9 +8,10 @@ from click.testing import CliRunner
 import mklridge as mk
 from mklridge import ConfigError, DataError
 from mklridge.cli import main
-from mklridge.experiment import (ExperimentConfig, dumps_canonical,
-                                 emit_tables, format_float, run_diagnose,
-                                 run_experiment, run_fit, write_json_atomic)
+from mklridge.experiment import (ExperimentConfig, _Source, build_family,
+                                 dumps_canonical, emit_tables, format_float,
+                                 run_diagnose, run_experiment, run_fit,
+                                 write_json_atomic)
 
 
 # --- metrics ---------------------------------------------------------------
@@ -117,6 +118,28 @@ def test_experiment_reports_convergence_and_kkt(tiny_report):
     assert rec["converged"]
     assert rec["kkt"]["alpha_residual"] <= 1e-8
     assert "certificate_gap" in report["methods"]["l1mkl"]["trials"][0]
+
+
+def test_experiment_record_layout_per_method(tiny_report):
+    cfg, report = tiny_report
+    second = {"l2mkl": ["radius"], "l1mkl": ["budget"], "uniform": [], "best_single": ["kernel"]}
+    src = _Source(cfg)
+    seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.trials)
+    for method in cfg.methods:
+        for t, rec in enumerate(report["methods"][method]["trials"]):
+            assert list(rec["chosen"]) == ["lambda0"] + second[method]
+            assert ("kkt" in rec) == (method != "l1mkl")
+            if method != "best_single":
+                continue
+            kernel = rec["chosen"]["kernel"]
+            assert type(kernel) is int
+            # The recorded residuals are those of the one-kernel refit.
+            train, _, _ = src.trial_data(seeds[t])
+            sub = build_family(cfg.kernels, train).select_kernels([kernel])
+            model, _ = mk.fit_l2(sub, train.y, rec["chosen"]["lambda0"], 0.0,
+                                 eta=cfg.eta, max_iters=cfg.max_iters)
+            r_alpha, r_mu = mk.kkt_residuals(model, sub, train.y)
+            assert rec["kkt"] == {"alpha_residual": r_alpha, "mu_residual": r_mu}
 
 
 def test_experiment_deterministic_bytes(tiny_report, tmp_path):
@@ -372,6 +395,33 @@ def test_run_fit_l1_summary():
     summary = run_fit(cfg)
     assert summary["method"] == "l1mkl"
     assert len(summary["mu"]) == 7  # 6 features + offset
+
+
+@pytest.mark.parametrize("method", ["l2mkl", "uniform", "l1mkl"])
+def test_run_fit_summary_layout(method):
+    fit = {"method": method, "lambda0": 0.05, "radius": 2.0, "budget": 3.0}
+    cfg = ExperimentConfig.from_dict(_tiny_config(trials=1, fit=fit))
+    summary = run_fit(cfg)
+    head = ["method", "lambda0", "rows", "kernels", "orthogonality"]
+    if method == "l1mkl":
+        tail = ["budget", "iterations", "converged", "certificate_gap", "objective", "mu"]
+    else:
+        tail = ["radius", "iterations", "converged", "final_step", "objective", "kkt", "mu"]
+    assert list(summary) == head + tail
+    if method == "l1mkl":
+        return
+    # The L2 routes report the plain fit_l2 model and its KKT residuals.
+    train, _, _ = _Source(cfg).trial_data(np.random.SeedSequence(cfg.seed).spawn(1)[0])
+    family = build_family(cfg.kernels, train)
+    radius = 2.0 if method == "l2mkl" else 0.0
+    model, fit_report = mk.fit_l2(family, train.y, 0.05, radius,
+                                  eta=cfg.eta, max_iters=cfg.max_iters)
+    r_alpha, r_mu = mk.kkt_residuals(model, family, train.y)
+    assert summary["radius"] == radius
+    assert summary["iterations"] == model.iterations
+    assert summary["objective"] == fit_report.objective_value
+    assert summary["kkt"] == {"alpha_residual": r_alpha, "mu_residual": r_mu}
+    assert summary["mu"] == model.weights.mu.tolist()
 
 
 def test_run_diagnose_validates_sections():

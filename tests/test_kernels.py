@@ -358,6 +358,30 @@ def test_family_select_kernels():
     npt.assert_array_equal(sel.grams[1].entries, fam.grams[0].entries)
 
 
+def test_select_kernels_keeps_feature_families_lazy():
+    fam = mk.rank1_family(np.abs(random_matrix(6, 3, 8)), include_offset=True)
+    fam.grams  # materialize the parent's Gram matrices first
+    sel = fam.select_kernels([3, 1])
+    assert sel.features is not None and sel._grams is None
+    npt.assert_array_equal(sel.features, fam.features[:, [3, 1]])
+    for got, want in zip(sel.grams, (fam.grams[3], fam.grams[1])):
+        assert got.entries.tobytes() == want.entries.tobytes()
+
+
+def test_family_holds_one_representation():
+    grams = [mk.build_gram(KernelSpec.linear(), random_matrix(4, 2, 0))]
+    with pytest.raises(ConfigError):
+        mk.KernelFamily(grams=grams, features=np.ones((4, 1)), sample_id="x")
+    with pytest.raises(ConfigError):
+        mk.KernelFamily()
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf])  # NaN: test_feature_route_nan_features_raise
+def test_family_rejects_infinite_features(bad):
+    with pytest.raises(DataError):
+        mk.KernelFamily(features=[[1.0], [bad], [0.0]], sample_id="x")
+
+
 def test_gram_matrix_rejects_asymmetry():
     with pytest.raises(NumericalError):
         mk.GramMatrix(entries=np.array([[1.0, 2.0], [0.5, 1.0]]), sample_id="x")

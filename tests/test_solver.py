@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mklridge as mk
-from mklridge import ConfigError, KernelSpec, NumericalError, ShapeError
+from mklridge import ConfigError, DataError, KernelSpec, NumericalError, ShapeError
 from mklridge import solver
 from mklridge.solver import project_ball_orthant, project_l1_orthant
 
@@ -216,9 +216,12 @@ def test_feature_route_reports_eigenvalue_on_failure():
 
 
 def test_feature_route_nan_features_raise():
-    fam = mk.KernelFamily(features=np.array([[1.0], [np.nan], [0.0]]), sample_id="nan")
+    with pytest.raises(DataError):
+        mk.KernelFamily(features=np.array([[1.0], [np.nan], [0.0]]), sample_id="nan")
+    # A NaN that reaches the feature route through y still raises.
+    fam = mk.KernelFamily(features=np.array([[1.0], [2.0], [0.0]]), sample_id="finite")
     with pytest.raises(NumericalError):
-        solver._ridge_solve(fam, np.ones(1), np.ones(3), 1.0)
+        solver._ridge_solve(fam, np.ones(1), np.array([1.0, np.nan, 0.0]), 1.0)
 
 
 @settings(max_examples=20)
