@@ -408,7 +408,12 @@ def _kkt_entry(kkt_args, y) -> dict:
 
 def _combo_grid(method, cfg: ExperimentConfig, p: int) -> list:
     """The method's combos in search order: lambda0 ascending, then the
-    second parameter ascending, so CV ties go to the earliest combo."""
+    second parameter ascending, so CV ties go to the earliest combo.
+
+    (lambda0, budget) and (c lambda0, c budget) give the same L1
+    predictor (mu scales by c, alpha by 1/c), so ``l1mkl`` keeps only
+    the first, smallest-lambda0 combo of each budget/lambda0 ratio.
+    """
     combos = [{"lambda0": l0} for l0 in sorted(cfg.lambda0_grid)]
     if method == "uniform":
         return combos
@@ -417,7 +422,16 @@ def _combo_grid(method, cfg: ExperimentConfig, p: int) -> list:
         "l1mkl": ("budget", cfg.budget_grid),
         "best_single": ("kernel", range(p)),
     }[method]
-    return [{**c, key: v} for c in combos for v in sorted(grid)]
+    combos = [{**c, key: v} for c in combos for v in sorted(grid)]
+    if method != "l1mkl":
+        return combos
+    kept, ratios = [], []
+    for c in combos:
+        ratio = c["budget"] / c["lambda0"]
+        if not any(abs(ratio - r) <= 1e-12 * max(ratio, r) for r in ratios):
+            ratios.append(ratio)
+            kept.append(c)
+    return kept
 
 
 def _run_method_trial(method, family, train: Dataset, test: Dataset,
@@ -438,10 +452,12 @@ def _run_method_trial(method, family, train: Dataset, test: Dataset,
     select_metric = _METRIC_FNS[cfg.metrics[0]]
     best_combo = None
     best_score = None
+    cv_infos = []
     for combo in _combo_grid(method, cfg, family.p):
         scores = []
         for tr_idx, va_idx, sub_family in fold_data:
-            mu_full, alpha, _, _ = _fit_for_combo(method, sub_family, y[tr_idx], combo, cfg)
+            mu_full, alpha, info, _ = _fit_for_combo(method, sub_family, y[tr_idx], combo, cfg)
+            cv_infos.append(info)
             preds = _predict_rows(family, mu_full, alpha, tr_idx, va_idx)
             scores.append(select_metric(preds, y[va_idx]))
         score = float(np.mean(scores))
@@ -457,7 +473,17 @@ def _run_method_trial(method, family, train: Dataset, test: Dataset,
             continue
         metrics[name] = _METRIC_FNS[name](preds, test.y)
 
-    record = {"chosen": best_combo, "cv_score": best_score, "metrics": metrics}
+    iterations = [i["iterations"] for i in cv_infos]
+    record = {
+        "chosen": best_combo,
+        "cv_score": best_score,
+        "cv_fits": {
+            "fits": len(cv_infos),
+            "unconverged": sum(not i["converged"] for i in cv_infos),
+            "iterations": [min(iterations), float(np.median(iterations)), max(iterations)],
+        },
+        "metrics": metrics,
+    }
     record.update(info)
     if kkt_args is not None:
         record["kkt"] = _kkt_entry(kkt_args, y)
@@ -623,8 +649,12 @@ def run_fit(config: ExperimentConfig) -> dict:
     """Fit one model on the full configured dataset and summarize it."""
     fit_cfg = dict(config.fit)
     method = fit_cfg.get("method", "l2mkl")
-    if method not in ("l2mkl", "l1mkl", "uniform"):
+    second = {"l2mkl": ["radius"], "l1mkl": ["budget"], "uniform": []}
+    if method not in second:
         raise ConfigError("fit.method must be l2mkl, l1mkl, or uniform")
+    unknown = set(fit_cfg) - {"method", "lambda0", *second[method]}
+    if unknown:
+        raise ConfigError(f"fit keys {sorted(unknown)} do not apply to method {method!r}")
     source = _Source(config)
     seed = np.random.SeedSequence(0 if config.seed is None else config.seed)
     train, _test, _audit = source.trial_data(seed.spawn(1)[0])

@@ -11,6 +11,7 @@ checked against each other. ``fit_l1`` is the L1-budget baseline.
 
 from __future__ import annotations
 
+import collections
 import functools
 import logging
 from dataclasses import dataclass
@@ -30,6 +31,9 @@ NEG_QUAD_TOL = 1e-10
 
 # ||v|| at or below this (times p) is treated as the degenerate v = 0 case.
 DEGENERATE_V_TOL = 1e-14
+
+# Accepted objective values the projected-gradient line search compares against.
+PGD_MEMORY = 10
 
 
 def _gram_entries(K) -> np.ndarray:
@@ -440,10 +444,14 @@ def _pgd_minimize(value_grad, project, lmo, x0, tol, max_iters):
     ``value_grad(x) -> (val, grad, extra)``, ``project(x)`` maps onto the
     feasible set, ``lmo(grad)`` returns the feasible minimizer of the
     linearized objective. Uses Barzilai-Borwein step seeds safeguarded by
-    a sufficient-decrease backtracking line search.
+    a nonmonotone backtracking line search: the sufficient-decrease test
+    is taken against the largest of the last ``PGD_MEMORY`` accepted
+    values (Grippo, Lampariello & Lucidi 1986; Birgin, Martinez & Raydan
+    2000), so a BB step that briefly raises the objective is still taken.
     """
     x = project(np.asarray(x0, dtype=np.float64))
     val, grad, extra = value_grad(x)
+    recent = collections.deque([val], maxlen=PGD_MEMORY)
     gap = float("inf")
     t = 1.0 / max(float(np.linalg.norm(grad)), 1e-12)
     prev_x = None
@@ -460,6 +468,7 @@ def _pgd_minimize(value_grad, project, lmo, x0, tol, max_iters):
             if denom > 0:
                 t = float(dx @ dx) / denom
         t = min(max(t, 1e-16), 1e16)
+        ref = max(recent)
         accepted = False
         for _ in range(60):
             cand = project(x - t * grad)
@@ -469,9 +478,10 @@ def _pgd_minimize(value_grad, project, lmo, x0, tol, max_iters):
                 # Projected step is a fixed point at this step size.
                 break
             cval, cgrad, cextra = value_grad(cand)
-            if cval <= val + float(grad @ d) + dnorm2 / (2.0 * t) + 1e-12 * max(1.0, abs(val)):
+            if cval <= ref + float(grad @ d) + dnorm2 / (2.0 * t) + 1e-12 * max(1.0, abs(val)):
                 prev_x, prev_grad = x, grad
                 x, val, grad, extra = cand, cval, cgrad, cextra
+                recent.append(val)
                 accepted = True
                 break
             t *= 0.5

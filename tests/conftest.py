@@ -4,6 +4,7 @@ import os
 # handoff costs dominate, and it keeps timing-sensitive suites stable.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 os.environ.setdefault("OMP_NUM_THREADS", "1")
+os.environ.setdefault("MKL_NUM_THREADS", "1")
 
 from hypothesis import HealthCheck, settings  # noqa: E402
 

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 
 import numpy as np
@@ -7,8 +8,10 @@ from click.testing import CliRunner
 
 import mklridge as mk
 from mklridge import ConfigError, DataError
+from mklridge import experiment
 from mklridge.cli import main
-from mklridge.experiment import (ExperimentConfig, _Source, build_family,
+from mklridge.experiment import (DEFAULT_BUDGET_GRID, DEFAULT_LAMBDA0_GRID,
+                                 ExperimentConfig, _combo_grid, _Source, build_family,
                                  dumps_canonical, emit_tables, format_float,
                                  run_diagnose, run_experiment, run_fit,
                                  write_json_atomic)
@@ -140,6 +143,62 @@ def test_experiment_record_layout_per_method(tiny_report):
                                  eta=cfg.eta, max_iters=cfg.max_iters)
             r_alpha, r_mu = mk.kkt_residuals(model, sub, train.y)
             assert rec["kkt"] == {"alpha_residual": r_alpha, "mu_residual": r_mu}
+
+
+def test_experiment_records_cv_fit_outcomes(tiny_report):
+    cfg, report = tiny_report
+    for method in cfg.methods:
+        n_combos = len(_combo_grid(method, cfg, 7))  # 6 features + offset
+        for rec in report["methods"][method]["trials"]:
+            outcomes = rec["cv_fits"]
+            assert list(outcomes) == ["fits", "unconverged", "iterations"]
+            assert outcomes["fits"] == n_combos * cfg.cv_folds
+            assert 0 <= outcomes["unconverged"] <= outcomes["fits"]
+            low, median, high = outcomes["iterations"]
+            assert 0 <= low <= median <= high
+
+
+def test_experiment_counts_unconverged_cv_fits():
+    # One projected-gradient step cannot certify these L1 fits.
+    cfg = ExperimentConfig.from_dict(_tiny_config(methods=["l1mkl"], trials=1,
+                                                  l1_max_iters=1))
+    rec = run_experiment(cfg)["methods"]["l1mkl"]["trials"][0]
+    assert rec["converged"] is False
+    assert rec["cv_fits"] == {"fits": 2 * cfg.cv_folds, "unconverged": 2 * cfg.cv_folds,
+                              "iterations": [1, 1.0, 1]}
+
+
+def test_l1_grid_fits_one_combo_per_scale_class(monkeypatch):
+    calls = []
+
+    def counting_fit_l1(*args, **kwargs):
+        calls.append(args[2:4])
+        return mk.fit_l1(*args, **kwargs)
+
+    monkeypatch.setattr(experiment, "fit_l1", counting_fit_l1)
+    lambda0_grid, budget_grid = [0.001, 0.01, 0.1], [1.0, 10.0, 100.0]
+    cfg = ExperimentConfig.from_dict(_tiny_config(
+        methods=["l1mkl"], lambda0_grid=lambda0_grid, budget_grid=budget_grid, trials=1))
+    chosen = run_experiment(cfg)["methods"]["l1mkl"]["trials"][0]["chosen"]
+    # Budget/lambda0 ratios 1e1..1e5: five classes out of nine combos.
+    assert len(calls) == 5 * cfg.cv_folds + 1
+    assert calls[-1] == (chosen["lambda0"], chosen["budget"])
+    ratio = chosen["budget"] / chosen["lambda0"]
+    members = [l0 for l0 in lambda0_grid for b in budget_grid
+               if abs(b / l0 - ratio) <= 1e-12 * ratio]
+    assert chosen["lambda0"] == min(members)
+
+
+def test_l1_combo_grid_default_grids():
+    cfg = ExperimentConfig.from_dict(_tiny_config(lambda0_grid=list(DEFAULT_LAMBDA0_GRID),
+                                                  budget_grid=list(DEFAULT_BUDGET_GRID)))
+    combos = _combo_grid("l1mkl", cfg, 7)
+    assert len(combos) == 10
+    ratios = [c["budget"] / c["lambda0"] for c in combos]
+    assert len({round(math.log10(r)) for r in ratios}) == 10
+    # Search order is kept: lambda0 ascending, then budget ascending.
+    keys = [(c["lambda0"], c["budget"]) for c in combos]
+    assert keys == sorted(keys)
 
 
 def test_experiment_deterministic_bytes(tiny_report, tmp_path):
@@ -399,7 +458,8 @@ def test_run_fit_l1_summary():
 
 @pytest.mark.parametrize("method", ["l2mkl", "uniform", "l1mkl"])
 def test_run_fit_summary_layout(method):
-    fit = {"method": method, "lambda0": 0.05, "radius": 2.0, "budget": 3.0}
+    fit = {"method": method, "lambda0": 0.05,
+           **{"l2mkl": {"radius": 2.0}, "uniform": {}, "l1mkl": {"budget": 3.0}}[method]}
     cfg = ExperimentConfig.from_dict(_tiny_config(trials=1, fit=fit))
     summary = run_fit(cfg)
     head = ["method", "lambda0", "rows", "kernels", "orthogonality"]
@@ -422,6 +482,19 @@ def test_run_fit_summary_layout(method):
     assert summary["objective"] == fit_report.objective_value
     assert summary["kkt"] == {"alpha_residual": r_alpha, "mu_residual": r_mu}
     assert summary["mu"] == model.weights.mu.tolist()
+
+
+@pytest.mark.parametrize("fit", [
+    {"method": "l2mkl", "lamda0": 5.0, "budget": 9.0},
+    {"method": "l2mkl", "lambda0": 0.1, "budget": 9.0},
+    {"method": "l1mkl", "lambda0": 0.1, "radius": 1.0},
+    {"method": "uniform", "radius": 1.0},
+    {"method": "uniform", "budget": 1.0},
+])
+def test_run_fit_rejects_unknown_or_inapplicable_keys(fit):
+    cfg = ExperimentConfig.from_dict(_tiny_config(trials=1, fit=fit))
+    with pytest.raises(ConfigError, match="do not apply"):
+        run_fit(cfg)
 
 
 def test_run_diagnose_validates_sections():

@@ -444,6 +444,43 @@ def test_l1_matches_simplex_grid():
         assert grid_min - res.objective_value <= allowance
 
 
+@settings(max_examples=12)
+@given(seed=st.integers(0, 10_000), budget=st.floats(0.2, 5.0))
+def test_l1_never_worse_than_simplex_grid(seed, budget):
+    # The nonmonotone line search may raise the objective for a few steps;
+    # the certified end point must still beat every lattice point.
+    fam, y, lambda0, _ = random_psd_instance(seed, m_range=(10, 10), p_range=(3, 3))
+    res = mk.fit_l1(fam, y, lambda0, budget)
+    assert res.converged
+    pts = simplex_grid_points(3, budget, 100)
+    grid_min = dual_objective_grid_min([g.entries for g in fam.grams], y,
+                                       lambda0 * fam.m, pts)
+    assert res.objective_value <= grid_min + 1e-8 * max(1.0, abs(grid_min))
+    vstar = mk.quad_forms(res.alpha, fam)
+    allowance = max(np.linalg.norm(vstar), 1.0) * (0.01 * budget) * 4.0
+    assert grid_min - res.objective_value <= allowance
+
+
+@settings(max_examples=40)
+@given(seed=st.integers(0, 10_000), budget=st.floats(0.2, 3.0),
+       c=st.sampled_from((0.1, 10.0, 100.0)))
+def test_l1_scale_equivalent_combos_give_same_predictor(seed, budget, c):
+    # K(c mu) + c lam I = c (K(mu) + lam I): mu scales by c, alpha by 1/c,
+    # the objective y'alpha by 1/c, and the predictor K(mu) alpha is fixed.
+    # The default tol certifies the objective, not the weights, so both
+    # fits run to a tighter gap.
+    fam, y, lambda0, _ = random_psd_instance(seed, m_range=(5, 20), p_range=(1, 6))
+    base = mk.fit_l1(fam, y, lambda0, budget, tol=1e-11)
+    scaled = mk.fit_l1(fam, y, c * lambda0, c * budget, tol=1e-11)
+    assert base.converged and scaled.converged
+    npt.assert_allclose(scaled.mu, c * base.mu, rtol=0, atol=1e-6 * c * budget)
+    assert scaled.objective_value == pytest.approx(base.objective_value / c, rel=1e-6)
+    grams = [g.entries for g in fam.grams]
+    pred = sum(w * K for w, K in zip(base.mu, grams)) @ base.alpha
+    pred_scaled = sum(w * K for w, K in zip(scaled.mu, grams)) @ scaled.alpha
+    assert np.linalg.norm(pred_scaled - pred) <= 1e-6 * np.linalg.norm(pred)
+
+
 def test_l1_budget_validation():
     fam, y, lambda0, _ = random_psd_instance(151)
     with pytest.raises(ConfigError):
