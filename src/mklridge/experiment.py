@@ -14,7 +14,7 @@ import json
 import os
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -102,7 +102,7 @@ class ExperimentConfig:
             raise ConfigError("lambda0_grid must be nonempty with positive entries")
         if "l2mkl" in self.methods and not self.radius_grid:
             raise ConfigError("radius_grid must be nonempty when l2mkl is selected")
-        if any(v < 0 for v in self.radius_grid):
+        if not all(v >= 0 for v in self.radius_grid):
             raise ConfigError("radius_grid entries must be nonnegative")
         if "l1mkl" in self.methods:
             if not self.budget_grid or any(v <= 0 for v in self.budget_grid):
@@ -143,24 +143,7 @@ class ExperimentConfig:
         return cls.from_dict(raw)
 
     def to_dict(self) -> dict:
-        return {
-            "dataset": self.dataset,
-            "kernels": self.kernels,
-            "methods": list(self.methods),
-            "lambda0_grid": list(self.lambda0_grid),
-            "radius_grid": list(self.radius_grid),
-            "budget_grid": list(self.budget_grid),
-            "cv_folds": self.cv_folds,
-            "trials": self.trials,
-            "seed": self.seed,
-            "metrics": list(self.metrics),
-            "eta": self.eta,
-            "max_iters": self.max_iters,
-            "l1_max_iters": self.l1_max_iters,
-            "l1_tol": self.l1_tol,
-            "out": self.out,
-            "fit": self.fit,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +155,7 @@ def format_float(x: float) -> str:
     if not np.isfinite(x):
         return "null"
     s = format(float(x), ".17g")
-    if "." not in s and "e" not in s and "n" not in s:
+    if "." not in s and "e" not in s:
         s += ".0"  # keep floats typed as floats across JSON round trips
     return s
 

@@ -192,9 +192,6 @@ class GramMatrix:
     def m(self) -> int:
         return self.entries.shape[0]
 
-    def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(self.entries)[0])
-
     def require_psd(self, rel_tol: float = 1e-8):
         """Raise unless the smallest eigenvalue is >= -rel_tol * largest."""
         eigs = np.linalg.eigvalsh(self.entries)
@@ -275,7 +272,7 @@ class KernelFamily:
     """
 
     def __init__(self, grams=None, specs=None, features=None,
-                 sample_id: Optional[str] = None, kappa0: Optional[float] = None):
+                 sample_id: Optional[str] = None):
         if (grams is None) == (features is None):
             raise ConfigError("kernel family needs either Gram matrices or feature columns")
         self.specs = None if specs is None else tuple(specs)
@@ -311,11 +308,7 @@ class KernelFamily:
         if self.specs is not None and len(self.specs) != self._p:
             raise ShapeError("specs and kernel counts differ")
         self.sample_id = sample_id
-        if kappa0 is None:
-            kappa0 = self._compute_kappa0()
-        if kappa0 < 0:
-            raise ConfigError("kappa0 must be nonnegative")
-        self.kappa0 = float(kappa0)
+        self.kappa0 = self._compute_kappa0()
 
     def _compute_kappa0(self) -> float:
         if self._grams is not None:
@@ -349,18 +342,19 @@ class KernelFamily:
         return cls(grams=grams, specs=specs)
 
     @classmethod
-    def from_grams(cls, mats, sample_id: Optional[str] = None) -> "KernelFamily":
-        """Wrap raw PSD matrices (no evaluable specs) into a family."""
+    def from_grams(cls, mats) -> "KernelFamily":
+        """Wrap raw PSD matrices (no evaluable specs) into a family.
+
+        Raw matrices share the sample id hashed from the first matrix.
+        """
+        sid = None
         grams = []
         for mat in mats:
-            if isinstance(mat, GramMatrix):
-                grams.append(mat)
-            else:
-                mat = np.asarray(mat, dtype=np.float64)
-                sid = sample_id if sample_id is not None else sample_id_of(
-                    np.asarray(mats[0], dtype=np.float64)
-                )
-                grams.append(GramMatrix(entries=mat, sample_id=sid))
+            if not isinstance(mat, GramMatrix):
+                if sid is None:
+                    sid = sample_id_of(np.asarray(mats[0], dtype=np.float64))
+                mat = GramMatrix(entries=mat, sample_id=sid)
+            grams.append(mat)
         return cls(grams=tuple(grams))
 
     @property

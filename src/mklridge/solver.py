@@ -4,9 +4,10 @@ Three fitting routes live here. ``fit_l2`` runs the interpolated
 fixed-point iteration for the L2-constrained weight problem, whose
 optimum has the closed form mu = mu0 + radius * v/||v|| with
 v_k = alpha' K_k alpha. ``oracle_fit`` solves the same problem by
-projected gradient descent with a Frank-Wolfe gap certificate and is
-kept deliberately independent of that closed form so the two can be
-checked against each other. ``fit_l1`` is the L1-budget baseline.
+projected gradient descent with a Frank-Wolfe gap certificate; it relies
+only on the objective being nonincreasing in mu, never on that closed
+form, so the two can be checked against each other. ``fit_l1`` is the
+L1-budget baseline.
 """
 
 from __future__ import annotations
@@ -181,7 +182,7 @@ class MuWeights:
         mu0 = _as_vector(self.mu0, "mu0")
         if mu.shape != mu0.shape:
             raise ShapeError("mu and mu0 lengths differ")
-        if self.radius < 0:
+        if not self.radius >= 0:
             raise ConfigError("radius must be nonnegative")
         if np.any(mu0 <= 0):
             raise ConfigError("mu0 must be strictly positive")
@@ -203,14 +204,10 @@ class MuWeights:
         return self.mu.shape[0]
 
 
-def default_mu0(p: int) -> np.ndarray:
-    """All-ones anchor (already normalized to minimum component one)."""
-    return np.ones(p)
-
-
 def _validated_mu0(mu0, p: int) -> np.ndarray:
+    # None is the all-ones anchor, already normalized to minimum one.
     if mu0 is None:
-        return default_mu0(p)
+        return np.ones(p)
     mu0 = _as_vector(mu0, "mu0")
     if mu0.shape[0] != p:
         raise ShapeError(f"mu0 has length {mu0.shape[0]}, family has {p} kernels")
@@ -229,8 +226,6 @@ def update_weights(quad, mu0, radius: float) -> MuWeights:
     """
     v = _as_vector(quad, "quad")
     mu0 = _validated_mu0(mu0, v.shape[0])
-    if radius < 0:
-        raise ConfigError("radius must be nonnegative")
     if np.any(v < -NEG_QUAD_TOL):
         raise ConfigError("quadratic-form vector has a negative entry beyond tolerance")
     v = np.maximum(v, 0.0)
@@ -258,6 +253,22 @@ def objective(alpha, y, lam: float, quad, mu0, radius: float) -> float:
         - mu0 @ v
         - radius * np.linalg.norm(v)
     )
+
+
+def _fit_setup(family, y, lambda0: float, radius: Optional[float] = None):
+    """Validated family, target vector and ridge amount lam = lambda0 * m.
+
+    Shared by the weight fits; the L2 fits also pass their ball radius.
+    """
+    fam = as_family(family)
+    y = _as_vector(y, "y")
+    if y.shape[0] != fam.m:
+        raise ShapeError(f"y has length {y.shape[0]}, sample size is {fam.m}")
+    if not lambda0 > 0:
+        raise ConfigError("lambda0 must be positive")
+    if radius is not None and not radius >= 0:
+        raise ConfigError("radius must be nonnegative")
+    return fam, y, lambda0 * fam.m
 
 
 @dataclass(frozen=True, eq=False)
@@ -321,21 +332,12 @@ def fit_l2(family, y, lambda0: float, radius: float, mu0=None,
         solution computed for them, so a converged model is a consistent
         (mu, alpha) pair up to the stopping tolerance.
     """
-    fam = as_family(family)
-    y = _as_vector(y, "y")
-    m = fam.m
-    if y.shape[0] != m:
-        raise ShapeError(f"y has length {y.shape[0]}, sample size is {m}")
-    if not lambda0 > 0:
-        raise ConfigError("lambda0 must be positive")
-    if radius < 0:
-        raise ConfigError("radius must be nonnegative")
+    fam, y, lam = _fit_setup(family, y, lambda0, radius)
     if not 0.0 < eta < 1.0:
         raise ConfigError("eta must lie in (0, 1)")
     if max_iters < 1:
         raise ConfigError("max_iters must be at least 1")
     mu0 = _validated_mu0(mu0, fam.p)
-    lam = lambda0 * m
     if epsilon is None:
         epsilon = 1e-8 * (1.0 + float(np.linalg.norm(y)))
     if not epsilon > 0:
@@ -389,24 +391,22 @@ def fit_l2(family, y, lambda0: float, radius: float, mu0=None,
 # Reference solver (projected gradient) and the L1 baseline
 # ---------------------------------------------------------------------------
 
-def project_ball_orthant(x, mu0, radius: float, max_alternations: int = 10000) -> np.ndarray:
-    """Project onto {mu >= 0, ||mu - mu0|| <= radius} by alternating clips.
+def project_ball_cone(x, mu0, radius: float) -> np.ndarray:
+    """Project onto {mu >= mu0, ||mu - mu0|| <= radius} (closed form, exact).
 
-    Ball clip (rescale mu - mu0) then orthant clip, repeated to a fixed
-    point; a fixed point of the composition lies in both sets.
+    The set is the orthant cone with apex mu0 cut by a ball centred on
+    that apex, so the nearest point is the cone clip max(x, mu0) followed
+    by the ball clip (rescale z - mu0 to length radius if longer). A point
+    already in the set is returned unchanged, bit for bit.
     """
     x = _as_vector(x, "x")
     mu0 = _as_vector(mu0, "mu0")
-    z = x
-    for _ in range(max_alternations):
-        d = z - mu0
-        nd = float(np.linalg.norm(d))
-        if nd > radius:
-            z = mu0 if radius == 0.0 else mu0 + d * (radius / nd)
-        z = np.maximum(z, 0.0)
-        if np.linalg.norm(z - mu0) <= radius * (1.0 + 1e-12) + 1e-15:
-            return z
-    raise NumericalError("alternating projection onto the weight set did not converge")
+    z = np.maximum(x, mu0)
+    d = z - mu0
+    nd = float(np.linalg.norm(d))
+    if nd > radius:
+        z = mu0 + d * (radius / nd)
+    return z
 
 
 def project_l1_orthant(x, budget: float) -> np.ndarray:
@@ -496,42 +496,35 @@ def oracle_fit(family, y, lambda0: float, radius: float, mu0=None,
                tol: float = 1e-9, max_iters: int = 50000) -> OracleResult:
     """Reference solver for the L2-constrained weight problem.
 
-    Minimizes G(mu) = y' (K(mu) + lam I)^(-1) y over the feasible ball by
-    projected gradient descent. The gradient is -v(alpha(mu)) (Danskin),
-    the projection alternates ball and orthant clips, and the run stops
-    once the Frank-Wolfe gap certifies the objective within ``tol``
+    Minimizes G(mu) = y' (K(mu) + lam I)^(-1) y over the feasible set
+    {mu >= 0, ||mu - mu0|| <= radius} by projected gradient descent, and
+    stops once the Frank-Wolfe gap certifies the objective within ``tol``
     (relative). Small instances only; this is ground truth for fit_l2,
     not a production path.
+
+    The gradient is -v(alpha(mu)) <= 0 (Danskin), so G is nonincreasing
+    in mu. Raising any feasible mu to max(mu, mu0) neither increases G
+    nor lengthens mu - mu0, hence the minimum over the feasible set equals
+    the minimum over its part F = {mu >= mu0, ||mu - mu0|| <= radius}.
+    The run projects onto F in closed form, and the linearized minimizer
+    mu0 + radius * v/||v|| lies in F, so the gap bounds the error over the
+    whole feasible set. At radius 0 the start mu0 is certified at once.
     """
-    fam = as_family(family)
-    y = _as_vector(y, "y")
-    if y.shape[0] != fam.m:
-        raise ShapeError(f"y has length {y.shape[0]}, sample size is {fam.m}")
+    fam, y, lam = _fit_setup(family, y, lambda0, radius)
     if fam.m > 200 or fam.p > 50:
         raise ConfigError("oracle_fit is restricted to m <= 200 and p <= 50")
-    if not lambda0 > 0:
-        raise ConfigError("lambda0 must be positive")
     if not tol > 0:
         raise ConfigError("tol must be positive")
     mu0 = _validated_mu0(mu0, fam.p)
-    value_grad = functools.partial(_ridge_value_grad, fam, y, lambda0 * fam.m)
-
-    if radius == 0.0:
-        val, _, alpha = value_grad(mu0)
-        return OracleResult(
-            weights=MuWeights(mu0.copy(), mu0, 0.0), alpha=alpha,
-            objective_value=val, converged=True, iterations=0, certificate_gap=0.0,
-        )
+    value_grad = functools.partial(_ridge_value_grad, fam, y, lam)
 
     def project(x):
-        return project_ball_orthant(x, mu0, radius)
+        return project_ball_cone(x, mu0, radius)
 
     def lmo(grad):
         gn = float(np.linalg.norm(grad))
         if gn == 0.0:
             return mu0
-        # grad = -v <= 0, so the ball minimizer is nonnegative and hence
-        # also the minimizer over the intersection with the orthant.
         return mu0 - radius * (grad / gn)
 
     mu, val, alpha, converged, iters, gap = _pgd_minimize(
@@ -569,15 +562,10 @@ def fit_l1(family, y, lambda0: float, budget: float,
     with the exact simplex-style projection. Non-convergence within
     ``max_iters`` is flagged on the result, not raised.
     """
-    fam = as_family(family)
-    y = _as_vector(y, "y")
-    if y.shape[0] != fam.m:
-        raise ShapeError(f"y has length {y.shape[0]}, sample size is {fam.m}")
-    if not lambda0 > 0:
-        raise ConfigError("lambda0 must be positive")
+    fam, y, lam = _fit_setup(family, y, lambda0)
     if not budget > 0:
         raise ConfigError("budget must be positive")
-    value_grad = functools.partial(_ridge_value_grad, fam, y, lambda0 * fam.m)
+    value_grad = functools.partial(_ridge_value_grad, fam, y, lam)
 
     def project(x):
         return project_l1_orthant(x, budget)

@@ -81,6 +81,8 @@ def test_config_grid_validation():
         ExperimentConfig.from_dict(_tiny_config(lambda0_grid=[]))
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict(_tiny_config(budget_grid=[-1.0]))
+    with pytest.raises(ConfigError, match="radius_grid"):
+        ExperimentConfig.from_dict(_tiny_config(radius_grid=[1.0, float("nan")]))
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict(_tiny_config(methods=["svm"]))
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import mklridge as mk
 from mklridge import ConfigError, DataError, KernelSpec, NumericalError, ShapeError
 from mklridge import solver
-from mklridge.solver import project_ball_orthant, project_l1_orthant
+from mklridge.solver import project_ball_cone, project_l1_orthant
 
 from helpers import (ball_grid_points, dual_objective_grid_min,
                      random_psd_instance, simplex_grid_points)
@@ -126,6 +126,12 @@ def test_update_rejects_negative_quad():
         mk.update_weights([1.0, -1.0], [1.0, 1.0], 1.0)
 
 
+@pytest.mark.parametrize("radius", [-1.0, np.nan])
+def test_update_rejects_bad_radius(radius):
+    with pytest.raises(ConfigError, match="radius"):
+        mk.update_weights([3.0, 4.0], [1.0, 1.0], radius)
+
+
 @settings(max_examples=40)
 @given(
     p=st.integers(1, 10),
@@ -150,6 +156,8 @@ def test_mu_weights_validation():
         mk.MuWeights(np.array([-0.5, 1.0]), np.array([1.0, 1.0]), 5.0)
     with pytest.raises(ConfigError):
         mk.MuWeights(np.array([9.0, 1.0]), np.array([1.0, 1.0]), 1.0)  # outside ball
+    with pytest.raises(ConfigError, match="radius"):
+        mk.MuWeights(np.array([1.0, 1.0]), np.array([1.0, 1.0]), np.nan)
 
 
 # --- objective ----------------------------------------------------------------
@@ -330,6 +338,8 @@ def test_fit_parameter_validation():
     with pytest.raises(ConfigError):
         mk.fit_l2(fam, y, 0.1, -1.0)
     with pytest.raises(ConfigError):
+        mk.fit_l2(fam, y, 0.1, np.nan)
+    with pytest.raises(ConfigError):
         mk.fit_l2(fam, y, 0.1, 1.0, eta=1.0)
     with pytest.raises(ConfigError):
         mk.fit_l2(fam, y, 0.1, 1.0, mu0=np.full(fam.p, 2.0))
@@ -348,16 +358,27 @@ def test_fit_converged_state_is_consistent():
 # --- projections --------------------------------------------------------------
 
 @settings(max_examples=50)
-@given(p=st.integers(1, 8), seed=st.integers(0, 5000), radius=st.floats(0.01, 5.0))
-def test_ball_orthant_projection_feasible_and_idempotent(p, seed, radius):
+@given(p=st.integers(1, 8), seed=st.integers(0, 5000), radius=st.floats(0.0, 5.0))
+def test_ball_cone_projection_is_nearest_point(p, seed, radius):
     rng = np.random.default_rng(seed)
     mu0 = 1.0 + rng.uniform(0.0, 2.0, size=p)
     mu0[int(rng.integers(p))] = 1.0
-    x = rng.normal(scale=3.0, size=p)
-    z = project_ball_orthant(x, mu0, radius)
-    assert np.all(z >= 0.0)
+    x = mu0 + rng.normal(scale=3.0, size=p)
+    z = project_ball_cone(x, mu0, radius)
+    assert np.all(z >= mu0)
     assert np.linalg.norm(z - mu0) <= radius * (1 + 1e-12) + 1e-15
-    npt.assert_allclose(project_ball_orthant(z, mu0, radius), z, rtol=0, atol=1e-12)
+    npt.assert_allclose(project_ball_cone(z, mu0, radius), z, rtol=0, atol=1e-12)
+    # Variational characterization: (x - z)'(w - z) <= 0 for w in the set.
+    for _ in range(20):
+        u = np.abs(rng.normal(size=p))
+        w = mu0 + u * (radius * rng.uniform() / np.linalg.norm(u))
+        assert (x - z) @ (w - z) <= 1e-9
+    # Above the anchor the cone clip is inert: the plain ball clip, bit for bit.
+    x_up = mu0 + np.abs(x - mu0)
+    d = x_up - mu0
+    nd = float(np.linalg.norm(d))
+    ball = mu0 + d * (radius / nd) if nd > radius else x_up
+    assert project_ball_cone(x_up, mu0, radius).tobytes() == ball.tobytes()
 
 
 @settings(max_examples=50)
@@ -385,6 +406,8 @@ def test_oracle_zero_radius():
     res = mk.oracle_fit(fam, y, lambda0, 0.0)
     npt.assert_array_equal(res.weights.mu, np.ones(fam.p))
     assert res.converged
+    assert res.iterations == 0
+    assert res.certificate_gap == 0.0
 
 
 def test_oracle_single_kernel_closed_form():
@@ -402,10 +425,28 @@ def test_oracle_certificate_is_sound_against_grid():
     assert res.objective_value <= grid_min + 1e-8 * max(1.0, abs(grid_min))
 
 
+@pytest.mark.parametrize("seed,radius", [(131, 1.0), (132, 3.0), (133, 10.0)])
+def test_oracle_matches_fit_at_large_radius(seed, radius):
+    # Radii at or above min(mu0) = 1: the ball reaches outside the orthant.
+    fam, y, lambda0, _ = random_psd_instance(seed, m_range=(8, 20), p_range=(2, 6))
+    _, report = mk.fit_l2(fam, y, lambda0, radius)
+    oracle = mk.oracle_fit(fam, y, lambda0, radius)
+    assert abs(report.objective_value - oracle.objective_value) <= 1e-6 * max(
+        1.0, abs(oracle.objective_value)
+    )
+
+
 def test_oracle_rejects_large_instances():
     fam = mk.KernelFamily.from_grams([np.eye(201)])
     with pytest.raises(ConfigError):
         mk.oracle_fit(fam, np.ones(201), 0.1, 1.0)
+
+
+@pytest.mark.parametrize("radius", [-0.5, np.nan])
+def test_oracle_rejects_bad_radius(radius):
+    fam, y, lambda0, _ = random_psd_instance(91)
+    with pytest.raises(ConfigError, match="radius"):
+        mk.oracle_fit(fam, y, lambda0, radius)
 
 
 # --- fit_l1 ---------------------------------------------------------------------
