@@ -8,6 +8,7 @@ error, 2 data error, 3 numerical failure.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import json
 import os
@@ -16,7 +17,7 @@ import sys
 import click
 
 from .errors import ConfigError, DataError, NumericalError
-from .experiment import (ExperimentConfig, emit_tables, run_diagnose,
+from .experiment import (ExperimentConfig, emit_tables, read_json, run_diagnose,
                          run_experiment, run_fit, write_json_atomic)
 
 EXIT_CONFIG = 1
@@ -42,17 +43,9 @@ def _exit_codes(fn):
 
 
 def _load_config(path, seed=None, out=None) -> ExperimentConfig:
-    cfg = ExperimentConfig.from_json(path)
-    overrides = {}
-    if seed is not None:
-        overrides["seed"] = seed
-    if out is not None:
-        overrides["out"] = out
-    if overrides:
-        d = cfg.to_dict()
-        d.update(overrides)
-        cfg = ExperimentConfig.from_dict(d)
-    return cfg
+    # replace re-runs the config's validation on the overridden values.
+    overrides = {k: v for k, v in (("seed", seed), ("out", out)) if v is not None}
+    return dataclasses.replace(ExperimentConfig.from_json(path), **overrides)
 
 
 @click.group()
@@ -102,14 +95,7 @@ def experiment(config_path, seed, out, jobs):
 @_exit_codes
 def diagnose(config_path, out):
     """Run the numerical verification suites."""
-    try:
-        with open(config_path, encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot open config {config_path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {config_path} is not valid JSON: {exc}") from exc
-    result = run_diagnose(raw)
+    result = run_diagnose(read_json(config_path, ConfigError, "config"))
     if out:
         path = write_json_atomic(result, os.path.join(out, "diagnose.json"))
         click.echo(path)
@@ -124,14 +110,7 @@ def diagnose(config_path, out):
 @_exit_codes
 def emit(report_path, out, fmt):
     """Re-render metric tables from a saved report."""
-    try:
-        with open(report_path, encoding="utf-8") as fh:
-            report = json.load(fh)
-    except OSError as exc:
-        raise DataError(f"cannot open report {report_path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise DataError(f"report {report_path} is not valid JSON: {exc}") from exc
-    written = emit_tables(report, out, fmt=fmt)
+    written = emit_tables(read_json(report_path, DataError, "report"), out, fmt=fmt)
     for name, path in written.items():
         click.echo(f"{name}: {path}")
 

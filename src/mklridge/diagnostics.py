@@ -12,8 +12,8 @@ import numpy as np
 
 from .errors import ConfigError, DataError, ShapeError
 from .kernels import (KernelFamily, KernelSpec, _as_matrix, _as_vector,
-                      _explicit_features, as_family, cross_gram)
-from .solver import MklModel, MuWeights, krr_solve, quad_forms
+                      _explicit_features, as_family, compute_kappa)
+from .solver import MklModel, MuWeights, _validated_radius, krr_solve, quad_forms
 
 
 def kkt_residuals(model: MklModel, family, y) -> tuple:
@@ -138,10 +138,9 @@ def stability_trial(specs: Sequence[KernelSpec], X, y, lambda0: float,
         raise ShapeError("X and y lengths differ")
     if swaps < 1:
         raise ConfigError("swaps must be at least 1")
-    if not lambda0 > 0:
-        raise ConfigError("lambda0 must be positive")
-    mu = weights.mu
-    if len(specs) != mu.shape[0]:
+    if not 0.0 < lambda0 < np.inf:
+        raise ConfigError("lambda0 must be positive and finite")
+    if len(specs) != weights.p:
         raise ShapeError("number of specs differs from number of weights")
     lam = lambda0 * m
 
@@ -163,17 +162,12 @@ def stability_trial(specs: Sequence[KernelSpec], X, y, lambda0: float,
 
     # One master grid: training rows, then swap candidates, then fresh
     # evaluation points. Everything below is sliced out of its combined
-    # Gram matrix.
+    # Gram matrix, and kappa covers every point of it.
     E = np.vstack([X] + [x[None, :] for x in swap_xs] + [x[None, :] for x in extra_xs])
     y_E = np.concatenate([y, np.asarray(swap_ys), np.asarray(extra_ys)])
-    G = np.zeros((E.shape[0], E.shape[0]))
-    diag_sq = np.zeros(E.shape[0])
-    for k, spec in enumerate(specs):
-        Gk = cross_gram(spec, E, E)
-        G += mu[k] * Gk
-        diag_sq += np.diag(Gk) ** 2
-    kappa0_all = float(np.sqrt(diag_sq).max())
-    kappa = kappa0_all * (float(np.linalg.norm(weights.mu0)) + weights.radius)
+    fam = KernelFamily.from_specs(specs, E)
+    G = fam.combined_entries(weights.mu)
+    kappa = compute_kappa(fam, float(np.linalg.norm(weights.mu0)) + weights.radius)
 
     K = G[:m, :m]
     alpha = krr_solve(K, y, lam)
@@ -240,10 +234,9 @@ def bound_values(kappa: float, max_error: float, radius: float, lambda0: float,
     generalization gap 2 beta + (4 m beta + M) sqrt(log(1/delta) / (2m)).
     No tightness is claimed; radius = 0 recovers the fixed-kernel case.
     """
-    if kappa <= 0 or max_error <= 0 or lambda0 <= 0 or p <= 0 or m <= 0:
-        raise ConfigError("kappa, max_error, lambda0, p, and m must be positive")
-    if radius < 0:
-        raise ConfigError("radius must be nonnegative")
+    if not all(0.0 < v < math.inf for v in (kappa, max_error, lambda0, p, m)):
+        raise ConfigError("kappa, max_error, lambda0, p, and m must be positive and finite")
+    _validated_radius(radius)
     if not 0.0 < delta < 1.0:
         raise ConfigError("delta must lie in (0, 1)")
     c0 = 2.0 * kappa * max_error + 4.0 * radius * max_error * math.sqrt(kappa) * (kappa / lambda0 + 1.0)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
@@ -98,15 +99,15 @@ class ExperimentConfig:
                 raise ConfigError(f"unknown metric {name!r}; expected a subset of {METRICS}")
         if not self.metrics:
             raise ConfigError("at least one metric must be selected")
-        if not self.lambda0_grid or any(v <= 0 for v in self.lambda0_grid):
-            raise ConfigError("lambda0_grid must be nonempty with positive entries")
+        if not self.lambda0_grid or not all(0 < v < math.inf for v in self.lambda0_grid):
+            raise ConfigError("lambda0_grid must be nonempty with positive finite entries")
         if "l2mkl" in self.methods and not self.radius_grid:
             raise ConfigError("radius_grid must be nonempty when l2mkl is selected")
-        if not all(v >= 0 for v in self.radius_grid):
-            raise ConfigError("radius_grid entries must be nonnegative")
+        if not all(0 <= v < math.inf for v in self.radius_grid):
+            raise ConfigError("radius_grid entries must be finite and nonnegative")
         if "l1mkl" in self.methods:
-            if not self.budget_grid or any(v <= 0 for v in self.budget_grid):
-                raise ConfigError("budget_grid must be nonempty with positive entries")
+            if not self.budget_grid or not all(0 < v < math.inf for v in self.budget_grid):
+                raise ConfigError("budget_grid must be nonempty with positive finite entries")
         if self.cv_folds < 2:
             raise ConfigError("cv_folds must be at least 2")
         if self.trials < 1:
@@ -131,13 +132,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
-        try:
-            with open(path, encoding="utf-8") as fh:
-                raw = json.load(fh)
-        except OSError as exc:
-            raise ConfigError(f"cannot open config {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+        raw = read_json(path, ConfigError, "config")
         if not isinstance(raw, dict):
             raise ConfigError("config root must be a JSON object")
         return cls.from_dict(raw)
@@ -147,8 +142,19 @@ class ExperimentConfig:
 
 
 # ---------------------------------------------------------------------------
-# Canonical JSON output
+# JSON input and canonical JSON output
 # ---------------------------------------------------------------------------
+
+def read_json(path, error, what: str):
+    """Parse a JSON file; an unreadable or malformed one raises ``error``."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise error(f"cannot open {what} {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise error(f"{what} {path} is not valid JSON: {exc}") from exc
+
 
 def format_float(x: float) -> str:
     """Serialize a float with 17 significant digits (round-trip exact)."""
@@ -417,28 +423,19 @@ def _combo_grid(method, cfg: ExperimentConfig, p: int) -> list:
     return kept
 
 
-def _run_method_trial(method, family, train: Dataset, test: Dataset,
-                      cfg: ExperimentConfig, fold_seed: int):
-    """CV-select hyperparameters, refit on the full trial training set,
-    and score on the held-out test rows."""
+def _run_method_trial(method, family, folds: list, train: Dataset, test: Dataset,
+                      cfg: ExperimentConfig):
+    """CV-select hyperparameters on the trial's folds, given as (train
+    indices, validation indices, train-fold family) triples, refit on the
+    full trial training set, and score on the held-out test rows."""
     y = train.y
-    m = train.m
-    k = min(cfg.cv_folds, m)
-    if k < 2:
-        raise ConfigError("training set too small for cross-validation")
-    plan = make_folds(m, k, fold_seed)
-    fold_data = []
-    for f in range(k):
-        tr_idx, va_idx = plan.fold_indices(f)
-        fold_data.append((tr_idx, va_idx, family.subset(tr_idx)))
-
     select_metric = _METRIC_FNS[cfg.metrics[0]]
     best_combo = None
     best_score = None
     cv_infos = []
     for combo in _combo_grid(method, cfg, family.p):
         scores = []
-        for tr_idx, va_idx, sub_family in fold_data:
+        for tr_idx, va_idx, sub_family in folds:
             mu_full, alpha, info, _ = _fit_for_combo(method, sub_family, y[tr_idx], combo, cfg)
             cv_infos.append(info)
             preds = _predict_rows(family, mu_full, alpha, tr_idx, va_idx)
@@ -477,7 +474,12 @@ def _run_trial(t: int, source: _Source, cfg: ExperimentConfig,
                trial_seed: np.random.SeedSequence):
     train, test, audit = source.trial_data(trial_seed)
     family = build_family(cfg.kernels, train)
-    fold_seed = int(trial_seed.generate_state(2)[1])
+    k = min(cfg.cv_folds, train.m)
+    if k < 2:
+        raise ConfigError("training set too small for cross-validation")
+    # Every method of the trial selects on these folds.
+    plan = make_folds(train.m, k, int(trial_seed.generate_state(2)[1]))
+    folds = [(tr, va, family.subset(tr)) for tr, va in map(plan.fold_indices, range(k))]
     audit = dict(audit)
     audit["trial"] = t
     ortho = diagnostics.orthogonality_check(family, train.X)
@@ -485,7 +487,7 @@ def _run_trial(t: int, source: _Source, cfg: ExperimentConfig,
     per_method = {}
     for method in cfg.methods:
         try:
-            record = _run_method_trial(method, family, train, test, cfg, fold_seed)
+            record = _run_method_trial(method, family, folds, train, test, cfg)
         except NumericalError as exc:
             record = {"failed": str(exc)}
         record["trial"] = t

@@ -439,6 +439,6 @@ def combine(family, mu) -> GramMatrix:
 def compute_kappa(family, mu_norm_bound: float) -> float:
     """Bound on the combined kernel's diagonal: kappa0 * (||mu0|| + radius)."""
     fam = as_family(family)
-    if mu_norm_bound < 0:
-        raise ConfigError("mu_norm_bound must be nonnegative")
+    if not 0.0 <= mu_norm_bound < np.inf:
+        raise ConfigError("mu_norm_bound must be finite and nonnegative")
     return fam.kappa0 * float(mu_norm_bound)

@@ -179,17 +179,10 @@ class MuWeights:
 
     def __post_init__(self):
         mu = _as_vector(self.mu, "mu")
-        mu0 = _as_vector(self.mu0, "mu0")
-        if mu.shape != mu0.shape:
-            raise ShapeError("mu and mu0 lengths differ")
-        if not self.radius >= 0:
-            raise ConfigError("radius must be nonnegative")
-        if np.any(mu0 <= 0):
-            raise ConfigError("mu0 must be strictly positive")
-        if abs(float(mu0.min()) - 1.0) > 1e-9:
-            raise ConfigError("mu0 must be normalized so its minimum component is 1")
-        if np.any(mu < -1e-12):
-            raise ConfigError("mu must be nonnegative")
+        mu0 = _validated_mu0(self.mu0, mu.shape[0])
+        _validated_radius(self.radius)
+        if not np.all(np.isfinite(mu) & (mu >= -1e-12)):
+            raise ConfigError("mu must be finite and nonnegative")
         if np.linalg.norm(mu - mu0) > self.radius + 1e-9 * max(1.0, self.radius):
             raise ConfigError("mu lies outside the feasible ball around mu0")
         mu = np.maximum(mu, 0.0)
@@ -210,12 +203,27 @@ def _validated_mu0(mu0, p: int) -> np.ndarray:
         return np.ones(p)
     mu0 = _as_vector(mu0, "mu0")
     if mu0.shape[0] != p:
-        raise ShapeError(f"mu0 has length {mu0.shape[0]}, family has {p} kernels")
-    if np.any(mu0 <= 0):
-        raise ConfigError("mu0 must be strictly positive")
+        raise ShapeError(f"mu0 has length {mu0.shape[0]}, expected {p}")
+    if not np.all((mu0 > 0) & np.isfinite(mu0)):
+        raise ConfigError("mu0 must be finite and strictly positive")
     if abs(float(mu0.min()) - 1.0) > 1e-9:
         raise ConfigError("mu0 must be normalized so its minimum component is 1")
     return mu0
+
+
+def _validated_radius(radius) -> float:
+    if not 0.0 <= radius < np.inf:
+        raise ConfigError("radius must be finite and nonnegative")
+    return float(radius)
+
+
+def _weight_step(v: np.ndarray, mu0: np.ndarray, radius: float) -> np.ndarray:
+    # update_weights' closed form for inputs already checked: v >= 0, a
+    # valid anchor mu0 and a finite radius >= 0.
+    nv = float(np.linalg.norm(v))
+    if nv <= DEGENERATE_V_TOL * v.shape[0]:
+        return mu0.copy()
+    return mu0 + radius * (v / nv)
 
 
 def update_weights(quad, mu0, radius: float) -> MuWeights:
@@ -226,15 +234,10 @@ def update_weights(quad, mu0, radius: float) -> MuWeights:
     """
     v = _as_vector(quad, "quad")
     mu0 = _validated_mu0(mu0, v.shape[0])
-    if np.any(v < -NEG_QUAD_TOL):
-        raise ConfigError("quadratic-form vector has a negative entry beyond tolerance")
-    v = np.maximum(v, 0.0)
-    nv = float(np.linalg.norm(v))
-    if nv <= DEGENERATE_V_TOL * v.shape[0]:
-        mu = mu0.copy()
-    else:
-        mu = mu0 + radius * (v / nv)
-    return MuWeights(mu=mu, mu0=mu0, radius=float(radius))
+    radius = _validated_radius(radius)
+    if not np.all(np.isfinite(v) & (v >= -NEG_QUAD_TOL)):
+        raise ConfigError("quadratic-form vector must be finite and nonnegative within tolerance")
+    return MuWeights(_weight_step(np.maximum(v, 0.0), mu0, radius), mu0, radius)
 
 
 def objective(alpha, y, lam: float, quad, mu0, radius: float) -> float:
@@ -264,10 +267,10 @@ def _fit_setup(family, y, lambda0: float, radius: Optional[float] = None):
     y = _as_vector(y, "y")
     if y.shape[0] != fam.m:
         raise ShapeError(f"y has length {y.shape[0]}, sample size is {fam.m}")
-    if not lambda0 > 0:
-        raise ConfigError("lambda0 must be positive")
-    if radius is not None and not radius >= 0:
-        raise ConfigError("radius must be nonnegative")
+    if not 0.0 < lambda0 < np.inf:
+        raise ConfigError("lambda0 must be positive and finite")
+    if radius is not None:
+        _validated_radius(radius)
     return fam, y, lambda0 * fam.m
 
 
@@ -349,13 +352,11 @@ def fit_l2(family, y, lambda0: float, radius: float, mu0=None,
     iterations = 0
     step = float("inf")
     traj = [] if record_trajectory else None
-    weights = None
-    solved = alpha_next
     for it in range(1, max_iters + 1):
         alpha = alpha_next
-        v = quad_forms(alpha, fam)
-        weights = update_weights(v, mu0, radius)
-        solved = _ridge_solve(fam, weights.mu, y, lam)
+        # quad_forms returns v >= 0, the domain of the closed form.
+        mu = _weight_step(quad_forms(alpha, fam), mu0, radius)
+        solved = _ridge_solve(fam, mu, y, lam)
         alpha_next = eta * alpha + (1.0 - eta) * solved
         if not np.isfinite(alpha_next).all():
             raise NumericalError("weight-learning iteration diverged to non-finite values")
@@ -371,7 +372,7 @@ def fit_l2(family, y, lambda0: float, radius: float, mu0=None,
     alpha_out = solved
     quad_out = quad_forms(alpha_out, fam)
     model = MklModel(
-        weights=weights,
+        weights=MuWeights(mu, mu0, float(radius)),
         alpha=alpha_out,
         lam=lam,
         lambda0=float(lambda0),
@@ -563,8 +564,8 @@ def fit_l1(family, y, lambda0: float, budget: float,
     ``max_iters`` is flagged on the result, not raised.
     """
     fam, y, lam = _fit_setup(family, y, lambda0)
-    if not budget > 0:
-        raise ConfigError("budget must be positive")
+    if not 0.0 < budget < np.inf:
+        raise ConfigError("budget must be positive and finite")
     value_grad = functools.partial(_ridge_value_grad, fam, y, lam)
 
     def project(x):

@@ -259,6 +259,14 @@ def test_stability_no_violations_at_m200():
     assert rep.violations == 0
 
 
+@pytest.mark.parametrize("lambda0", [0.0, math.nan, math.inf])
+def test_stability_rejects_bad_lambda0(lambda0):
+    X, y, draw = _linear_sample(4, 2, 10)
+    weights = mk.MuWeights(np.ones(1), np.ones(1), 0.0)
+    with pytest.raises(ConfigError, match="lambda0"):
+        mk.stability_trial([KernelSpec.linear()], X, y, lambda0, weights, 2, 1, draw)
+
+
 def test_stability_generator_exhaustion():
     X, y, _ = _linear_sample(4, 2, 10)
 
@@ -323,3 +331,12 @@ def test_bound_values_domain_errors():
         mk.bound_values(1.0, 1.0, -1.0, 1.0, 1, 1, 0.5)
     with pytest.raises(ConfigError):
         mk.bound_values(1.0, 1.0, 1.0, 1.0, 1, 1, 1.5)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("key", ["kappa", "max_error", "radius", "lambda0", "delta"])
+def test_bound_values_rejects_non_finite(key, bad):
+    args = dict(kappa=1.0, max_error=1.0, radius=1.0, lambda0=1.0, p=1, m=1, delta=0.5)
+    args[key] = bad
+    with pytest.raises(ConfigError):
+        mk.bound_values(**args)

@@ -8,7 +8,7 @@ from click.testing import CliRunner
 
 import mklridge as mk
 from mklridge import ConfigError, DataError
-from mklridge import experiment
+from mklridge import cli, experiment
 from mklridge.cli import main
 from mklridge.experiment import (DEFAULT_BUDGET_GRID, DEFAULT_LAMBDA0_GRID,
                                  ExperimentConfig, _combo_grid, _Source, build_family,
@@ -85,6 +85,28 @@ def test_config_grid_validation():
         ExperimentConfig.from_dict(_tiny_config(radius_grid=[1.0, float("nan")]))
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict(_tiny_config(methods=["svm"]))
+
+
+@pytest.mark.parametrize("key, bad", [
+    ("lambda0_grid", math.nan), ("lambda0_grid", math.inf),
+    ("budget_grid", math.nan), ("budget_grid", math.inf),
+    ("radius_grid", math.inf),
+])
+def test_config_rejects_non_finite_grid_entries(key, bad):
+    with pytest.raises(ConfigError, match=key):
+        ExperimentConfig.from_dict(_tiny_config(**{key: [1.0, bad]}))
+
+
+def test_config_file_non_finite_constants_rejected(tmp_path):
+    # json.load parses NaN and Infinity; validation must still see them.
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(_tiny_config(lambda0_grid=[0.1, math.inf])))
+    assert "Infinity" in path.read_text()
+    with pytest.raises(ConfigError, match="lambda0_grid"):
+        ExperimentConfig.from_json(path)
+    result = CliRunner().invoke(main, ["experiment", "--config", str(path)])
+    assert result.exit_code == 1
+    assert "lambda0_grid" in result.output
 
 
 # --- run_experiment -----------------------------------------------------------
@@ -201,6 +223,21 @@ def test_l1_combo_grid_default_grids():
     # Search order is kept: lambda0 ascending, then budget ascending.
     keys = [(c["lambda0"], c["budget"]) for c in combos]
     assert keys == sorted(keys)
+
+
+def test_trial_folds_shared_by_all_methods(monkeypatch):
+    calls = []
+    subset = mk.KernelFamily.subset
+
+    def counting_subset(self, indices):
+        calls.append(indices)
+        return subset(self, indices)
+
+    monkeypatch.setattr(mk.KernelFamily, "subset", counting_subset)
+    cfg = ExperimentConfig.from_dict(_tiny_config())
+    assert len(cfg.methods) == 4
+    run_experiment(cfg)
+    assert len(calls) == cfg.cv_folds * cfg.trials
 
 
 def test_experiment_deterministic_bytes(tiny_report, tmp_path):
@@ -414,6 +451,34 @@ def test_cli_invalid_json_config(tmp_path):
     path.write_text("{not json")
     result = CliRunner().invoke(main, ["experiment", "--config", str(path)])
     assert result.exit_code == 1
+
+
+def test_cli_diagnose_invalid_json_config(tmp_path):
+    path = tmp_path / "broken.json"
+    path.write_text("{not json")
+    result = CliRunner().invoke(main, ["diagnose", "--config", str(path)])
+    assert result.exit_code == 1
+    assert "config error" in result.output and "not valid JSON" in result.output
+
+
+def test_cli_emit_invalid_report(tmp_path):
+    path = tmp_path / "report.json"
+    path.write_text("{not json")
+    result = CliRunner().invoke(main, ["emit", "--report", str(path),
+                                       "--out", str(tmp_path / "tables")])
+    assert result.exit_code == 2
+    assert "data error" in result.output and "not valid JSON" in result.output
+    missing = CliRunner().invoke(main, ["emit", "--report", str(tmp_path / "none.json"),
+                                        "--out", str(tmp_path / "tables")])
+    assert missing.exit_code == 2
+
+
+def test_cli_overrides_apply_to_config(tmp_path):
+    cfg_path = _write_config(tmp_path, _tiny_config())
+    cfg = cli._load_config(cfg_path, seed=3, out=str(tmp_path / "o"))
+    assert (cfg.seed, cfg.out) == (3, str(tmp_path / "o"))
+    assert cfg == ExperimentConfig.from_dict(_tiny_config(seed=3, out=str(tmp_path / "o")))
+    assert cli._load_config(cfg_path) == ExperimentConfig.from_json(cfg_path)
 
 
 # --- text pipeline end to end -----------------------------------------------------

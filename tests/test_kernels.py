@@ -305,6 +305,13 @@ def test_compute_kappa_scaled():
     assert mk.compute_kappa(fam, float(np.linalg.norm(mu0)) + 3.0) == 10.0
 
 
+@pytest.mark.parametrize("bound", [-1.0, np.nan, np.inf])
+def test_compute_kappa_rejects_bad_bound(bound):
+    fam = mk.KernelFamily.from_grams([np.eye(3)])
+    with pytest.raises(ConfigError):
+        mk.compute_kappa(fam, bound)
+
+
 def test_compute_kappa_degenerate_zero():
     fam = mk.KernelFamily.from_grams([np.zeros((2, 2))])
     assert mk.compute_kappa(fam, 5.0) == 0.0

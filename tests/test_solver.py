@@ -126,7 +126,13 @@ def test_update_rejects_negative_quad():
         mk.update_weights([1.0, -1.0], [1.0, 1.0], 1.0)
 
 
-@pytest.mark.parametrize("radius", [-1.0, np.nan])
+@pytest.mark.parametrize("quad", [[1.0, np.nan], [1.0, np.inf]])
+def test_update_rejects_non_finite_quad(quad):
+    with pytest.raises(ConfigError):
+        mk.update_weights(quad, [1.0, 1.0], 1.0)
+
+
+@pytest.mark.parametrize("radius", [-1.0, np.nan, np.inf])
 def test_update_rejects_bad_radius(radius):
     with pytest.raises(ConfigError, match="radius"):
         mk.update_weights([3.0, 4.0], [1.0, 1.0], radius)
@@ -156,8 +162,16 @@ def test_mu_weights_validation():
         mk.MuWeights(np.array([-0.5, 1.0]), np.array([1.0, 1.0]), 5.0)
     with pytest.raises(ConfigError):
         mk.MuWeights(np.array([9.0, 1.0]), np.array([1.0, 1.0]), 1.0)  # outside ball
-    with pytest.raises(ConfigError, match="radius"):
-        mk.MuWeights(np.array([1.0, 1.0]), np.array([1.0, 1.0]), np.nan)
+    for radius in (np.nan, np.inf):
+        with pytest.raises(ConfigError, match="radius"):
+            mk.MuWeights(np.array([1.0, 1.0]), np.array([1.0, 1.0]), radius)
+    with pytest.raises(ConfigError, match="mu must"):
+        mk.MuWeights(np.array([1.0, np.nan]), np.array([1.0, 1.0]), 1.0)
+    for mu0 in ([1.0, np.nan], [1.0, np.inf]):
+        with pytest.raises(ConfigError, match="mu0"):
+            mk.MuWeights(np.array([1.0, 1.0]), np.array(mu0), 1.0)
+    with pytest.raises(ShapeError):
+        mk.MuWeights(np.ones(2), np.ones(3), 1.0)
 
 
 # --- objective ----------------------------------------------------------------
@@ -337,12 +351,43 @@ def test_fit_parameter_validation():
         mk.fit_l2(fam, y, 0.0, 1.0)
     with pytest.raises(ConfigError):
         mk.fit_l2(fam, y, 0.1, -1.0)
-    with pytest.raises(ConfigError):
-        mk.fit_l2(fam, y, 0.1, np.nan)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ConfigError, match="radius"):
+            mk.fit_l2(fam, y, 0.1, bad)
+        with pytest.raises(ConfigError, match="lambda0"):
+            mk.fit_l2(fam, y, bad, 1.0)
+        with pytest.raises(ConfigError, match="mu0"):
+            mk.fit_l2(fam, y, 0.1, 1.0, mu0=np.r_[np.ones(fam.p - 1), bad])
     with pytest.raises(ConfigError):
         mk.fit_l2(fam, y, 0.1, 1.0, eta=1.0)
     with pytest.raises(ConfigError):
         mk.fit_l2(fam, y, 0.1, 1.0, mu0=np.full(fam.p, 2.0))
+
+
+@pytest.mark.parametrize("case", ["dense", "rank1", "dense_v0", "rank1_v0"])
+def test_fit_first_iteration_is_the_closed_form_update(case):
+    # One iteration takes mu from the closed form applied to v at the
+    # anchor-kernel ridge solution; v = 0 (zero targets, or zero feature
+    # columns) leaves mu at mu0.
+    rng = np.random.default_rng(5)
+    if case.startswith("dense"):
+        fam, y, lambda0, radius = random_psd_instance(17, p_range=(3, 5))
+    else:
+        m, p = 12, 5
+        F = np.zeros((m, p)) if case == "rank1_v0" else rng.standard_normal((m, p))
+        fam = mk.KernelFamily(features=F, sample_id="rank1")
+        y, lambda0, radius = rng.standard_normal(m), 0.05, 0.7
+    if case == "dense_v0":
+        y = np.zeros(fam.m)
+    mu0 = np.r_[1.0, 1.0 + rng.uniform(0.0, 2.0, fam.p - 1)]
+    alpha0 = solver._ridge_solve(fam, mu0, y, lambda0 * fam.m)
+    v = mk.quad_forms(alpha0, fam)
+    assert (not v.any()) == case.endswith("v0")
+    model, _ = mk.fit_l2(fam, y, lambda0, radius, mu0=mu0, max_iters=1)
+    expected = mk.update_weights(v, mu0, radius).mu
+    npt.assert_array_equal(model.weights.mu, expected)
+    if case.endswith("v0"):
+        npt.assert_array_equal(model.weights.mu, mu0)
 
 
 def test_fit_converged_state_is_consistent():
@@ -442,7 +487,7 @@ def test_oracle_rejects_large_instances():
         mk.oracle_fit(fam, np.ones(201), 0.1, 1.0)
 
 
-@pytest.mark.parametrize("radius", [-0.5, np.nan])
+@pytest.mark.parametrize("radius", [-0.5, np.nan, np.inf])
 def test_oracle_rejects_bad_radius(radius):
     fam, y, lambda0, _ = random_psd_instance(91)
     with pytest.raises(ConfigError, match="radius"):
@@ -526,6 +571,11 @@ def test_l1_budget_validation():
     fam, y, lambda0, _ = random_psd_instance(151)
     with pytest.raises(ConfigError):
         mk.fit_l1(fam, y, lambda0, 0.0)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ConfigError, match="budget"):
+            mk.fit_l1(fam, y, lambda0, bad)
+        with pytest.raises(ConfigError, match="lambda0"):
+            mk.fit_l1(fam, y, bad, 1.0)
 
 
 # --- predict ---------------------------------------------------------------------
