@@ -77,8 +77,6 @@ class ExperimentConfig:
     trials: int = 1
     seed: Optional[int] = None
     metrics: tuple = ("rmse",)
-    eta: float = 0.5
-    max_iters: int = 200
     l1_max_iters: int = 2000
     l1_tol: float = 1e-8
     out: Optional[str] = None
@@ -99,6 +97,10 @@ class ExperimentConfig:
                 raise ConfigError(f"unknown metric {name!r}; expected a subset of {METRICS}")
         if not self.metrics:
             raise ConfigError("at least one metric must be selected")
+        task = ("regression" if self.dataset["kind"] == "synthetic_sparse"
+                else self.dataset.get("task", "regression"))
+        if "misclassification" in self.metrics and task != "classification_pm1":
+            raise ConfigError("misclassification needs a dataset with task classification_pm1")
         if not self.lambda0_grid or not all(0 < v < math.inf for v in self.lambda0_grid):
             raise ConfigError("lambda0_grid must be nonempty with positive finite entries")
         if "l2mkl" in self.methods and not self.radius_grid:
@@ -114,6 +116,10 @@ class ExperimentConfig:
             raise ConfigError("trials must be at least 1")
         if self.trials > 1 and self.seed is None:
             raise ConfigError("a seed is required when trials > 1")
+        if not 0 < self.l1_tol < math.inf:
+            raise ConfigError("l1_tol must be positive and finite")
+        if self.l1_max_iters < 1:
+            raise ConfigError("l1_max_iters must be at least 1")
         object.__setattr__(self, "methods", tuple(self.methods))
         object.__setattr__(self, "metrics", tuple(self.metrics))
         object.__setattr__(self, "lambda0_grid", tuple(float(v) for v in self.lambda0_grid))
@@ -372,10 +378,7 @@ def _fit_for_combo(method, family, y, combo: dict, cfg: ExperimentConfig):
     else:
         raise ConfigError(f"unknown method {method!r}")
     # uniform carries no radius: it is the L2 fit pinned at mu = mu0.
-    model, report = fit_l2(
-        fit_family, y, lambda0, combo.get("radius", 0.0),
-        eta=cfg.eta, max_iters=cfg.max_iters,
-    )
+    model, report = fit_l2(fit_family, y, lambda0, combo.get("radius", 0.0))
     info = {
         "iterations": model.iterations,
         "converged": model.converged,
@@ -447,11 +450,7 @@ def _run_method_trial(method, family, folds: list, train: Dataset, test: Dataset
 
     mu_full, alpha, info, kkt_args = _fit_for_combo(method, family, y, best_combo, cfg)
     preds = predict_weighted(family.specs, mu_full, alpha, train.X, test.X)
-    metrics = {}
-    for name in cfg.metrics:
-        if name == "misclassification" and test.task != "classification_pm1":
-            continue
-        metrics[name] = _METRIC_FNS[name](preds, test.y)
+    metrics = {name: _METRIC_FNS[name](preds, test.y) for name in cfg.metrics}
 
     iterations = [i["iterations"] for i in cv_infos]
     record = {
@@ -528,7 +527,7 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> dict:
         ok = [tr for tr in trials if "failed" not in tr]
         mean, std = {}, {}
         if ok:
-            for name in cfg_metric_names(config, ok):
+            for name in config.metrics:
                 vals = np.array([tr["metrics"][name] for tr in ok])
                 mean[name] = float(vals.mean())
                 std[name] = float(vals.std(ddof=1)) if len(vals) > 1 else 0.0
@@ -548,14 +547,6 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> dict:
     if config.out:
         write_json_atomic(report, os.path.join(config.out, "report.json"))
     return report
-
-
-def cfg_metric_names(config: ExperimentConfig, ok_trials) -> list:
-    names = []
-    for name in config.metrics:
-        if all(name in tr["metrics"] for tr in ok_trials):
-            names.append(name)
-    return names
 
 
 # ---------------------------------------------------------------------------
@@ -665,22 +656,41 @@ def run_fit(config: ExperimentConfig) -> dict:
     return out
 
 
+# Keys each diagnose section reads; every ``bounds`` key is required.
+_DIAGNOSE_KEYS = {
+    "identity": {"cases", "dim", "radius", "seed"},
+    "stability": {"m", "d", "trials", "lambda0", "seed"},
+    "bounds": {"kappa", "max_error", "radius", "lambda0", "p", "m", "delta"},
+}
+
+
 def run_diagnose(config: dict) -> dict:
     """Run the verification suites named in the config; see README."""
     if not isinstance(config, dict):
         raise ConfigError("diagnose config must be a JSON object")
-    known = {"identity", "stability", "bounds", "fit_check"}
-    unknown = set(config) - known
+    unknown = set(config) - {*_DIAGNOSE_KEYS, "fit_check"}
     if unknown:
         raise ConfigError(f"unknown diagnose sections: {sorted(unknown)}")
     if not config:
         raise ConfigError("diagnose config selects no sections")
+    for name, keys in _DIAGNOSE_KEYS.items():
+        sec = config.get(name, {})
+        if not isinstance(sec, dict):
+            raise ConfigError(f"diagnose section {name!r} must be a JSON object")
+        unknown = set(sec) - keys
+        if unknown:
+            raise ConfigError(f"unknown {name} keys: {sorted(unknown)}")
+    missing = _DIAGNOSE_KEYS["bounds"] - set(config.get("bounds", _DIAGNOSE_KEYS["bounds"]))
+    if missing:
+        raise ConfigError(f"missing bounds keys: {sorted(missing)}")
     out = {}
 
     if "identity" in config:
         sec = config["identity"]
         cases = int(sec.get("cases", 1000))
         dim = int(sec.get("dim", 8))
+        if cases < 1 or dim < 1:
+            raise ConfigError("identity cases and dim must be at least 1")
         radius = float(sec.get("radius", 1.0))
         rng = np.random.default_rng(int(sec.get("seed", 0)))
         worst = 0.0

@@ -263,10 +263,6 @@ class KernelFamily:
     and the Gram matrices of such families materialize lazily on first
     access (idempotent, so benign under concurrency). Families of other
     kinds hold the Gram matrices that :func:`build_gram` evaluates.
-    Weighted sums over Gram matrices (:meth:`combined_entries` without
-    features, and :func:`combine` always) accumulate kernel by kernel in
-    index order; with features, ``combined_entries`` is one matrix
-    product instead, which may differ from ``combine`` in the last bits.
     ``kappa0`` bounds sqrt(sum_k K_k(x,x)^2) over the sample, verified by
     direct evaluation of the kernel diagonals.
     """
@@ -389,25 +385,19 @@ class KernelFamily:
             )
         return KernelFamily(grams=tuple(self.grams[k] for k in ks), specs=specs)
 
-    def _weights(self, mu) -> np.ndarray:
+    def combined_entries(self, mu) -> np.ndarray:
+        """Sum_k mu_k K_k as a raw array: one matrix product over the
+        feature columns when the family has them, otherwise a sum over the
+        Gram matrices, kernel by kernel in index order."""
         mu = _as_vector(mu, "mu")
         if mu.shape[0] != self.p:
             raise ShapeError(f"mu has length {mu.shape[0]}, family has {self.p} kernels")
-        return mu
-
-    def _accumulate(self, mu: np.ndarray) -> np.ndarray:
-        # Sum_k mu_k K_k over the Gram matrices, kernel by kernel in index order.
+        if self.features is not None:
+            return (self.features * mu) @ self.features.T
         out = np.zeros((self.m, self.m))
         for k in range(self.p):
             out += mu[k] * self.grams[k].entries
         return out
-
-    def combined_entries(self, mu) -> np.ndarray:
-        """Sum_k mu_k K_k as a raw array (feature fast path when possible)."""
-        mu = self._weights(mu)
-        if self.features is not None:
-            return (self.features * mu) @ self.features.T
-        return self._accumulate(mu)
 
 
 def as_family(obj) -> KernelFamily:
@@ -424,16 +414,15 @@ def as_family(obj) -> KernelFamily:
 
 
 def combine(family, mu) -> GramMatrix:
-    """Weighted sum of the family's Gram matrices, entrywise.
+    """The weighted kernel K(mu) = sum_k mu_k K_k for nonnegative mu.
 
-    Accumulates kernel by kernel in index order, so the result matches an
-    independent entrywise loop exactly.
+    Its entries are :meth:`KernelFamily.combined_entries`, the K(mu) the
+    solvers use.
     """
     fam = as_family(family)
-    mu = fam._weights(mu)
-    if np.any(mu < 0):
+    if np.any(np.asarray(mu, dtype=np.float64) < 0):
         raise ConfigError("combination weights must be nonnegative")
-    return GramMatrix(entries=fam._accumulate(mu), sample_id=fam.sample_id)
+    return GramMatrix(entries=fam.combined_entries(mu), sample_id=fam.sample_id)
 
 
 def compute_kappa(family, mu_norm_bound: float) -> float:

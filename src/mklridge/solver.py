@@ -566,6 +566,10 @@ def fit_l1(family, y, lambda0: float, budget: float,
     fam, y, lam = _fit_setup(family, y, lambda0)
     if not 0.0 < budget < np.inf:
         raise ConfigError("budget must be positive and finite")
+    if not tol > 0:
+        raise ConfigError("tol must be positive")
+    if max_iters < 1:
+        raise ConfigError("max_iters must be at least 1")
     value_grad = functools.partial(_ridge_value_grad, fam, y, lam)
 
     def project(x):

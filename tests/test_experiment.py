@@ -1,6 +1,8 @@
+import importlib.util
 import json
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -97,6 +99,44 @@ def test_config_rejects_non_finite_grid_entries(key, bad):
         ExperimentConfig.from_dict(_tiny_config(**{key: [1.0, bad]}))
 
 
+@pytest.mark.parametrize("key", ["eta", "max_iters"])
+def test_config_rejects_removed_l2_settings(key):
+    with pytest.raises(ConfigError, match="unknown config keys"):
+        ExperimentConfig.from_dict(_tiny_config(**{key: 1}))
+
+
+@pytest.mark.parametrize("key, bad", [
+    ("l1_tol", math.nan), ("l1_tol", math.inf), ("l1_tol", 0.0), ("l1_max_iters", 0),
+])
+def test_config_rejects_bad_l1_settings(key, bad):
+    with pytest.raises(ConfigError, match=key):
+        ExperimentConfig.from_dict(_tiny_config(**{key: bad}))
+
+
+def _regression_csv(tmp_path):
+    path = tmp_path / "reg.csv"
+    rows = np.random.default_rng(3).standard_normal((12, 3))
+    path.write_text("".join(",".join(map(str, r)) + "\n" for r in rows))
+    return str(path)
+
+
+@pytest.mark.parametrize("dataset", ["synthetic_sparse", "delimited"])
+@pytest.mark.parametrize("metrics", [["rmse", "misclassification"], ["misclassification"]])
+def test_misclassification_needs_pm1_task(tmp_path, monkeypatch, dataset, metrics):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("fit_l2 called")
+
+    monkeypatch.setattr(experiment, "fit_l2", no_fit)
+    cfg = _tiny_config(trials=1, methods=["uniform"], metrics=metrics)
+    if dataset == "delimited":
+        cfg["dataset"] = {"kind": "delimited", "path": _regression_csv(tmp_path)}
+    with pytest.raises(ConfigError, match="classification_pm1"):
+        run_experiment(cfg)
+    result = CliRunner().invoke(main, ["experiment", "--config", _write_config(tmp_path, cfg)])
+    assert result.exit_code == 1
+    assert "classification_pm1" in result.output
+
+
 def test_config_file_non_finite_constants_rejected(tmp_path):
     # json.load parses NaN and Infinity; validation must still see them.
     path = tmp_path / "config.json"
@@ -163,8 +203,7 @@ def test_experiment_record_layout_per_method(tiny_report):
             # The recorded residuals are those of the one-kernel refit.
             train, _, _ = src.trial_data(seeds[t])
             sub = build_family(cfg.kernels, train).select_kernels([kernel])
-            model, _ = mk.fit_l2(sub, train.y, rec["chosen"]["lambda0"], 0.0,
-                                 eta=cfg.eta, max_iters=cfg.max_iters)
+            model, _ = mk.fit_l2(sub, train.y, rec["chosen"]["lambda0"], 0.0)
             r_alpha, r_mu = mk.kkt_residuals(model, sub, train.y)
             assert rec["kkt"] == {"alpha_residual": r_alpha, "mu_residual": r_mu}
 
@@ -541,8 +580,7 @@ def test_run_fit_summary_layout(method):
     train, _, _ = _Source(cfg).trial_data(np.random.SeedSequence(cfg.seed).spawn(1)[0])
     family = build_family(cfg.kernels, train)
     radius = 2.0 if method == "l2mkl" else 0.0
-    model, fit_report = mk.fit_l2(family, train.y, 0.05, radius,
-                                  eta=cfg.eta, max_iters=cfg.max_iters)
+    model, fit_report = mk.fit_l2(family, train.y, 0.05, radius)
     r_alpha, r_mu = mk.kkt_residuals(model, family, train.y)
     assert summary["radius"] == radius
     assert summary["iterations"] == model.iterations
@@ -569,3 +607,53 @@ def test_run_diagnose_validates_sections():
         run_diagnose({"unknown_section": {}})
     with pytest.raises(ConfigError):
         run_diagnose({})
+
+
+BOUNDS = {"kappa": 1.0, "max_error": 1.0, "radius": 1.0,
+          "lambda0": 1.0, "p": 1, "m": 1, "delta": 0.5}
+
+
+@pytest.mark.parametrize("diag, match", [
+    ({"identity": {"casess": 3}}, "unknown identity keys"),
+    ({"stability": {"m": 10, "lamda0": 0.5}}, "unknown stability keys"),
+    ({"bounds": {**BOUNDS, "beta": 1.0}}, "unknown bounds keys"),
+    ({"bounds": {k: v for k, v in BOUNDS.items() if k != "delta"}}, "missing bounds keys"),
+    ({"identity": {"cases": 0}}, "at least 1"),
+    ({"identity": {"dim": 0}}, "at least 1"),
+    ({"identity": [1]}, "JSON object"),
+])
+def test_run_diagnose_rejects_bad_section_keys(tmp_path, diag, match):
+    with pytest.raises(ConfigError, match=match):
+        run_diagnose(diag)
+    path = _write_config(tmp_path, diag, name="diag.json")
+    result = CliRunner().invoke(main, ["diagnose", "--config", path])
+    assert result.exit_code == 1
+    assert "config error" in result.output
+
+
+# --- benchmark tracer ------------------------------------------------------------
+
+def _load_tracer():
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_tracer_finds_every_site():
+    # The benchmark patches these names and reads these return shapes.
+    tracer = _load_tracer()
+    cfg = ExperimentConfig.from_dict(_tiny_config(trials=1))
+    trace = tracer.Tracer()
+    trace.install()
+    try:
+        experiment.run_experiment(cfg, jobs=1)
+    finally:
+        trace.uninstall()
+    assert trace.absent == []
+    assert not [s for s in trace.spans if s[4] and "raised" in s[4]]
+    fits = tracer.fit_outcomes(trace.spans)
+    assert fits["solver.fit_l1"]["calls"] > 0 and fits["solver.fit_l1"]["iters"] > 0
+    assert fits["solver.fit_l2"]["calls"] > 0 and fits["solver.fit_l2"]["iters"] > 0
+    assert experiment.fit_l2 is mk.fit_l2

@@ -268,14 +268,16 @@ def test_combine_matches_independent_loop_exactly(seed, p):
     npt.assert_array_equal(K.entries, acc)
 
 
-def test_combine_matches_loop_for_rank1_families():
-    X = np.abs(random_matrix(6, 3, 4))
-    fam = mk.rank1_family(X, include_offset=True)
+@pytest.mark.parametrize("kind", ["dense", "rank1"])
+def test_combine_equals_combined_entries(kind):
+    # combine is the solvers' K(mu): bit-equal on both family layouts.
+    if kind == "dense":
+        fam = _random_family(4, m=6, p=4)
+    else:
+        fam = mk.rank1_family(np.abs(random_matrix(6, 3, 4)), include_offset=True)
+        assert fam.features is not None
     mu = np.array([0.5, 1.5, 2.0, 1.0])
-    acc = np.zeros((6, 6))
-    for k in range(4):
-        acc += mu[k] * fam.grams[k].entries
-    npt.assert_array_equal(mk.combine(fam, mu).entries, acc)
+    npt.assert_array_equal(mk.combine(fam, mu).entries, fam.combined_entries(mu))
 
 
 def test_combine_rejects_negative_weights():

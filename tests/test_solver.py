@@ -578,6 +578,16 @@ def test_l1_budget_validation():
             mk.fit_l1(fam, y, bad, 1.0)
 
 
+@pytest.mark.parametrize("kwargs, match", [
+    ({"tol": np.nan}, "tol"), ({"tol": 0.0}, "tol"), ({"tol": -1e-8}, "tol"),
+    ({"max_iters": 0}, "max_iters"),
+])
+def test_l1_rejects_bad_stopping_settings(kwargs, match):
+    fam, y, lambda0, _ = random_psd_instance(3)
+    with pytest.raises(ConfigError, match=match):
+        mk.fit_l1(fam, y, lambda0, 1.0, **kwargs)
+
+
 # --- predict ---------------------------------------------------------------------
 
 def test_predict_zero_alpha():
