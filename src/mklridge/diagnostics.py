@@ -43,7 +43,9 @@ def weight_shift_identity_gap(v, v_prime, radius: float) -> float:
     expansion in terms of dv = v' - v:
     radius * [dv_k/||v'|| - v_k sum_i (v_i + v'_i) dv_i /
     (||v|| ||v'|| (||v|| + ||v'||))]. Returns max_k |direct - expanded|.
+    The radius must be finite and nonnegative.
     """
+    radius = _validated_radius(radius)
     v = _as_vector(v, "v")
     w = _as_vector(v_prime, "v_prime")
     if v.shape != w.shape:

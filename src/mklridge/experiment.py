@@ -706,6 +706,8 @@ def run_diagnose(config: dict) -> dict:
         sec = config["stability"]
         m = int(sec.get("m", 50))
         d = int(sec.get("d", m))
+        if m < 1 or d < 1:
+            raise ConfigError("stability m and d must be at least 1")
         trials = int(sec.get("trials", 100))
         lambda0 = float(sec.get("lambda0", 0.5))
         seed = int(sec.get("seed", 0))

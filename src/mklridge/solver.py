@@ -7,7 +7,9 @@ v_k = alpha' K_k alpha. ``oracle_fit`` solves the same problem by
 projected gradient descent with a Frank-Wolfe gap certificate; it relies
 only on the objective being nonincreasing in mu, never on that closed
 form, so the two can be checked against each other. ``fit_l1`` is the
-L1-budget baseline.
+L1-budget baseline: on rank-one families it is solved exactly on a lasso
+path and then certified by the same Frank-Wolfe gap; on Gram families it
+runs projected gradient from the uniform weights.
 """
 
 from __future__ import annotations
@@ -35,6 +37,9 @@ DEGENERATE_V_TOL = 1e-14
 
 # Accepted objective values the projected-gradient line search compares against.
 PGD_MEMORY = 10
+
+# Lasso-path segments per distinct column before the L1 homotopy gives up.
+L1_PATH_MAX_KNOTS = 4
 
 
 def _gram_entries(K) -> np.ndarray:
@@ -543,6 +548,98 @@ def oracle_fit(family, y, lambda0: float, radius: float, mu0=None,
     )
 
 
+def _distinct_columns(F: np.ndarray) -> np.ndarray:
+    # Indices of the first of each set of columns of F equal up to sign
+    # (f and -f give the same kernel). Signs come from each column's first
+    # nonzero entry; adding 0.0 turns the -0.0 of a negated zero into 0.0.
+    first = np.argmax(F != 0, axis=0)
+    canon = F * np.sign(F[first, np.arange(F.shape[1])]) + 0.0
+    seen = {}
+    for k, col in enumerate(canon.T):
+        seen.setdefault(col.tobytes(), k)
+    return np.fromiter(seen.values(), dtype=np.intp)
+
+
+def _l1_path_start(F: np.ndarray, y: np.ndarray, lam: float, budget: float):
+    """Exact L1-budget weights of the rank-one family K(mu) = F diag(mu) F'.
+
+    By the variational identity of multiple kernel learning (Bach,
+    Lanckriet & Jordan 2004), the minimum of y'(K(mu) + lam I)^(-1) y
+    over {mu >= 0, sum(mu) <= budget} is (1/lam) min_w ||y - Fw||^2 +
+    c ||w||_1^2 with c = lam/budget, attained at mu_k = budget |w_k|/||w||_1.
+    That w solves the lasso min 1/2 ||y - Fw||^2 + t ||w||_1 at
+    t = c ||w||_1, so the LARS-lasso homotopy (Efron et al. 2004) walks t
+    down from max |F'y|: on each segment the active weights are
+    w_A = u - t d with G_AA [u, d] = [(F'y)_A, s_A], so t - c ||w||_1 is
+    affine in t and its root is t = c s'u / (1 + c s'd) > 0. An all-zero
+    column has corr = 0 throughout, so it never joins.
+
+    Returns ``(mu, knots)``, the number of segments walked; ``mu`` is None
+    when F'y = 0 (every start is optimal), when an active block is not
+    positive definite (columns in degenerate position), or after
+    ``L1_PATH_MAX_KNOTS`` segments per distinct column.
+    """
+    keep = _distinct_columns(F)
+    Fk = F[:, keep]
+    G = Fk.T @ Fk
+    Fty = Fk.T @ y
+    t = float(np.abs(Fty).max(initial=0.0))
+    if t == 0.0:
+        return None, 0
+    c = lam / budget
+    j = int(np.argmax(np.abs(Fty)))
+    active, signs = [j], [float(np.sign(Fty[j]))]
+    for knots in range(1, L1_PATH_MAX_KNOTS * keep.size + 1):
+        A = np.array(active)
+        s = np.array(signs)
+        try:
+            factor = scipy.linalg.cho_factor(G[A][:, A], lower=True, overwrite_a=True,
+                                             check_finite=False)
+        except scipy.linalg.LinAlgError:
+            return None, knots
+        u, d = scipy.linalg.cho_solve(factor, np.column_stack([Fty[A], s]),
+                                      check_finite=False).T
+        t_stop = c * float(s @ u) / (1.0 + c * float(s @ d))
+        # On this segment corr(t') = F'(y - Fw) = b + t' a. As t' falls, an
+        # inactive column joins where |corr_j(t')| reaches t' from below,
+        # and an active weight leaves where it falls to zero; a root the
+        # slope does not cross (the column that just changed sides) is no
+        # event. A root at or above t (a tie, or roundoff) happens at t.
+        # At a_j = 1 the gap t' - corr_j(t') is constant (at a_j = -1,
+        # t' + corr_j(t')): no root. A column in the span of the active
+        # ones that touches the boundary has |a_j| = 1 and rides it;
+        # adding it would make the active block singular, so |a_j| within
+        # 1e-9 of 1 counts as no root.
+        ud = np.zeros((G.shape[0], 2))
+        ud[A, 0], ud[A, 1] = u, d
+        ua = G @ ud
+        b = Fty - ua[:, 0]
+        a = ua[:, 1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            joins = np.stack([np.where(a < 1.0 - 1e-9, b / (1.0 - a), -np.inf),
+                              np.where(a > -1.0 + 1e-9, -b / (1.0 + a), -np.inf)])
+            leaves = np.where(s * d < 0.0, u / d, -np.inf)
+        joins[:, A] = -np.inf
+        joins = np.minimum(joins, t)
+        leaves = np.minimum(leaves, t)
+        side, k = np.unravel_index(int(np.argmax(joins)), joins.shape)
+        i = int(np.argmax(leaves))
+        if max(joins[side, k], leaves[i]) <= t_stop:
+            w = np.abs(u - t_stop * d)
+            mu = np.zeros(F.shape[1])
+            mu[keep[A]] = budget * (w / w.sum())
+            return mu, knots
+        if joins[side, k] >= leaves[i]:
+            t = float(joins[side, k])
+            active.append(int(k))
+            signs.append(1.0 - 2.0 * side)
+        else:
+            t = float(leaves[i])
+            active.pop(i)
+            signs.pop(i)
+    return None, knots
+
+
 @dataclass(frozen=True, eq=False)
 class L1Model:
     """L1-budget baseline fit; ``converged`` flags certificate failure."""
@@ -559,9 +656,16 @@ def fit_l1(family, y, lambda0: float, budget: float,
            tol: float = 1e-8, max_iters: int = 2000) -> L1Model:
     """L1-regularized baseline: weights on {mu >= 0, sum(mu) <= budget}.
 
-    Same ridge objective as the L2 route, solved by projected gradient
-    with the exact simplex-style projection. Non-convergence within
-    ``max_iters`` is flagged on the result, not raised.
+    Same ridge objective as the L2 route. A rank-one family (one with
+    feature columns) is solved exactly on the lasso path of its squared-L1
+    least-squares form (see ``_l1_path_start``); other families start from
+    the uniform weights. Projected gradient with the exact simplex-style
+    projection then runs from that start until the Frank-Wolfe gap is at
+    most ``tol`` (relative), which certifies an exact path start before
+    any step. ``iterations`` counts the path's knots plus the projected
+    gradient steps, and ``max_iters`` caps the steps only.
+    Non-convergence within ``max_iters`` is flagged on the result, not
+    raised.
     """
     fam, y, lam = _fit_setup(family, y, lambda0)
     if not 0.0 < budget < np.inf:
@@ -582,13 +686,17 @@ def fit_l1(family, y, lambda0: float, budget: float,
             s[k] = budget
         return s
 
-    x0 = np.full(fam.p, budget / fam.p)
+    x0, knots = None, 0
+    if fam.features is not None:
+        x0, knots = _l1_path_start(fam.features, y, lam, budget)
+    if x0 is None:
+        x0 = np.full(fam.p, budget / fam.p)
     mu, val, alpha, converged, iters, gap = _pgd_minimize(
         value_grad, project, lmo, x0, tol, max_iters
     )
     return L1Model(
         mu=mu, alpha=alpha, objective_value=val,
-        converged=converged, iterations=iters, certificate_gap=gap,
+        converged=converged, iterations=knots + iters, certificate_gap=gap,
     )
 
 

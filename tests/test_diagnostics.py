@@ -102,6 +102,12 @@ def test_identity_rejects_negative_entries():
         mk.weight_shift_identity_gap([1.0, -0.1], [1.0, 1.0], 1.0)
 
 
+@pytest.mark.parametrize("radius", [np.nan, np.inf, -np.inf, -1.0])
+def test_identity_rejects_bad_radius(radius):
+    with pytest.raises(ConfigError, match="radius"):
+        mk.weight_shift_identity_gap([1.0, 2.0], [2.0, 1.0], radius)
+
+
 @settings(max_examples=60)
 @given(
     p=st.integers(1, 20),

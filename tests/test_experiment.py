@@ -222,9 +222,13 @@ def test_experiment_records_cv_fit_outcomes(tiny_report):
 
 
 def test_experiment_counts_unconverged_cv_fits():
-    # One projected-gradient step cannot certify these L1 fits.
+    # One projected-gradient step cannot certify these L1 fits. Gram
+    # families start from uniform weights; a rank-one family's path start
+    # would be certified before any step.
+    kernels = {"kind": "explicit", "specs": [{"kind": "gaussian", "bandwidth": 1.0},
+                                             {"kind": "linear"}]}
     cfg = ExperimentConfig.from_dict(_tiny_config(methods=["l1mkl"], trials=1,
-                                                  l1_max_iters=1))
+                                                  kernels=kernels, l1_max_iters=1))
     rec = run_experiment(cfg)["methods"]["l1mkl"]["trials"][0]
     assert rec["converged"] is False
     assert rec["cv_fits"] == {"fits": 2 * cfg.cv_folds, "unconverged": 2 * cfg.cv_folds,
@@ -471,6 +475,19 @@ def test_cli_diagnose(tmp_path):
     assert payload["bounds"]["beta"] == 52.0
 
 
+@pytest.mark.parametrize("diag", [
+    {"identity": {"cases": 3, "radius": float("nan")}},
+    {"identity": {"cases": 3, "radius": -1.0}},
+    {"stability": {"m": 0}},
+])
+def test_cli_diagnose_bad_section_values_exit_code(tmp_path, diag):
+    cfg_path = _write_config(tmp_path, diag, name="diag.json")
+    result = CliRunner().invoke(main, ["diagnose", "--config", cfg_path,
+                                       "--out", str(tmp_path / "d")])
+    assert result.exit_code == 1
+    assert "config error" in result.output
+
+
 def test_cli_config_error_exit_code(tmp_path):
     cfg_path = _write_config(tmp_path, {"dataset": {"kind": "nope"}, "kernels": {"kind": "x"}})
     result = CliRunner().invoke(main, ["experiment", "--config", cfg_path])
@@ -621,6 +638,11 @@ BOUNDS = {"kappa": 1.0, "max_error": 1.0, "radius": 1.0,
     ({"identity": {"cases": 0}}, "at least 1"),
     ({"identity": {"dim": 0}}, "at least 1"),
     ({"identity": [1]}, "JSON object"),
+    ({"identity": {"cases": 3, "radius": float("nan")}}, "radius"),
+    ({"identity": {"cases": 3, "radius": float("inf")}}, "radius"),
+    ({"identity": {"cases": 3, "radius": -1.0}}, "radius"),
+    ({"stability": {"m": 0}}, "at least 1"),
+    ({"stability": {"m": 5, "d": 0}}, "at least 1"),
 ])
 def test_run_diagnose_rejects_bad_section_keys(tmp_path, diag, match):
     with pytest.raises(ConfigError, match=match):

@@ -270,14 +270,14 @@ def test_feature_route_fits_match_dense_family():
     npt.assert_allclose(l2_fast.alpha, l2_dense.alpha, rtol=0, atol=1e-9)
     npt.assert_allclose(l2_fast.weights.mu, l2_dense.weights.mu, rtol=0, atol=1e-9)
     assert l2_fast.iterations == l2_dense.iterations
-    # Long projected-gradient runs amplify roundoff along their path, so
-    # the L1 comparison uses a setting that converges in a few steps.
+    # The rank-one family is solved on the lasso path, the Gram family by
+    # projected gradient, run here to a gap tight enough to pin the weights.
     l1_fast = mk.fit_l1(fam, y, 0.1, 1.0)
-    l1_dense = mk.fit_l1(dense, y, 0.1, 1.0)
+    l1_dense = mk.fit_l1(dense, y, 0.1, 1.0, tol=1e-13)
+    assert l1_fast.converged and l1_dense.converged
     assert np.count_nonzero(l1_fast.mu) < fam.p
     npt.assert_allclose(l1_fast.alpha, l1_dense.alpha, rtol=0, atol=1e-9)
     npt.assert_allclose(l1_fast.mu, l1_dense.mu, rtol=0, atol=1e-9)
-    assert l1_fast.iterations == l1_dense.iterations
 
 
 # --- fit_l2 -------------------------------------------------------------------
@@ -565,6 +565,47 @@ def test_l1_scale_equivalent_combos_give_same_predictor(seed, budget, c):
     pred = sum(w * K for w, K in zip(base.mu, grams)) @ base.alpha
     pred_scaled = sum(w * K for w, K in zip(scaled.mu, grams)) @ scaled.alpha
     assert np.linalg.norm(pred_scaled - pred) <= 1e-6 * np.linalg.norm(pred)
+
+
+@settings(max_examples=100)
+@given(m=st.integers(4, 20), wide=st.booleans(), extra=st.integers(0, 8),
+       seed=st.integers(0, 10_000), log_lambda0=st.floats(-3.0, -1.0),
+       budget=st.floats(0.5, 100.0))
+def test_l1_path_start_matches_projected_gradient(m, wide, extra, seed, log_lambda0, budget):
+    # Rank-one families with m < p and m > p, each holding an all-zero
+    # column, a duplicated column and a negated duplicate (equal kernels).
+    rng = np.random.default_rng(seed)
+    q = m + 1 + extra if wide else max(2, m - 3 - extra)
+    base = rng.standard_normal((m, q))
+    F = np.column_stack([base, np.zeros(m), base[:, 0], -base[:, 1]])
+    F = F[:, rng.permutation(F.shape[1])]
+    fam = mk.KernelFamily(features=F, sample_id="path")
+    y = base[:, :2] @ rng.standard_normal(2) + 0.3 * rng.standard_normal(m)
+    lambda0 = 10.0 ** log_lambda0
+    res = mk.fit_l1(fam, y, lambda0, budget)
+    ref = mk.fit_l1(mk.KernelFamily.from_grams(fam.grams), y, lambda0, budget,
+                    tol=1e-12, max_iters=50000)
+    assert res.converged and ref.converged
+    assert res.objective_value == pytest.approx(ref.objective_value, rel=1e-8)
+    assert res.certificate_gap <= 1e-10 * max(1.0, abs(res.objective_value))
+
+
+@pytest.mark.parametrize("F, y", [
+    (np.eye(4), np.array([2.0, 2.0, 1.0, -1.0])),
+    (np.kron(np.eye(3), np.ones((2, 1))), np.array([1.0, 1.0, -1.0, -1.0, 0.5, 0.5])),
+])
+@pytest.mark.parametrize("lambda0, budget", [(0.01, 1.0), (0.1, 10.0), (0.001, 100.0)])
+def test_l1_path_start_handles_tied_columns(F, y, lambda0, budget):
+    # Orthogonal columns with equal |F'y|: tied columns join the path at
+    # the same knot and share the weight.
+    fam = mk.KernelFamily(features=F, sample_id="tied")
+    res = mk.fit_l1(fam, y, lambda0, budget)
+    ref = mk.fit_l1(mk.KernelFamily.from_grams(fam.grams), y, lambda0, budget,
+                    tol=1e-12, max_iters=50000)
+    assert res.converged
+    assert res.certificate_gap <= 1e-10 * max(1.0, abs(res.objective_value))
+    assert res.objective_value == pytest.approx(ref.objective_value, rel=1e-8)
+    assert res.mu[0] == pytest.approx(res.mu[1], rel=1e-12)
 
 
 def test_l1_budget_validation():
