@@ -9,7 +9,7 @@ identities and stability bounds.
 
 from .data import (Dataset, FoldPlan, NgramVocabulary, apply_vocabulary,
                    build_ngram_features, load_delimited, load_text_corpus,
-                   make_folds, rank1_family, split, tokenize)
+                   make_folds, rank1_family, tokenize)
 from .diagnostics import (BoundValues, StabilityReport, bound_values,
                           kkt_residuals, orthogonality_check, stability_trial,
                           weight_shift_identity_gap)
@@ -35,6 +35,6 @@ __all__ = [
     "load_text_corpus", "make_folds", "metric_misclassification",
     "metric_rmse", "objective", "oracle_fit", "orthogonality_check",
     "predict", "predict_weighted", "quad_forms", "rank1_family",
-    "run_experiment", "split", "stability_trial", "tokenize",
+    "run_experiment", "stability_trial", "tokenize",
     "update_weights", "weight_shift_identity_gap",
 ]

@@ -22,7 +22,6 @@ class Dataset:
 
     X: np.ndarray
     y: np.ndarray
-    feature_names: Optional[tuple] = None
     task: str = "regression"
 
     def __post_init__(self):
@@ -38,8 +37,6 @@ class Dataset:
             raise ConfigError(f"unknown task {self.task!r}; expected one of {TASKS}")
         if self.task == "classification_pm1" and not np.all(np.isin(y, (-1.0, 1.0))):
             raise DataError("classification targets must be exactly -1 or +1")
-        if self.feature_names is not None and len(self.feature_names) != X.shape[1]:
-            raise ShapeError("feature_names length differs from the number of columns")
         X = X.copy(); X.flags.writeable = False
         y = y.copy(); y.flags.writeable = False
         object.__setattr__(self, "X", X)
@@ -51,8 +48,7 @@ class Dataset:
 
     def take(self, indices) -> "Dataset":
         idx = np.asarray(indices, dtype=np.intp)
-        return Dataset(X=self.X[idx], y=self.y[idx],
-                       feature_names=self.feature_names, task=self.task)
+        return Dataset(X=self.X[idx], y=self.y[idx], task=self.task)
 
 
 def load_delimited(path, label_column: int = -1, delimiter: str = ",",
@@ -62,11 +58,11 @@ def load_delimited(path, label_column: int = -1, delimiter: str = ",",
 
     ``label_column`` indexes the target column (negative indices count
     from the end). With ``label_map``, raw label tokens are translated
-    through the mapping; unmapped tokens are rejected. Parse problems are
-    reported with their line and column.
+    through the mapping; unmapped tokens are rejected. With ``header``,
+    the first nonblank row is skipped. Parse problems are reported with
+    their line and column.
     """
     rows = []
-    names = None
     try:
         fh = open(path, newline="", encoding="utf-8")
     except OSError as exc:
@@ -76,8 +72,8 @@ def load_delimited(path, label_column: int = -1, delimiter: str = ",",
         for lineno, row in enumerate(reader, start=1):
             if not row or all(not cell.strip() for cell in row):
                 continue
-            if header and names is None and not rows:
-                names = [cell.strip() for cell in row]
+            if header:
+                header = False
                 continue
             rows.append((lineno, [cell.strip() for cell in row]))
     if not rows:
@@ -119,10 +115,7 @@ def load_delimited(path, label_column: int = -1, delimiter: str = ",",
         X_rows.append(feats)
         y_vals.append(label)
 
-    if names is not None:
-        names = tuple(n for i, n in enumerate(names) if i != label_idx)
-    return Dataset(X=np.asarray(X_rows), y=np.asarray(y_vals),
-                   feature_names=names, task=task)
+    return Dataset(X=np.asarray(X_rows), y=np.asarray(y_vals), task=task)
 
 
 def tokenize(text: str) -> list:
@@ -248,7 +241,6 @@ class FoldPlan:
 
     k: int
     assignments: np.ndarray
-    seed: int
 
     def __post_init__(self):
         a = np.asarray(self.assignments, dtype=np.intp).copy()
@@ -269,7 +261,7 @@ def make_folds(m: int, k: int, seed: int) -> FoldPlan:
     perm = rng.permutation(m)
     assignments = np.empty(m, dtype=np.intp)
     assignments[perm] = np.arange(m) % k
-    return FoldPlan(k=k, assignments=assignments, seed=seed)
+    return FoldPlan(k=k, assignments=assignments)
 
 
 def split_indices(m: int, fraction: float, seed: int):
@@ -281,9 +273,3 @@ def split_indices(m: int, fraction: float, seed: int):
         raise ConfigError(f"fraction {fraction} leaves an empty side for m={m}")
     perm = np.random.default_rng(seed).permutation(m)
     return np.sort(perm[:n_train]), np.sort(perm[n_train:])
-
-
-def split(dataset: Dataset, fraction: float, seed: int):
-    """Random train/test split with round(m * fraction) training rows."""
-    tr, te = split_indices(dataset.m, fraction, seed)
-    return dataset.take(tr), dataset.take(te)

@@ -11,13 +11,13 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import ConfigError, DataError, ShapeError
-from .kernels import (KernelFamily, KernelSpec, _as_matrix, _as_vector,
-                      _explicit_features, as_family, compute_kappa)
+from .kernels import (EXPLICIT_MAP_KINDS, KernelFamily, KernelSpec, _as_matrix, _as_vector,
+                      as_family, compute_kappa)
 from .solver import MklModel, MuWeights, _validated_radius, krr_solve, quad_forms
 
 
-def kkt_residuals(model: MklModel, family, y) -> tuple:
-    """Residuals of the stationarity conditions at a fitted model.
+def kkt_residuals(model: MklModel, family: KernelFamily, y) -> tuple:
+    """Residuals of the stationarity conditions at a model fitted on a KernelFamily.
 
     Returns (r_alpha, r_mu): the ridge-system residual
     ||(K(mu) + lam I) alpha - y|| and the normalized weight-direction
@@ -62,26 +62,24 @@ def weight_shift_identity_gap(v, v_prime, radius: float) -> float:
     return float(np.max(np.abs(direct - expanded)))
 
 
-def orthogonality_check(family: KernelFamily, X) -> Optional[bool]:
+def orthogonality_check(family: KernelFamily) -> Optional[bool]:
     """Whether the family's feature maps have pairwise disjoint support.
 
     Only kernels with a finite explicit embedding (rank-one coordinate
-    products and the constant offset) can be checked; any other kind
-    makes the question undecidable here and returns None. Otherwise True
-    iff, over the sample, no two kernels share an active coordinate.
+    products and the constant offset) can be checked; any other kind, or
+    no specs, makes the question undecidable here and returns None.
+    Otherwise True iff, over the sample, no two kernels share an active
+    coordinate.
     """
-    if family.specs is None:
+    specs = family.specs
+    if specs is None or not all(s.kind in EXPLICIT_MAP_KINDS for s in specs):
         return None
-    X = _as_matrix(X)
-    F = _explicit_features(family.specs, X)
-    if F is None:
-        return None
-    if X.shape[0] != family.m:
-        raise ShapeError("sample row count differs from the family's sample size")
-    # A kernel's coordinate is its (kind, feature_index); an all-zero
-    # column is inactive and shares nothing.
-    active = [(s.kind, s.feature_index)
-              for s, live in zip(family.specs, np.any(F != 0.0, axis=0)) if live]
+    # A kernel's coordinate is its (kind, feature_index); one that is zero
+    # on every sample row (zero column, zero Gram diagonal) shares nothing.
+    F = family.features
+    live = (np.any(F != 0.0, axis=0) if F is not None
+            else [np.any(np.diag(g.entries) != 0.0) for g in family.grams])
+    active = [(s.kind, s.feature_index) for s, on in zip(specs, live) if on]
     return len(set(active)) == len(active)
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 import os
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
@@ -62,6 +63,37 @@ def metric_misclassification(pred, y) -> float:
 
 _METRIC_FNS = {"rmse": metric_rmse, "misclassification": metric_misclassification}
 
+# Keys each dataset kind and kernel recipe reads, besides "kind".
+_SECTION_KEYS = {
+    "dataset": {
+        "delimited": {"path", "label_column", "delimiter", "task", "label_map", "header",
+                      "split_fraction"},
+        "text": {"path", "task", "split_fraction"},
+        "synthetic_sparse": {"n_features", "n_informative", "coef", "noise_sigma",
+                             "train_size", "test_size"},
+    },
+    "kernels": {
+        "explicit": {"specs"},
+        "rank1_all": {"include_offset"},
+        "ngram_rank1": {"n", "top", "include_offset"},
+    },
+}
+
+# Integer-valued keys of the experiment config, its dataset and kernels
+# sections, and the diagnose sections.
+_INT_KEYS = {"cv_folds", "trials", "seed", "l1_max_iters", "label_column", "n_features",
+             "n_informative", "train_size", "test_size", "n", "top", "cases", "dim",
+             "m", "d", "p"}
+
+
+def _require_ints(section: dict, where: str = ""):
+    """Raise ConfigError unless every integer-valued key present holds an
+    int; a bool or a float such as 2.5 is rejected, not truncated."""
+    for key in sorted(_INT_KEYS & set(section)):
+        value = section[key]
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ConfigError(f"{where}{key} must be an integer, got {value!r}")
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -83,10 +115,25 @@ class ExperimentConfig:
     fit: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if not isinstance(self.dataset, dict) or "kind" not in self.dataset:
-            raise ConfigError("dataset section must be a dict with a 'kind' key")
-        if not isinstance(self.kernels, dict) or "kind" not in self.kernels:
-            raise ConfigError("kernels section must be a dict with a 'kind' key")
+        for section, recipes in _SECTION_KEYS.items():
+            sec = getattr(self, section)
+            if not isinstance(sec, dict) or "kind" not in sec:
+                raise ConfigError(f"{section} section must be a dict with a 'kind' key")
+            kind = sec["kind"]
+            if not isinstance(kind, str) or kind not in recipes:
+                raise ConfigError(f"unknown {section} kind {kind!r}; expected {sorted(recipes)}")
+            unknown = set(sec) - recipes[kind] - {"kind"}
+            if unknown:
+                raise ConfigError(f"unknown {section} keys for kind {kind!r}: {sorted(unknown)}")
+            _require_ints(sec, f"{section}.")
+        if (self.dataset["kind"] == "text") != (self.kernels["kind"] == "ngram_rank1"):
+            raise ConfigError("text datasets need the ngram_rank1 kernel recipe, "
+                              "and ngram_rank1 needs a text dataset")
+        _require_ints({k: v for k, v in self.to_dict().items()
+                       if not (k == "seed" and v is None)})
+        for name in ("methods", "metrics", "lambda0_grid", "radius_grid", "budget_grid"):
+            if not isinstance(getattr(self, name), (list, tuple)):
+                raise ConfigError(f"{name} must be a list")
         for m in self.methods:
             if m not in METHODS:
                 raise ConfigError(f"unknown method {m!r}; expected a subset of {METHODS}")
@@ -97,8 +144,7 @@ class ExperimentConfig:
                 raise ConfigError(f"unknown metric {name!r}; expected a subset of {METRICS}")
         if not self.metrics:
             raise ConfigError("at least one metric must be selected")
-        task = ("regression" if self.dataset["kind"] == "synthetic_sparse"
-                else self.dataset.get("task", "regression"))
+        task = self.dataset.get("task", "regression")  # synthetic_sparse has no task key
         if "misclassification" in self.metrics and task != "classification_pm1":
             raise ConfigError("misclassification needs a dataset with task classification_pm1")
         if not self.lambda0_grid or not all(0 < v < math.inf for v in self.lambda0_grid):
@@ -269,10 +315,6 @@ class _Source:
             self.docs, self.labels = load_text_corpus(ds["path"])
             self.task = ds.get("task", "regression")
             self.fraction = float(ds.get("split_fraction", 0.5))
-        elif self.kind == "synthetic_sparse":
-            pass
-        else:
-            raise ConfigError(f"unknown dataset kind {self.kind!r}")
 
     def trial_data(self, trial_seed: np.random.SeedSequence):
         """Returns (train, test, audit) for one trial."""
@@ -292,8 +334,6 @@ class _Source:
             n_docs = len(self.docs)
             tr, te = split_indices(n_docs, self.fraction, split_seed)
             kcfg = self.cfg.kernels
-            if kcfg["kind"] != "ngram_rank1":
-                raise ConfigError("text datasets require the ngram_rank1 kernel recipe")
             counts_tr, vocab = build_ngram_features(
                 [self.docs[i] for i in tr],
                 n=int(kcfg.get("n", 2)),
@@ -318,20 +358,18 @@ def _index_checksum(indices) -> str:
 
 
 def build_family(kernels_cfg: dict, train: Dataset) -> KernelFamily:
-    """Materialize the configured kernel family on the training rows."""
-    kind = kernels_cfg["kind"]
-    include_offset = bool(kernels_cfg.get("include_offset", True))
-    if kind == "explicit":
+    """Materialize the kernel family of a validated ``kernels`` section on
+    the training rows; ``rank1_all`` and ``ngram_rank1`` give one rank-one
+    kernel per feature column."""
+    if kernels_cfg["kind"] == "explicit":
         specs = [KernelSpec.from_dict(s) for s in kernels_cfg["specs"]]
         if not specs:
             raise ConfigError("explicit kernel recipe needs at least one spec")
         return KernelFamily.from_specs(specs, train.X)
-    if kind in ("rank1_all", "ngram_rank1"):
-        specs = [KernelSpec.rank1(i) for i in range(train.X.shape[1])]
-        if include_offset:
-            specs.append(KernelSpec.constant())
-        return KernelFamily.from_specs(specs, train.X)
-    raise ConfigError(f"unknown kernel recipe {kind!r}")
+    specs = [KernelSpec.rank1(i) for i in range(train.X.shape[1])]
+    if kernels_cfg.get("include_offset", True):
+        specs.append(KernelSpec.constant())
+    return KernelFamily.from_specs(specs, train.X)
 
 
 # ---------------------------------------------------------------------------
@@ -371,12 +409,7 @@ def _fit_for_combo(method, family, y, combo: dict, cfg: ExperimentConfig):
             "objective": result.objective_value,
         }
         return result.mu, result.alpha, info, None
-    if method == "best_single":
-        fit_family = family.select_kernels([combo["kernel"]])
-    elif method in ("l2mkl", "uniform"):
-        fit_family = family
-    else:
-        raise ConfigError(f"unknown method {method!r}")
+    fit_family = family.select_kernels([combo["kernel"]]) if method == "best_single" else family
     # uniform carries no radius: it is the L2 fit pinned at mu = mu0.
     model, report = fit_l2(fit_family, y, lambda0, combo.get("radius", 0.0))
     info = {
@@ -481,7 +514,7 @@ def _run_trial(t: int, source: _Source, cfg: ExperimentConfig,
     folds = [(tr, va, family.subset(tr)) for tr, va in map(plan.fold_indices, range(k))]
     audit = dict(audit)
     audit["trial"] = t
-    ortho = diagnostics.orthogonality_check(family, train.X)
+    ortho = diagnostics.orthogonality_check(family)
     audit["orthogonality"] = ortho
     per_method = {}
     for method in cfg.methods:
@@ -645,7 +678,7 @@ def run_fit(config: ExperimentConfig) -> dict:
         "lambda0": combo["lambda0"],
         "rows": train.m,
         "kernels": family.p,
-        "orthogonality": diagnostics.orthogonality_check(family, train.X),
+        "orthogonality": diagnostics.orthogonality_check(family),
     }
     out.update(combo)
     mu, _alpha, info, kkt_args = _fit_for_combo(method, family, train.y, combo, config)
@@ -680,6 +713,7 @@ def run_diagnose(config: dict) -> dict:
         unknown = set(sec) - keys
         if unknown:
             raise ConfigError(f"unknown {name} keys: {sorted(unknown)}")
+        _require_ints(sec, f"{name}.")
     missing = _DIAGNOSE_KEYS["bounds"] - set(config.get("bounds", _DIAGNOSE_KEYS["bounds"]))
     if missing:
         raise ConfigError(f"missing bounds keys: {sorted(missing)}")
@@ -687,12 +721,12 @@ def run_diagnose(config: dict) -> dict:
 
     if "identity" in config:
         sec = config["identity"]
-        cases = int(sec.get("cases", 1000))
-        dim = int(sec.get("dim", 8))
+        cases = sec.get("cases", 1000)
+        dim = sec.get("dim", 8)
         if cases < 1 or dim < 1:
             raise ConfigError("identity cases and dim must be at least 1")
         radius = float(sec.get("radius", 1.0))
-        rng = np.random.default_rng(int(sec.get("seed", 0)))
+        rng = np.random.default_rng(sec.get("seed", 0))
         worst = 0.0
         for _ in range(cases):
             v = rng.uniform(0.0, 10.0, size=dim)
@@ -704,13 +738,13 @@ def run_diagnose(config: dict) -> dict:
 
     if "stability" in config:
         sec = config["stability"]
-        m = int(sec.get("m", 50))
-        d = int(sec.get("d", m))
+        m = sec.get("m", 50)
+        d = sec.get("d", m)
         if m < 1 or d < 1:
             raise ConfigError("stability m and d must be at least 1")
-        trials = int(sec.get("trials", 100))
+        trials = sec.get("trials", 100)
         lambda0 = float(sec.get("lambda0", 0.5))
-        seed = int(sec.get("seed", 0))
+        seed = sec.get("seed", 0)
         rng = np.random.default_rng(seed)
         w_true = rng.standard_normal(d) / np.sqrt(d)
 
@@ -741,7 +775,7 @@ def run_diagnose(config: dict) -> dict:
         vals = diagnostics.bound_values(
             kappa=float(sec["kappa"]), max_error=float(sec["max_error"]),
             radius=float(sec["radius"]), lambda0=float(sec["lambda0"]),
-            p=int(sec["p"]), m=int(sec["m"]), delta=float(sec["delta"]),
+            p=sec["p"], m=sec["m"], delta=float(sec["delta"]),
         )
         out["bounds"] = {
             "c0": vals.c0, "c1": vals.c1, "beta": vals.beta,

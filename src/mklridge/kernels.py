@@ -97,14 +97,6 @@ class KernelSpec:
     def constant(cls) -> "KernelSpec":
         return cls(kind="constant_offset")
 
-    def to_dict(self) -> dict:
-        d = {"kind": self.kind}
-        for key in ("bandwidth", "degree", "offset", "feature_index"):
-            val = getattr(self, key)
-            if val is not None:
-                d[key] = val
-        return d
-
     @classmethod
     def from_dict(cls, d: dict) -> "KernelSpec":
         if "kind" not in d:
@@ -401,20 +393,14 @@ class KernelFamily:
 
 
 def as_family(obj) -> KernelFamily:
-    """Coerce a family, a Gram matrix, or a sequence of matrices to a family."""
-    if isinstance(obj, KernelFamily):
-        return obj
-    if isinstance(obj, GramMatrix):
-        return KernelFamily.from_grams([obj])
-    if isinstance(obj, np.ndarray):
-        return KernelFamily.from_grams([obj])
-    if isinstance(obj, (list, tuple)):
-        return KernelFamily.from_grams(list(obj))
-    raise ConfigError(f"cannot interpret {type(obj).__name__} as a kernel family")
+    """Pass a KernelFamily through; anything else is a ConfigError."""
+    if not isinstance(obj, KernelFamily):
+        raise ConfigError(f"expected a KernelFamily, got {type(obj).__name__}")
+    return obj
 
 
-def combine(family, mu) -> GramMatrix:
-    """The weighted kernel K(mu) = sum_k mu_k K_k for nonnegative mu.
+def combine(family: KernelFamily, mu) -> GramMatrix:
+    """The weighted kernel K(mu) = sum_k mu_k K_k of a KernelFamily, mu >= 0.
 
     Its entries are :meth:`KernelFamily.combined_entries`, the K(mu) the
     solvers use.
@@ -425,7 +411,7 @@ def combine(family, mu) -> GramMatrix:
     return GramMatrix(entries=fam.combined_entries(mu), sample_id=fam.sample_id)
 
 
-def compute_kappa(family, mu_norm_bound: float) -> float:
+def compute_kappa(family: KernelFamily, mu_norm_bound: float) -> float:
     """Bound on the combined kernel's diagonal: kappa0 * (||mu0|| + radius)."""
     fam = as_family(family)
     if not 0.0 <= mu_norm_bound < np.inf:

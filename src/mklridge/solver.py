@@ -42,15 +42,6 @@ PGD_MEMORY = 10
 L1_PATH_MAX_KNOTS = 4
 
 
-def _gram_entries(K) -> np.ndarray:
-    if isinstance(K, GramMatrix):
-        return K.entries
-    K = np.asarray(K, dtype=np.float64)
-    if K.ndim != 2 or K.shape[0] != K.shape[1]:
-        raise ShapeError(f"kernel matrix must be square, got shape {K.shape}")
-    return K
-
-
 def _cholesky(B: np.ndarray, smallest):
     try:
         return scipy.linalg.cho_factor(B, lower=True, check_finite=False)
@@ -134,7 +125,9 @@ def krr_solve(K, y, lam: float) -> np.ndarray:
     K must be PSD and lam > 0, so K + lam I is positive definite and a
     Cholesky solve applies.
     """
-    A = _gram_entries(K)
+    A = K.entries if isinstance(K, GramMatrix) else np.asarray(K, dtype=np.float64)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise ShapeError(f"kernel matrix must be square, got shape {A.shape}")
     y = _as_vector(y, "y")
     if A.shape[0] != y.shape[0]:
         raise ShapeError(f"K is {A.shape[0]}x{A.shape[0]} but y has length {y.shape[0]}")
@@ -145,7 +138,7 @@ def krr_solve(K, y, lam: float) -> np.ndarray:
 
 
 def quad_forms(alpha, family) -> np.ndarray:
-    """Per-kernel quadratic forms v_k = alpha' K_k alpha.
+    """Per-kernel quadratic forms v_k = alpha' K_k alpha of a KernelFamily.
 
     Entries are nonnegative for PSD kernels; roundoff negatives within
     ``NEG_QUAD_TOL`` are clamped to zero (and logged), anything lower is
@@ -303,15 +296,13 @@ class MklModel:
 
 @dataclass(frozen=True, eq=False)
 class SolveReport:
-    """Objective value and optional per-iteration (step, objective) pairs."""
+    """Reduced dual objective at the returned model."""
 
     objective_value: float
-    trajectory: Optional[tuple] = None
 
 
 def fit_l2(family, y, lambda0: float, radius: float, mu0=None,
-           eta: float = 0.5, epsilon: Optional[float] = None,
-           max_iters: int = 200, record_trajectory: bool = False):
+           eta: float = 0.5, epsilon: Optional[float] = None, max_iters: int = 200):
     """Learn kernel weights under the L2 ball constraint.
 
     Interpolated fixed-point iteration: starting from the anchor-kernel
@@ -322,7 +313,7 @@ def fit_l2(family, y, lambda0: float, radius: float, mu0=None,
 
     Parameters
     ----------
-    family : KernelFamily or sequence of Gram matrices
+    family : KernelFamily
     y : length-m target vector
     lambda0 : per-point ridge weight; the solve uses lam = lambda0 * m
     radius : weight-ball radius (0 freezes mu at mu0)
@@ -331,7 +322,6 @@ def fit_l2(family, y, lambda0: float, radius: float, mu0=None,
     epsilon : stopping threshold on ||alpha_next - alpha||;
         default 1e-8 * (1 + ||y||)
     max_iters : iteration cap; exceeding it returns converged=False
-    record_trajectory : store (step, objective) per iteration
 
     Returns
     -------
@@ -356,7 +346,6 @@ def fit_l2(family, y, lambda0: float, radius: float, mu0=None,
     converged = False
     iterations = 0
     step = float("inf")
-    traj = [] if record_trajectory else None
     for it in range(1, max_iters + 1):
         alpha = alpha_next
         # quad_forms returns v >= 0, the domain of the closed form.
@@ -367,9 +356,6 @@ def fit_l2(family, y, lambda0: float, radius: float, mu0=None,
             raise NumericalError("weight-learning iteration diverged to non-finite values")
         step = float(np.linalg.norm(alpha_next - alpha))
         iterations = it
-        if record_trajectory:
-            vq = quad_forms(alpha_next, fam)
-            traj.append((step, objective(alpha_next, y, lam, vq, mu0, radius)))
         if step < epsilon:
             converged = True
             break
@@ -386,11 +372,7 @@ def fit_l2(family, y, lambda0: float, radius: float, mu0=None,
         converged=converged,
         final_step=step,
     )
-    report = SolveReport(
-        objective_value=objective(alpha_out, y, lam, quad_out, mu0, radius),
-        trajectory=None if traj is None else tuple(traj),
-    )
-    return model, report
+    return model, SolveReport(objective(alpha_out, y, lam, quad_out, mu0, radius))
 
 
 # ---------------------------------------------------------------------------

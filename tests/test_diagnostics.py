@@ -128,42 +128,59 @@ def test_identity_property(p, radius, seed):
 def test_orthogonality_distinct_rank1_true():
     X = np.abs(np.random.default_rng(0).standard_normal((5, 3)))
     fam = mk.KernelFamily.from_specs([KernelSpec.rank1(0), KernelSpec.rank1(2)], X)
-    assert mk.orthogonality_check(fam, X) is True
+    assert mk.orthogonality_check(fam) is True
 
 
 def test_orthogonality_same_index_false():
     X = np.abs(np.random.default_rng(1).standard_normal((5, 3)))
     fam = mk.KernelFamily.from_specs([KernelSpec.rank1(1), KernelSpec.rank1(1)], X)
-    assert mk.orthogonality_check(fam, X) is False
+    assert mk.orthogonality_check(fam) is False
 
 
 def test_orthogonality_gaussian_not_checkable():
     X = np.random.default_rng(2).standard_normal((5, 3))
     fam = mk.KernelFamily.from_specs([KernelSpec.gaussian(1.0), KernelSpec.rank1(0)], X)
-    assert mk.orthogonality_check(fam, X) is None
+    assert mk.orthogonality_check(fam) is None
 
 
 def test_orthogonality_offset_and_rank1_true():
     X = np.abs(np.random.default_rng(3).standard_normal((4, 2)))
     fam = mk.rank1_family(X, include_offset=True)
-    assert mk.orthogonality_check(fam, X) is True
+    assert mk.orthogonality_check(fam) is True
 
 
 def test_orthogonality_two_offsets_false():
     X = np.ones((3, 1))
     fam = mk.KernelFamily.from_specs([KernelSpec.constant(), KernelSpec.constant()], X)
-    assert mk.orthogonality_check(fam, X) is False
+    assert mk.orthogonality_check(fam) is False
 
 
 def test_orthogonality_dead_column_is_vacuously_true():
     X = np.array([[0.0, 1.0], [0.0, 2.0]])
     fam = mk.KernelFamily.from_specs([KernelSpec.rank1(0), KernelSpec.rank1(0)], X)
-    assert mk.orthogonality_check(fam, X) is True
+    assert mk.orthogonality_check(fam) is True
+
+
+@pytest.mark.parametrize("derive", ["subset", "select_kernels"])
+def test_orthogonality_of_derived_family_matches_direct_build(derive):
+    # Column 1 is zero on rows 0-1 only, so a row subset can make it inactive.
+    X = np.array([[0.0, 0.0, 2.0], [1.0, 0.0, 0.0], [3.0, 5.0, 1.0], [0.0, 4.0, 2.0]])
+    specs = [KernelSpec.rank1(0), KernelSpec.rank1(1), KernelSpec.rank1(1),
+             KernelSpec.constant(), KernelSpec.gaussian(1.0)]
+    for rows, kernels in (([0, 1], [0, 1, 2, 3]), ([2, 3], [1, 2]), ([0, 3], [0, 3])):
+        if derive == "subset":
+            derived = mk.KernelFamily.from_specs(specs[:4], X).subset(rows)
+            direct = mk.KernelFamily.from_specs(specs[:4], X[rows])
+        else:
+            derived = mk.KernelFamily.from_specs(specs, X).select_kernels(kernels)
+            direct = mk.KernelFamily.from_specs([specs[k] for k in kernels], X)
+        assert mk.orthogonality_check(derived) is mk.orthogonality_check(direct)
+        assert mk.orthogonality_check(direct) is not None
 
 
 def test_orthogonality_without_specs_not_checkable():
     fam = mk.KernelFamily.from_grams([np.eye(3)])
-    assert mk.orthogonality_check(fam, np.zeros((3, 1))) is None
+    assert mk.orthogonality_check(fam) is None
 
 
 # --- stability_trial --------------------------------------------------------------

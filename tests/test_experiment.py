@@ -113,6 +113,74 @@ def test_config_rejects_bad_l1_settings(key, bad):
         ExperimentConfig.from_dict(_tiny_config(**{key: bad}))
 
 
+_EXPLICIT = {"kind": "explicit", "specs": [{"kind": "linear"}]}
+_TEXT = {"kind": "text", "path": "corpus.txt"}
+
+
+@pytest.mark.parametrize("overrides, match", [
+    ({"dataset": {**_tiny_config()["dataset"], "n_feature": 5}}, r"dataset keys.*n_feature"),
+    ({"kernels": {"kind": "rank1_all", "include_ofset": False}}, r"kernels keys.*include_ofset"),
+    ({"kernels": {**_EXPLICIT, "include_offset": True}}, r"kernels keys.*include_offset"),
+    ({"dataset": {"kind": "synthetic_sparse", "task": "regression"}}, r"dataset keys.*task"),
+    ({"dataset": {"kind": "nope"}}, "unknown dataset kind 'nope'"),
+    ({"kernels": {"kind": "nope"}}, "unknown kernels kind 'nope'"),
+    ({"dataset": _TEXT}, "ngram_rank1"),
+    ({"dataset": _TEXT, "kernels": _EXPLICIT}, "ngram_rank1"),
+    ({"kernels": {"kind": "ngram_rank1"}}, "ngram_rank1"),
+])
+def test_config_rejects_bad_sections_at_load(tmp_path, overrides, match):
+    cfg = _tiny_config(trials=1, **overrides)
+    with pytest.raises(ConfigError, match=match):
+        ExperimentConfig.from_dict(cfg)
+    result = CliRunner().invoke(main, ["experiment", "--config", _write_config(tmp_path, cfg)])
+    assert result.exit_code == 1
+    assert "config error" in result.output
+
+
+@pytest.mark.parametrize("overrides, match", [
+    ({"cv_folds": 2.5}, "cv_folds must be an integer"),
+    ({"cv_folds": True}, "cv_folds must be an integer"),
+    ({"trials": 1.5}, "trials must be an integer"),
+    ({"seed": 1.5}, "seed must be an integer"),
+    ({"seed": "abc"}, "seed must be an integer"),
+    ({"l1_max_iters": 2.5}, "l1_max_iters must be an integer"),
+    ({"dataset": {**_tiny_config()["dataset"], "n_features": 6.5}},
+     "dataset.n_features must be an integer"),
+    ({"methods": "uniform"}, "methods must be a list"),
+    ({"metrics": "rmse"}, "metrics must be a list"),
+    ({"lambda0_grid": 0.1}, "lambda0_grid must be a list"),
+])
+def test_config_requires_ints_and_lists(tmp_path, overrides, match):
+    cfg = _tiny_config(**overrides)
+    with pytest.raises(ConfigError, match=match):
+        ExperimentConfig.from_dict(cfg)
+    result = CliRunner().invoke(main, ["experiment", "--config", _write_config(tmp_path, cfg)])
+    assert result.exit_code == 1
+    assert "config error" in result.output
+
+
+_DELIMITED = {"kind": "delimited", "path": "d.csv", "label_column": 0, "delimiter": ";",
+              "task": "regression", "label_map": None, "header": True, "split_fraction": 0.5}
+_NGRAM_TEXT = {"dataset": {**_TEXT, "task": "classification_pm1", "split_fraction": 0.5},
+               "kernels": {"kind": "ngram_rank1", "n": 2, "top": 10, "include_offset": False}}
+
+
+@pytest.mark.parametrize("overrides, section", [
+    ({"dataset": _DELIMITED}, "dataset"),
+    ({"dataset": {**_tiny_config()["dataset"], "coef": 2.0}}, "dataset"),
+    (_NGRAM_TEXT, "dataset"),
+    (_NGRAM_TEXT, "kernels"),
+    ({"kernels": _EXPLICIT}, "kernels"),
+    ({"kernels": {"kind": "rank1_all", "include_offset": False}}, "kernels"),
+])
+def test_config_section_takes_exactly_its_recipe_keys(overrides, section):
+    cfg = _tiny_config(trials=1, seed=None, **overrides)
+    ExperimentConfig.from_dict(cfg)
+    cfg[section] = {**cfg[section], "extra": 1}
+    with pytest.raises(ConfigError, match=f"unknown {section} keys"):
+        ExperimentConfig.from_dict(cfg)
+
+
 def _regression_csv(tmp_path):
     path = tmp_path / "reg.csv"
     rows = np.random.default_rng(3).standard_normal((12, 3))
@@ -643,6 +711,9 @@ BOUNDS = {"kappa": 1.0, "max_error": 1.0, "radius": 1.0,
     ({"identity": {"cases": 3, "radius": -1.0}}, "radius"),
     ({"stability": {"m": 0}}, "at least 1"),
     ({"stability": {"m": 5, "d": 0}}, "at least 1"),
+    ({"identity": {"cases": 2.5}}, "identity.cases must be an integer"),
+    ({"stability": {"m": 5, "seed": "1"}}, "stability.seed must be an integer"),
+    ({"bounds": {**BOUNDS, "p": 2.5}}, "bounds.p must be an integer"),
 ])
 def test_run_diagnose_rejects_bad_section_keys(tmp_path, diag, match):
     with pytest.raises(ConfigError, match=match):

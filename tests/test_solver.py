@@ -336,15 +336,6 @@ def test_fit_max_iters_exhaustion_flagged():
     assert model.iterations == 2
 
 
-def test_fit_trajectory_recording():
-    fam, y, lambda0, radius = random_psd_instance(61)
-    model, report = mk.fit_l2(fam, y, lambda0, radius, record_trajectory=True)
-    assert report.trajectory is not None
-    assert len(report.trajectory) == model.iterations
-    steps = [s for s, _ in report.trajectory]
-    assert steps[-1] == model.final_step
-
-
 def test_fit_parameter_validation():
     fam, y, _, _ = random_psd_instance(71)
     with pytest.raises(ConfigError):
@@ -362,6 +353,17 @@ def test_fit_parameter_validation():
         mk.fit_l2(fam, y, 0.1, 1.0, eta=1.0)
     with pytest.raises(ConfigError):
         mk.fit_l2(fam, y, 0.1, 1.0, mu0=np.full(fam.p, 2.0))
+
+
+def test_family_arguments_must_be_kernel_families():
+    fam, y, lambda0, radius = random_psd_instance(72)
+    K = fam.grams[0]
+    model, _ = mk.fit_l2(fam.select_kernels([0]), y, lambda0, radius)
+    for call in (lambda: mk.fit_l2([K], y, lambda0, radius),
+                 lambda: mk.quad_forms(model.alpha, K.entries),
+                 lambda: mk.kkt_residuals(model, [K], y)):
+        with pytest.raises(ConfigError, match="KernelFamily"):
+            call()
 
 
 @pytest.mark.parametrize("case", ["dense", "rank1", "dense_v0", "rank1_v0"])
