@@ -142,6 +142,8 @@ def load_text_corpus(path):
                 label = float(token)
             except ValueError as exc:
                 raise DataError(f"line {lineno}: non-numeric label {token!r}") from exc
+            if not np.isfinite(label):
+                raise DataError(f"line {lineno}: non-finite label {token!r}")
             docs.append(tokenize(text))
             labels.append(label)
     if not docs:

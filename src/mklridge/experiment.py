@@ -11,22 +11,21 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
-import numbers
 import os
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
-from typing import Optional
+from functools import partial
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from . import diagnostics
-from .data import (Dataset, apply_vocabulary, build_ngram_features,
+from .data import (TASKS, Dataset, apply_vocabulary, build_ngram_features,
                    load_delimited, load_text_corpus, make_folds, split_indices)
 from .errors import ConfigError, DataError, NumericalError, ShapeError
-from .kernels import KernelFamily, KernelSpec
-from .solver import fit_l1, fit_l2, predict_weighted
+from .kernels import KernelFamily, KernelSpec, _is_number
+from .solver import MuWeights, fit_l1, fit_l2, predict_weighted
 
 METHODS = ("l2mkl", "l1mkl", "uniform", "best_single")
 METRICS = ("rmse", "misclassification")
@@ -63,36 +62,122 @@ def metric_misclassification(pred, y) -> float:
 
 _METRIC_FNS = {"rmse": metric_rmse, "misclassification": metric_misclassification}
 
-# Keys each dataset kind and kernel recipe reads, besides "kind".
-_SECTION_KEYS = {
-    "dataset": {
-        "delimited": {"path", "label_column", "delimiter", "task", "label_map", "header",
-                      "split_fraction"},
-        "text": {"path", "task", "split_fraction"},
-        "synthetic_sparse": {"n_features", "n_informative", "coef", "noise_sigma",
-                             "train_size", "test_size"},
+
+class _Rule(NamedTuple):
+    """What one config value may be: ``text`` says it in errors."""
+
+    text: str
+    test: Callable
+    required: bool = False
+
+
+def _int(low) -> _Rule:
+    return _Rule(f"an integer of at least {low}",
+                 lambda v: _is_number(v, integral=True) and v >= low)
+
+
+def _one_of(choices) -> _Rule:
+    return _Rule(f"one of {list(choices)}", lambda v: isinstance(v, str) and v in choices)
+
+
+def _optional(rule: _Rule) -> _Rule:
+    return _Rule(f"{rule.text} or null", lambda v: v is None or rule.test(v))
+
+
+def _required(rule: _Rule) -> _Rule:
+    return rule._replace(required=True)
+
+
+def _list_of(item: _Rule, nonempty=False, distinct=False) -> _Rule:
+    text = f"a list of {'one or more ' * nonempty}{'distinct ' * distinct}values, each {item.text}"
+    return _Rule(text, lambda v: isinstance(v, (list, tuple)) and len(v) >= nonempty
+                 and all(map(item.test, v)) and not (distinct and len(set(v)) < len(v)))
+
+
+_POSITIVE = _Rule("a positive finite number", lambda v: _is_number(v) and v > 0)
+_NONNEGATIVE = _Rule("a nonnegative finite number", lambda v: _is_number(v) and v >= 0)
+_FRACTION = _Rule("a number strictly between 0 and 1", lambda v: _is_number(v) and 0 < v < 1)
+_BOOL = _Rule("true or false", lambda v: isinstance(v, bool))
+_TEXT = _Rule("a nonempty string", lambda v: isinstance(v, str) and v != "")
+_OBJECT = _Rule("a JSON object", lambda v: isinstance(v, dict))
+_CHAR = _Rule("a one-character string", lambda v: isinstance(v, str) and len(v) == 1)
+_LABEL_MAP = _Rule("null or a JSON object of finite numbers", lambda v: v is None or (
+    isinstance(v, dict) and all(map(_is_number, v.values()))))
+
+# Every key each config section reads, with the rule for its value. A
+# section with a selector is (selector key, its default, rules per value).
+_RULES = {
+    "config": {
+        "dataset": _required(_OBJECT), "kernels": _required(_OBJECT),
+        "methods": _list_of(_one_of(METHODS), nonempty=True, distinct=True),
+        "lambda0_grid": _list_of(_POSITIVE, nonempty=True),
+        "radius_grid": _list_of(_NONNEGATIVE), "budget_grid": _list_of(_POSITIVE),
+        "cv_folds": _int(2), "trials": _int(1), "seed": _optional(_int(0)),
+        "metrics": _list_of(_one_of(METRICS), nonempty=True, distinct=True),
+        "l1_max_iters": _int(1), "l1_tol": _POSITIVE, "out": _optional(_TEXT), "fit": _OBJECT,
     },
-    "kernels": {
-        "explicit": {"specs"},
-        "rank1_all": {"include_offset"},
-        "ngram_rank1": {"n", "top", "include_offset"},
-    },
+    "dataset": ("kind", None, {
+        "delimited": {"path": _required(_TEXT),
+                      "label_column": _Rule("an integer", partial(_is_number, integral=True)),
+                      "delimiter": _CHAR, "task": _one_of(TASKS), "label_map": _LABEL_MAP,
+                      "header": _BOOL, "split_fraction": _FRACTION},
+        "text": {"path": _required(_TEXT), "task": _one_of(TASKS), "split_fraction": _FRACTION},
+        "synthetic_sparse": {"n_features": _int(1), "n_informative": _int(1),
+                             "coef": _Rule("a finite number", _is_number),
+                             "noise_sigma": _NONNEGATIVE, "train_size": _int(1),
+                             "test_size": _int(1)},
+    }),
+    "kernels": ("kind", None, {
+        "explicit": {"specs": _required(_list_of(_OBJECT, nonempty=True))},
+        "rank1_all": {"include_offset": _BOOL},
+        "ngram_rank1": {"n": _int(1), "top": _int(1), "include_offset": _BOOL},
+    }),
+    "kernel spec": ("kind", None, {
+        "gaussian": {"bandwidth": _required(_POSITIVE)},
+        "linear": {},
+        "polynomial": {"degree": _required(_int(1)), "offset": _NONNEGATIVE},
+        "rank1_feature": {"feature_index": _required(_int(0))},
+        "constant_offset": {},
+    }),
+    "fit": ("method", "l2mkl", {
+        "l2mkl": {"lambda0": _POSITIVE, "radius": _NONNEGATIVE},
+        "l1mkl": {"lambda0": _POSITIVE, "budget": _POSITIVE},
+        "uniform": {"lambda0": _POSITIVE},
+    }),
+    "diagnose": {"identity": _OBJECT, "stability": _OBJECT, "bounds": _OBJECT},
+    "identity": {"cases": _int(1), "dim": _int(1), "radius": _NONNEGATIVE, "seed": _int(0)},
+    "stability": {"m": _int(1), "d": _int(1), "trials": _int(1), "lambda0": _POSITIVE,
+                  "seed": _int(0)},
+    "bounds": {"kappa": _required(_POSITIVE), "max_error": _required(_POSITIVE),
+               "radius": _required(_NONNEGATIVE), "lambda0": _required(_POSITIVE),
+               "p": _required(_int(1)), "m": _required(_int(1)),
+               "delta": _required(_FRACTION)},
 }
 
-# Integer-valued keys of the experiment config, its dataset and kernels
-# sections, and the diagnose sections.
-_INT_KEYS = {"cv_folds", "trials", "seed", "l1_max_iters", "label_column", "n_features",
-             "n_informative", "train_size", "test_size", "n", "top", "cases", "dim",
-             "m", "d", "p"}
 
-
-def _require_ints(section: dict, where: str = ""):
-    """Raise ConfigError unless every integer-valued key present holds an
-    int; a bool or a float such as 2.5 is rejected, not truncated."""
-    for key in sorted(_INT_KEYS & set(section)):
-        value = section[key]
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise ConfigError(f"{where}{key} must be an integer, got {value!r}")
+def _check(name: str, section, path: str = ""):
+    """Raise ConfigError unless ``section`` is a JSON object whose keys and
+    values obey ``_RULES[name]``; ``path`` prefixes key names in errors.
+    Returns the section's selector value, or None if it has no selector."""
+    if not isinstance(section, dict):
+        raise ConfigError(f"{path[:-1] or name} must be a JSON object, got {section!r}")
+    rules, kind, selector, where = _RULES[name], None, (), ""
+    if isinstance(rules, tuple):
+        key, default, by_kind = rules
+        kind = section.get(key, default)
+        if not (isinstance(kind, str) and kind in by_kind):
+            raise ConfigError(f"unknown {name} {key} {kind!r}; expected one of {list(by_kind)}")
+        rules, selector, where = by_kind[kind], (key,), f" for {key} {kind!r}"
+    unknown = set(section).difference(rules, selector)
+    if unknown:
+        raise ConfigError(f"unknown {name} keys{where}: {sorted(unknown)}")
+    missing = [key for key, rule in rules.items() if rule.required and key not in section]
+    if missing:
+        raise ConfigError(f"missing {name} keys{where}: {missing}")
+    for key, rule in rules.items():
+        if key in section and not rule.test(section[key]):
+            raise ConfigError(f"{path}{key} must be {rule.text}, got {section[key]!r}")
+    return kind
 
 
 @dataclass(frozen=True)
@@ -115,79 +200,34 @@ class ExperimentConfig:
     fit: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        for section, recipes in _SECTION_KEYS.items():
-            sec = getattr(self, section)
-            if not isinstance(sec, dict) or "kind" not in sec:
-                raise ConfigError(f"{section} section must be a dict with a 'kind' key")
-            kind = sec["kind"]
-            if not isinstance(kind, str) or kind not in recipes:
-                raise ConfigError(f"unknown {section} kind {kind!r}; expected {sorted(recipes)}")
-            unknown = set(sec) - recipes[kind] - {"kind"}
-            if unknown:
-                raise ConfigError(f"unknown {section} keys for kind {kind!r}: {sorted(unknown)}")
-            _require_ints(sec, f"{section}.")
+        _check("config", self.to_dict())
+        _check("dataset", self.dataset, "dataset.")
+        if _check("kernels", self.kernels, "kernels.") == "explicit":
+            for i, spec in enumerate(self.kernels["specs"]):
+                _check("kernel spec", spec, f"kernels.specs[{i}].")
         if (self.dataset["kind"] == "text") != (self.kernels["kind"] == "ngram_rank1"):
             raise ConfigError("text datasets need the ngram_rank1 kernel recipe, "
                               "and ngram_rank1 needs a text dataset")
-        _require_ints({k: v for k, v in self.to_dict().items()
-                       if not (k == "seed" and v is None)})
-        for name in ("methods", "metrics", "lambda0_grid", "radius_grid", "budget_grid"):
-            if not isinstance(getattr(self, name), (list, tuple)):
-                raise ConfigError(f"{name} must be a list")
-        for m in self.methods:
-            if m not in METHODS:
-                raise ConfigError(f"unknown method {m!r}; expected a subset of {METHODS}")
-        if not self.methods:
-            raise ConfigError("at least one method must be selected")
-        for name in self.metrics:
-            if name not in METRICS:
-                raise ConfigError(f"unknown metric {name!r}; expected a subset of {METRICS}")
-        if not self.metrics:
-            raise ConfigError("at least one metric must be selected")
         task = self.dataset.get("task", "regression")  # synthetic_sparse has no task key
         if "misclassification" in self.metrics and task != "classification_pm1":
             raise ConfigError("misclassification needs a dataset with task classification_pm1")
-        if not self.lambda0_grid or not all(0 < v < math.inf for v in self.lambda0_grid):
-            raise ConfigError("lambda0_grid must be nonempty with positive finite entries")
-        if "l2mkl" in self.methods and not self.radius_grid:
-            raise ConfigError("radius_grid must be nonempty when l2mkl is selected")
-        if not all(0 <= v < math.inf for v in self.radius_grid):
-            raise ConfigError("radius_grid entries must be finite and nonnegative")
-        if "l1mkl" in self.methods:
-            if not self.budget_grid or not all(0 < v < math.inf for v in self.budget_grid):
-                raise ConfigError("budget_grid must be nonempty with positive finite entries")
-        if self.cv_folds < 2:
-            raise ConfigError("cv_folds must be at least 2")
-        if self.trials < 1:
-            raise ConfigError("trials must be at least 1")
+        for method, grid in (("l2mkl", "radius_grid"), ("l1mkl", "budget_grid")):
+            if method in self.methods and not getattr(self, grid):
+                raise ConfigError(f"{grid} must be nonempty when {method} is selected")
         if self.trials > 1 and self.seed is None:
             raise ConfigError("a seed is required when trials > 1")
-        if not 0 < self.l1_tol < math.inf:
-            raise ConfigError("l1_tol must be positive and finite")
-        if self.l1_max_iters < 1:
-            raise ConfigError("l1_max_iters must be at least 1")
-        object.__setattr__(self, "methods", tuple(self.methods))
-        object.__setattr__(self, "metrics", tuple(self.metrics))
-        object.__setattr__(self, "lambda0_grid", tuple(float(v) for v in self.lambda0_grid))
-        object.__setattr__(self, "radius_grid", tuple(float(v) for v in self.radius_grid))
-        object.__setattr__(self, "budget_grid", tuple(float(v) for v in self.budget_grid))
+        for name in ("methods", "metrics", "lambda0_grid", "radius_grid", "budget_grid"):
+            values = getattr(self, name)
+            object.__setattr__(self, name, tuple(map(float, values) if "grid" in name else values))
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        allowed = {f for f in cls.__dataclass_fields__}
-        unknown = set(d) - allowed
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        if "dataset" not in d or "kernels" not in d:
-            raise ConfigError("config requires 'dataset' and 'kernels' sections")
+        _check("config", d)  # cls(**d) cannot take an unknown or a missing key
         return cls(**d)
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
-        raw = read_json(path, ConfigError, "config")
-        if not isinstance(raw, dict):
-            raise ConfigError("config root must be a JSON object")
-        return cls.from_dict(raw)
+        return cls.from_dict(read_json(path, ConfigError, "config"))
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -278,14 +318,14 @@ def _write_text_atomic(text: str, path) -> str:
 
 def synthetic_sparse(dataset_cfg: dict, rng: np.random.Generator):
     """Sparse linear signal: a few unit-coefficient features plus noise."""
-    d = int(dataset_cfg.get("n_features", 200))
-    ni = int(dataset_cfg.get("n_informative", 10))
-    coef = float(dataset_cfg.get("coef", 1.0))
-    sigma = float(dataset_cfg.get("noise_sigma", 0.5))
-    n_train = int(dataset_cfg.get("train_size", 200))
-    n_test = int(dataset_cfg.get("test_size", 200))
-    if not 1 <= ni <= d:
-        raise ConfigError("n_informative must lie in [1, n_features]")
+    d = dataset_cfg.get("n_features", 200)
+    ni = dataset_cfg.get("n_informative", 10)
+    coef = dataset_cfg.get("coef", 1.0)
+    sigma = dataset_cfg.get("noise_sigma", 0.5)
+    n_train = dataset_cfg.get("train_size", 200)
+    n_test = dataset_cfg.get("test_size", 200)
+    if ni > d:
+        raise ConfigError("n_informative must not exceed n_features")
     total = n_train + n_test
     X = rng.standard_normal((total, d))
     y = coef * X[:, :ni].sum(axis=1) + rng.normal(scale=sigma, size=total)
@@ -301,20 +341,19 @@ class _Source:
         self.cfg = config
         ds = config.dataset
         self.kind = ds["kind"]
+        self.fraction = ds.get("split_fraction", 0.5)
         if self.kind == "delimited":
             self.base = load_delimited(
                 ds["path"],
-                label_column=int(ds.get("label_column", -1)),
+                label_column=ds.get("label_column", -1),
                 delimiter=ds.get("delimiter", ","),
                 task=ds.get("task", "regression"),
                 label_map=ds.get("label_map"),
-                header=bool(ds.get("header", False)),
+                header=ds.get("header", False),
             )
-            self.fraction = float(ds.get("split_fraction", 0.5))
         elif self.kind == "text":
             self.docs, self.labels = load_text_corpus(ds["path"])
             self.task = ds.get("task", "regression")
-            self.fraction = float(ds.get("split_fraction", 0.5))
 
     def trial_data(self, trial_seed: np.random.SeedSequence):
         """Returns (train, test, audit) for one trial."""
@@ -336,8 +375,8 @@ class _Source:
             kcfg = self.cfg.kernels
             counts_tr, vocab = build_ngram_features(
                 [self.docs[i] for i in tr],
-                n=int(kcfg.get("n", 2)),
-                top=int(kcfg.get("top", 100)),
+                n=kcfg.get("n", 2),
+                top=kcfg.get("top", 100),
             )
             counts_te = apply_vocabulary([self.docs[i] for i in te], vocab)
             train = Dataset(X=counts_tr, y=self.labels[tr], task=self.task)
@@ -362,10 +401,7 @@ def build_family(kernels_cfg: dict, train: Dataset) -> KernelFamily:
     the training rows; ``rank1_all`` and ``ngram_rank1`` give one rank-one
     kernel per feature column."""
     if kernels_cfg["kind"] == "explicit":
-        specs = [KernelSpec.from_dict(s) for s in kernels_cfg["specs"]]
-        if not specs:
-            raise ConfigError("explicit kernel recipe needs at least one spec")
-        return KernelFamily.from_specs(specs, train.X)
+        return KernelFamily.from_specs([KernelSpec(**s) for s in kernels_cfg["specs"]], train.X)
     specs = [KernelSpec.rank1(i) for i in range(train.X.shape[1])]
     if kernels_cfg.get("include_offset", True):
         specs.append(KernelSpec.constant())
@@ -586,17 +622,18 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> dict:
 # Tables
 # ---------------------------------------------------------------------------
 
-def _table_rows(report: dict):
-    rows = []
-    for method in report["methods"]:
-        entry = report["methods"][method]
-        for name in entry["mean"]:
-            rows.append({
-                "method": method,
-                "metric": name,
-                "mean": entry["mean"][name],
-                "std": entry["std"][name],
-            })
+def _table_rows(report) -> list:
+    """One row per method and metric of a saved report; a report without
+    numeric per-metric ``mean`` and ``std`` objects raises DataError."""
+    try:
+        rows = [{"method": method, "metric": name, "mean": mean, "std": entry["std"][name]}
+                for method, entry in report["methods"].items()
+                for name, mean in entry["mean"].items()]
+    except (AttributeError, KeyError, TypeError) as exc:
+        raise DataError("malformed report: expected 'methods' with per-metric 'mean' "
+                        f"and 'std' objects ({exc!r})") from exc
+    if not all(_is_number(r["mean"]) and _is_number(r["std"]) for r in rows):
+        raise DataError("malformed report: metric means and stds must be finite numbers")
     rows.sort(key=lambda r: (r["method"], r["metric"]))
     return rows
 
@@ -611,8 +648,8 @@ def emit_tables(report: dict, out_dir, fmt: str = "csv") -> dict:
     """
     if fmt not in ("csv", "json"):
         raise ConfigError(f"unknown table format {fmt!r}; expected 'csv' or 'json'")
-    os.makedirs(out_dir, exist_ok=True)
     rows = _table_rows(report)
+    os.makedirs(out_dir, exist_ok=True)
     written = {}
 
     def write_rows(name, rows_, columns):
@@ -656,23 +693,16 @@ def emit_tables(report: dict, out_dir, fmt: str = "csv") -> dict:
 
 def run_fit(config: ExperimentConfig) -> dict:
     """Fit one model on the full configured dataset and summarize it."""
-    fit_cfg = dict(config.fit)
-    method = fit_cfg.get("method", "l2mkl")
-    second = {"l2mkl": ["radius"], "l1mkl": ["budget"], "uniform": []}
-    if method not in second:
-        raise ConfigError("fit.method must be l2mkl, l1mkl, or uniform")
-    unknown = set(fit_cfg) - {"method", "lambda0", *second[method]}
-    if unknown:
-        raise ConfigError(f"fit keys {sorted(unknown)} do not apply to method {method!r}")
+    method = _check("fit", config.fit, "fit.")
     source = _Source(config)
     seed = np.random.SeedSequence(0 if config.seed is None else config.seed)
     train, _test, _audit = source.trial_data(seed.spawn(1)[0])
     family = build_family(config.kernels, train)
-    combo = {"lambda0": float(fit_cfg.get("lambda0", 0.1))}
+    combo = {"lambda0": float(config.fit.get("lambda0", 0.1))}
     if method == "l1mkl":
-        combo["budget"] = float(fit_cfg.get("budget", 1.0))
+        combo["budget"] = float(config.fit.get("budget", 1.0))
     else:
-        combo["radius"] = float(fit_cfg.get("radius", 1.0)) if method == "l2mkl" else 0.0
+        combo["radius"] = float(config.fit.get("radius", 1.0)) if method == "l2mkl" else 0.0
     out = {
         "method": method,
         "lambda0": combo["lambda0"],
@@ -689,42 +719,19 @@ def run_fit(config: ExperimentConfig) -> dict:
     return out
 
 
-# Keys each diagnose section reads; every ``bounds`` key is required.
-_DIAGNOSE_KEYS = {
-    "identity": {"cases", "dim", "radius", "seed"},
-    "stability": {"m", "d", "trials", "lambda0", "seed"},
-    "bounds": {"kappa", "max_error", "radius", "lambda0", "p", "m", "delta"},
-}
-
-
 def run_diagnose(config: dict) -> dict:
     """Run the verification suites named in the config; see README."""
-    if not isinstance(config, dict):
-        raise ConfigError("diagnose config must be a JSON object")
-    unknown = set(config) - {*_DIAGNOSE_KEYS, "fit_check"}
-    if unknown:
-        raise ConfigError(f"unknown diagnose sections: {sorted(unknown)}")
+    _check("diagnose", config)
     if not config:
         raise ConfigError("diagnose config selects no sections")
-    for name, keys in _DIAGNOSE_KEYS.items():
-        sec = config.get(name, {})
-        if not isinstance(sec, dict):
-            raise ConfigError(f"diagnose section {name!r} must be a JSON object")
-        unknown = set(sec) - keys
-        if unknown:
-            raise ConfigError(f"unknown {name} keys: {sorted(unknown)}")
-        _require_ints(sec, f"{name}.")
-    missing = _DIAGNOSE_KEYS["bounds"] - set(config.get("bounds", _DIAGNOSE_KEYS["bounds"]))
-    if missing:
-        raise ConfigError(f"missing bounds keys: {sorted(missing)}")
+    for name, sec in config.items():
+        _check(name, sec, f"{name}.")
     out = {}
 
     if "identity" in config:
         sec = config["identity"]
         cases = sec.get("cases", 1000)
         dim = sec.get("dim", 8)
-        if cases < 1 or dim < 1:
-            raise ConfigError("identity cases and dim must be at least 1")
         radius = float(sec.get("radius", 1.0))
         rng = np.random.default_rng(sec.get("seed", 0))
         worst = 0.0
@@ -740,8 +747,6 @@ def run_diagnose(config: dict) -> dict:
         sec = config["stability"]
         m = sec.get("m", 50)
         d = sec.get("d", m)
-        if m < 1 or d < 1:
-            raise ConfigError("stability m and d must be at least 1")
         trials = sec.get("trials", 100)
         lambda0 = float(sec.get("lambda0", 0.5))
         seed = sec.get("seed", 0)
@@ -755,7 +760,6 @@ def run_diagnose(config: dict) -> dict:
         X = np.vstack([draw_point(rng)[0] for _ in range(m)])
         y = X @ w_true + 0.1 * rng.standard_normal(m)
         specs = [KernelSpec.linear()]
-        from .solver import MuWeights
         weights = MuWeights(np.ones(1), np.ones(1), 0.0)
         rep = diagnostics.stability_trial(
             specs, X, y, lambda0, weights, trials, seed + 1, draw_point,
@@ -771,20 +775,10 @@ def run_diagnose(config: dict) -> dict:
         }
 
     if "bounds" in config:
-        sec = config["bounds"]
-        vals = diagnostics.bound_values(
-            kappa=float(sec["kappa"]), max_error=float(sec["max_error"]),
-            radius=float(sec["radius"]), lambda0=float(sec["lambda0"]),
-            p=sec["p"], m=sec["m"], delta=float(sec["delta"]),
-        )
+        vals = diagnostics.bound_values(**config["bounds"])
         out["bounds"] = {
             "c0": vals.c0, "c1": vals.c1, "beta": vals.beta,
             "generalization_gap": vals.generalization_gap,
         }
-
-    if "fit_check" in config:
-        sec = config["fit_check"]
-        cfg = ExperimentConfig.from_dict(sec)
-        out["fit_check"] = run_fit(cfg)
 
     return out

@@ -8,6 +8,8 @@ feature columns that generate them. Everything here is an immutable value.
 from __future__ import annotations
 
 import hashlib
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -28,6 +30,14 @@ def sample_id_of(X) -> str:
     h.update(str(X.shape).encode())
     h.update(X.tobytes())
     return h.hexdigest()[:16]
+
+
+def _is_number(value, integral: bool = False) -> bool:
+    """Whether ``value`` is a finite real number, or with ``integral`` an
+    integer; a bool is neither, and 2.0 is not an integer."""
+    kind = numbers.Integral if integral else numbers.Real
+    return (isinstance(value, kind) and not isinstance(value, bool)
+            and (isinstance(value, numbers.Integral) or math.isfinite(value)))
 
 
 def _as_matrix(X) -> np.ndarray:
@@ -62,24 +72,27 @@ class KernelSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ConfigError(f"unknown kernel kind {self.kind!r}; expected one of {KINDS}")
-        if self.kind == "gaussian":
-            if self.bandwidth is None or not self.bandwidth > 0:
-                raise ConfigError("gaussian kernel needs a positive bandwidth")
+        if self.kind == "gaussian" and not (_is_number(self.bandwidth) and self.bandwidth > 0):
+            raise ConfigError("gaussian bandwidth must be a positive finite number, "
+                              f"got {self.bandwidth!r}")
         if self.kind == "polynomial":
-            if self.degree is None or self.degree < 1:
-                raise ConfigError("polynomial kernel needs degree >= 1")
+            if not (_is_number(self.degree, integral=True) and self.degree >= 1):
+                raise ConfigError("polynomial degree must be an integer of at least 1, "
+                                  f"got {self.degree!r}")
             if self.offset is None:
                 object.__setattr__(self, "offset", 1.0)
             # A negative offset would break positive semidefiniteness.
-            if self.offset < 0:
-                raise ConfigError("polynomial kernel needs a nonnegative offset")
-        if self.kind == "rank1_feature":
-            if self.feature_index is None or self.feature_index < 0:
-                raise ConfigError("rank1_feature kernel needs feature_index >= 0")
+            if not (_is_number(self.offset) and self.offset >= 0):
+                raise ConfigError("polynomial offset must be a nonnegative finite number, "
+                                  f"got {self.offset!r}")
+        index = self.feature_index
+        if self.kind == "rank1_feature" and not (_is_number(index, integral=True) and index >= 0):
+            raise ConfigError("rank1_feature feature_index must be an integer of at least 0, "
+                              f"got {index!r}")
 
     @classmethod
     def gaussian(cls, bandwidth: float) -> "KernelSpec":
-        return cls(kind="gaussian", bandwidth=float(bandwidth))
+        return cls(kind="gaussian", bandwidth=bandwidth)
 
     @classmethod
     def linear(cls) -> "KernelSpec":
@@ -87,25 +100,15 @@ class KernelSpec:
 
     @classmethod
     def polynomial(cls, degree: int = 2, offset: float = 1.0) -> "KernelSpec":
-        return cls(kind="polynomial", degree=int(degree), offset=float(offset))
+        return cls(kind="polynomial", degree=degree, offset=offset)
 
     @classmethod
     def rank1(cls, feature_index: int) -> "KernelSpec":
-        return cls(kind="rank1_feature", feature_index=int(feature_index))
+        return cls(kind="rank1_feature", feature_index=feature_index)
 
     @classmethod
     def constant(cls) -> "KernelSpec":
         return cls(kind="constant_offset")
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "KernelSpec":
-        if "kind" not in d:
-            raise ConfigError("kernel spec dict needs a 'kind' key")
-        allowed = {"kind", "bandwidth", "degree", "offset", "feature_index"}
-        unknown = set(d) - allowed
-        if unknown:
-            raise ConfigError(f"unknown kernel spec keys: {sorted(unknown)}")
-        return cls(**d)
 
 
 def _block(spec: KernelSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray:

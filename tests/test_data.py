@@ -237,6 +237,14 @@ def test_load_text_corpus_requires_tab(tmp_path):
         load_text_corpus(path)
 
 
+@pytest.mark.parametrize("label", ["nan", "inf", "-Infinity"])
+def test_load_text_corpus_rejects_non_finite_label(tmp_path, label):
+    path = tmp_path / "docs.txt"
+    path.write_text(f"1\tgood film\n{label}\tbad film\n")
+    with pytest.raises(DataError, match=f"line 2: non-finite label '{label}'"):
+        load_text_corpus(path)
+
+
 def test_counts_round_trip():
     corpus = [["a", "b", "a"], ["b", "a", "b"]]
     counts, vocab = mk.build_ngram_features(corpus, n=2, top=10)

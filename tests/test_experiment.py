@@ -9,9 +9,10 @@ import pytest
 from click.testing import CliRunner
 
 import mklridge as mk
-from mklridge import ConfigError, DataError
+from mklridge import ConfigError, DataError, NumericalError
 from mklridge import cli, experiment
 from mklridge.cli import main
+from mklridge.data import split_indices
 from mklridge.experiment import (DEFAULT_BUDGET_GRID, DEFAULT_LAMBDA0_GRID,
                                  ExperimentConfig, _combo_grid, _Source, build_family,
                                  dumps_canonical, emit_tables, format_float,
@@ -127,6 +128,8 @@ _TEXT = {"kind": "text", "path": "corpus.txt"}
     ({"dataset": _TEXT}, "ngram_rank1"),
     ({"dataset": _TEXT, "kernels": _EXPLICIT}, "ngram_rank1"),
     ({"kernels": {"kind": "ngram_rank1"}}, "ngram_rank1"),
+    ({"kernels": {"kind": "explicit", "specs": [{"kind": "linear", "gamma": 2.0}]}},
+     r"kernel spec keys.*gamma"),
 ])
 def test_config_rejects_bad_sections_at_load(tmp_path, overrides, match):
     cfg = _tiny_config(trials=1, **overrides)
@@ -357,6 +360,58 @@ def test_experiment_deterministic_bytes(tiny_report, tmp_path):
     p1 = write_json_atomic(report, tmp_path / "a.json")
     p2 = write_json_atomic(again, tmp_path / "b.json")
     assert open(p1, "rb").read() == open(p2, "rb").read()
+
+
+def test_delimited_experiment_splits_the_file_per_trial(tmp_path):
+    rng = np.random.default_rng(4)
+    X = rng.standard_normal((30, 3))
+    y = X @ np.array([1.0, -1.0, 0.5]) + 0.1 * rng.standard_normal(30)
+    path = tmp_path / "d.csv"
+    path.write_text("".join(";".join(map(repr, [*row.tolist(), t])) + "\n"
+                            for row, t in zip(X, y.tolist())))
+    cfg = ExperimentConfig.from_dict(_tiny_config(
+        dataset={"kind": "delimited", "path": str(path), "delimiter": ";", "split_fraction": 0.6},
+        methods=["l2mkl", "uniform"]))
+    report = run_experiment(cfg)
+    base = mk.load_delimited(path, delimiter=";")
+    source = _Source(cfg)
+    seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.trials)
+    splits = []
+    for audit, seed in zip(report["audit"], seeds):
+        tr, te = split_indices(30, 0.6, int(seed.generate_state(1)[0]))
+        assert (audit["train_rows"], audit["test_rows"], audit["overlap"]) == (18, 12, 0)
+        assert audit["train_checksum"] == experiment._index_checksum(tr)
+        assert audit["test_checksum"] == experiment._index_checksum(te)
+        train, test, _ = source.trial_data(seed)
+        np.testing.assert_array_equal(train.X, base.X[tr])
+        np.testing.assert_array_equal(test.y, base.y[te])
+        splits.append(tuple(tr))
+    assert splits[0] != splits[1]
+    for entry in report["methods"].values():
+        assert entry["failed"] == 0 and math.isfinite(entry["mean"]["rmse"])
+
+
+def test_failed_method_trial_is_recorded_and_left_out_of_mean(monkeypatch):
+    cfg = ExperimentConfig.from_dict(_tiny_config(methods=["l1mkl", "uniform"]))
+    clean = run_experiment(cfg)
+    fits_per_trial = len(_combo_grid("l1mkl", cfg, 7)) * cfg.cv_folds + 1
+    calls = []
+
+    def fit_l1_failing_in_trial_1(*args, **kwargs):
+        calls.append(args)
+        if len(calls) > fits_per_trial:
+            raise NumericalError("injected failure")
+        return mk.fit_l1(*args, **kwargs)
+
+    monkeypatch.setattr(experiment, "fit_l1", fit_l1_failing_in_trial_1)
+    report = run_experiment(cfg)
+    l1 = report["methods"]["l1mkl"]
+    assert l1["failed"] == 1
+    assert l1["trials"] == [clean["methods"]["l1mkl"]["trials"][0],
+                            {"failed": "injected failure", "trial": 1}]
+    assert l1["mean"] == l1["trials"][0]["metrics"]
+    assert l1["std"] == {"rmse": 0.0}
+    assert report["methods"]["uniform"] == clean["methods"]["uniform"]
 
 
 def test_experiment_jobs_matches_serial(tiny_report):
@@ -597,6 +652,42 @@ def test_cli_emit_invalid_report(tmp_path):
     assert missing.exit_code == 2
 
 
+@pytest.mark.parametrize("report", [
+    {},
+    [1],
+    {"methods": []},
+    {"methods": {"uniform": {}}},
+    {"methods": {"uniform": {"mean": "rmse", "std": {}}}},
+    {"methods": {"uniform": {"mean": {"rmse": "0.5"}, "std": {"rmse": 0.0}}}},
+])
+def test_cli_emit_malformed_report(tmp_path, report):
+    path = _write_config(tmp_path, report, name="report.json")
+    result = CliRunner().invoke(main, ["emit", "--report", path, "--out", str(tmp_path / "t")])
+    assert result.exit_code == 2
+    assert "data error: malformed report" in result.output
+    assert not (tmp_path / "t").exists()
+
+
+def test_cli_without_out_prints_to_stdout(tmp_path):
+    cfg = _tiny_config(trials=1, methods=["uniform"], fit={"method": "uniform"})
+    cfg_path = _write_config(tmp_path, cfg)
+    diag_path = _write_config(tmp_path, {"bounds": BOUNDS}, name="diag.json")
+    runner = CliRunner()
+    entry = run_experiment(ExperimentConfig.from_dict(cfg))["methods"]["uniform"]
+    result = runner.invoke(main, ["experiment", "--config", cfg_path])
+    assert result.exit_code == 0
+    assert result.output == f"uniform: mean={entry['mean']} std={entry['std']}\n"
+    summary = run_fit(ExperimentConfig.from_dict(cfg))
+    result = runner.invoke(main, ["fit", "--config", cfg_path])
+    assert result.exit_code == 0
+    assert json.loads(result.output) == {"converged": summary["converged"],
+                                         "objective": summary["objective"]}
+    result = runner.invoke(main, ["diagnose", "--config", diag_path])
+    assert result.exit_code == 0
+    assert json.loads(result.output) == {"bounds": "ok"}
+    assert sorted(os.listdir(tmp_path)) == ["config.json", "diag.json"]
+
+
 def test_cli_overrides_apply_to_config(tmp_path):
     cfg_path = _write_config(tmp_path, _tiny_config())
     cfg = cli._load_config(cfg_path, seed=3, out=str(tmp_path / "o"))
@@ -683,7 +774,7 @@ def test_run_fit_summary_layout(method):
 ])
 def test_run_fit_rejects_unknown_or_inapplicable_keys(fit):
     cfg = ExperimentConfig.from_dict(_tiny_config(trials=1, fit=fit))
-    with pytest.raises(ConfigError, match="do not apply"):
+    with pytest.raises(ConfigError, match="unknown fit keys"):
         run_fit(cfg)
 
 
@@ -722,6 +813,51 @@ def test_run_diagnose_rejects_bad_section_keys(tmp_path, diag, match):
     result = CliRunner().invoke(main, ["diagnose", "--config", path])
     assert result.exit_code == 1
     assert "config error" in result.output
+
+
+_SYNTHETIC = _tiny_config()["dataset"]
+_LABELLED_CSV = {"kind": "delimited", "path": "labelled.csv"}
+
+
+def _specs(*specs):
+    return {"kernels": {"kind": "explicit", "specs": list(specs)}}
+
+
+# Each of these once passed load and then ended in a raw traceback, a
+# misleading exit code or a run with the wrong meaning.
+@pytest.mark.parametrize("command, overrides", [
+    ("experiment", {"dataset": {"kind": "delimited"}}),
+    ("experiment", {"dataset": {"kind": "text"}, "kernels": {"kind": "ngram_rank1"}}),
+    ("experiment", {"kernels": {"kind": "explicit"}}),
+    ("experiment", {"l1_tol": "x"}),
+    ("experiment", {"lambda0_grid": ["0.1"]}),
+    ("experiment", {"radius_grid": ["a"]}),
+    ("experiment", {"seed": -1}),
+    ("experiment", {"out": 5}),
+    ("experiment", {"methods": ["uniform", "uniform"]}),
+    ("experiment", _specs({"kind": "polynomial", "degree": 2.5})),
+    ("experiment", _specs({"kind": "gaussian", "bandwidth": "1"})),
+    ("experiment", _specs({"kind": "rank1_feature", "feature_index": 1.5})),
+    ("experiment", {"dataset": {**_SYNTHETIC, "coef": "x"}}),
+    ("experiment", {"dataset": {**_SYNTHETIC, "noise_sigma": -1}}),
+    ("experiment", {"dataset": {**_SYNTHETIC, "train_size": -1}}),
+    ("experiment", {"kernels": {"kind": "rank1_all", "include_offset": "no"}}),
+    ("experiment", {"dataset": {"kind": "delimited", "path": 0}}),
+    ("experiment", {"dataset": {**_LABELLED_CSV, "delimiter": ""}}),
+    ("experiment", {"dataset": {**_LABELLED_CSV, "label_map": {"x": "a", "y": 1}}}),
+    ("fit", {"fit": {"method": "l2mkl", "lambda0": "x"}}),
+    ("diagnose", {"stability": {"lambda0": "x"}}),
+    ("diagnose", {"bounds": {**BOUNDS, "kappa": "x"}}),
+])
+def test_cli_rejects_bad_config_values_at_load(tmp_path, monkeypatch, command, overrides):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "labelled.csv").write_text("".join(f"{i},{i % 3},{'xy'[i % 2]}\n"
+                                                   for i in range(12)))
+    cfg = overrides if command == "diagnose" else _tiny_config(**overrides)
+    result = CliRunner().invoke(main, [command, "--config", _write_config(tmp_path, cfg)])
+    assert result.exit_code == 1, result.output
+    assert "config error" in result.output
+    assert isinstance(result.exception, SystemExit)  # an error message, not a traceback
 
 
 # --- benchmark tracer ------------------------------------------------------------

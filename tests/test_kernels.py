@@ -36,8 +36,30 @@ def test_spec_validation():
         KernelSpec.rank1(-1)
     with pytest.raises(ConfigError):
         KernelSpec(kind="sigmoid")
-    with pytest.raises(ConfigError):
-        KernelSpec.from_dict({"kind": "linear", "gamma": 2.0})
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("polynomial", {"degree": 2.5}),
+    ("polynomial", {"degree": 2.0}),
+    ("polynomial", {"degree": True}),
+    ("polynomial", {"degree": 2, "offset": "1"}),
+    ("rank1_feature", {"feature_index": 1.5}),
+    ("rank1_feature", {"feature_index": True}),
+    ("gaussian", {"bandwidth": "1"}),
+    ("gaussian", {"bandwidth": True}),
+    ("gaussian", {"bandwidth": np.inf}),
+])
+def test_spec_rejects_fractional_bool_or_non_numeric_parameters(kind, params):
+    with pytest.raises(ConfigError, match=list(params)[-1]):
+        KernelSpec(kind=kind, **params)
+
+
+def test_spec_constructors_do_not_truncate():
+    with pytest.raises(ConfigError, match="degree"):
+        KernelSpec.polynomial(2.5)
+    with pytest.raises(ConfigError, match="feature_index"):
+        KernelSpec.rank1(1.5)
+    assert KernelSpec.polynomial(np.int64(3)).degree == 3
 
 
 # --- eval_kernel examples --------------------------------------------------

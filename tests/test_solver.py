@@ -610,6 +610,17 @@ def test_l1_path_start_handles_tied_columns(F, y, lambda0, budget):
     assert res.mu[0] == pytest.approx(res.mu[1], rel=1e-12)
 
 
+def test_l1_path_start_declines_when_features_miss_the_targets():
+    # F'y = 0: every feasible mu is optimal, so the path has no start and
+    # fit_l1 certifies the uniform weights before any step.
+    F = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
+    y = np.array([1.0, -1.0, 2.0, -2.0])
+    assert solver._l1_path_start(F, y, 0.4, 2.0) == (None, 0)
+    res = mk.fit_l1(mk.KernelFamily(features=F, sample_id="orthogonal"), y, 0.1, 2.0)
+    assert res.converged and res.iterations == 0
+    npt.assert_array_equal(res.mu, [1.0, 1.0])
+
+
 def test_l1_budget_validation():
     fam, y, lambda0, _ = random_psd_instance(151)
     with pytest.raises(ConfigError):
