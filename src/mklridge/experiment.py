@@ -20,7 +20,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from . import diagnostics
+from . import diagnostics, solver
 from .data import (TASKS, Dataset, apply_vocabulary, build_ngram_features,
                    load_delimited, load_text_corpus, make_folds, split_indices)
 from .errors import ConfigError, DataError, NumericalError, ShapeError
@@ -425,18 +425,20 @@ def _predict_rows(family: KernelFamily, mu, alpha, train_idx, query_idx) -> np.n
     return out
 
 
-def _fit_for_combo(method, family, y, combo: dict, cfg: ExperimentConfig):
+def _fit_for_combo(method, family, y, combo: dict, cfg: ExperimentConfig, start=None):
     """Fit one method at one hyperparameter combo.
 
-    Returns (mu_full, alpha, info, kkt_args); ``kkt_args`` is the
-    (model, family) pair whose KKT residuals the report records, or None
-    for ``l1mkl``, whose result is not a fixed-point model.
+    ``start`` is the combo's lasso-path stop for ``l1mkl`` on a rank-one
+    family (see ``fit_l1``), or None. Returns (mu_full, alpha, info,
+    kkt_args); ``kkt_args`` is the (model, family) pair whose KKT
+    residuals the report records, or None for ``l1mkl``, whose result is
+    not a fixed-point model.
     """
     lambda0 = combo["lambda0"]
     if method == "l1mkl":
         result = fit_l1(
             family, y, lambda0, combo["budget"],
-            tol=cfg.l1_tol, max_iters=cfg.l1_max_iters,
+            tol=cfg.l1_tol, max_iters=cfg.l1_max_iters, start=start,
         )
         info = {
             "iterations": result.iterations,
@@ -505,10 +507,19 @@ def _run_method_trial(method, family, folds: list, train: Dataset, test: Dataset
     best_combo = None
     best_score = None
     cv_infos = []
-    for combo in _combo_grid(method, cfg, family.p):
+    combos = _combo_grid(method, cfg, family.p)
+    # On a rank-one family one lasso-path walk per fold gives the L1 start
+    # of every combo (solver._l1_path_stops); fit_l1 still certifies each.
+    starts = [[None] * len(combos)] * len(folds)
+    if method == "l1mkl" and family.features is not None:
+        starts = [solver._l1_path_stops(sub.features, y[tr_idx],
+                                        [(c["lambda0"] * sub.m, c["budget"]) for c in combos])
+                  for tr_idx, _, sub in folds]
+    for n, combo in enumerate(combos):
         scores = []
-        for tr_idx, va_idx, sub_family in folds:
-            mu_full, alpha, info, _ = _fit_for_combo(method, sub_family, y[tr_idx], combo, cfg)
+        for (tr_idx, va_idx, sub_family), fold_starts in zip(folds, starts):
+            mu_full, alpha, info, _ = _fit_for_combo(method, sub_family, y[tr_idx], combo, cfg,
+                                                     fold_starts[n])
             cv_infos.append(info)
             preds = _predict_rows(family, mu_full, alpha, tr_idx, va_idx)
             scores.append(select_metric(preds, y[va_idx]))
@@ -542,9 +553,9 @@ def _run_trial(t: int, source: _Source, cfg: ExperimentConfig,
                trial_seed: np.random.SeedSequence):
     train, test, audit = source.trial_data(trial_seed)
     family = build_family(cfg.kernels, train)
-    k = min(cfg.cv_folds, train.m)
-    if k < 2:
-        raise ConfigError("training set too small for cross-validation")
+    k = cfg.cv_folds
+    if train.m < k:
+        raise ConfigError(f"cv_folds is {k} but the training set has only {train.m} rows")
     # Every method of the trial selects on these folds.
     plan = make_folds(train.m, k, int(trial_seed.generate_state(2)[1]))
     folds = [(tr, va, family.subset(tr)) for tr, va in map(plan.fold_indices, range(k))]

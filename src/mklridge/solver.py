@@ -9,7 +9,10 @@ only on the objective being nonincreasing in mu, never on that closed
 form, so the two can be checked against each other. ``fit_l1`` is the
 L1-budget baseline: on rank-one families it is solved exactly on a lasso
 path and then certified by the same Frank-Wolfe gap; on Gram families it
-runs projected gradient from the uniform weights.
+runs projected gradient from the uniform weights. One walk of that path,
+``_l1_path_stops``, stops every class c = lam/budget of a training set
+at its own knot, so a CV fold walks the path once for its whole grid and
+passes each class's stop to ``fit_l1`` as ``start``.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from typing import Optional
 
 import numpy as np
 import scipy.linalg
+import scipy.linalg.lapack
 
 from . import kernels
 from .errors import ConfigError, NumericalError, ShapeError
@@ -542,8 +546,40 @@ def _distinct_columns(F: np.ndarray) -> np.ndarray:
     return np.fromiter(seen.values(), dtype=np.intp)
 
 
-def _l1_path_start(F: np.ndarray, y: np.ndarray, lam: float, budget: float):
-    """Exact L1-budget weights of the rank-one family K(mu) = F diag(mu) F'.
+def _chol_append(L: np.ndarray, g: np.ndarray, gjj: float):
+    # Lower factor of [[B, g], [g', gjj]] from the lower factor L of B: one
+    # triangular solve for the new row. None when the new pivot is not
+    # positive, i.e. the grown block lost definiteness.
+    n = L.shape[0]
+    row, info = scipy.linalg.lapack.dtrtrs(L, g, lower=1)
+    pivot = gjj - float(row @ row)
+    if info != 0 or not pivot > 0.0:
+        return None
+    out = np.zeros((n + 1, n + 1), order="F")
+    out[:n, :n] = L
+    out[n, :n] = row
+    out[n, n] = np.sqrt(pivot)
+    return out
+
+
+def _chol_delete(L: np.ndarray, i: int):
+    # Lower factor of B with row and column i removed, from the lower factor
+    # L of B. Rows and columns before i keep their entries; the trailing
+    # block T T' + l l' (l the part of column i below the diagonal) is
+    # refactored. None if that factorization fails.
+    out = np.delete(np.delete(L, i, axis=0), i, axis=1)
+    tail, col = L[i + 1:, i + 1:], L[i + 1:, i]
+    if col.size:
+        out[i:, i:], info = scipy.linalg.lapack.dpotrf(tail @ tail.T + np.outer(col, col),
+                                                       lower=1)
+        if info != 0:
+            return None
+    return out
+
+
+def _l1_path_stops(F: np.ndarray, y: np.ndarray, classes):
+    """Exact L1-budget weights of the rank-one family K(mu) = F diag(mu) F'
+    for every ``(lam, budget)`` in ``classes``, from one lasso-path walk.
 
     By the variational identity of multiple kernel learning (Bach,
     Lanckriet & Jordan 2004), the minimum of y'(K(mu) + lam I)^(-1) y
@@ -556,32 +592,40 @@ def _l1_path_start(F: np.ndarray, y: np.ndarray, lam: float, budget: float):
     affine in t and its root is t = c s'u / (1 + c s'd) > 0. An all-zero
     column has corr = 0 throughout, so it never joins.
 
-    Returns ``(mu, knots)``, the number of segments walked; ``mu`` is None
-    when F'y = 0 (every start is optimal), when an active block is not
-    positive definite (columns in degenerate position), or after
+    ||w(t)||_1 grows as t falls, so t/||w(t)||_1 = c has one root and a
+    smaller c stops later: one walk, to the smallest c, passes every
+    class's stop. Each segment stops every class still walking whose root
+    lies on it, so every class gets exactly what a walk of its own would.
+    The lower Cholesky factor of G_AA is updated as columns join (one
+    triangular solve) and leave (the trailing block is refactored), and
+    refactored from scratch when an update loses definiteness.
+
+    Returns one ``(mu, knots)`` per class, in the given order; ``knots``
+    is the number of segments walked up to that class's stop. ``mu`` is
+    None when F'y = 0 (every start is optimal), when an active block is
+    not positive definite (columns in degenerate position), or after
     ``L1_PATH_MAX_KNOTS`` segments per distinct column.
     """
     keep = _distinct_columns(F)
     Fk = F[:, keep]
     G = Fk.T @ Fk
     Fty = Fk.T @ y
+    stops = [(None, 0)] * len(classes)
     t = float(np.abs(Fty).max(initial=0.0))
     if t == 0.0:
-        return None, 0
-    c = lam / budget
+        return stops
+    pending = list(range(len(classes)))
     j = int(np.argmax(np.abs(Fty)))
-    active, signs = [j], [float(np.sign(Fty[j]))]
+    A, s = np.array([j]), np.sign(Fty[[j]])
+    L = None
     for knots in range(1, L1_PATH_MAX_KNOTS * keep.size + 1):
-        A = np.array(active)
-        s = np.array(signs)
-        try:
-            factor = scipy.linalg.cho_factor(G[A][:, A], lower=True, overwrite_a=True,
-                                             check_finite=False)
-        except scipy.linalg.LinAlgError:
-            return None, knots
-        u, d = scipy.linalg.cho_solve(factor, np.column_stack([Fty[A], s]),
-                                      check_finite=False).T
-        t_stop = c * float(s @ u) / (1.0 + c * float(s @ d))
+        if L is None:
+            L, info = scipy.linalg.lapack.dpotrf(G[np.ix_(A, A)], lower=1)
+            if info != 0:
+                break
+        ud_A, _ = scipy.linalg.lapack.dpotrs(L, np.column_stack([Fty[A], s]), lower=1)
+        u, d = ud_A.T
+        su, sd = float(s @ u), float(s @ d)
         # On this segment corr(t') = F'(y - Fw) = b + t' a. As t' falls, an
         # inactive column joins where |corr_j(t')| reaches t' from below,
         # and an active weight leaves where it falls to zero; a root the
@@ -606,20 +650,33 @@ def _l1_path_start(F: np.ndarray, y: np.ndarray, lam: float, budget: float):
         leaves = np.minimum(leaves, t)
         side, k = np.unravel_index(int(np.argmax(joins)), joins.shape)
         i = int(np.argmax(leaves))
-        if max(joins[side, k], leaves[i]) <= t_stop:
-            w = np.abs(u - t_stop * d)
-            mu = np.zeros(F.shape[1])
-            mu[keep[A]] = budget * (w / w.sum())
-            return mu, knots
+        event = max(joins[side, k], leaves[i])
+        walking = []
+        for q in pending:
+            lam, budget = classes[q]
+            c = lam / budget
+            t_stop = c * su / (1.0 + c * sd)
+            if event <= t_stop:
+                w = np.abs(u - t_stop * d)
+                mu = np.zeros(F.shape[1])
+                mu[keep[A]] = budget * (w / w.sum())
+                stops[q] = (mu, knots)
+            else:
+                walking.append(q)
+        pending = walking
+        if not pending:
+            return stops
         if joins[side, k] >= leaves[i]:
             t = float(joins[side, k])
-            active.append(int(k))
-            signs.append(1.0 - 2.0 * side)
+            L = _chol_append(L, G[A, k], G[k, k])
+            A, s = np.append(A, k), np.append(s, 1.0 - 2.0 * side)
         else:
             t = float(leaves[i])
-            active.pop(i)
-            signs.pop(i)
-    return None, knots
+            L = _chol_delete(L, i)
+            A, s = np.delete(A, i), np.delete(s, i)
+    for q in pending:
+        stops[q] = (None, knots)
+    return stops
 
 
 @dataclass(frozen=True, eq=False)
@@ -635,17 +692,22 @@ class L1Model:
 
 
 def fit_l1(family, y, lambda0: float, budget: float,
-           tol: float = 1e-8, max_iters: int = 2000) -> L1Model:
+           tol: float = 1e-8, max_iters: int = 2000, start=None) -> L1Model:
     """L1-regularized baseline: weights on {mu >= 0, sum(mu) <= budget}.
 
     Same ridge objective as the L2 route. A rank-one family (one with
     feature columns) is solved exactly on the lasso path of its squared-L1
-    least-squares form (see ``_l1_path_start``); other families start from
-    the uniform weights. Projected gradient with the exact simplex-style
-    projection then runs from that start until the Frank-Wolfe gap is at
+    least-squares form (see ``_l1_path_stops``); other families start from
+    the uniform weights. ``start`` is a ``(mu, knots)`` stop that
+    ``_l1_path_stops`` already found for this family, y, lam = lambda0 * m
+    and budget, as the experiment runner passes one per class from a
+    single walk per CV fold; it replaces the walk, and a ``None`` mu means
+    the uniform start. Projected gradient with the exact simplex-style
+    projection then runs from the start until the Frank-Wolfe gap is at
     most ``tol`` (relative), which certifies an exact path start before
-    any step. ``iterations`` counts the path's knots plus the projected
-    gradient steps, and ``max_iters`` caps the steps only.
+    any step; any other start only costs steps. ``iterations`` counts the
+    path's knots up to this budget's stop plus the projected gradient
+    steps, and ``max_iters`` caps the steps only.
     Non-convergence within ``max_iters`` is flagged on the result, not
     raised.
     """
@@ -668,11 +730,15 @@ def fit_l1(family, y, lambda0: float, budget: float,
             s[k] = budget
         return s
 
-    x0, knots = None, 0
-    if fam.features is not None:
-        x0, knots = _l1_path_start(fam.features, y, lam, budget)
+    if start is None:
+        start = (None, 0)
+        if fam.features is not None:
+            start = _l1_path_stops(fam.features, y, [(lam, budget)])[0]
+    x0, knots = start
     if x0 is None:
         x0 = np.full(fam.p, budget / fam.p)
+    elif _as_vector(x0, "start").shape[0] != fam.p:
+        raise ShapeError(f"start has {np.shape(x0)[0]} weights, the family has {fam.p} kernels")
     mu, val, alpha, converged, iters, gap = _pgd_minimize(
         value_grad, project, lmo, x0, tol, max_iters
     )

@@ -10,7 +10,7 @@ from click.testing import CliRunner
 
 import mklridge as mk
 from mklridge import ConfigError, DataError, NumericalError
-from mklridge import cli, experiment
+from mklridge import cli, experiment, solver
 from mklridge.cli import main
 from mklridge.data import split_indices
 from mklridge.experiment import (DEFAULT_BUDGET_GRID, DEFAULT_LAMBDA0_GRID,
@@ -325,6 +325,48 @@ def test_l1_grid_fits_one_combo_per_scale_class(monkeypatch):
     members = [l0 for l0 in lambda0_grid for b in budget_grid
                if abs(b / l0 - ratio) <= 1e-12 * ratio]
     assert chosen["lambda0"] == min(members)
+
+
+def test_l1_walks_one_lasso_path_per_fold(monkeypatch):
+    walks, starts = [], []
+    path_stops = solver._l1_path_stops
+
+    def counting_stops(F, y, classes):
+        walks.append(len(classes))
+        return path_stops(F, y, classes)
+
+    def counting_fit_l1(*args, **kwargs):
+        starts.append(kwargs.get("start"))
+        return mk.fit_l1(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "_l1_path_stops", counting_stops)
+    monkeypatch.setattr(experiment, "fit_l1", counting_fit_l1)
+    cfg = ExperimentConfig.from_dict(_tiny_config(
+        methods=["l1mkl"], lambda0_grid=[0.001, 0.01, 0.1], budget_grid=[1.0, 10.0, 100.0],
+        trials=1))
+    run_experiment(cfg)
+    n_combos = len(_combo_grid("l1mkl", cfg, 7))
+    # One walk per fold for the whole grid, then the refit's own walk.
+    assert walks == [n_combos] * cfg.cv_folds + [1]
+    assert len(starts) == n_combos * cfg.cv_folds + 1
+    assert None not in starts[:-1] and starts[-1] is None
+    # Gram families have no path: every fit starts from uniform weights.
+    walks.clear()
+    kernels = {"kind": "explicit", "specs": [{"kind": "linear"}, {"kind": "polynomial",
+                                                                  "degree": 2}]}
+    run_experiment(ExperimentConfig.from_dict(_tiny_config(methods=["l1mkl"], trials=1,
+                                                           kernels=kernels)))
+    assert walks == []
+
+
+def test_experiment_rejects_more_folds_than_training_rows(tmp_path):
+    cfg = _tiny_config(dataset={**_tiny_config()["dataset"], "train_size": 5}, cv_folds=10,
+                       methods=["uniform"], trials=1)
+    with pytest.raises(ConfigError, match="cv_folds is 10 but the training set has only 5 rows"):
+        run_experiment(ExperimentConfig.from_dict(cfg))
+    result = CliRunner().invoke(main, ["experiment", "--config", _write_config(tmp_path, cfg)])
+    assert result.exit_code == 1, result.output
+    assert "config error" in result.output
 
 
 def test_l1_combo_grid_default_grids():

@@ -569,20 +569,30 @@ def test_l1_scale_equivalent_combos_give_same_predictor(seed, budget, c):
     assert np.linalg.norm(pred_scaled - pred) <= 1e-6 * np.linalg.norm(pred)
 
 
-@settings(max_examples=100)
-@given(m=st.integers(4, 20), wide=st.booleans(), extra=st.integers(0, 8),
-       seed=st.integers(0, 10_000), log_lambda0=st.floats(-3.0, -1.0),
-       budget=st.floats(0.5, 100.0))
-def test_l1_path_start_matches_projected_gradient(m, wide, extra, seed, log_lambda0, budget):
-    # Rank-one families with m < p and m > p, each holding an all-zero
-    # column, a duplicated column and a negated duplicate (equal kernels).
+def _rank1_case(m, wide, extra, seed):
+    # Feature columns with m < p and m > p, holding an all-zero column, a
+    # duplicated column and a negated duplicate (equal kernels), and targets.
     rng = np.random.default_rng(seed)
     q = m + 1 + extra if wide else max(2, m - 3 - extra)
     base = rng.standard_normal((m, q))
     F = np.column_stack([base, np.zeros(m), base[:, 0], -base[:, 1]])
     F = F[:, rng.permutation(F.shape[1])]
-    fam = mk.KernelFamily(features=F, sample_id="path")
     y = base[:, :2] @ rng.standard_normal(2) + 0.3 * rng.standard_normal(m)
+    return F, y
+
+
+_RANK1_CASES = dict(m=st.integers(4, 20), wide=st.booleans(), extra=st.integers(0, 8),
+                    seed=st.integers(0, 10_000))
+# (log10 lambda0, budget) pairs: three to six L1 classes sharing one path.
+_L1_CLASSES = st.lists(st.tuples(st.floats(-3.0, -1.0), st.floats(0.5, 100.0)),
+                       min_size=3, max_size=6)
+
+
+@settings(max_examples=100)
+@given(**_RANK1_CASES, log_lambda0=st.floats(-3.0, -1.0), budget=st.floats(0.5, 100.0))
+def test_l1_path_start_matches_projected_gradient(m, wide, extra, seed, log_lambda0, budget):
+    F, y = _rank1_case(m, wide, extra, seed)
+    fam = mk.KernelFamily(features=F, sample_id="path")
     lambda0 = 10.0 ** log_lambda0
     res = mk.fit_l1(fam, y, lambda0, budget)
     ref = mk.fit_l1(mk.KernelFamily.from_grams(fam.grams), y, lambda0, budget,
@@ -590,6 +600,63 @@ def test_l1_path_start_matches_projected_gradient(m, wide, extra, seed, log_lamb
     assert res.converged and ref.converged
     assert res.objective_value == pytest.approx(ref.objective_value, rel=1e-8)
     assert res.certificate_gap <= 1e-10 * max(1.0, abs(res.objective_value))
+
+
+def _assert_same_stops(stops, expected):
+    assert len(stops) == len(expected)
+    for (mu, knots), (mu_ref, knots_ref) in zip(stops, expected):
+        assert knots == knots_ref
+        assert (mu is None) == (mu_ref is None)
+        if mu is not None:
+            assert np.max(np.abs(mu - mu_ref)) <= 1e-10 * np.max(np.abs(mu_ref))
+
+
+def test_l1_path_stops_match_one_walk_per_class():
+    # One shared walk stops each class where a walk of its own would, and
+    # fit_l1 given that stop as its start fits what its own walk fits.
+    # Columns leave the active set on some of these paths, so the downdate
+    # of the active-block factor runs.
+    leaves = []
+    delete = solver._chol_delete
+
+    def counting_delete(L, i):
+        leaves.append(i)
+        return delete(L, i)
+
+    @settings(max_examples=100)
+    @given(**_RANK1_CASES, classes=_L1_CLASSES)
+    def check(m, wide, extra, seed, classes):
+        F, y = _rank1_case(m, wide, extra, seed)
+        combos = [(10.0 ** log_lambda0, budget) for log_lambda0, budget in classes]
+        classes = [(lambda0 * m, budget) for lambda0, budget in combos]
+        with mock.patch.object(solver, "_chol_delete", counting_delete):
+            stops = solver._l1_path_stops(F, y, classes)
+        _assert_same_stops(stops, [solver._l1_path_stops(F, y, [c])[0] for c in classes])
+        fam = mk.KernelFamily(features=F, sample_id="stops")
+        own = mk.fit_l1(fam, y, *combos[0])
+        given_start = mk.fit_l1(fam, y, *combos[0], start=stops[0])
+        npt.assert_array_equal(given_start.mu, own.mu)
+        assert given_start.iterations == own.iterations
+
+    check()
+    assert leaves
+
+
+@settings(max_examples=60)
+@given(**_RANK1_CASES, classes=_L1_CLASSES)
+def test_l1_path_stops_refactor_when_an_update_loses_definiteness(m, wide, extra, seed,
+                                                                   classes):
+    # Every join and leave reports a lost factor here, so each knot
+    # factors its active block from scratch; the stops must not move.
+    F, y = _rank1_case(m, wide, extra, seed)
+    classes = [(10.0 ** log_lambda0 * m, budget) for log_lambda0, budget in classes]
+    stops = solver._l1_path_stops(F, y, classes)
+    with mock.patch.object(solver, "_chol_append", return_value=None) as append, \
+            mock.patch.object(solver, "_chol_delete", return_value=None) as delete:
+        refactored = solver._l1_path_stops(F, y, classes)
+    _assert_same_stops(refactored, stops)
+    # Each knot after the first follows one join or one leave.
+    assert append.call_count + delete.call_count == max(knots for _, knots in stops) - 1
 
 
 @pytest.mark.parametrize("F, y", [
@@ -615,10 +682,23 @@ def test_l1_path_start_declines_when_features_miss_the_targets():
     # fit_l1 certifies the uniform weights before any step.
     F = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
     y = np.array([1.0, -1.0, 2.0, -2.0])
-    assert solver._l1_path_start(F, y, 0.4, 2.0) == (None, 0)
+    assert solver._l1_path_stops(F, y, [(0.4, 2.0), (0.4, 20.0)]) == [(None, 0), (None, 0)]
     res = mk.fit_l1(mk.KernelFamily(features=F, sample_id="orthogonal"), y, 0.1, 2.0)
     assert res.converged and res.iterations == 0
     npt.assert_array_equal(res.mu, [1.0, 1.0])
+
+
+def test_l1_start_must_match_the_family():
+    F, y = _rank1_case(8, True, 2, 5)
+    fam = mk.KernelFamily(features=F, sample_id="start")
+    with pytest.raises(ShapeError, match="start"):
+        mk.fit_l1(fam, y, 0.01, 2.0, start=(np.ones(fam.p + 1), 0))
+    # A start is only where projected gradient begins; the certificate
+    # decides. A None weight vector is the uniform start.
+    own = mk.fit_l1(fam, y, 0.01, 2.0)
+    uniform = mk.fit_l1(fam, y, 0.01, 2.0, start=(None, 0))
+    assert own.converged and uniform.converged and uniform.iterations > 0
+    assert uniform.objective_value == pytest.approx(own.objective_value, rel=1e-7)
 
 
 def test_l1_budget_validation():
