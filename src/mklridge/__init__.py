@@ -1,8 +1,9 @@
 """Multiple kernel learning for kernel ridge regression.
 
 Learns a nonnegative combination of base kernels under an L2 ball
-constraint on the combination weights, with an interpolated fixed-point
-solver, an independent projected-gradient reference solver, an
+constraint on the combination weights, with a damped-Newton solver of
+the closed-form fixed-point equation that certifies its result by a
+Frank-Wolfe gap, an independent projected-gradient reference solver, an
 L1-budget baseline, and numerical verification of the underlying
 identities and stability bounds.
 """

@@ -454,6 +454,7 @@ def _fit_for_combo(method, family, y, combo: dict, cfg: ExperimentConfig, start=
         "iterations": model.iterations,
         "converged": model.converged,
         "final_step": model.final_step,
+        "certificate_gap": model.certificate_gap,
         "objective": report.objective_value,
     }
     mu_full = model.weights.mu

@@ -1,9 +1,10 @@
 """Ridge solvers and kernel-weight learning.
 
-Three fitting routes live here. ``fit_l2`` runs the interpolated
-fixed-point iteration for the L2-constrained weight problem, whose
-optimum has the closed form mu = mu0 + radius * v/||v|| with
-v_k = alpha' K_k alpha. ``oracle_fit`` solves the same problem by
+Three fitting routes live here. ``fit_l2`` solves the L2-constrained
+weight problem, whose optimum has the closed form mu = mu0 + radius *
+v/||v|| with v_k = alpha' K_k alpha, by damped Newton on the fixed-point
+equation (K(mu(alpha)) + lam I) alpha = y, and reports the Frank-Wolfe
+gap of the weights it returns. ``oracle_fit`` solves the same problem by
 projected gradient descent with a Frank-Wolfe gap certificate; it relies
 only on the objective being nonincreasing in mu, never on that closed
 form, so the two can be checked against each other. ``fit_l1`` is the
@@ -25,6 +26,7 @@ from typing import Optional
 
 import numpy as np
 import scipy.linalg
+import scipy.linalg.blas
 import scipy.linalg.lapack
 
 from . import kernels
@@ -90,11 +92,9 @@ def _ridge_solve(fam, mu: np.ndarray, y: np.ndarray, lam: float) -> np.ndarray:
     """Solve (K(mu) + lam I) alpha = y for nonnegative weights mu.
 
     A rank-one family whose weight support S has s < m kernels is solved
-    in s dimensions: with Fd = F[:, S] sqrt(mu_S) and H = Fd'Fd + lam I_s,
-    the Woodbury identity gives alpha = (y - Fd H^(-1) Fd' y) / lam. The
-    residual is taken against the m x m system without forming it, with
-    the same refinement and tolerance as ``_solve_pd``, which handles
-    every other case on the formed matrix.
+    in s dimensions through ``_woodbury_solve`` with Fd = F[:, S]
+    sqrt(mu_S); ``_solve_pd`` handles every other case on the formed
+    matrix.
     """
     support = mu > 0
     s = int(np.count_nonzero(support))
@@ -102,9 +102,19 @@ def _ridge_solve(fam, mu: np.ndarray, y: np.ndarray, lam: float) -> np.ndarray:
         B = fam.combined_entries(mu)
         B[np.diag_indices(fam.m)] += lam
         return _solve_pd(B, y)
-    Fd = fam.features[:, support] * np.sqrt(mu[support])
+    return _woodbury_solve(fam.features[:, support] * np.sqrt(mu[support]), y, lam)
+
+
+def _woodbury_solve(Fd: np.ndarray, y: np.ndarray, lam: float) -> np.ndarray:
+    """Solve (Fd Fd' + lam I) a = y for an m x s matrix Fd with s < m.
+
+    With H = Fd'Fd + lam I_s, the Woodbury identity gives
+    a = (y - Fd H^(-1) Fd' y) / lam. The residual is taken against the
+    m x m system without forming it, with the same refinement and
+    tolerance as ``_solve_pd``.
+    """
     H = Fd.T @ Fd
-    H[np.diag_indices(s)] += lam
+    H[np.diag_indices(Fd.shape[1])] += lam
 
     def smallest():
         # Eigenvalues of Fd Fd' + lam I: those of H, and lam (s < m).
@@ -287,7 +297,8 @@ class MklModel:
     quad: np.ndarray    # v_k = alpha' K_k alpha at the returned alpha
     iterations: int
     converged: bool
-    final_step: float   # ||alpha_next - alpha|| at exit
+    final_step: float   # ||Newton step|| at the last iterate (0.0 when mu is pinned at mu0)
+    certificate_gap: float  # radius ||v|| - v'(mu - mu0): Frank-Wolfe bound on G(mu) - G*
 
     def __post_init__(self):
         a = _as_vector(self.alpha, "alpha").copy()
@@ -305,15 +316,70 @@ class SolveReport:
     objective_value: float
 
 
+def _add_outer(H: np.ndarray, W: np.ndarray, scale: float) -> None:
+    # H += scale W W' in place. H is symmetric and C-ordered, so H.T is the
+    # Fortran-ordered view of the same buffer that BLAS dgemm overwrites,
+    # and no m x m temporary is made.
+    scipy.linalg.blas.dgemm(scale, W, W, beta=1.0, c=H.T, trans_b=True, overwrite_c=True)
+
+
+def _newton_step(fam, alpha, v, y, lam: float, mu0, radius: float):
+    """Weights mu(alpha) = mu0 + radius v/||v|| and the Newton step
+    d = -H^(-1) R of the fixed-point residual R = (K(mu) + lam I) alpha - y.
+
+    With Z = [K_1 alpha, ..., K_p alpha], v^ = v/||v|| and c = 2 radius/||v||,
+    the Jacobian of R is H = K(mu) + lam I + c Z (I - v^v^') Z', which is
+    symmetric with H >= K(mu) + lam I. A Gram family forms it in the buffer
+    of ``combined_entries(mu)``. A rank-one family has Z = F diag(g),
+    g = F'alpha, so H = lam I + F M F' with M = diag(mu + c v) - (c/||v||^2)
+    q q', q = g v; M >= diag(mu) is positive definite. For p >= m that is
+    ``combined_entries(mu + c v)`` less a rank-one term; for p < m it is
+    solved in p dimensions with Fd = F chol(M). The step is solved from R
+    rather than as H^(-1) y - alpha, the same point (H alpha - R = y):
+    the solve's residual check is then relative to R, while at a large c
+    and a small lam the solve for H^(-1) y can fail its check.
+    """
+    mu = _weight_step(v, mu0, radius)
+    nv = float(np.linalg.norm(v))
+    c = 2.0 * radius / nv
+    if fam.features is None:
+        Z = np.column_stack([g.entries @ alpha for g in fam.grams])
+        H = fam.combined_entries(mu)
+        H[np.diag_indices(fam.m)] += lam
+        vhat = v / nv
+        _add_outer(H, Z - np.outer(Z @ vhat, vhat), c)
+        return mu, -_solve_pd(H, Z @ mu + lam * alpha - y)
+    F = fam.features
+    g = F.T @ alpha
+    R = F @ (mu * g) + lam * alpha - y
+    q = g * v
+    if fam.p >= fam.m:
+        H = fam.combined_entries(mu + c * v)
+        H[np.diag_indices(fam.m)] += lam
+        _add_outer(H, (F @ q)[:, None], -c / nv**2)
+        return mu, -_solve_pd(H, R)
+    M = np.diag(mu + c * v) - (c / nv**2) * np.outer(q, q)
+    return mu, -_woodbury_solve(F @ np.linalg.cholesky(M), R, lam)
+
+
 def fit_l2(family, y, lambda0: float, radius: float, mu0=None,
-           eta: float = 0.5, epsilon: Optional[float] = None, max_iters: int = 200):
+           epsilon: Optional[float] = None, max_iters: int = 200):
     """Learn kernel weights under the L2 ball constraint.
 
-    Interpolated fixed-point iteration: starting from the anchor-kernel
-    ridge solution, repeatedly recompute v from the current dual vector,
-    set mu = mu0 + radius * v/||v||, re-solve the ridge system for that
-    mu, and mix old and new duals with weight ``eta``; stop when the dual
-    moves less than ``epsilon``.
+    The optimum has the closed form mu = mu0 + radius * v/||v||, with
+    v_k = alpha' K_k alpha, at the dual vector alpha that solves the
+    fixed-point equation R(alpha) = (K(mu(alpha)) + lam I) alpha - y = 0.
+    Starting from the anchor-kernel ridge solution, damped Newton solves
+    that equation: each step is d = -H^(-1) R with H the Jacobian of R
+    (see ``_newton_step``). H is -1/2 times the Hessian of the strictly
+    concave reduced dual J = ``objective``, so halving the step until J
+    does not fall converges from any start, and near the optimum full
+    steps are taken. The fit stops at the first step with ||d|| <
+    ``epsilon``: a step that short lies where Newton converges
+    quadratically, so it is taken whole, and the weights are the closed
+    form at the iterate it reaches, O(||d||^2) from the optimum. At
+    radius 0, or when v vanishes at the start, mu = mu0 and the anchor
+    solve is the answer.
 
     Parameters
     ----------
@@ -322,21 +388,22 @@ def fit_l2(family, y, lambda0: float, radius: float, mu0=None,
     lambda0 : per-point ridge weight; the solve uses lam = lambda0 * m
     radius : weight-ball radius (0 freezes mu at mu0)
     mu0 : anchor weights, default all ones
-    eta : interpolation weight in (0, 1)
-    epsilon : stopping threshold on ||alpha_next - alpha||;
+    epsilon : stopping threshold on the Newton step ||d||;
         default 1e-8 * (1 + ||y||)
-    max_iters : iteration cap; exceeding it returns converged=False
+    max_iters : cap on Newton steps; exceeding it returns converged=False
 
     Returns
     -------
     (MklModel, SolveReport)
-        The model carries the final in-loop weights and the exact ridge
-        solution computed for them, so a converged model is a consistent
-        (mu, alpha) pair up to the stopping tolerance.
+        The model carries the closed-form weights at the final iterate
+        (when ``max_iters`` runs out, the iterate the last step started
+        from) and the exact ridge solution computed for them, so a
+        converged model is a consistent (mu, alpha) pair up to the
+        stopping tolerance. Its ``certificate_gap`` is the Frank-Wolfe gap
+        radius ||v|| - v'(mu - mu0) of that pair, an upper bound on how far
+        y'(K(mu) + lam I)^(-1) y lies above its minimum over the ball.
     """
     fam, y, lam = _fit_setup(family, y, lambda0, radius)
-    if not 0.0 < eta < 1.0:
-        raise ConfigError("eta must lie in (0, 1)")
     if max_iters < 1:
         raise ConfigError("max_iters must be at least 1")
     mu0 = _validated_mu0(mu0, fam.p)
@@ -345,38 +412,53 @@ def fit_l2(family, y, lambda0: float, radius: float, mu0=None,
     if not epsilon > 0:
         raise ConfigError("epsilon must be positive")
 
-    alpha_next = _ridge_solve(fam, mu0, y, lam)
+    alpha = _ridge_solve(fam, mu0, y, lam)
+    # quad_forms returns v >= 0, the domain of the closed form.
+    v = quad_forms(alpha, fam)
+    mu = _weight_step(v, mu0, radius)
+    converged = True
+    iterations = 1
+    step = 0.0
+    # At radius 0, or with v = 0, mu(alpha) = mu0 and the anchor solve is the fixed point.
+    if not np.array_equal(mu, mu0):
+        converged = False
+        value = objective(alpha, y, lam, v, mu0, radius)
+        for iterations in range(1, max_iters + 1):
+            mu, d = _newton_step(fam, alpha, v, y, lam, mu0, radius)
+            step = float(np.linalg.norm(d))
+            if step < epsilon:
+                alpha = alpha + d
+                mu = _weight_step(quad_forms(alpha, fam), mu0, radius)
+                converged = True
+                break
+            # Backtrack on J; the allowance absorbs roundoff in J near the
+            # optimum, where the full step's gain is below machine level.
+            floor = value - 1e-12 * max(1.0, abs(value))
+            for _ in range(60):
+                cand = alpha + d
+                cand_v = quad_forms(cand, fam)
+                cand_value = objective(cand, y, lam, cand_v, mu0, radius)
+                if cand_value >= floor:
+                    break
+                d = 0.5 * d
+            else:
+                raise NumericalError("weight-learning iteration diverged to non-finite values")
+            alpha, v, value = cand, cand_v, cand_value
+        alpha = _ridge_solve(fam, mu, y, lam)
+        v = quad_forms(alpha, fam)
 
-    converged = False
-    iterations = 0
-    step = float("inf")
-    for it in range(1, max_iters + 1):
-        alpha = alpha_next
-        # quad_forms returns v >= 0, the domain of the closed form.
-        mu = _weight_step(quad_forms(alpha, fam), mu0, radius)
-        solved = _ridge_solve(fam, mu, y, lam)
-        alpha_next = eta * alpha + (1.0 - eta) * solved
-        if not np.isfinite(alpha_next).all():
-            raise NumericalError("weight-learning iteration diverged to non-finite values")
-        step = float(np.linalg.norm(alpha_next - alpha))
-        iterations = it
-        if step < epsilon:
-            converged = True
-            break
-
-    alpha_out = solved
-    quad_out = quad_forms(alpha_out, fam)
     model = MklModel(
         weights=MuWeights(mu, mu0, float(radius)),
-        alpha=alpha_out,
+        alpha=alpha,
         lam=lam,
         lambda0=float(lambda0),
-        quad=quad_out,
+        quad=v,
         iterations=iterations,
         converged=converged,
         final_step=step,
+        certificate_gap=float(radius * np.linalg.norm(v) - v @ (mu - mu0)),
     )
-    return model, SolveReport(objective(alpha_out, y, lam, quad_out, mu0, radius))
+    return model, SolveReport(objective(alpha, y, lam, v, mu0, radius))
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,7 @@ def fitted_instances():
         fam, y, lambda0, radius = random_psd_instance(seed)
         epsilon = 1e-8 * (1.0 + float(np.linalg.norm(y)))
         t0 = time.perf_counter()
-        model, report = mk.fit_l2(fam, y, lambda0, radius, eta=0.5, epsilon=epsilon)
+        model, report = mk.fit_l2(fam, y, lambda0, radius, epsilon=epsilon)
         r_alpha, r_mu = mk.kkt_residuals(model, fam, y)
         t_fit += time.perf_counter() - t0
         rows.append({
@@ -202,7 +202,7 @@ def test_criterion_6_convergence_behavior(fitted_instances):
     median = float(np.median(iters))
     ok = median <= 50.0
     _report(6, ok, f"median iterations {median:.0f} (<=50), max {max(iters)} "
-                   f"at eta=0.5 with default epsilon")
+                   f"with default epsilon")
 
 
 SYNTHETIC_CONFIG = {

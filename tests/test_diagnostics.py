@@ -22,6 +22,7 @@ def _closed_form_model(fam, y, lambda0, radius):
     return mk.MklModel(
         weights=weights, alpha=alpha, lam=lam, lambda0=lambda0,
         quad=mk.quad_forms(alpha, fam), iterations=1, converged=True, final_step=0.0,
+        certificate_gap=0.0,
     )
 
 
@@ -56,6 +57,7 @@ def test_kkt_on_oracle_output_matches_fit_tolerance():
         weights=oracle.weights, alpha=oracle.alpha, lam=lambda0 * fam.m,
         lambda0=lambda0, quad=mk.quad_forms(oracle.alpha, fam),
         iterations=oracle.iterations, converged=oracle.converged, final_step=0.0,
+        certificate_gap=oracle.certificate_gap,
     )
     r_alpha, r_mu = mk.kkt_residuals(wrapped, fam, y)
     assert r_alpha <= 10.0 * eps
@@ -72,6 +74,7 @@ def test_kkt_detects_perturbed_alpha():
     broken = mk.MklModel(
         weights=model.weights, alpha=bumped, lam=model.lam, lambda0=model.lambda0,
         quad=model.quad, iterations=model.iterations, converged=True, final_step=0.0,
+        certificate_gap=model.certificate_gap,
     )
     r_alpha, _ = mk.kkt_residuals(broken, fam, y)
     clean_r_alpha, _ = mk.kkt_residuals(model, fam, y)

@@ -790,7 +790,8 @@ def test_run_fit_summary_layout(method):
     if method == "l1mkl":
         tail = ["budget", "iterations", "converged", "certificate_gap", "objective", "mu"]
     else:
-        tail = ["radius", "iterations", "converged", "final_step", "objective", "kkt", "mu"]
+        tail = ["radius", "iterations", "converged", "final_step", "certificate_gap",
+                "objective", "kkt", "mu"]
     assert list(summary) == head + tail
     if method == "l1mkl":
         return

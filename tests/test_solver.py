@@ -350,8 +350,6 @@ def test_fit_parameter_validation():
         with pytest.raises(ConfigError, match="mu0"):
             mk.fit_l2(fam, y, 0.1, 1.0, mu0=np.r_[np.ones(fam.p - 1), bad])
     with pytest.raises(ConfigError):
-        mk.fit_l2(fam, y, 0.1, 1.0, eta=1.0)
-    with pytest.raises(ConfigError):
         mk.fit_l2(fam, y, 0.1, 1.0, mu0=np.full(fam.p, 2.0))
 
 
@@ -400,6 +398,92 @@ def test_fit_converged_state_is_consistent():
     direct = mk.krr_solve(mk.combine(fam, model.weights.mu), y, model.lam)
     npt.assert_array_equal(model.alpha, direct)
     assert np.all(model.quad >= 0.0)
+
+
+@pytest.fixture(scope="module")
+def criterion_1_fits():
+    # The acceptance suite's criterion-1 instances, at the default epsilon.
+    fits = []
+    for seed in range(100):
+        fam, y, lambda0, radius = random_psd_instance(seed)
+        fits.append((y, mk.fit_l2(fam, y, lambda0, radius)[0]))
+    return fits
+
+
+def test_fit_newton_iterations_on_criterion_1_instances(criterion_1_fits):
+    iters = [model.iterations for _, model in criterion_1_fits]
+    assert all(model.converged for _, model in criterion_1_fits)
+    assert float(np.median(iters)) <= 5.0
+
+
+def test_fit_certificate_gap_on_criterion_1_instances(criterion_1_fits):
+    for y, model in criterion_1_fits:
+        assert model.certificate_gap <= 1e-12 * max(1.0, float(y @ model.alpha))
+
+
+def test_fit_certificate_gap_is_zero_at_radius_zero():
+    fam, y, lambda0, _ = random_psd_instance(13)
+    model, _ = mk.fit_l2(fam, y, lambda0, 0.0)
+    assert model.certificate_gap == 0.0
+    assert model.iterations == 1 and model.final_step == 0.0
+
+
+def _scaled_instance(kind, m, seed, radius):
+    # Kernels scaled as in criterion 1: the largest feasible combined
+    # kernel sum_k (1 + radius) K_k has unit spectral norm, the scale at
+    # which criterion 1's absolute tolerance 10 epsilon is meaningful.
+    # Rank-one families get some all-zero feature columns.
+    rng = np.random.default_rng(seed)
+    if kind == "gram":
+        mats = []
+        for _ in range(int(rng.integers(1, 7))):
+            A = rng.standard_normal((m, int(rng.integers(1, m + 1))))
+            mats.append(A @ A.T)
+        scale = np.linalg.eigvalsh(sum(mats))[-1] * (1.0 + radius)
+        fam = mk.KernelFamily.from_grams([K / scale for K in mats])
+    else:
+        p = int(rng.integers(m, m + 8)) if kind == "rank1_wide" else int(rng.integers(1, m))
+        F = rng.standard_normal((m, p))
+        F[:, rng.random(p) < 0.2] = 0.0
+        scale = max(np.linalg.norm(F, 2), 1.0) * np.sqrt(1.0 + radius)
+        fam = mk.KernelFamily(features=F / scale, sample_id="rank1")
+    return fam, rng.standard_normal(m)
+
+
+@settings(max_examples=40)
+@given(kind=st.sampled_from(["gram", "rank1_wide", "rank1_narrow"]),
+       m=st.integers(3, 20), seed=st.integers(0, 10_000),
+       radius=st.floats(0.0, 1e3), lambda0=st.floats(0.01, 1.0))
+def test_fit_l2_matches_oracle(kind, m, seed, radius, lambda0):
+    # Gram families, rank-one families with p >= m (dense Newton matrix)
+    # and p < m (Woodbury route), against the projected-gradient reference
+    # at criterion 2's objective bound and criterion 1's KKT bound.
+    fam, y = _scaled_instance(kind, m, seed, radius)
+    assert (fam.features is None) == (kind == "gram")
+    model, report = mk.fit_l2(fam, y, lambda0, radius)
+    oracle = mk.oracle_fit(fam, y, lambda0, radius)
+    assert model.converged
+    assert abs(report.objective_value - oracle.objective_value) <= 1e-6 * max(
+        1.0, abs(oracle.objective_value))
+    epsilon = 1e-8 * (1.0 + float(np.linalg.norm(y)))
+    assert max(mk.kkt_residuals(model, fam, y)) <= 10.0 * epsilon
+
+
+def test_fit_damped_newton_matches_oracle():
+    # At a small ridge and a large radius some full Newton step lowers the
+    # reduced dual J, so the fit must backtrack. J is evaluated at the
+    # start, at every trial step and for the report: a fit that never
+    # halves a step evaluates it iterations + 1 times.
+    rng = np.random.default_rng(1)
+    fam = mk.KernelFamily(features=rng.standard_normal((30, 12)), sample_id="rank1")
+    y = rng.standard_normal(30)
+    with mock.patch.object(solver, "objective", wraps=solver.objective) as spy:
+        model, report = mk.fit_l2(fam, y, 1e-4, 1e3)
+    assert model.converged
+    assert spy.call_count > model.iterations + 1
+    oracle = mk.oracle_fit(fam, y, 1e-4, 1e3)
+    assert abs(report.objective_value - oracle.objective_value) <= 1e-6 * max(
+        1.0, abs(oracle.objective_value))
 
 
 # --- projections --------------------------------------------------------------
@@ -736,6 +820,7 @@ def test_predict_single_training_point_linear():
     model = mk.MklModel(
         weights=weights, alpha=np.array([2.0]), lam=1.0, lambda0=1.0,
         quad=np.array([0.0]), iterations=1, converged=True, final_step=0.0,
+        certificate_gap=0.0,
     )
     X_train = np.array([[1.0, 0.0]])
     assert mk.predict(model, (KernelSpec.linear(),), X_train, np.array([3.0, 0.0])) == 6.0
