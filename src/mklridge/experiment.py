@@ -516,13 +516,27 @@ def _run_method_trial(method, family, folds: list, train: Dataset, test: Dataset
         starts = [solver._l1_path_stops(sub.features, y[tr_idx],
                                         [(c["lambda0"] * sub.m, c["budget"]) for c in combos])
                   for tr_idx, _, sub in folds]
+    # best_single on a rank-one family: every (lambda0, kernel) ridge fit
+    # of a fold has a closed form (solver._single_kernel_predictions), so
+    # one pass per fold gives all validation predictions.
+    closed = None
+    if method == "best_single" and family.features is not None:
+        lambda0s = sorted(cfg.lambda0_grid)
+        closed = [solver._single_kernel_predictions(sub.features, y[tr_idx],
+                                                    family.features[va_idx], lambda0s)
+                  for tr_idx, va_idx, sub in folds]
     for n, combo in enumerate(combos):
         scores = []
-        for (tr_idx, va_idx, sub_family), fold_starts in zip(folds, starts):
-            mu_full, alpha, info, _ = _fit_for_combo(method, sub_family, y[tr_idx], combo, cfg,
-                                                     fold_starts[n])
+        for f, ((tr_idx, va_idx, sub_family), fold_starts) in enumerate(zip(folds, starts)):
+            if closed is None:
+                mu_full, alpha, info, _ = _fit_for_combo(method, sub_family, y[tr_idx], combo,
+                                                         cfg, fold_starts[n])
+                preds = _predict_rows(family, mu_full, alpha, tr_idx, va_idx)
+            else:
+                # What fit_l2 reports at radius 0: the anchor solve is the fit.
+                info = {"iterations": 1, "converged": True}
+                preds = closed[f][lambda0s.index(combo["lambda0"]), :, combo["kernel"]]
             cv_infos.append(info)
-            preds = _predict_rows(family, mu_full, alpha, tr_idx, va_idx)
             scores.append(select_metric(preds, y[va_idx]))
         score = float(np.mean(scores))
         if best_score is None or score < best_score:

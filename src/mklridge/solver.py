@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 import scipy.linalg.blas
 import scipy.linalg.lapack
 
@@ -48,13 +47,15 @@ PGD_MEMORY = 10
 L1_PATH_MAX_KNOTS = 4
 
 
-def _cholesky(B: np.ndarray, smallest):
-    try:
-        return scipy.linalg.cho_factor(B, lower=True, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
+def _cholesky(B: np.ndarray, smallest) -> np.ndarray:
+    # Lower Cholesky factor of B by LAPACK dpotrf; its upper triangle is left
+    # as B's (clean=0), which dpotrs never reads.
+    L, info = scipy.linalg.lapack.dpotrf(B, lower=1, clean=0)
+    if info != 0:
         raise NumericalError(
             f"Cholesky factorization failed; smallest eigenvalue ~ {smallest():.6e}"
-        ) from exc
+        )
+    return L
 
 
 def _refined(solve, matvec, y: np.ndarray, smallest) -> np.ndarray:
@@ -81,11 +82,9 @@ def _solve_pd(B: np.ndarray, y: np.ndarray) -> np.ndarray:
     def smallest():
         return float(np.linalg.eigvalsh(B)[0])
 
-    factor = _cholesky(B, smallest)
-    return _refined(
-        lambda r: scipy.linalg.cho_solve(factor, r, check_finite=False),
-        lambda a: B @ a, y, smallest,
-    )
+    L = _cholesky(B, smallest)
+    return _refined(lambda r: scipy.linalg.lapack.dpotrs(L, r, lower=1)[0],
+                    lambda a: B @ a, y, smallest)
 
 
 def _ridge_solve(fam, mu: np.ndarray, y: np.ndarray, lam: float) -> np.ndarray:
@@ -120,11 +119,14 @@ def _woodbury_solve(Fd: np.ndarray, y: np.ndarray, lam: float) -> np.ndarray:
         # Eigenvalues of Fd Fd' + lam I: those of H, and lam (s < m).
         return float(np.linalg.eigvalsh(H).min(initial=lam))
 
-    factor = _cholesky(H, smallest)
-    return _refined(
-        lambda r: (r - Fd @ scipy.linalg.cho_solve(factor, Fd.T @ r, check_finite=False)) / lam,
-        lambda a: lam * a + Fd @ (Fd.T @ a), y, smallest,
-    )
+    L = _cholesky(H, smallest)
+
+    def solve(r):
+        # dpotrs rejects an empty system; at s = 0 the matrix is lam I.
+        w = scipy.linalg.lapack.dpotrs(L, Fd.T @ r, lower=1)[0] if H.size else np.zeros(0)
+        return (r - Fd @ w) / lam
+
+    return _refined(solve, lambda a: lam * a + Fd @ (Fd.T @ a), y, smallest)
 
 
 def _ridge_value_grad(fam, y: np.ndarray, lam: float, mu: np.ndarray):
@@ -149,6 +151,32 @@ def krr_solve(K, y, lam: float) -> np.ndarray:
         raise ConfigError("ridge amount lam must be positive")
     B = A + lam * np.eye(A.shape[0])
     return _solve_pd(B, y)
+
+
+def _single_kernel_predictions(F: np.ndarray, y: np.ndarray, F_query: np.ndarray,
+                               lambda0s) -> np.ndarray:
+    """Ridge predictions of every rank-one kernel f f' alone, at every lambda0.
+
+    F holds the m training rows of the feature columns and F_query the
+    query rows. For one column f and lam = lambda0 * m (as in
+    ``_fit_setup``), f f' + lam I has eigenvector f/||f|| with eigenvalue
+    f'f + lam and is lam on the rest, so (f f' + lam I)^(-1) y =
+    (y - f (f'y)/(f'f + lam))/lam and f'alpha = f'y/(f'f + lam). The
+    prediction at a query row is then f_query f'alpha. This is what
+    ``fit_l2`` at radius 0 on ``select_kernels([k])`` gives (mu = 1), for
+    all kernels and lambda0 in one pass; an all-zero column predicts 0.
+
+    Returns an array of shape (len(lambda0s), n_query, p). Raises
+    ``NumericalError`` when f'f, f'y or a prediction is not finite, as a
+    ridge solve on such a kernel fails its residual check.
+    """
+    fy = F.T @ y
+    ff = np.einsum("ij,ij->j", F, F)
+    lams = np.asarray(lambda0s, dtype=np.float64) * F.shape[0]
+    preds = F_query * (fy / (ff + lams[:, None]))[:, None, :]
+    if not (np.isfinite(ff).all() and np.isfinite(fy).all() and np.isfinite(preds).all()):
+        raise NumericalError("single-kernel ridge fit overflowed to non-finite values")
+    return preds
 
 
 def quad_forms(alpha, family) -> np.ndarray:

@@ -508,6 +508,60 @@ def test_uniform_on_single_kernel_family_is_plain_krr():
     assert rec["metrics"]["rmse"] == pytest.approx(mk.metric_rmse(preds, test.y), rel=1e-12)
 
 
+def test_best_single_on_rank1_family_is_plain_krr_per_kernel():
+    # On a rank-one family best_single's CV grid is scored in closed form;
+    # replay every (lambda0, kernel, fold) with a plain ridge fit.
+    cfg = ExperimentConfig.from_dict({
+        "dataset": {"kind": "synthetic_sparse", "n_features": 4, "n_informative": 2,
+                    "noise_sigma": 0.3, "train_size": 30, "test_size": 30},
+        "kernels": {"kind": "rank1_all"},
+        "methods": ["best_single"],
+        "lambda0_grid": [0.5, 0.02],
+        "cv_folds": 3,
+        "trials": 1,
+        "seed": 5,
+        "metrics": ["rmse"],
+    })
+    rec = run_experiment(cfg)["methods"]["best_single"]["trials"][0]
+
+    from mklridge.data import make_folds
+    seeds = np.random.SeedSequence(cfg.seed).spawn(1)
+    train, _, _ = _Source(cfg).trial_data(seeds[0])
+    fam = build_family(cfg.kernels, train)
+    plan = make_folds(train.m, cfg.cv_folds, int(seeds[0].generate_state(2)[1]))
+    best = None
+    for lam0 in sorted(cfg.lambda0_grid):
+        for k in range(fam.p):
+            K = fam.grams[k].entries
+            scores = []
+            for f in range(cfg.cv_folds):
+                tr, va = plan.fold_indices(f)
+                alpha = mk.krr_solve(K[np.ix_(tr, tr)], train.y[tr], lam0 * len(tr))
+                scores.append(mk.metric_rmse(K[np.ix_(va, tr)] @ alpha, train.y[va]))
+            score = float(np.mean(scores))
+            if best is None or score < best[0]:
+                best = (score, {"lambda0": lam0, "kernel": k})
+    assert rec["chosen"] == best[1]
+    assert rec["cv_score"] == pytest.approx(best[0], rel=1e-12)
+    assert rec["cv_fits"] == {"fits": fam.p * 2 * 3, "unconverged": 0,
+                              "iterations": [1, 1.0, 1]}
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_best_single_fails_when_a_feature_column_overflows(tmp_path):
+    # A column near 1e200 overflows f'f. The closed form would score that
+    # kernel as a zero predictor; the method must fail visibly instead.
+    rows = np.random.default_rng(4).standard_normal((24, 4))
+    rows[:, 1] *= 1e200
+    path = tmp_path / "huge.csv"
+    path.write_text("".join(",".join(map(str, r)) + "\n" for r in rows))
+    cfg = _tiny_config(dataset={"kind": "delimited", "path": str(path)},
+                       methods=["best_single"], lambda0_grid=[0.1], trials=1)
+    out = run_experiment(ExperimentConfig.from_dict(cfg))["methods"]["best_single"]
+    assert out["failed"] == 1
+    assert "non-finite" in out["trials"][0]["failed"]
+
+
 def test_tie_break_prefers_smallest_lambda0():
     # A dataset with zero targets makes every combo identical; the tie
     # should resolve to the smallest lambda0 and radius.

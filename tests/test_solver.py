@@ -1,3 +1,4 @@
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 import mklridge as mk
 from mklridge import ConfigError, DataError, KernelSpec, NumericalError, ShapeError
-from mklridge import solver
+from mklridge import experiment, solver
 from mklridge.solver import project_ball_cone, project_l1_orthant
 
 from helpers import (ball_grid_points, dual_objective_grid_min,
@@ -244,6 +245,45 @@ def test_feature_route_nan_features_raise():
     fam = mk.KernelFamily(features=np.array([[1.0], [2.0], [0.0]]), sample_id="finite")
     with pytest.raises(NumericalError):
         solver._ridge_solve(fam, np.ones(1), np.array([1.0, np.nan, 0.0]), 1.0)
+
+
+@settings(max_examples=60)
+@given(m=st.integers(4, 40), q=st.integers(1, 8), seed=st.integers(0, 10_000),
+       log_lambda0s=st.lists(st.floats(-6.0, 1.0), min_size=1, max_size=4))
+def test_single_kernel_predictions_match_fit_l2(m, q, seed, log_lambda0s):
+    # The closed form against exact arithmetic and against the route it
+    # replaces in best_single's CV: fit_l2 at radius 0 on each kernel
+    # alone, then _predict_rows. The columns include an all-zero one, a
+    # duplicate, a negated one and the offset. That route solves
+    # f f' + lam I, whose condition number (f'f + lam)/lam reaches 1e7 at
+    # lambda0 1e-6, and its prediction f_query f'alpha carries that
+    # solve's forward error; the bound against it scales with it.
+    rng = np.random.default_rng(seed)
+    base = rng.standard_normal((m, q))
+    F = np.column_stack([base, np.zeros(m), base[:, 0], -base[:, -1], np.ones(m)])
+    F = F[:, rng.permutation(F.shape[1])]
+    y = rng.standard_normal(m)
+    fam = mk.KernelFamily(features=F, sample_id="single")
+    va = np.sort(rng.choice(m, size=m // 3, replace=False))
+    tr = np.setdiff1d(np.arange(m), va)
+    sub = fam.subset(tr)
+    lambda0s = [10.0 ** e for e in log_lambda0s]
+    preds = solver._single_kernel_predictions(sub.features, y[tr], F[va], lambda0s)
+    assert preds.shape == (len(lambda0s), va.size, fam.p)
+    for k in range(fam.p):
+        f = [Fraction(v) for v in F[tr, k]]
+        fy = sum(a * Fraction(b) for a, b in zip(f, y[tr]))
+        ff = sum(a * a for a in f)
+        for i, lambda0 in enumerate(lambda0s):
+            lam = Fraction(lambda0 * tr.size)
+            exact = F[va, k] * float(fy / (ff + lam))
+            assert np.linalg.norm(preds[i, :, k] - exact) <= 1e-10 * np.linalg.norm(exact)
+            model, _ = mk.fit_l2(sub.select_kernels([k]), y[tr], lambda0, 0.0)
+            mu_full = np.zeros(fam.p)
+            mu_full[k] = model.weights.mu[0]
+            ref = experiment._predict_rows(fam, mu_full, model.alpha, tr, va)
+            cond = float((ff + lam) / lam)
+            assert np.linalg.norm(preds[i, :, k] - ref) <= 1e-10 * cond * np.linalg.norm(ref)
 
 
 @settings(max_examples=20)
