@@ -425,14 +425,14 @@ def _predict_rows(family: KernelFamily, mu, alpha, train_idx, query_idx) -> np.n
     return out
 
 
-def _fit_for_combo(method, family, y, combo: dict, cfg: ExperimentConfig, start=None):
+def _fit_for_combo(method, family, y, combo: dict, cfg: ExperimentConfig, start=None,
+                   kkt=False):
     """Fit one method at one hyperparameter combo.
 
     ``start`` is the combo's lasso-path stop for ``l1mkl`` on a rank-one
-    family (see ``fit_l1``), or None. Returns (mu_full, alpha, info,
-    kkt_args); ``kkt_args`` is the (model, family) pair whose KKT
-    residuals the report records, or None for ``l1mkl``, whose result is
-    not a fixed-point model.
+    family (see ``fit_l1``), or None. Returns (mu_full, alpha, info). With
+    ``kkt``, ``info`` ends with the fit's KKT residuals, except for
+    ``l1mkl``, whose result is not a fixed-point model.
     """
     lambda0 = combo["lambda0"]
     if method == "l1mkl":
@@ -446,7 +446,7 @@ def _fit_for_combo(method, family, y, combo: dict, cfg: ExperimentConfig, start=
             "certificate_gap": result.certificate_gap,
             "objective": result.objective_value,
         }
-        return result.mu, result.alpha, info, None
+        return result.mu, result.alpha, info
     fit_family = family.select_kernels([combo["kernel"]]) if method == "best_single" else family
     # uniform carries no radius: it is the L2 fit pinned at mu = mu0.
     model, report = fit_l2(fit_family, y, lambda0, combo.get("radius", 0.0))
@@ -457,17 +457,14 @@ def _fit_for_combo(method, family, y, combo: dict, cfg: ExperimentConfig, start=
         "certificate_gap": model.certificate_gap,
         "objective": report.objective_value,
     }
+    if kkt:
+        r_alpha, r_mu = diagnostics.kkt_residuals(model, fit_family, y)
+        info["kkt"] = {"alpha_residual": r_alpha, "mu_residual": r_mu}
     mu_full = model.weights.mu
     if method == "best_single":
         mu_full = np.zeros(family.p)
         mu_full[combo["kernel"]] = model.weights.mu[0]
-    return mu_full, model.alpha, info, (model, fit_family)
-
-
-def _kkt_entry(kkt_args, y) -> dict:
-    model, family = kkt_args
-    r_alpha, r_mu = diagnostics.kkt_residuals(model, family, y)
-    return {"alpha_residual": r_alpha, "mu_residual": r_mu}
+    return mu_full, model.alpha, info
 
 
 def _combo_grid(method, cfg: ExperimentConfig, p: int) -> list:
@@ -498,6 +495,38 @@ def _combo_grid(method, cfg: ExperimentConfig, p: int) -> list:
     return kept
 
 
+def _fold_grid(method, family, fold, y, combos: list, cfg: ExperimentConfig) -> list:
+    """(validation predictions, fit info) of every combo on one CV fold,
+    in combo order. ``fold`` is a (train indices, validation indices,
+    train-fold family) triple and ``family`` the trial's family, whose
+    kernels the predictions slice.
+
+    Two methods take a shortcut on a rank-one family. Every best_single
+    ridge fit has a closed form (solver._single_kernel_predictions), so
+    one pass scores the whole grid. One lasso-path walk gives the l1mkl
+    start of every combo (solver._l1_path_stops); fit_l1 still certifies
+    each.
+    """
+    tr_idx, va_idx, sub = fold
+    y_tr = y[tr_idx]
+    if method == "best_single" and family.features is not None:
+        preds = solver._single_kernel_predictions(sub.features, y_tr, family.features[va_idx],
+                                                  sorted(cfg.lambda0_grid))
+        # What fit_l2 reports at radius 0: the anchor solve is the fit.
+        info = {"iterations": 1, "converged": True}
+        # Combos run lambda0-major, then kernel, as the rows of this reshape.
+        return [(row, info) for row in preds.transpose(0, 2, 1).reshape(len(combos), -1)]
+    starts = [None] * len(combos)
+    if method == "l1mkl" and family.features is not None:
+        starts = solver._l1_path_stops(sub.features, y_tr,
+                                       [(c["lambda0"] * sub.m, c["budget"]) for c in combos])
+    grid = []
+    for combo, start in zip(combos, starts):
+        mu_full, alpha, info = _fit_for_combo(method, sub, y_tr, combo, cfg, start)
+        grid.append((_predict_rows(family, mu_full, alpha, tr_idx, va_idx), info))
+    return grid
+
+
 def _run_method_trial(method, family, folds: list, train: Dataset, test: Dataset,
                       cfg: ExperimentConfig):
     """CV-select hyperparameters on the trial's folds, given as (train
@@ -505,52 +534,23 @@ def _run_method_trial(method, family, folds: list, train: Dataset, test: Dataset
     full trial training set, and score on the held-out test rows."""
     y = train.y
     select_metric = _METRIC_FNS[cfg.metrics[0]]
-    best_combo = None
-    best_score = None
-    cv_infos = []
     combos = _combo_grid(method, cfg, family.p)
-    # On a rank-one family one lasso-path walk per fold gives the L1 start
-    # of every combo (solver._l1_path_stops); fit_l1 still certifies each.
-    starts = [[None] * len(combos)] * len(folds)
-    if method == "l1mkl" and family.features is not None:
-        starts = [solver._l1_path_stops(sub.features, y[tr_idx],
-                                        [(c["lambda0"] * sub.m, c["budget"]) for c in combos])
-                  for tr_idx, _, sub in folds]
-    # best_single on a rank-one family: every (lambda0, kernel) ridge fit
-    # of a fold has a closed form (solver._single_kernel_predictions), so
-    # one pass per fold gives all validation predictions.
-    closed = None
-    if method == "best_single" and family.features is not None:
-        lambda0s = sorted(cfg.lambda0_grid)
-        closed = [solver._single_kernel_predictions(sub.features, y[tr_idx],
-                                                    family.features[va_idx], lambda0s)
-                  for tr_idx, va_idx, sub in folds]
-    for n, combo in enumerate(combos):
-        scores = []
-        for f, ((tr_idx, va_idx, sub_family), fold_starts) in enumerate(zip(folds, starts)):
-            if closed is None:
-                mu_full, alpha, info, _ = _fit_for_combo(method, sub_family, y[tr_idx], combo,
-                                                         cfg, fold_starts[n])
-                preds = _predict_rows(family, mu_full, alpha, tr_idx, va_idx)
-            else:
-                # What fit_l2 reports at radius 0: the anchor solve is the fit.
-                info = {"iterations": 1, "converged": True}
-                preds = closed[f][lambda0s.index(combo["lambda0"]), :, combo["kernel"]]
-            cv_infos.append(info)
-            scores.append(select_metric(preds, y[va_idx]))
-        score = float(np.mean(scores))
-        if best_score is None or score < best_score:
-            best_score = score
-            best_combo = combo
+    fold_scores, cv_infos = [], []
+    for fold in folds:
+        grid = _fold_grid(method, family, fold, y, combos, cfg)
+        fold_scores.append([select_metric(preds, y[fold[1]]) for preds, _ in grid])
+        cv_infos += [info for _, info in grid]
+    scores = [float(np.mean(s)) for s in zip(*fold_scores)]
+    best = min(range(len(combos)), key=scores.__getitem__)  # the first strict minimum
 
-    mu_full, alpha, info, kkt_args = _fit_for_combo(method, family, y, best_combo, cfg)
+    mu_full, alpha, info = _fit_for_combo(method, family, y, combos[best], cfg, kkt=True)
     preds = predict_weighted(family.specs, mu_full, alpha, train.X, test.X)
     metrics = {name: _METRIC_FNS[name](preds, test.y) for name in cfg.metrics}
 
     iterations = [i["iterations"] for i in cv_infos]
     record = {
-        "chosen": best_combo,
-        "cv_score": best_score,
+        "chosen": combos[best],
+        "cv_score": scores[best],
         "cv_fits": {
             "fits": len(cv_infos),
             "unconverged": sum(not i["converged"] for i in cv_infos),
@@ -559,8 +559,6 @@ def _run_method_trial(method, family, folds: list, train: Dataset, test: Dataset
         "metrics": metrics,
     }
     record.update(info)
-    if kkt_args is not None:
-        record["kkt"] = _kkt_entry(kkt_args, y)
     return record
 
 
@@ -718,7 +716,7 @@ def emit_tables(report: dict, out_dir, fmt: str = "csv") -> dict:
 # ---------------------------------------------------------------------------
 
 def run_fit(config: ExperimentConfig) -> dict:
-    """Fit one model on the full configured dataset and summarize it."""
+    """Fit one model on the first trial's training rows and summarize it."""
     method = _check("fit", config.fit, "fit.")
     source = _Source(config)
     seed = np.random.SeedSequence(0 if config.seed is None else config.seed)
@@ -737,10 +735,8 @@ def run_fit(config: ExperimentConfig) -> dict:
         "orthogonality": diagnostics.orthogonality_check(family),
     }
     out.update(combo)
-    mu, _alpha, info, kkt_args = _fit_for_combo(method, family, train.y, combo, config)
+    mu, _alpha, info = _fit_for_combo(method, family, train.y, combo, config, kkt=True)
     out.update(info)
-    if kkt_args is not None:
-        out["kkt"] = _kkt_entry(kkt_args, train.y)
     out["mu"] = mu.tolist()
     return out
 

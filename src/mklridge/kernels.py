@@ -174,6 +174,8 @@ class GramMatrix:
         e = np.asarray(self.entries, dtype=np.float64)
         if e.ndim != 2 or e.shape[0] != e.shape[1]:
             raise ShapeError(f"Gram matrix must be square, got shape {e.shape}")
+        if not np.isfinite(e).all():
+            raise NumericalError("Gram matrix has non-finite entries")
         scale = np.maximum(1.0, np.abs(e))
         if not np.all(np.abs(e - e.T) <= 1e-12 * scale):
             raise NumericalError("Gram matrix is not symmetric within tolerance")
@@ -336,14 +338,14 @@ class KernelFamily:
     def from_grams(cls, mats) -> "KernelFamily":
         """Wrap raw PSD matrices (no evaluable specs) into a family.
 
-        Raw matrices share the sample id hashed from the first matrix.
+        Raw matrices share the sample id hashed from the first raw matrix.
         """
         sid = None
         grams = []
         for mat in mats:
             if not isinstance(mat, GramMatrix):
                 if sid is None:
-                    sid = sample_id_of(np.asarray(mats[0], dtype=np.float64))
+                    sid = sample_id_of(np.asarray(mat, dtype=np.float64))
                 mat = GramMatrix(entries=mat, sample_id=sid)
             grams.append(mat)
         return cls(grams=tuple(grams))

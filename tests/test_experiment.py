@@ -547,6 +547,60 @@ def test_best_single_on_rank1_family_is_plain_krr_per_kernel():
                               "iterations": [1, 1.0, 1]}
 
 
+@pytest.mark.parametrize("method", ["l2mkl", "l1mkl"])
+@pytest.mark.parametrize("kernels", [
+    {"kind": "explicit", "specs": [{"kind": "gaussian", "bandwidth": 2.0}, {"kind": "linear"}]},
+    {"kind": "rank1_all"},
+])
+def test_weight_learner_selection_replays_every_fit(method, kernels):
+    # Replay every (combo, fold) with the public fits and score the grid.
+    cfg = ExperimentConfig.from_dict({
+        "dataset": {"kind": "synthetic_sparse", "n_features": 4, "n_informative": 2,
+                    "noise_sigma": 0.3, "train_size": 24, "test_size": 24},
+        "kernels": kernels,
+        "methods": [method],
+        "lambda0_grid": [0.1, 0.01],
+        "radius_grid": [1.0, 0.0],
+        "budget_grid": [10.0, 1.0],
+        "cv_folds": 3,
+        "trials": 1,
+        "seed": 11,
+        "metrics": ["rmse"],
+    })
+    rec = run_experiment(cfg)["methods"][method]["trials"][0]
+
+    from mklridge.data import make_folds
+    seeds = np.random.SeedSequence(cfg.seed).spawn(1)
+    train, _, _ = _Source(cfg).trial_data(seeds[0])
+    fam = build_family(cfg.kernels, train)
+    plan = make_folds(train.m, cfg.cv_folds, int(seeds[0].generate_state(2)[1]))
+    best, fits = None, []
+    for combo in _combo_grid(method, cfg, fam.p):
+        scores = []
+        for f in range(cfg.cv_folds):
+            tr, va = plan.fold_indices(f)
+            sub = fam.subset(tr)
+            if method == "l2mkl":
+                model, _ = mk.fit_l2(sub, train.y[tr], combo["lambda0"], combo["radius"])
+                mu, alpha = model.weights.mu, model.alpha
+            else:
+                model = mk.fit_l1(sub, train.y[tr], combo["lambda0"], combo["budget"],
+                                  tol=cfg.l1_tol, max_iters=cfg.l1_max_iters)
+                mu, alpha = model.mu, model.alpha
+            fits.append((model.iterations, model.converged))
+            preds = experiment._predict_rows(fam, mu, alpha, tr, va)
+            scores.append(mk.metric_rmse(preds, train.y[va]))
+        score = float(np.mean(scores))
+        if best is None or score < best[0]:
+            best = (score, combo)
+    iterations = [i for i, _ in fits]
+    assert rec["chosen"] == best[1]
+    assert rec["cv_score"] == pytest.approx(best[0], rel=1e-12)
+    assert rec["cv_fits"] == {
+        "fits": len(fits), "unconverged": sum(not c for _, c in fits),
+        "iterations": [min(iterations), float(np.median(iterations)), max(iterations)]}
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_best_single_fails_when_a_feature_column_overflows(tmp_path):
     # A column near 1e200 overflows f'f. The closed form would score that

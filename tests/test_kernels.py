@@ -356,6 +356,15 @@ def test_family_requires_shared_sample():
         mk.KernelFamily(grams=(g1, g2))
 
 
+def test_from_grams_hashes_the_first_raw_matrix():
+    raw = [np.eye(2), 2.0 * np.eye(2)]
+    fam = mk.KernelFamily.from_grams(raw)
+    assert fam.sample_id == mk.kernels.sample_id_of(raw[0])
+    assert mk.KernelFamily.from_grams(iter(raw)).sample_id == fam.sample_id
+    with pytest.raises(ConfigError, match="must share one sample"):
+        mk.KernelFamily.from_grams([mk.GramMatrix(np.eye(2), "a"), np.eye(2)])
+
+
 def test_family_subset_consistency():
     X = random_matrix(8, 3, 5)
     fam = mk.KernelFamily.from_specs([KernelSpec.linear(), KernelSpec.gaussian(1.0)], X)
@@ -413,9 +422,14 @@ def test_family_rejects_infinite_features(bad):
         mk.KernelFamily(features=[[1.0], [bad], [0.0]], sample_id="x")
 
 
+@pytest.mark.filterwarnings("error")
 def test_gram_matrix_rejects_asymmetry():
-    with pytest.raises(NumericalError):
+    with pytest.raises(NumericalError, match="not symmetric"):
         mk.GramMatrix(entries=np.array([[1.0, 2.0], [0.5, 1.0]]), sample_id="x")
+    # A symmetric matrix with a NaN or an infinite entry is named for that.
+    for bad in (np.nan, np.inf):
+        with pytest.raises(NumericalError, match="non-finite entries"):
+            mk.GramMatrix(entries=np.array([[bad, 0.0], [0.0, 1.0]]), sample_id="x")
 
 
 def test_gram_matrix_rejects_negative_diagonal():
