@@ -78,7 +78,7 @@ def orthogonality_check(family: KernelFamily) -> Optional[bool]:
     # on every sample row (zero column, zero Gram diagonal) shares nothing.
     F = family.features
     live = (np.any(F != 0.0, axis=0) if F is not None
-            else [np.any(np.diag(g.entries) != 0.0) for g in family.grams])
+            else np.any(np.diagonal(family.stack, axis1=1, axis2=2) != 0.0, axis=1))
     active = [(s.kind, s.feature_index) for s, on in zip(specs, live) if on]
     return len(set(active)) == len(active)
 

@@ -417,12 +417,9 @@ def _predict_rows(family: KernelFamily, mu, alpha, train_idx, query_idx) -> np.n
     if family.features is not None:
         F = family.features
         return F[query_idx] @ (mu * (F[train_idx].T @ alpha))
-    out = np.zeros(len(query_idx))
-    for k in range(family.p):
-        if mu[k] == 0.0:
-            continue
-        out += mu[k] * (family.grams[k].entries[np.ix_(query_idx, train_idx)] @ alpha)
-    return out
+    a = np.zeros(family.m)
+    a[train_idx] = alpha
+    return mu @ (family.stack[:, query_idx] @ a)
 
 
 def _fit_for_combo(method, family, y, combo: dict, cfg: ExperimentConfig, start=None,

@@ -229,12 +229,6 @@ def cross_gram(spec: KernelSpec, A, B) -> np.ndarray:
     return _block(spec, A, B)
 
 
-def _kappa0_from_grams(grams: Sequence[GramMatrix]) -> float:
-    # Smallest valid bound on sqrt(sum_k K_k(x,x)^2) over the sample.
-    diags = np.stack([np.diag(g.entries) for g in grams])
-    return float(np.sqrt((diags**2).sum(axis=0)).max()) if diags.size else 0.0
-
-
 def _explicit_features(specs: Sequence[KernelSpec], X: np.ndarray) -> Optional[np.ndarray]:
     # One column per kernel with K_k = outer(column, column) over the rows
     # of X, or None when some kind has no finite explicit feature map.
@@ -253,59 +247,84 @@ def _explicit_features(specs: Sequence[KernelSpec], X: np.ndarray) -> Optional[n
 class KernelFamily:
     """Ordered collection of base kernels over a single sample.
 
-    ``features``, when present, holds one column per kernel such that
-    K_k = outer(features[:, k], features[:, k]); solvers use it as an
-    exact fast path (ridge systems are solved in |supp mu| dimensions when
-    that is below m, with the same residual guarantee as the dense solve),
-    and the Gram matrices of such families materialize lazily on first
-    access (idempotent, so benign under concurrency). Families of other
-    kinds hold the Gram matrices that :func:`build_gram` evaluates.
-    ``kappa0`` bounds sqrt(sum_k K_k(x,x)^2) over the sample, verified by
-    direct evaluation of the kernel diagonals.
+    A family stores its p kernels in one of two read-only layouts:
+
+    - ``features``, an m x p matrix with K_k = outer(features[:, k],
+      features[:, k]), for rank-one kernels. Solvers use it as an exact
+      fast path: ridge systems are solved in |supp mu| dimensions when that
+      is below m, with the same residual guarantee as the dense solve.
+    - ``stack``, a C-contiguous p x m x m array whose slice ``stack[k]``
+      is the Gram matrix K_k, for every other family. K(mu), the quadratic
+      forms alpha' K_k alpha and within-sample predictions are each one
+      call on it.
+
+    The attribute of the other layout is None. ``grams``, a tuple of
+    :class:`GramMatrix`, is materialized from either layout on first access
+    (idempotent, so benign under concurrency); no solver or experiment path
+    reads it. ``kappa0`` bounds sqrt(sum_k K_k(x,x)^2) over the sample,
+    verified by direct evaluation of the kernel diagonals.
     """
 
     def __init__(self, grams=None, specs=None, features=None,
                  sample_id: Optional[str] = None):
         if (grams is None) == (features is None):
             raise ConfigError("kernel family needs either Gram matrices or feature columns")
-        self.specs = None if specs is None else tuple(specs)
-        self._grams = None
-        self.features = None
+        stack = None
         if features is not None:
             f = np.asarray(features, dtype=np.float64)
-            if f.ndim != 2 or f.shape[1] == 0:
+            if f.ndim != 2 or f.size == 0:
                 raise ShapeError(f"features must be a nonempty 2-d matrix, got {f.shape}")
             if not np.isfinite(f).all():
                 raise DataError("feature columns contain non-finite values")
-            f = f.copy()
-            f.flags.writeable = False
-            self.features = f
-            self._m, self._p = f.shape
+            features = f.copy()
+            if sample_id is None:
+                raise ConfigError("feature-backed families need an explicit sample_id")
         else:
             grams = tuple(grams)
             if not grams:
                 raise ConfigError("kernel family must contain at least one kernel")
-            sid = grams[0].sample_id
+            sample_id = grams[0].sample_id
             m = grams[0].m
-            for g in grams:
-                if g.sample_id != sid:
+            if m == 0:
+                raise ShapeError("Gram matrices of a family must be nonempty")
+            stack = np.empty((len(grams), m, m))
+            for k, g in enumerate(grams):
+                if g.sample_id != sample_id:
                     raise ConfigError("all Gram matrices in a family must share one sample")
                 if g.m != m:
                     raise ShapeError("all Gram matrices in a family must share one dimension")
-            self._grams = grams
-            self._m = m
-            self._p = len(grams)
-            sample_id = sid
-        if sample_id is None:
-            raise ConfigError("feature-backed families need an explicit sample_id")
+                stack[k] = g.entries
+        self._adopt(specs, sample_id, features, stack)
+
+    def _adopt(self, specs, sample_id: str, features, stack):
+        # Take checked storage as it is, read-only and uncopied: a new
+        # array, or a row/column or kernel selection of a checked family's,
+        # which keeps its symmetry, finite entries and diagonal signs.
+        if features is not None:
+            features.flags.writeable = False
+            self._m, self._p = features.shape
+        else:
+            stack.flags.writeable = False
+            self._p, self._m = stack.shape[:2]
+        self.specs = None if specs is None else tuple(specs)
         if self.specs is not None and len(self.specs) != self._p:
             raise ShapeError("specs and kernel counts differ")
+        self.features = features
+        self.stack = stack
         self.sample_id = sample_id
+        self._grams = None
         self.kappa0 = self._compute_kappa0()
 
+    @classmethod
+    def _of_stack(cls, stack: np.ndarray, specs, sample_id: str) -> "KernelFamily":
+        fam = cls.__new__(cls)
+        fam._adopt(specs, sample_id, None, stack)
+        return fam
+
     def _compute_kappa0(self) -> float:
-        if self._grams is not None:
-            return _kappa0_from_grams(self._grams)
+        if self.stack is not None:
+            diags = np.diagonal(self.stack, axis1=1, axis2=2)
+            return float(np.sqrt((diags**2).sum(axis=0)).max())
         diag = self.features**2  # K_k(x_i, x_i) for rank-one columns
         return float(np.sqrt((diag**2).sum(axis=1)).max())
 
@@ -313,26 +332,31 @@ class KernelFamily:
     def grams(self) -> tuple:
         if self._grams is None:
             F = self.features
-            self._grams = tuple(
-                GramMatrix(entries=np.outer(F[:, k], F[:, k]), sample_id=self.sample_id)
-                for k in range(self._p)
-            )
+            mats = self.stack if F is None else (np.outer(f, f) for f in F.T)
+            self._grams = tuple(GramMatrix(entries=e, sample_id=self.sample_id) for e in mats)
         return self._grams
 
     @classmethod
     def from_specs(cls, specs: Sequence[KernelSpec], X) -> "KernelFamily":
-        """Bundle the given specs over X; rank-one families stay lazy."""
+        """Bundle the given specs over X; rank-one families stay lazy.
+
+        Any other family's stack is filled one :func:`build_gram` at a
+        time, so no more than one Gram matrix sits beside it.
+        """
         X = _as_matrix(X)
         if not np.isfinite(X).all():
             raise DataError("data matrix contains non-finite values")
         specs = tuple(specs)
         if not specs:
             raise ConfigError("kernel family must contain at least one kernel")
+        sample_id = sample_id_of(X)
         features = _explicit_features(specs, X)
         if features is not None:
-            return cls(specs=specs, features=features, sample_id=sample_id_of(X))
-        grams = tuple(build_gram(s, X) for s in specs)
-        return cls(grams=grams, specs=specs)
+            return cls(specs=specs, features=features, sample_id=sample_id)
+        stack = np.empty((len(specs), X.shape[0], X.shape[0]))
+        for k, s in enumerate(specs):
+            stack[k] = build_gram(s, X).entries
+        return cls._of_stack(stack, specs, sample_id)
 
     @classmethod
     def from_grams(cls, mats) -> "KernelFamily":
@@ -361,39 +385,49 @@ class KernelFamily:
     def subset(self, indices) -> "KernelFamily":
         """Restrict every kernel to a sub-sample (row/column selection)."""
         idx = np.asarray(indices, dtype=np.intp)
+        if idx.ndim != 1 or idx.size == 0:
+            raise ShapeError(f"a subset needs a nonempty 1-d index array, got shape {idx.shape}")
         child_id = self.sample_id[:8] + "/" + hashlib.sha1(idx.tobytes()).hexdigest()[:8]
         if self.features is not None:
             return KernelFamily(
                 specs=self.specs, features=self.features[idx], sample_id=child_id,
             )
-        grams = tuple(
-            GramMatrix(entries=g.entries[np.ix_(idx, idx)], sample_id=child_id)
-            for g in self.grams
+        # Indexing all three axes gathers a C-contiguous stack with no
+        # intermediate copy; stack[:, rows, cols] would not be C-contiguous.
+        return KernelFamily._of_stack(
+            self.stack[np.ix_(range(self.p), idx, idx)], self.specs, child_id,
         )
-        return KernelFamily(grams=grams, specs=self.specs)
 
     def select_kernels(self, kernel_indices) -> "KernelFamily":
-        """Keep only the listed kernels (same sample)."""
-        ks = list(kernel_indices)
+        """Keep only the listed kernels (same sample). A run of consecutive
+        kernels of a Gram family, such as one kernel, is a view of its stack."""
+        ks = np.arange(self.p)[list(kernel_indices)]
+        if ks.size == 0:
+            raise ConfigError("kernel family must contain at least one kernel")
         specs = None if self.specs is None else tuple(self.specs[k] for k in ks)
         if self.features is not None:
             return KernelFamily(
                 specs=specs, features=self.features[:, ks], sample_id=self.sample_id,
             )
-        return KernelFamily(grams=tuple(self.grams[k] for k in ks), specs=specs)
+        run = bool(np.all(np.diff(ks) == 1))
+        stack = self.stack[ks[0]:ks[-1] + 1] if run else self.stack[ks]
+        return KernelFamily._of_stack(stack, specs, self.sample_id)
 
     def combined_entries(self, mu) -> np.ndarray:
-        """Sum_k mu_k K_k as a raw array: one matrix product over the
-        feature columns when the family has them, otherwise a sum over the
-        Gram matrices, kernel by kernel in index order."""
+        """Sum_k mu_k K_k as a new array: one matrix product over the
+        feature columns, or one contraction of the stack whose entries
+        equal the kernel-by-kernel sum in index order bit for bit."""
         mu = _as_vector(mu, "mu")
         if mu.shape[0] != self.p:
             raise ShapeError(f"mu has length {mu.shape[0]}, family has {self.p} kernels")
         if self.features is not None:
             return (self.features * mu) @ self.features.T
-        out = np.zeros((self.m, self.m))
+        if self.m > 1:
+            return np.einsum("k,kij->ij", mu, self.stack)
+        # At m = 1 the k axis is contiguous and einsum sums it in blocks.
+        out = np.zeros((1, 1))
         for k in range(self.p):
-            out += mu[k] * self.grams[k].entries
+            out += mu[k] * self.stack[k]
         return out
 
 

@@ -193,7 +193,7 @@ def quad_forms(alpha, family) -> np.ndarray:
     if fam.features is not None:
         proj = fam.features.T @ alpha
         return proj * proj
-    v = np.array([alpha @ (g.entries @ alpha) for g in fam.grams])
+    v = (fam.stack @ alpha) @ alpha
     worst = float(v.min(initial=0.0))
     if worst < -NEG_QUAD_TOL:
         raise NumericalError(
@@ -371,7 +371,7 @@ def _newton_step(fam, alpha, v, y, lam: float, mu0, radius: float):
     nv = float(np.linalg.norm(v))
     c = 2.0 * radius / nv
     if fam.features is None:
-        Z = np.column_stack([g.entries @ alpha for g in fam.grams])
+        Z = (fam.stack @ alpha).T
         H = fam.combined_entries(mu)
         H[np.diag_indices(fam.m)] += lam
         vhat = v / nv

@@ -359,6 +359,19 @@ def test_l1_walks_one_lasso_path_per_fold(monkeypatch):
     assert walks == []
 
 
+def test_experiment_never_materializes_gram_copies(monkeypatch):
+    # A Gram family computes on its stack; a tuple of GramMatrix copies
+    # beside it would raise peak memory.
+    def no_grams(self):
+        raise AssertionError("KernelFamily.grams read during an experiment")
+
+    monkeypatch.setattr(mk.KernelFamily, "grams", property(no_grams))
+    kernels = {"kind": "explicit", "specs": [{"kind": "gaussian", "bandwidth": 2.0},
+                                             {"kind": "polynomial", "degree": 2}]}
+    report = run_experiment(ExperimentConfig.from_dict(_tiny_config(kernels=kernels, trials=1)))
+    assert [entry["failed"] for entry in report["methods"].values()] == [0] * 4
+
+
 def test_experiment_rejects_more_folds_than_training_rows(tmp_path):
     cfg = _tiny_config(dataset={**_tiny_config()["dataset"], "train_size": 5}, cv_folds=10,
                        methods=["uniform"], trials=1)

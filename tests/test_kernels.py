@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 
 import mklridge as mk
 from mklridge import ConfigError, DataError, KernelSpec, NumericalError, ShapeError
+from mklridge import experiment, solver
 
 ALL_SPECS = [
     KernelSpec.gaussian(0.7),
@@ -290,6 +293,22 @@ def test_combine_matches_independent_loop_exactly(seed, p):
     npt.assert_array_equal(K.entries, acc)
 
 
+@settings(max_examples=60)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 40), p=st.integers(1, 12))
+def test_combined_entries_is_the_index_order_sum_bit_for_bit(seed, m, p):
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((p, m, m))
+    fam = mk.KernelFamily.from_grams([g + g.T for g in A @ A.transpose(0, 2, 1)])
+    mu = rng.uniform(0.0, 3.0, size=p)
+    mu[rng.random(p) < 0.3] = 0.0
+    K = fam.combined_entries(mu)
+    acc = np.zeros((m, m))
+    for k in range(p):
+        acc += mu[k] * fam.stack[k]
+    assert K.tobytes() == acc.tobytes()
+    assert np.array_equal(K, K.T)
+
+
 @pytest.mark.parametrize("kind", ["dense", "rank1"])
 def test_combine_equals_combined_entries(kind):
     # combine is the solvers' K(mu): bit-equal on both family layouts.
@@ -406,6 +425,107 @@ def test_select_kernels_keeps_feature_families_lazy():
     npt.assert_array_equal(sel.features, fam.features[:, [3, 1]])
     for got, want in zip(sel.grams, (fam.grams[3], fam.grams[1])):
         assert got.entries.tobytes() == want.entries.tobytes()
+
+
+@pytest.mark.parametrize("layout", ["stack", "features"])
+def test_family_over_no_rows_is_a_shape_error(layout):
+    X = np.abs(random_matrix(5, 2, 9))
+    specs = ([KernelSpec.rank1(0), KernelSpec.constant()] if layout == "features"
+             else [KernelSpec.linear(), KernelSpec.gaussian(1.0)])
+    fam = mk.KernelFamily.from_specs(specs, X)
+    assert (fam.stack is None) == (layout == "features")
+    with pytest.raises(ShapeError, match="nonempty"):
+        fam.subset([])
+    with pytest.raises(ShapeError, match="nonempty"):
+        if layout == "features":
+            mk.KernelFamily(features=np.zeros((0, 2)), sample_id="x")
+        else:
+            mk.KernelFamily.from_grams([np.zeros((0, 0))])
+
+
+def _reference_gram_family(seed, m, p, zero, twin):
+    # p random PSD kernels of random rank, then optionally a zero kernel
+    # and a copy of the first one; returns the family and its raw matrices.
+    rng = np.random.default_rng(seed)
+    mats = []
+    for _ in range(p):
+        A = rng.standard_normal((m, int(rng.integers(1, m + 1))))
+        mats.append(A @ A.T)
+    if zero:
+        mats.append(np.zeros((m, m)))
+    if twin:
+        mats.append(mats[0].copy())
+    return mk.KernelFamily.from_grams(mats), mats, rng
+
+
+@settings(max_examples=40)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 25), p=st.integers(1, 4),
+       zero=st.booleans(), twin=st.booleans())
+def test_stack_matches_per_kernel_loops(seed, m, p, zero, twin):
+    # The one-call operations on the stack against the kernel-by-kernel
+    # loops they replace, to 1e-13 of each quantity's natural scale, on p
+    # random PSD kernels plus, optionally, a zero kernel and a twin.
+    rng = np.random.default_rng(seed)
+    mats = []
+    for _ in range(p):
+        A = rng.standard_normal((m, int(rng.integers(1, m + 1))))
+        mats.append(A @ A.T)
+    mats += [np.zeros((m, m))] * zero + [mats[0].copy()] * twin
+    fam = mk.KernelFamily.from_grams(mats)
+    tol = 1e-13
+    alpha = rng.standard_normal(m)
+    norms = np.array([np.linalg.norm(K) for K in mats])
+
+    v = mk.quad_forms(alpha, fam)
+    want = np.array([alpha @ (K @ alpha) for K in mats])
+    assert np.all(np.abs(v - want) <= tol * norms * (alpha @ alpha))
+
+    # The Newton step's matrix H and right-hand side R, both built from Z.
+    y = rng.standard_normal(m)
+    lam, radius, mu0 = 0.1, 0.5, np.ones(fam.p)
+    seen = []
+    solve_pd = solver._solve_pd
+
+    def capture(B, rhs):
+        seen.append((B.copy(), rhs.copy()))
+        return solve_pd(B, rhs)
+
+    with mock.patch.object(solver, "_solve_pd", capture):
+        mu, _ = solver._newton_step(fam, alpha, v, y, lam, mu0, radius)
+    [(H, R)] = seen
+    Z = np.column_stack([K @ alpha for K in mats])
+    nv = np.linalg.norm(v)
+    W = Z - np.outer(Z @ (v / nv), v / nv)
+    H_ref = sum(w * K for w, K in zip(mu, mats)) + lam * np.eye(m) + (2 * radius / nv) * W @ W.T
+    R_ref = Z @ mu + lam * alpha - y
+    assert np.linalg.norm(H - H_ref) <= tol * np.linalg.norm(H_ref)
+    scale = np.linalg.norm(Z) * np.linalg.norm(mu) + lam * np.linalg.norm(alpha) + np.linalg.norm(y)
+    assert np.linalg.norm(R - R_ref) <= tol * scale
+
+    perm = rng.permutation(m)
+    n_tr = int(rng.integers(1, m))
+    tr, va = perm[:n_tr], perm[n_tr:]
+    mu = rng.uniform(0.0, 2.0, size=fam.p)
+    mu[rng.random(fam.p) < 0.3] = 0.0
+    a = alpha[:n_tr]
+    got = experiment._predict_rows(fam, mu, a, tr, va)
+    want = sum(w * (K[np.ix_(va, tr)] @ a) for w, K in zip(mu, mats))
+    assert np.all(np.abs(got - want) <= tol * (mu @ norms) * np.linalg.norm(a))
+
+    # Children: read-only, gathered exactly; one kernel is a view.
+    sub = fam.subset(tr)
+    assert not sub.stack.flags.writeable and sub.stack.flags.c_contiguous
+    for G, K in zip(sub.stack, mats):
+        assert np.array_equal(G, K[np.ix_(tr, tr)])
+    k = int(rng.integers(fam.p))
+    one = fam.select_kernels([k])
+    assert np.shares_memory(one.stack, fam.stack) and not one.stack.flags.writeable
+    assert np.array_equal(one.stack[0], mats[k])
+    flipped = fam.select_kernels(range(fam.p - 1, -1, -1))
+    assert not flipped.stack.flags.writeable
+    assert np.array_equal(flipped.stack, np.stack(mats[::-1]))
+    with pytest.raises(ConfigError, match="at least one kernel"):
+        fam.select_kernels([])
 
 
 def test_family_holds_one_representation():
