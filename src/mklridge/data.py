@@ -4,8 +4,8 @@ families, and deterministic splits and folds."""
 from __future__ import annotations
 
 import csv
-from collections import Counter
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import Optional, Sequence
 
 import numpy as np
@@ -54,7 +54,8 @@ class Dataset:
 def load_delimited(path, label_column: int = -1, delimiter: str = ",",
                    task: str = "regression", label_map: Optional[dict] = None,
                    header: bool = False) -> Dataset:
-    """Read a delimited numeric file into a dataset.
+    """Read a delimited numeric UTF-8 file, with or without a leading
+    byte-order mark, into a dataset.
 
     ``label_column`` indexes the target column (negative indices count
     from the end). With ``label_map``, raw label tokens are translated
@@ -64,7 +65,7 @@ def load_delimited(path, label_column: int = -1, delimiter: str = ",",
     """
     rows = []
     try:
-        fh = open(path, newline="", encoding="utf-8")
+        fh = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise DataError(f"cannot open {path}: {exc}") from exc
     with fh:
@@ -124,10 +125,13 @@ def tokenize(text: str) -> list:
 
 
 def load_text_corpus(path):
-    """Read a labeled corpus: one document per line, 'label<TAB>text'."""
+    """Read a labeled UTF-8 corpus: one document per line, 'label<TAB>text'.
+
+    A leading byte-order mark is skipped.
+    """
     docs, labels = [], []
     try:
-        fh = open(path, encoding="utf-8")
+        fh = open(path, encoding="utf-8-sig")
     except OSError as exc:
         raise DataError(f"cannot open {path}: {exc}") from exc
     with fh:
@@ -153,7 +157,8 @@ def load_text_corpus(path):
 
 @dataclass(frozen=True)
 class NgramVocabulary:
-    """Retained n-grams ordered by descending count, ties lexicographic."""
+    """Retained n-grams ordered by descending count, ties in the token
+    tuples' Python string order."""
 
     n: int
     entries: tuple  # ((token, ...), count) pairs
@@ -162,60 +167,104 @@ class NgramVocabulary:
         if self.n < 1:
             raise ConfigError("n must be at least 1")
         object.__setattr__(self, "entries", tuple(self.entries))
+        if any(len(ngram) != self.n for ngram, _ in self.entries):
+            raise ConfigError(f"every vocabulary n-gram must hold n = {self.n} tokens")
 
     @property
     def size(self) -> int:
         return len(self.entries)
 
-    def index(self) -> dict:
-        return {ngram: i for i, (ngram, _) in enumerate(self.entries)}
+
+def _windows(corpus, n: int, code: dict):
+    """Word ids of every n-gram window of a corpus, one row each.
+
+    Returns ``(rows, doc)``: an (N, n) integer array whose row holds the
+    ids ``code`` gives a window's tokens (-1 for a token it lacks), and
+    the document each window lies in. Windows never cross documents.
+    """
+    lens = np.fromiter(map(len, corpus), dtype=np.intp, count=len(corpus))
+    tokens = list(chain.from_iterable(corpus))
+    ids = np.fromiter(map(code.get, tokens, repeat(-1)), dtype=np.intp, count=len(tokens))
+    end = np.repeat(np.cumsum(lens), lens)
+    start = np.flatnonzero(np.arange(len(tokens)) + n <= end)
+    doc = np.repeat(np.arange(len(corpus)), lens)[start]
+    return ids[start[:, None] + np.arange(n)], doc
 
 
-def _doc_ngrams(doc, n: int) -> Counter:
-    return Counter(tuple(doc[i:i + n]) for i in range(len(doc) - n + 1))
+def _group_rows(rows: np.ndarray):
+    """Group the equal rows of an (N, n) integer array with one sort.
+
+    Returns ``(group, first)``: ``group[i]`` numbers row i's group, the
+    groups numbered in lexicographic order of their rows, and
+    ``rows[first[g]]`` is the row of group g.
+    """
+    order = np.lexsort(rows.T[::-1])
+    ranked = rows[order]
+    new = np.ones(len(rows), dtype=bool)
+    np.any(ranked[1:] != ranked[:-1], axis=1, out=new[1:])
+    group = np.empty(len(rows), dtype=np.intp)
+    group[order] = np.cumsum(new) - 1
+    return group, order[new]
+
+
+def _count_matrix(doc, column, n_docs: int, size: int) -> np.ndarray:
+    """(n_docs, size) counts of windows per (document, column); windows
+    whose column is ``size`` or more count nothing."""
+    keep = column < size
+    flat = np.bincount(doc[keep] * size + column[keep], minlength=n_docs * size)
+    return flat.reshape(n_docs, size).astype(np.float64)
 
 
 def build_ngram_features(corpus: Sequence[Sequence[str]], n: int = 2, top: int = 100):
     """Count matrix over the ``top`` most frequent n-grams of a corpus.
 
-    The vocabulary is built from this corpus only, ranked by total
-    occurrence count (descending) with lexicographic tie-breaking, and
-    truncated to the number of distinct n-grams when ``top`` exceeds it.
-    Column i of the returned matrix holds per-document occurrence counts
-    of vocabulary entry i.
+    The vocabulary is built from this corpus only and ranked by total
+    occurrence count, descending; equal counts are ordered by the token
+    tuples' Python string order, which is code-point order (``"B"``
+    before ``"a"``). It is truncated to the number of distinct n-grams
+    when ``top`` exceeds it. Column i of the returned matrix holds
+    per-document occurrence counts of vocabulary entry i.
     """
     if top < 1:
         raise ConfigError("top must be at least 1")
+    if n < 1:
+        raise ConfigError("n must be at least 1")
     if not corpus:
         raise DataError("corpus is empty")
-    per_doc = [_doc_ngrams(list(doc), n) for doc in corpus]
-    totals = Counter()
-    for counts in per_doc:
-        totals.update(counts)
-    ranked = sorted(totals.items(), key=lambda kv: (-kv[1], kv[0]))[:top]
-    vocab = NgramVocabulary(n=n, entries=tuple(ranked))
-    return counts_for(per_doc, vocab), vocab
-
-
-def counts_for(per_doc_counters, vocab: NgramVocabulary) -> np.ndarray:
-    index = vocab.index()
-    out = np.zeros((len(per_doc_counters), vocab.size))
-    for i, counts in enumerate(per_doc_counters):
-        for ngram, c in counts.items():
-            j = index.get(ngram)
-            if j is not None:
-                out[i, j] = c
-    return out
+    # Ids in string order, so rows sort as the token tuples do.
+    words = sorted(set(chain.from_iterable(corpus)))
+    rows, doc = _windows(corpus, n, dict(zip(words, range(len(words)))))
+    group, first = _group_rows(rows)
+    totals = np.bincount(group)
+    # A stable sort of lexicographically numbered groups keeps ties lexicographic.
+    order = np.argsort(-totals, kind="stable")
+    column = np.empty_like(order)
+    column[order] = np.arange(len(order))
+    ranked = order[:top]
+    entries = tuple((tuple(words[i] for i in row), count) for row, count in
+                    zip(rows[first[ranked]].tolist(), totals[ranked].tolist()))
+    vocab = NgramVocabulary(n=n, entries=entries)
+    return _count_matrix(doc, column[group], len(corpus), vocab.size), vocab
 
 
 def apply_vocabulary(corpus: Sequence[Sequence[str]], vocab: NgramVocabulary) -> np.ndarray:
     """Count matrix for new documents under a frozen vocabulary.
 
-    N-grams outside the vocabulary contribute nothing, so no information
-    flows back from these documents.
+    N-grams outside the vocabulary contribute nothing, and so does every
+    n-gram holding a word the vocabulary lacks, so no information flows
+    back from these documents.
     """
-    per_doc = [_doc_ngrams(list(doc), vocab.n) for doc in corpus]
-    return counts_for(per_doc, vocab)
+    ngrams = [ngram for ngram, _ in vocab.entries]
+    words = set(chain.from_iterable(ngrams))
+    code = dict(zip(words, range(len(words))))
+    rows, doc = _windows(corpus, vocab.n, code)
+    known = (rows >= 0).all(axis=1)
+    vocab_rows = np.array([[code[w] for w in ngram] for ngram in ngrams],
+                          dtype=np.intp).reshape(vocab.size, vocab.n)
+    group, first = _group_rows(np.concatenate([vocab_rows, rows[known]]))
+    column = np.full(len(first), vocab.size)
+    column[group[:vocab.size]] = np.arange(vocab.size)
+    return _count_matrix(doc[known], column[group[vocab.size:]], len(corpus), vocab.size)
 
 
 def rank1_family(count_matrix, include_offset: bool = True) -> KernelFamily:

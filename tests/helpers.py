@@ -1,8 +1,13 @@
-"""Shared random-instance generators and brute-force reference searches."""
+"""Shared random-instance generators, brute-force reference searches and
+the Counter n-gram reference."""
+
+from collections import Counter
+from typing import Sequence
 
 import numpy as np
 
 import mklridge as mk
+from mklridge import ConfigError, DataError, NgramVocabulary
 
 
 def random_psd_instance(seed, m_range=(5, 30), p_range=(1, 8)):
@@ -70,3 +75,40 @@ def simplex_grid_points(p, budget, steps):
 
     rec([], steps)
     return np.asarray(pts, dtype=np.float64) * (budget / steps)
+
+
+# The Counter n-gram pipeline that ``mklridge.data`` replaced with one sort,
+# kept as the reference the tests compare it against.
+
+def _doc_ngrams(doc, n: int) -> Counter:
+    return Counter(tuple(doc[i:i + n]) for i in range(len(doc) - n + 1))
+
+
+def counter_build_ngram_features(corpus: Sequence[Sequence[str]], n: int = 2, top: int = 100):
+    if top < 1:
+        raise ConfigError("top must be at least 1")
+    if not corpus:
+        raise DataError("corpus is empty")
+    per_doc = [_doc_ngrams(list(doc), n) for doc in corpus]
+    totals = Counter()
+    for counts in per_doc:
+        totals.update(counts)
+    ranked = sorted(totals.items(), key=lambda kv: (-kv[1], kv[0]))[:top]
+    vocab = NgramVocabulary(n=n, entries=tuple(ranked))
+    return counts_for(per_doc, vocab), vocab
+
+
+def counts_for(per_doc_counters, vocab: NgramVocabulary) -> np.ndarray:
+    index = {ngram: i for i, (ngram, _) in enumerate(vocab.entries)}
+    out = np.zeros((len(per_doc_counters), vocab.size))
+    for i, counts in enumerate(per_doc_counters):
+        for ngram, c in counts.items():
+            j = index.get(ngram)
+            if j is not None:
+                out[i, j] = c
+    return out
+
+
+def counter_apply_vocabulary(corpus: Sequence[Sequence[str]], vocab: NgramVocabulary) -> np.ndarray:
+    per_doc = [_doc_ngrams(list(doc), vocab.n) for doc in corpus]
+    return counts_for(per_doc, vocab)

@@ -8,15 +8,18 @@ import mklridge as mk
 from mklridge import ConfigError, DataError
 from mklridge.data import apply_vocabulary, load_text_corpus, split_indices
 
+from helpers import counter_apply_vocabulary, counter_build_ngram_features
+
 
 # --- load_delimited -----------------------------------------------------------
 
 def test_load_two_line_csv(tmp_path):
     path = tmp_path / "tiny.csv"
-    path.write_text("1,2,+1\n3,4,-1\n")
-    ds = mk.load_delimited(path, label_column=-1, task="classification_pm1")
-    npt.assert_array_equal(ds.X, [[1.0, 2.0], [3.0, 4.0]])
-    npt.assert_array_equal(ds.y, [1.0, -1.0])
+    for bom in ("", "\ufeff"):  # a leading byte-order mark is skipped
+        path.write_text(bom + "1,2,+1\n3,4,-1\n", encoding="utf-8")
+        ds = mk.load_delimited(path, label_column=-1, task="classification_pm1")
+        npt.assert_array_equal(ds.X, [[1.0, 2.0], [3.0, 4.0]])
+        npt.assert_array_equal(ds.y, [1.0, -1.0])
 
 
 def test_load_empty_file(tmp_path):
@@ -114,6 +117,11 @@ def test_vocabulary_determinism():
     assert v1.entries == v2.entries
 
 
+def test_vocabulary_rejects_ngrams_of_another_length():
+    with pytest.raises(ConfigError, match="n = 2 tokens"):
+        mk.NgramVocabulary(n=2, entries=((("a", "b"), 1), (("a", "b", "c"), 1)))
+
+
 def test_apply_vocabulary_ignores_unseen():
     counts, vocab = mk.build_ngram_features([["a", "b", "c"]], n=2, top=10)
     test_counts = apply_vocabulary([["x", "y", "z"], ["a", "b"]], vocab)
@@ -130,6 +138,66 @@ def test_unigrams():
     counts, vocab = mk.build_ngram_features([["a", "a", "b"]], n=1, top=10)
     assert vocab.entries == ((("a",), 2), (("b",), 1))
     npt.assert_array_equal(counts, [[2.0, 1.0]])
+
+
+# Code-point order differs from case-insensitive order ("B" < "a"), some
+# tokens are prefixes of others, and some are not ASCII.
+_TOKENS = ["a", "ab", "abc", "B", "b", "Ba", "z", "\u00e9", "\u00e9t\u00e9", "\u65e5\u672c", ""]
+_UNSEEN = ["unseen", "A", "\u00df"]
+
+
+def _assert_matches_counter_reference(train, test, n, top):
+    counts, vocab = mk.build_ngram_features(train, n=n, top=top)
+    ref_counts, ref_vocab = counter_build_ngram_features(train, n=n, top=top)
+    assert vocab == ref_vocab
+    assert all(type(count) is int and all(type(w) is str for w in ngram)
+               for ngram, count in vocab.entries)
+    npt.assert_array_equal(counts, ref_counts, strict=True)
+    npt.assert_array_equal(apply_vocabulary(test, vocab),
+                           counter_apply_vocabulary(test, ref_vocab), strict=True)
+
+
+def _corpus(tokens):
+    # Empty documents and documents shorter than n come up often.
+    return st.lists(st.lists(st.sampled_from(tokens), max_size=10), min_size=1, max_size=8)
+
+
+@settings(max_examples=150)
+@given(train=_corpus(_TOKENS), test=st.lists(st.lists(st.sampled_from(_TOKENS + _UNSEEN),
+                                                      max_size=10), max_size=6),
+       n=st.integers(1, 4), top=st.integers(1, 30))
+def test_ngram_counts_match_counter_reference(train, test, n, top):
+    _assert_matches_counter_reference(train, test, n, top)
+
+
+def test_ngram_ties_at_the_cut_off_match_counter_reference():
+    # Three bigrams occur once each; top=2 cuts between equal counts.
+    train = [["b", "a", "B", "a"], ["a"], []]
+    _assert_matches_counter_reference(train, [["B", "a", "x", "b", "a"]], n=2, top=2)
+    _, vocab = mk.build_ngram_features(train, n=2, top=2)
+    assert vocab.entries == ((("B", "a"), 1), (("a", "B"), 1))
+
+
+def test_ngram_ids_do_not_overflow():
+    # 300**8 > 2**63: a mixed-radix int64 code of an 8-gram would wrap.
+    rng = np.random.default_rng(0)
+    words = [f"w{i}" for i in range(300)]
+    train = [[words[i] for i in rng.integers(300, size=int(length))]
+             for length in rng.integers(0, 60, size=40)]
+    train.append(words[::-1])
+    train.append(words[-8:] * 3)
+    test = [doc[:20] + ["unseen"] + doc[20:] for doc in train[::3]]
+    _assert_matches_counter_reference(train, test, n=8, top=50)
+
+
+@pytest.mark.parametrize("n, top, message", [(0, 5, "n must be at least 1"),
+                                              (-1, 5, "n must be at least 1"),
+                                              (2, 0, "top must be at least 1")])
+def test_ngram_rejects_bad_n_and_top(n, top, message):
+    # Checked before any work, so ahead of the empty-corpus check too.
+    for corpus in ([["a", "b", "c"]], []):
+        with pytest.raises(ConfigError, match=message):
+            mk.build_ngram_features(corpus, n=n, top=top)
 
 
 # --- rank1_family ------------------------------------------------------------------
@@ -224,10 +292,12 @@ def test_split_fraction_validation():
 
 def test_load_text_corpus(tmp_path):
     path = tmp_path / "docs.txt"
-    path.write_text("1\tGood Product works GREAT\n-1\tterrible waste of money\n")
-    docs, y = load_text_corpus(path)
-    assert docs[0] == ["good", "product", "works", "great"]
-    npt.assert_array_equal(y, [1.0, -1.0])
+    for bom in ("", "\ufeff"):  # a leading byte-order mark is skipped
+        path.write_text(bom + "1\tGood Product works GREAT\n-1\tterrible waste of money\n",
+                        encoding="utf-8")
+        docs, y = load_text_corpus(path)
+        assert docs[0] == ["good", "product", "works", "great"]
+        npt.assert_array_equal(y, [1.0, -1.0])
 
 
 def test_load_text_corpus_requires_tab(tmp_path):

@@ -19,6 +19,8 @@ from mklridge.experiment import (DEFAULT_BUDGET_GRID, DEFAULT_LAMBDA0_GRID,
                                  run_diagnose, run_experiment, run_fit,
                                  write_json_atomic)
 
+from helpers import counter_apply_vocabulary, counter_build_ngram_features
+
 
 # --- metrics ---------------------------------------------------------------
 
@@ -891,6 +893,26 @@ def test_text_experiment_pipeline(tmp_path):
     for row in report["audit"]:
         assert row["overlap"] == 0
         assert row["orthogonality"] is True
+
+
+def test_text_report_matches_counter_reference(tmp_path, monkeypatch):
+    rng = np.random.default_rng(4)
+    words = ["good", "Great", "caf\u00e9", "bad", "Bad", "awful", "a", "ab"]
+    lines = [f"{1 if i % 3 else -1}\t{' '.join(rng.choice(words, size=int(rng.integers(0, 9))))}"
+             for i in range(30)]
+    corpus = tmp_path / "reviews.txt"
+    corpus.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    cfg = ExperimentConfig.from_dict({
+        "dataset": {"kind": "text", "path": str(corpus), "task": "classification_pm1"},
+        "kernels": {"kind": "ngram_rank1", "n": 2, "top": 10, "include_offset": True},
+        "methods": ["l2mkl", "uniform", "best_single"],
+        "lambda0_grid": [0.01, 0.1], "radius_grid": [1.0, 10.0],
+        "cv_folds": 3, "trials": 2, "seed": 5,
+    })
+    report = dumps_canonical(run_experiment(cfg))
+    monkeypatch.setattr(experiment, "build_ngram_features", counter_build_ngram_features)
+    monkeypatch.setattr(experiment, "apply_vocabulary", counter_apply_vocabulary)
+    assert dumps_canonical(run_experiment(cfg)) == report
 
 
 def test_run_fit_l1_summary():
