@@ -29,7 +29,7 @@ import scipy.linalg.blas
 import scipy.linalg.lapack
 
 from . import kernels
-from .errors import ConfigError, NumericalError, ShapeError
+from .errors import ConfigError, DataError, NumericalError, ShapeError
 from .kernels import GramMatrix, _as_matrix, _as_vector, _explicit_features, as_family
 
 log = logging.getLogger(__name__)
@@ -87,33 +87,43 @@ def _solve_pd(B: np.ndarray, y: np.ndarray) -> np.ndarray:
                     lambda a: B @ a, y, smallest)
 
 
-def _ridge_solve(fam, mu: np.ndarray, y: np.ndarray, lam: float) -> np.ndarray:
-    """Solve (K(mu) + lam I) alpha = y for nonnegative weights mu.
+def _add_outer(H: np.ndarray, W: np.ndarray, scale: float) -> None:
+    # H += scale W W' in place. H is symmetric and C-ordered, so H.T is the
+    # Fortran-ordered view of the same buffer that BLAS dgemm overwrites,
+    # and no m x m temporary is made.
+    scipy.linalg.blas.dgemm(scale, W, W, beta=1.0, c=H.T, trans_b=True, overwrite_c=True)
 
-    A rank-one family whose weight support S has s < m kernels is solved
-    in s dimensions through ``_woodbury_solve`` with Fd = F[:, S]
-    sqrt(mu_S); ``_solve_pd`` handles every other case on the formed
-    matrix.
+
+def _ridge_solve(fam, w: np.ndarray, r: np.ndarray, lam: float, q=None,
+                 shrink: float = 0.0) -> np.ndarray:
+    """Solve (K(w) + lam I - shrink (F q)(F q)') x = r for weights w >= 0.
+
+    The rank-one term needs a rank-one family, K(w) = F diag(w) F'; the
+    caller keeps M = diag(w) - shrink q q' positive definite on the
+    support S of w, where q must lie. This is the one route rule: a
+    rank-one family with s = |S| < m is solved in s dimensions by the
+    Woodbury identity, x = (r - Fd H^(-1) Fd'r) / lam with H = Fd'Fd +
+    lam I_s and Fd = F_S sqrt(w_S), or F_S chol(M_SS) when q is given;
+    every other case forms the m x m matrix from ``combined_entries(w)``
+    for ``_solve_pd``. Both routes check the residual against the m x m
+    system, with ``_solve_pd``'s refinement and tolerance.
     """
-    support = mu > 0
+    support = w > 0
     s = int(np.count_nonzero(support))
     if fam.features is None or s >= fam.m:
-        B = fam.combined_entries(mu)
+        B = fam.combined_entries(w)
         B[np.diag_indices(fam.m)] += lam
-        return _solve_pd(B, y)
-    return _woodbury_solve(fam.features[:, support] * np.sqrt(mu[support]), y, lam)
-
-
-def _woodbury_solve(Fd: np.ndarray, y: np.ndarray, lam: float) -> np.ndarray:
-    """Solve (Fd Fd' + lam I) a = y for an m x s matrix Fd with s < m.
-
-    With H = Fd'Fd + lam I_s, the Woodbury identity gives
-    a = (y - Fd H^(-1) Fd' y) / lam. The residual is taken against the
-    m x m system without forming it, with the same refinement and
-    tolerance as ``_solve_pd``.
-    """
+        if q is not None:
+            _add_outer(B, (fam.features @ q)[:, None], -shrink)
+        return _solve_pd(B, r)
+    F = fam.features[:, support]
+    if q is None:
+        Fd = F * np.sqrt(w[support])
+    else:
+        q = q[support]
+        Fd = F @ np.linalg.cholesky(np.diag(w[support]) - shrink * np.outer(q, q))
     H = Fd.T @ Fd
-    H[np.diag_indices(Fd.shape[1])] += lam
+    H[np.diag_indices(s)] += lam
 
     def smallest():
         # Eigenvalues of Fd Fd' + lam I: those of H, and lam (s < m).
@@ -121,12 +131,12 @@ def _woodbury_solve(Fd: np.ndarray, y: np.ndarray, lam: float) -> np.ndarray:
 
     L = _cholesky(H, smallest)
 
-    def solve(r):
+    def solve(b):
         # dpotrs rejects an empty system; at s = 0 the matrix is lam I.
-        w = scipy.linalg.lapack.dpotrs(L, Fd.T @ r, lower=1)[0] if H.size else np.zeros(0)
-        return (r - Fd @ w) / lam
+        z = scipy.linalg.lapack.dpotrs(L, Fd.T @ b, lower=1)[0] if s else np.zeros(0)
+        return (b - Fd @ z) / lam
 
-    return _refined(solve, lambda a: lam * a + Fd @ (Fd.T @ a), y, smallest)
+    return _refined(solve, lambda x: lam * x + Fd @ (Fd.T @ x), r, smallest)
 
 
 def _ridge_value_grad(fam, y: np.ndarray, lam: float, mu: np.ndarray):
@@ -138,8 +148,8 @@ def _ridge_value_grad(fam, y: np.ndarray, lam: float, mu: np.ndarray):
 def krr_solve(K, y, lam: float) -> np.ndarray:
     """Dual ridge solution alpha = (K + lam I)^(-1) y.
 
-    K must be PSD and lam > 0, so K + lam I is positive definite and a
-    Cholesky solve applies.
+    K must be finite and PSD and lam finite and > 0, so K + lam I is
+    positive definite and a Cholesky solve applies.
     """
     A = K.entries if isinstance(K, GramMatrix) else np.asarray(K, dtype=np.float64)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -147,8 +157,10 @@ def krr_solve(K, y, lam: float) -> np.ndarray:
     y = _as_vector(y, "y")
     if A.shape[0] != y.shape[0]:
         raise ShapeError(f"K is {A.shape[0]}x{A.shape[0]} but y has length {y.shape[0]}")
-    if not lam > 0:
-        raise ConfigError("ridge amount lam must be positive")
+    if not np.isfinite(A).all():
+        raise DataError("kernel matrix has non-finite entries")
+    if not 0.0 < lam < np.inf:
+        raise ConfigError("ridge amount lam must be positive and finite")
     B = A + lam * np.eye(A.shape[0])
     return _solve_pd(B, y)
 
@@ -344,13 +356,6 @@ class SolveReport:
     objective_value: float
 
 
-def _add_outer(H: np.ndarray, W: np.ndarray, scale: float) -> None:
-    # H += scale W W' in place. H is symmetric and C-ordered, so H.T is the
-    # Fortran-ordered view of the same buffer that BLAS dgemm overwrites,
-    # and no m x m temporary is made.
-    scipy.linalg.blas.dgemm(scale, W, W, beta=1.0, c=H.T, trans_b=True, overwrite_c=True)
-
-
 def _newton_step(fam, alpha, v, y, lam: float, mu0, radius: float):
     """Weights mu(alpha) = mu0 + radius v/||v|| and the Newton step
     d = -H^(-1) R of the fixed-point residual R = (K(mu) + lam I) alpha - y.
@@ -360,12 +365,11 @@ def _newton_step(fam, alpha, v, y, lam: float, mu0, radius: float):
     symmetric with H >= K(mu) + lam I. A Gram family forms it in the buffer
     of ``combined_entries(mu)``. A rank-one family has Z = F diag(g),
     g = F'alpha, so H = lam I + F M F' with M = diag(mu + c v) - (c/||v||^2)
-    q q', q = g v; M >= diag(mu) is positive definite. For p >= m that is
-    ``combined_entries(mu + c v)`` less a rank-one term; for p < m it is
-    solved in p dimensions with Fd = F chol(M). The step is solved from R
-    rather than as H^(-1) y - alpha, the same point (H alpha - R = y):
-    the solve's residual check is then relative to R, while at a large c
-    and a small lam the solve for H^(-1) y can fail its check.
+    q q', q = g v; M >= diag(mu) is positive definite, and ``_ridge_solve``
+    solves it. The step is solved from R rather than as H^(-1) y - alpha,
+    the same point (H alpha - R = y): the solve's residual check is then
+    relative to R, while at a large c and a small lam the solve for
+    H^(-1) y can fail its check.
     """
     mu = _weight_step(v, mu0, radius)
     nv = float(np.linalg.norm(v))
@@ -380,14 +384,7 @@ def _newton_step(fam, alpha, v, y, lam: float, mu0, radius: float):
     F = fam.features
     g = F.T @ alpha
     R = F @ (mu * g) + lam * alpha - y
-    q = g * v
-    if fam.p >= fam.m:
-        H = fam.combined_entries(mu + c * v)
-        H[np.diag_indices(fam.m)] += lam
-        _add_outer(H, (F @ q)[:, None], -c / nv**2)
-        return mu, -_solve_pd(H, R)
-    M = np.diag(mu + c * v) - (c / nv**2) * np.outer(q, q)
-    return mu, -_woodbury_solve(F @ np.linalg.cholesky(M), R, lam)
+    return mu, -_ridge_solve(fam, mu + c * v, R, lam, g * v, c / nv**2)
 
 
 def fit_l2(family, y, lambda0: float, radius: float, mu0=None,
@@ -437,8 +434,8 @@ def fit_l2(family, y, lambda0: float, radius: float, mu0=None,
     mu0 = _validated_mu0(mu0, fam.p)
     if epsilon is None:
         epsilon = 1e-8 * (1.0 + float(np.linalg.norm(y)))
-    if not epsilon > 0:
-        raise ConfigError("epsilon must be positive")
+    if not 0.0 < epsilon < np.inf:
+        raise ConfigError("epsilon must be positive and finite")
 
     alpha = _ridge_solve(fam, mu0, y, lam)
     # quad_forms returns v >= 0, the domain of the closed form.
@@ -615,8 +612,8 @@ def oracle_fit(family, y, lambda0: float, radius: float, mu0=None,
     fam, y, lam = _fit_setup(family, y, lambda0, radius)
     if fam.m > 200 or fam.p > 50:
         raise ConfigError("oracle_fit is restricted to m <= 200 and p <= 50")
-    if not tol > 0:
-        raise ConfigError("tol must be positive")
+    if not 0.0 < tol < np.inf:
+        raise ConfigError("tol must be positive and finite")
     mu0 = _validated_mu0(mu0, fam.p)
     value_grad = functools.partial(_ridge_value_grad, fam, y, lam)
 
@@ -824,8 +821,8 @@ def fit_l1(family, y, lambda0: float, budget: float,
     fam, y, lam = _fit_setup(family, y, lambda0)
     if not 0.0 < budget < np.inf:
         raise ConfigError("budget must be positive and finite")
-    if not tol > 0:
-        raise ConfigError("tol must be positive")
+    if not 0.0 < tol < np.inf:
+        raise ConfigError("tol must be positive and finite")
     if max_iters < 1:
         raise ConfigError("max_iters must be at least 1")
     value_grad = functools.partial(_ridge_value_grad, fam, y, lam)
@@ -849,6 +846,8 @@ def fit_l1(family, y, lambda0: float, budget: float,
         x0 = np.full(fam.p, budget / fam.p)
     elif _as_vector(x0, "start").shape[0] != fam.p:
         raise ShapeError(f"start has {np.shape(x0)[0]} weights, the family has {fam.p} kernels")
+    elif not np.isfinite(x0).all():
+        raise ConfigError("start weights must be finite")
     mu, val, alpha, converged, iters, gap = _pgd_minimize(
         value_grad, project, lmo, x0, tol, max_iters
     )

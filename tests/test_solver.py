@@ -52,8 +52,7 @@ def test_krr_indefinite_matrix_reports_eigenvalue():
 
 
 def test_krr_nan_matrix_raises():
-    # The Cholesky factor does not check for NaN; the residual test must.
-    with pytest.raises(NumericalError):
+    with pytest.raises(DataError, match="non-finite"):
         mk.krr_solve(np.array([[1.0, 0.0], [0.0, np.nan]]), [1.0, 1.0], 1.0)
 
 
@@ -203,29 +202,44 @@ def test_objective_zero_radius_is_plain_dual_value(seed):
 
 # --- feature-space ridge solve -------------------------------------------------
 
-@settings(max_examples=80)
+@settings(max_examples=120)
 @given(
     m=st.integers(2, 40),
     p=st.integers(1, 60),
     seed=st.integers(0, 10_000),
-    support=st.sampled_from(("random", "empty", "m-1")),
+    support=st.sampled_from(("random", "empty", "m-1", "all")),
+    t=st.one_of(st.none(), st.floats(0.0, 1.0, exclude_max=True)),
 )
-def test_feature_route_matches_dense_reference(m, p, seed, support):
+def test_feature_route_matches_dense_reference(m, p, seed, support, t):
+    # Both routes of _ridge_solve against the formed matrix, with and
+    # without the Newton system's rank-one term. With q on the support S
+    # of mu and shrink = t / (q_S' diag(mu_S)^(-1) q_S), t < 1, the matrix
+    # M = diag(mu) - shrink q q' is positive definite on S.
     rng = np.random.default_rng(seed)
     F = rng.standard_normal((m, p))
     F[:, rng.random(p) < 0.2] = 0.0
     fam = mk.KernelFamily(features=F, sample_id="rank1")
     s = {"random": int(rng.integers(0, min(p, m - 1) + 1)),
-         "empty": 0, "m-1": min(p, m - 1)}[support]
+         "empty": 0, "m-1": min(p, m - 1), "all": p}[support]
     mu = np.zeros(p)
-    mu[rng.choice(p, size=s, replace=False)] = rng.uniform(0.01, 3.0, size=s)
+    on = rng.choice(p, size=s, replace=False)
+    mu[on] = rng.uniform(0.01, 3.0, size=s)
     y = rng.standard_normal(m)
     lam = float(rng.uniform(0.005, 0.5)) * m
     B = mk.combine(fam, mu).entries + lam * np.eye(m)
+    q, shrink = None, 0.0
+    if t is not None:
+        q = np.zeros(p)
+        q[on] = rng.standard_normal(s)
+        scale = float(q[on] @ (q[on] / mu[on]))
+        shrink = t / scale if scale > 0.0 else 0.0
+        B -= shrink * np.outer(F @ q, F @ q)
     reference = solver._solve_pd(B, y)
-    # s < m, so the dense solver must not run.
-    with mock.patch.object(solver, "_solve_pd", side_effect=AssertionError("dense route")):
-        alpha = solver._ridge_solve(fam, mu, y, lam)
+    # The dense solver runs exactly when s >= m.
+    solve_pd = mock.Mock(wraps=solver._solve_pd)
+    with mock.patch.object(solver, "_solve_pd", solve_pd):
+        alpha = solver._ridge_solve(fam, mu, y, lam, q, shrink)
+    assert solve_pd.call_count == (s >= m)
     assert np.linalg.norm(alpha - reference) <= 1e-10 * np.linalg.norm(reference)
     assert np.linalg.norm(B @ alpha - y) <= 1e-8 * np.linalg.norm(y)
 
@@ -834,6 +848,27 @@ def test_l1_budget_validation():
             mk.fit_l1(fam, y, lambda0, bad)
         with pytest.raises(ConfigError, match="lambda0"):
             mk.fit_l1(fam, y, bad, 1.0)
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda fam, y: mk.fit_l2(fam, y, 0.1, 1.0, epsilon=np.inf), ConfigError, "epsilon"),
+    (lambda fam, y: mk.fit_l1(fam, y, 0.1, 1.0, tol=np.inf), ConfigError, "tol"),
+    (lambda fam, y: mk.oracle_fit(fam, y, 0.1, 1.0, tol=np.inf), ConfigError, "tol"),
+    (lambda fam, y: mk.fit_l1(fam, y, 0.1, 1.0, start=(np.full(fam.p, np.nan), 0)),
+     ConfigError, "start"),
+    (lambda fam, y: mk.fit_l1(fam, y, 0.1, 1.0, start=(np.full(fam.p, np.inf), 0)),
+     ConfigError, "start"),
+    (lambda fam, y: mk.krr_solve(fam.grams[0], y, np.inf), ConfigError, "lam"),
+    (lambda fam, y: mk.krr_solve(np.full((fam.m, fam.m), np.inf), y, 1.0),
+     DataError, "non-finite"),
+], ids=["fit_l2-epsilon", "fit_l1-tol", "oracle_fit-tol", "fit_l1-nan-start",
+        "fit_l1-inf-start", "krr_solve-lam", "krr_solve-inf-kernel"])
+def test_non_finite_settings_rejected(call, error, match):
+    # An infinite tolerance would certify any iterate, and a NaN start
+    # weight would reach project_l1_orthant's sort.
+    fam, y, _, _ = random_psd_instance(5)
+    with pytest.raises(error, match=match):
+        call(fam, y)
 
 
 @pytest.mark.parametrize("kwargs, match", [
