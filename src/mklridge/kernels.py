@@ -1,13 +1,13 @@
 """Base kernels, Gram matrices, and weighted kernel combinations.
 
 A kernel family bundles p base kernels evaluated on one sample: their
-specs, their m x m Gram matrices, and, for rank-one kernels, the explicit
-feature columns that generate them. Everything here is an immutable value.
+specs and one array, the explicit feature columns of rank-one kernels or
+the stack of m x m Gram matrices of any others. Everything here is an
+immutable value.
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
 import numbers
 from dataclasses import dataclass
@@ -21,15 +21,6 @@ KINDS = ("gaussian", "linear", "polynomial", "rank1_feature", "constant_offset")
 
 # Feature-map kinds with a finite, explicitly known embedding.
 EXPLICIT_MAP_KINDS = ("rank1_feature", "constant_offset")
-
-
-def sample_id_of(X) -> str:
-    """Deterministic opaque identifier for a data matrix."""
-    X = np.ascontiguousarray(X, dtype=np.float64)
-    h = hashlib.sha1()
-    h.update(str(X.shape).encode())
-    h.update(X.tobytes())
-    return h.hexdigest()[:16]
 
 
 def _is_number(value, integral: bool = False) -> bool:
@@ -168,14 +159,13 @@ class GramMatrix:
     """Symmetric PSD matrix of kernel values over one sample."""
 
     entries: np.ndarray
-    sample_id: str
 
     def __post_init__(self):
         e = np.asarray(self.entries, dtype=np.float64)
         if e.ndim != 2 or e.shape[0] != e.shape[1]:
             raise ShapeError(f"Gram matrix must be square, got shape {e.shape}")
         if not np.isfinite(e).all():
-            raise NumericalError("Gram matrix has non-finite entries")
+            raise DataError("Gram matrix has non-finite entries")
         scale = np.maximum(1.0, np.abs(e))
         if not np.all(np.abs(e - e.T) <= 1e-12 * scale):
             raise NumericalError("Gram matrix is not symmetric within tolerance")
@@ -211,7 +201,7 @@ def build_gram(spec: KernelSpec, X) -> GramMatrix:
     if not np.isfinite(X).all():
         raise DataError("data matrix contains non-finite values")
     _check_index(spec, X.shape[1])
-    return GramMatrix(entries=_block(spec, X, X), sample_id=sample_id_of(X))
+    return GramMatrix(entries=_block(spec, X, X))
 
 
 def cross_gram(spec: KernelSpec, A, B) -> np.ndarray:
@@ -244,6 +234,28 @@ def _explicit_features(specs: Sequence[KernelSpec], X: np.ndarray) -> Optional[n
     return np.column_stack(cols)
 
 
+def _checked_indices(indices, n: int, what: str) -> np.ndarray:
+    # A 1-d intp array of integers in [0, n). numpy would read booleans as
+    # a mask, truncate 0.5 to 0 and wrap negatives, so each of these, like
+    # an index past the end, is a ShapeError naming it.
+    items = indices if isinstance(indices, np.ndarray) else list(indices)
+    idx = np.asarray(items)
+    if idx.ndim != 1:
+        raise ShapeError(f"{what} indices must be 1-d, got shape {idx.shape}")
+    if idx.size == 0:
+        return idx.astype(np.intp)
+    if isinstance(items, np.ndarray):
+        bad = None if idx.dtype.kind in "iu" else idx[0]
+    else:
+        bad = next((i for i in items if not _is_number(i, integral=True)), None)
+    if bad is not None:
+        raise ShapeError(f"{what} index {bad} is not an integer")
+    outside = (idx < 0) | (idx >= n)
+    if outside.any():
+        raise ShapeError(f"{what} index {idx[outside][0]} out of range for {n} {what}s")
+    return idx.astype(np.intp, copy=False)
+
+
 class KernelFamily:
     """Ordered collection of base kernels over a single sample.
 
@@ -253,50 +265,26 @@ class KernelFamily:
       features[:, k]), for rank-one kernels. Solvers use it as an exact
       fast path: ridge systems are solved in |supp mu| dimensions when that
       is below m, with the same residual guarantee as the dense solve.
+      ``KernelFamily(features, specs)`` builds one.
     - ``stack``, a C-contiguous p x m x m array whose slice ``stack[k]``
       is the Gram matrix K_k, for every other family. K(mu), the quadratic
       forms alpha' K_k alpha and within-sample predictions are each one
-      call on it.
+      call on it. :meth:`from_specs` and :meth:`from_grams` build one.
 
-    The attribute of the other layout is None. ``grams``, a tuple of
-    :class:`GramMatrix`, is materialized from either layout on first access
-    (idempotent, so benign under concurrency); no solver or experiment path
-    reads it. ``kappa0`` bounds sqrt(sum_k K_k(x,x)^2) over the sample,
-    verified by direct evaluation of the kernel diagonals.
+    The attribute of the other layout is None. ``kappa0`` bounds
+    sqrt(sum_k K_k(x,x)^2) over the sample, verified by direct evaluation
+    of the kernel diagonals.
     """
 
-    def __init__(self, grams=None, specs=None, features=None,
-                 sample_id: Optional[str] = None):
-        if (grams is None) == (features is None):
-            raise ConfigError("kernel family needs either Gram matrices or feature columns")
-        stack = None
-        if features is not None:
-            f = np.asarray(features, dtype=np.float64)
-            if f.ndim != 2 or f.size == 0:
-                raise ShapeError(f"features must be a nonempty 2-d matrix, got {f.shape}")
-            if not np.isfinite(f).all():
-                raise DataError("feature columns contain non-finite values")
-            features = f.copy()
-            if sample_id is None:
-                raise ConfigError("feature-backed families need an explicit sample_id")
-        else:
-            grams = tuple(grams)
-            if not grams:
-                raise ConfigError("kernel family must contain at least one kernel")
-            sample_id = grams[0].sample_id
-            m = grams[0].m
-            if m == 0:
-                raise ShapeError("Gram matrices of a family must be nonempty")
-            stack = np.empty((len(grams), m, m))
-            for k, g in enumerate(grams):
-                if g.sample_id != sample_id:
-                    raise ConfigError("all Gram matrices in a family must share one sample")
-                if g.m != m:
-                    raise ShapeError("all Gram matrices in a family must share one dimension")
-                stack[k] = g.entries
-        self._adopt(specs, sample_id, features, stack)
+    def __init__(self, features, specs=None):
+        f = np.asarray(features, dtype=np.float64)
+        if f.ndim != 2 or f.size == 0:
+            raise ShapeError(f"features must be a nonempty 2-d matrix, got {f.shape}")
+        if not np.isfinite(f).all():
+            raise DataError("feature columns contain non-finite values")
+        self._adopt(specs, f.copy(), None)
 
-    def _adopt(self, specs, sample_id: str, features, stack):
+    def _adopt(self, specs, features, stack):
         # Take checked storage as it is, read-only and uncopied: a new
         # array, or a row/column or kernel selection of a checked family's,
         # which keeps its symmetry, finite entries and diagonal signs.
@@ -311,14 +299,12 @@ class KernelFamily:
             raise ShapeError("specs and kernel counts differ")
         self.features = features
         self.stack = stack
-        self.sample_id = sample_id
-        self._grams = None
         self.kappa0 = self._compute_kappa0()
 
     @classmethod
-    def _of_stack(cls, stack: np.ndarray, specs, sample_id: str) -> "KernelFamily":
+    def _of_stack(cls, stack: np.ndarray, specs) -> "KernelFamily":
         fam = cls.__new__(cls)
-        fam._adopt(specs, sample_id, None, stack)
+        fam._adopt(specs, None, stack)
         return fam
 
     def _compute_kappa0(self) -> float:
@@ -327,14 +313,6 @@ class KernelFamily:
             return float(np.sqrt((diags**2).sum(axis=0)).max())
         diag = self.features**2  # K_k(x_i, x_i) for rank-one columns
         return float(np.sqrt((diag**2).sum(axis=1)).max())
-
-    @property
-    def grams(self) -> tuple:
-        if self._grams is None:
-            F = self.features
-            mats = self.stack if F is None else (np.outer(f, f) for f in F.T)
-            self._grams = tuple(GramMatrix(entries=e, sample_id=self.sample_id) for e in mats)
-        return self._grams
 
     @classmethod
     def from_specs(cls, specs: Sequence[KernelSpec], X) -> "KernelFamily":
@@ -349,30 +327,30 @@ class KernelFamily:
         specs = tuple(specs)
         if not specs:
             raise ConfigError("kernel family must contain at least one kernel")
-        sample_id = sample_id_of(X)
         features = _explicit_features(specs, X)
         if features is not None:
-            return cls(specs=specs, features=features, sample_id=sample_id)
+            return cls(features, specs)
         stack = np.empty((len(specs), X.shape[0], X.shape[0]))
         for k, s in enumerate(specs):
             stack[k] = build_gram(s, X).entries
-        return cls._of_stack(stack, specs, sample_id)
+        return cls._of_stack(stack, specs)
 
     @classmethod
     def from_grams(cls, mats) -> "KernelFamily":
-        """Wrap raw PSD matrices (no evaluable specs) into a family.
+        """Stack PSD matrices without evaluable specs into a family.
 
-        Raw matrices share the sample id hashed from the first raw matrix.
+        ``mats`` is any iterable of raw arrays or :class:`GramMatrix`
+        objects; each raw array is checked as a GramMatrix, and all must
+        share one nonzero size.
         """
-        sid = None
-        grams = []
-        for mat in mats:
-            if not isinstance(mat, GramMatrix):
-                if sid is None:
-                    sid = sample_id_of(np.asarray(mat, dtype=np.float64))
-                mat = GramMatrix(entries=mat, sample_id=sid)
-            grams.append(mat)
-        return cls(grams=tuple(grams))
+        grams = [g if isinstance(g, GramMatrix) else GramMatrix(g) for g in mats]
+        if not grams:
+            raise ConfigError("kernel family must contain at least one kernel")
+        if grams[0].m == 0:
+            raise ShapeError("Gram matrices of a family must be nonempty")
+        if any(g.m != grams[0].m for g in grams):
+            raise ShapeError("all Gram matrices in a family must share one dimension")
+        return cls._of_stack(np.stack([g.entries for g in grams]), None)
 
     @property
     def p(self) -> int:
@@ -384,34 +362,27 @@ class KernelFamily:
 
     def subset(self, indices) -> "KernelFamily":
         """Restrict every kernel to a sub-sample (row/column selection)."""
-        idx = np.asarray(indices, dtype=np.intp)
-        if idx.ndim != 1 or idx.size == 0:
-            raise ShapeError(f"a subset needs a nonempty 1-d index array, got shape {idx.shape}")
-        child_id = self.sample_id[:8] + "/" + hashlib.sha1(idx.tobytes()).hexdigest()[:8]
+        idx = _checked_indices(indices, self.m, "row")
+        if idx.size == 0:
+            raise ShapeError("a subset needs a nonempty index array")
         if self.features is not None:
-            return KernelFamily(
-                specs=self.specs, features=self.features[idx], sample_id=child_id,
-            )
+            return KernelFamily(self.features[idx], self.specs)
         # Indexing all three axes gathers a C-contiguous stack with no
         # intermediate copy; stack[:, rows, cols] would not be C-contiguous.
-        return KernelFamily._of_stack(
-            self.stack[np.ix_(range(self.p), idx, idx)], self.specs, child_id,
-        )
+        return KernelFamily._of_stack(self.stack[np.ix_(range(self.p), idx, idx)], self.specs)
 
     def select_kernels(self, kernel_indices) -> "KernelFamily":
         """Keep only the listed kernels (same sample). A run of consecutive
         kernels of a Gram family, such as one kernel, is a view of its stack."""
-        ks = np.arange(self.p)[list(kernel_indices)]
+        ks = _checked_indices(kernel_indices, self.p, "kernel")
         if ks.size == 0:
             raise ConfigError("kernel family must contain at least one kernel")
         specs = None if self.specs is None else tuple(self.specs[k] for k in ks)
         if self.features is not None:
-            return KernelFamily(
-                specs=specs, features=self.features[:, ks], sample_id=self.sample_id,
-            )
+            return KernelFamily(self.features[:, ks], specs)
         run = bool(np.all(np.diff(ks) == 1))
         stack = self.stack[ks[0]:ks[-1] + 1] if run else self.stack[ks]
-        return KernelFamily._of_stack(stack, specs, self.sample_id)
+        return KernelFamily._of_stack(stack, specs)
 
     def combined_entries(self, mu) -> np.ndarray:
         """Sum_k mu_k K_k as a new array: one matrix product over the
@@ -447,7 +418,7 @@ def combine(family: KernelFamily, mu) -> GramMatrix:
     fam = as_family(family)
     if np.any(np.asarray(mu, dtype=np.float64) < 0):
         raise ConfigError("combination weights must be nonnegative")
-    return GramMatrix(entries=fam.combined_entries(mu), sample_id=fam.sample_id)
+    return GramMatrix(entries=fam.combined_entries(mu))
 
 
 def compute_kappa(family: KernelFamily, mu_norm_bound: float) -> float:

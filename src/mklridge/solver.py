@@ -202,10 +202,18 @@ def quad_forms(alpha, family) -> np.ndarray:
     alpha = _as_vector(alpha, "alpha")
     if alpha.shape[0] != fam.m:
         raise ShapeError(f"alpha has length {alpha.shape[0]}, sample size is {fam.m}")
+    return _projections(alpha, fam)[1]
+
+
+def _projections(alpha: np.ndarray, fam) -> tuple:
+    # (P, v) for a checked alpha: P = F'alpha on a rank-one family, so
+    # v = P * P, or the p x m array [K_1 alpha, ..., K_p alpha] on a Gram
+    # family, so v = P alpha; v is quad_forms' result.
     if fam.features is not None:
-        proj = fam.features.T @ alpha
-        return proj * proj
-    v = (fam.stack @ alpha) @ alpha
+        P = fam.features.T @ alpha
+        return P, P * P
+    P = fam.stack @ alpha
+    v = P @ alpha
     worst = float(v.min(initial=0.0))
     if worst < -NEG_QUAD_TOL:
         raise NumericalError(
@@ -214,7 +222,7 @@ def quad_forms(alpha, family) -> np.ndarray:
     if worst < 0.0:
         log.debug("clamped quadratic-form roundoff of %.3e to zero", worst)
         v = np.maximum(v, 0.0)
-    return v
+    return P, v
 
 
 @dataclass(frozen=True, eq=False)
@@ -356,35 +364,34 @@ class SolveReport:
     objective_value: float
 
 
-def _newton_step(fam, alpha, v, y, lam: float, mu0, radius: float):
+def _newton_step(fam, alpha, P, v, y, lam: float, mu0, radius: float):
     """Weights mu(alpha) = mu0 + radius v/||v|| and the Newton step
-    d = -H^(-1) R of the fixed-point residual R = (K(mu) + lam I) alpha - y.
+    d = -H^(-1) R of the fixed-point residual R = (K(mu) + lam I) alpha - y,
+    given ``_projections(alpha, fam)`` = (P, v).
 
     With Z = [K_1 alpha, ..., K_p alpha], v^ = v/||v|| and c = 2 radius/||v||,
     the Jacobian of R is H = K(mu) + lam I + c Z (I - v^v^') Z', which is
-    symmetric with H >= K(mu) + lam I. A Gram family forms it in the buffer
-    of ``combined_entries(mu)``. A rank-one family has Z = F diag(g),
-    g = F'alpha, so H = lam I + F M F' with M = diag(mu + c v) - (c/||v||^2)
-    q q', q = g v; M >= diag(mu) is positive definite, and ``_ridge_solve``
-    solves it. The step is solved from R rather than as H^(-1) y - alpha,
-    the same point (H alpha - R = y): the solve's residual check is then
-    relative to R, while at a large c and a small lam the solve for
-    H^(-1) y can fail its check.
+    symmetric with H >= K(mu) + lam I. A Gram family has Z = P' and forms H
+    in the buffer of ``combined_entries(mu)``. A rank-one family has
+    Z = F diag(P), so H = lam I + F M F' with M = diag(mu + c v) -
+    (c/||v||^2) q q', q = P v; M >= diag(mu) is positive definite, and
+    ``_ridge_solve`` solves it. The step is solved from R rather than as
+    H^(-1) y - alpha, the same point (H alpha - R = y): the solve's
+    residual check is then relative to R, while at a large c and a small
+    lam the solve for H^(-1) y can fail its check.
     """
     mu = _weight_step(v, mu0, radius)
     nv = float(np.linalg.norm(v))
     c = 2.0 * radius / nv
     if fam.features is None:
-        Z = (fam.stack @ alpha).T
+        Z = P.T
         H = fam.combined_entries(mu)
         H[np.diag_indices(fam.m)] += lam
         vhat = v / nv
         _add_outer(H, Z - np.outer(Z @ vhat, vhat), c)
         return mu, -_solve_pd(H, Z @ mu + lam * alpha - y)
-    F = fam.features
-    g = F.T @ alpha
-    R = F @ (mu * g) + lam * alpha - y
-    return mu, -_ridge_solve(fam, mu + c * v, R, lam, g * v, c / nv**2)
+    R = fam.features @ (mu * P) + lam * alpha - y
+    return mu, -_ridge_solve(fam, mu + c * v, R, lam, P * v, c / nv**2)
 
 
 def fit_l2(family, y, lambda0: float, radius: float, mu0=None,
@@ -438,8 +445,8 @@ def fit_l2(family, y, lambda0: float, radius: float, mu0=None,
         raise ConfigError("epsilon must be positive and finite")
 
     alpha = _ridge_solve(fam, mu0, y, lam)
-    # quad_forms returns v >= 0, the domain of the closed form.
-    v = quad_forms(alpha, fam)
+    # v >= 0, the domain of the closed form.
+    P, v = _projections(alpha, fam)
     mu = _weight_step(v, mu0, radius)
     converged = True
     iterations = 1
@@ -449,7 +456,7 @@ def fit_l2(family, y, lambda0: float, radius: float, mu0=None,
         converged = False
         value = objective(alpha, y, lam, v, mu0, radius)
         for iterations in range(1, max_iters + 1):
-            mu, d = _newton_step(fam, alpha, v, y, lam, mu0, radius)
+            mu, d = _newton_step(fam, alpha, P, v, y, lam, mu0, radius)
             step = float(np.linalg.norm(d))
             if step < epsilon:
                 alpha = alpha + d
@@ -461,14 +468,14 @@ def fit_l2(family, y, lambda0: float, radius: float, mu0=None,
             floor = value - 1e-12 * max(1.0, abs(value))
             for _ in range(60):
                 cand = alpha + d
-                cand_v = quad_forms(cand, fam)
+                cand_P, cand_v = _projections(cand, fam)
                 cand_value = objective(cand, y, lam, cand_v, mu0, radius)
                 if cand_value >= floor:
                     break
                 d = 0.5 * d
             else:
                 raise NumericalError("weight-learning iteration diverged to non-finite values")
-            alpha, v, value = cand, cand_v, cand_value
+            alpha, P, v, value = cand, cand_P, cand_v, cand_value
         alpha = _ridge_solve(fam, mu, y, lam)
         v = quad_forms(alpha, fam)
 

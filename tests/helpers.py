@@ -36,6 +36,15 @@ def random_psd_instance(seed, m_range=(5, 30), p_range=(1, 8)):
     return fam, y, lambda0, radius
 
 
+def kernel_stack(fam):
+    """The p x m x m per-kernel matrices of a family: its stack, or for a
+    rank-one family the outer products of its feature columns, formed by
+    the same single products as np.outer, so equal to them bit for bit."""
+    if fam.features is None:
+        return fam.stack
+    return np.einsum("ik,jk->kij", fam.features, fam.features)
+
+
 def dual_objective_grid_min(mats, y, lam, points, chunk=20000):
     """min over the given weight vectors of y' (sum_k mu_k K_k + lam I)^-1 y."""
     m = mats[0].shape[0]

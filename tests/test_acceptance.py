@@ -273,7 +273,7 @@ def _uci_misclassification(path, seed):
                     preds = np.zeros(len(fva))
                     for k in range(fam.p):
                         preds += model.weights.mu[k] * (
-                            fam.grams[k].entries[np.ix_(fva, ftr)] @ model.alpha)
+                            fam.stack[k][np.ix_(fva, ftr)] @ model.alpha)
                     scores.append(mk.metric_misclassification(
                         np.where(preds >= 0, 1.0, -1.0), y_tr[fva]))
                 score = float(np.mean(scores))

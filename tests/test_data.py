@@ -8,7 +8,7 @@ import mklridge as mk
 from mklridge import ConfigError, DataError
 from mklridge.data import apply_vocabulary, load_text_corpus, split_indices
 
-from helpers import counter_apply_vocabulary, counter_build_ngram_features
+from helpers import counter_apply_vocabulary, counter_build_ngram_features, kernel_stack
 
 
 # --- load_delimited -----------------------------------------------------------
@@ -204,12 +204,12 @@ def test_ngram_rejects_bad_n_and_top(n, top, message):
 
 def test_rank1_single_column():
     fam = mk.rank1_family(np.array([[2.0], [3.0]]), include_offset=False)
-    npt.assert_array_equal(fam.grams[0].entries, [[4.0, 6.0], [6.0, 9.0]])
+    npt.assert_array_equal(kernel_stack(fam)[0], [[4.0, 6.0], [6.0, 9.0]])
 
 
 def test_rank1_offset_gram_is_all_ones():
     fam = mk.rank1_family(np.array([[1.0], [2.0]]), include_offset=True)
-    npt.assert_array_equal(fam.grams[-1].entries, np.ones((2, 2)))
+    npt.assert_array_equal(kernel_stack(fam)[-1], np.ones((2, 2)))
 
 
 def test_rank1_disjoint_columns_orthogonal():
@@ -223,8 +223,8 @@ def test_rank1_sum_equals_count_gram():
     counts = rng.integers(0, 5, size=(7, 4)).astype(float)
     fam = mk.rank1_family(counts, include_offset=False)
     total = np.zeros((7, 7))
-    for g in fam.grams:
-        total += g.entries
+    for K in kernel_stack(fam):
+        total += K
     assert np.max(np.abs(total - counts @ counts.T)) <= 1e-12
 
 

@@ -16,7 +16,7 @@ from helpers import random_psd_instance
 
 def _closed_form_model(fam, y, lambda0, radius):
     lam = lambda0 * fam.m
-    K1 = fam.grams[0].entries
+    K1 = fam.stack[0]
     alpha = mk.krr_solve((1.0 + radius) * K1, y, lam)
     weights = mk.MuWeights(np.array([1.0 + radius]), np.array([1.0]), radius)
     return mk.MklModel(

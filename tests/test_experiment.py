@@ -19,7 +19,7 @@ from mklridge.experiment import (DEFAULT_BUDGET_GRID, DEFAULT_LAMBDA0_GRID,
                                  run_diagnose, run_experiment, run_fit,
                                  write_json_atomic)
 
-from helpers import counter_apply_vocabulary, counter_build_ngram_features
+from helpers import counter_apply_vocabulary, counter_build_ngram_features, kernel_stack
 
 
 # --- metrics ---------------------------------------------------------------
@@ -361,19 +361,6 @@ def test_l1_walks_one_lasso_path_per_fold(monkeypatch):
     assert walks == []
 
 
-def test_experiment_never_materializes_gram_copies(monkeypatch):
-    # A Gram family computes on its stack; a tuple of GramMatrix copies
-    # beside it would raise peak memory.
-    def no_grams(self):
-        raise AssertionError("KernelFamily.grams read during an experiment")
-
-    monkeypatch.setattr(mk.KernelFamily, "grams", property(no_grams))
-    kernels = {"kind": "explicit", "specs": [{"kind": "gaussian", "bandwidth": 2.0},
-                                             {"kind": "polynomial", "degree": 2}]}
-    report = run_experiment(ExperimentConfig.from_dict(_tiny_config(kernels=kernels, trials=1)))
-    assert [entry["failed"] for entry in report["methods"].values()] == [0] * 4
-
-
 def test_experiment_rejects_more_folds_than_training_rows(tmp_path):
     cfg = _tiny_config(dataset={**_tiny_config()["dataset"], "train_size": 5}, cv_folds=10,
                        methods=["uniform"], trials=1)
@@ -510,14 +497,14 @@ def test_uniform_on_single_kernel_family_is_plain_krr():
         scores = []
         for f in range(cfg.cv_folds):
             tr, va = plan.fold_indices(f)
-            alpha = mk.krr_solve(fam.grams[0].entries[np.ix_(tr, tr)], train.y[tr],
+            alpha = mk.krr_solve(fam.stack[0][np.ix_(tr, tr)], train.y[tr],
                                  lam0 * len(tr))
-            preds = fam.grams[0].entries[np.ix_(va, tr)] @ alpha
+            preds = fam.stack[0][np.ix_(va, tr)] @ alpha
             scores.append(mk.metric_rmse(preds, train.y[va]))
         score = float(np.mean(scores))
         if best is None or score < best[0]:
             best = (score, lam0)
-    alpha = mk.krr_solve(fam.grams[0].entries, train.y, best[1] * train.m)
+    alpha = mk.krr_solve(fam.stack[0], train.y, best[1] * train.m)
     preds = mk.predict_weighted(fam.specs, np.ones(1), alpha, train.X, test.X)
     assert rec["chosen"]["lambda0"] == best[1]
     assert rec["metrics"]["rmse"] == pytest.approx(mk.metric_rmse(preds, test.y), rel=1e-12)
@@ -546,8 +533,7 @@ def test_best_single_on_rank1_family_is_plain_krr_per_kernel():
     plan = make_folds(train.m, cfg.cv_folds, int(seeds[0].generate_state(2)[1]))
     best = None
     for lam0 in sorted(cfg.lambda0_grid):
-        for k in range(fam.p):
-            K = fam.grams[k].entries
+        for k, K in enumerate(kernel_stack(fam)):
             scores = []
             for f in range(cfg.cv_folds):
                 tr, va = plan.fold_indices(f)

@@ -10,6 +10,8 @@ import mklridge as mk
 from mklridge import ConfigError, DataError, KernelSpec, NumericalError, ShapeError
 from mklridge import experiment, solver
 
+from helpers import kernel_stack
+
 ALL_SPECS = [
     KernelSpec.gaussian(0.7),
     KernelSpec.gaussian(2.0),
@@ -127,7 +129,6 @@ def test_gram_determinism():
     a = mk.build_gram(KernelSpec.gaussian(1.3), X)
     b = mk.build_gram(KernelSpec.gaussian(1.3), X)
     assert a.entries.tobytes() == b.entries.tobytes()
-    assert a.sample_id == b.sample_id
 
 
 # --- Gram invariants over random inputs ------------------------------------
@@ -272,7 +273,7 @@ def test_combine_zero_weights():
 def test_combine_single_kernel_scaling():
     fam = _random_family(1, p=1)
     K = mk.combine(fam, [2.0])
-    npt.assert_array_equal(K.entries, 2.0 * fam.grams[0].entries)
+    npt.assert_array_equal(K.entries, 2.0 * fam.stack[0])
 
 
 def test_combine_identity_sum():
@@ -289,7 +290,7 @@ def test_combine_matches_independent_loop_exactly(seed, p):
     K = mk.combine(fam, mu)
     acc = np.zeros((fam.m, fam.m))
     for k in range(p):
-        acc += mu[k] * fam.grams[k].entries
+        acc += mu[k] * fam.stack[k]
     npt.assert_array_equal(K.entries, acc)
 
 
@@ -362,26 +363,55 @@ def test_compute_kappa_degenerate_zero():
 
 def test_kappa0_bounds_diagonal():
     fam = _random_family(7, m=10, p=3)
-    diags = np.stack([np.diag(g.entries) for g in fam.grams])
+    diags = np.stack([np.diag(K) for K in fam.stack])
     assert np.all(np.sqrt((diags**2).sum(axis=0)) <= fam.kappa0 + 1e-12)
 
 
 # --- family bookkeeping -----------------------------------------------------
 
-def test_family_requires_shared_sample():
-    g1 = mk.build_gram(KernelSpec.linear(), random_matrix(4, 2, 0))
-    g2 = mk.build_gram(KernelSpec.linear(), random_matrix(4, 2, 1))
-    with pytest.raises(ConfigError):
-        mk.KernelFamily(grams=(g1, g2))
+@settings(max_examples=40)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 12), rank_one=st.booleans(),
+       zero=st.booleans(), twin=st.booleans())
+def test_from_grams_rebuilds_a_family_bit_for_bit(seed, m, rank_one, zero, twin):
+    # from_grams on a family's per-kernel matrices, given as an array, an
+    # iterator or GramMatrix objects, against the same kernels stacked by
+    # from_specs; column 2 of X is zero, so rank1(2) is a zero kernel.
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(-2.0, 2.0, size=(m, 3))
+    X[:, 2] = 0.0
+    if rank_one:
+        specs = [KernelSpec.rank1(0), KernelSpec.rank1(1), KernelSpec.constant()]
+    else:
+        specs = [KernelSpec.gaussian(1.0), KernelSpec.linear(), KernelSpec.polynomial(2)]
+    specs += [KernelSpec.rank1(2)] * zero + [specs[0]] * twin
+    fam = mk.KernelFamily.from_specs(specs, X)
+    assert (fam.features is not None) == rank_one
+    # A linear kernel appended, then dropped, puts rank-one kernels on the stack layout.
+    ref = mk.KernelFamily.from_specs(specs + [KernelSpec.linear()], X).select_kernels(
+        range(len(specs)))
+    stack = kernel_stack(fam)
+    assert stack.tobytes() == ref.stack.tobytes()
+    mu = rng.uniform(0.0, 2.0, size=len(specs))
+    mu[rng.random(len(specs)) < 0.3] = 0.0
+    alpha = rng.standard_normal(m)
+    for mats in (stack, iter(stack), [mk.GramMatrix(K) for K in stack]):
+        got = mk.KernelFamily.from_grams(mats)
+        assert got.specs is None and got.features is None
+        assert got.stack.tobytes() == ref.stack.tobytes()
+        assert got.kappa0 == ref.kappa0
+        assert got.combined_entries(mu).tobytes() == ref.combined_entries(mu).tobytes()
+        assert mk.quad_forms(alpha, got).tobytes() == mk.quad_forms(alpha, ref).tobytes()
 
 
-def test_from_grams_hashes_the_first_raw_matrix():
-    raw = [np.eye(2), 2.0 * np.eye(2)]
-    fam = mk.KernelFamily.from_grams(raw)
-    assert fam.sample_id == mk.kernels.sample_id_of(raw[0])
-    assert mk.KernelFamily.from_grams(iter(raw)).sample_id == fam.sample_id
-    with pytest.raises(ConfigError, match="must share one sample"):
-        mk.KernelFamily.from_grams([mk.GramMatrix(np.eye(2), "a"), np.eye(2)])
+def test_from_grams_rejects_mixed_sizes_and_no_kernels():
+    with pytest.raises(ShapeError, match="share one dimension"):
+        mk.KernelFamily.from_grams([np.eye(2), np.eye(3)])
+    with pytest.raises(ShapeError, match="share one dimension"):
+        mk.KernelFamily.from_grams(iter([mk.GramMatrix(np.eye(3)), np.eye(2)]))
+    with pytest.raises(ConfigError, match="at least one kernel"):
+        mk.KernelFamily.from_grams([])
+    with pytest.raises(ConfigError, match="at least one kernel"):
+        mk.KernelFamily.from_grams(iter(()))
 
 
 def test_family_subset_consistency():
@@ -390,7 +420,7 @@ def test_family_subset_consistency():
     idx = np.array([0, 2, 5])
     sub = fam.subset(idx)
     assert sub.m == 3 and sub.p == 2
-    npt.assert_array_equal(sub.grams[0].entries, fam.grams[0].entries[np.ix_(idx, idx)])
+    npt.assert_array_equal(sub.stack[0], fam.stack[0][np.ix_(idx, idx)])
     direct = mk.KernelFamily.from_specs(fam.specs, X[idx])
     assert np.isclose(sub.kappa0, direct.kappa0)
 
@@ -401,8 +431,7 @@ def test_family_subset_lazy_matches_direct_build():
     idx = np.array([1, 3, 4])
     sub = fam.subset(idx)
     direct = mk.rank1_family(X[idx], include_offset=True)
-    for a, b in zip(sub.grams, direct.grams):
-        npt.assert_array_equal(a.entries, b.entries)
+    npt.assert_array_equal(kernel_stack(sub), kernel_stack(direct))
     assert sub.kappa0 == direct.kappa0
 
 
@@ -414,17 +443,15 @@ def test_family_select_kernels():
     sel = fam.select_kernels([2, 0])
     assert sel.p == 2
     assert sel.specs[0].kind == "polynomial"
-    npt.assert_array_equal(sel.grams[1].entries, fam.grams[0].entries)
+    npt.assert_array_equal(sel.stack[1], fam.stack[0])
 
 
 def test_select_kernels_keeps_feature_families_lazy():
     fam = mk.rank1_family(np.abs(random_matrix(6, 3, 8)), include_offset=True)
-    fam.grams  # materialize the parent's Gram matrices first
     sel = fam.select_kernels([3, 1])
-    assert sel.features is not None and sel._grams is None
+    assert sel.features is not None and sel.stack is None
     npt.assert_array_equal(sel.features, fam.features[:, [3, 1]])
-    for got, want in zip(sel.grams, (fam.grams[3], fam.grams[1])):
-        assert got.entries.tobytes() == want.entries.tobytes()
+    assert kernel_stack(sel).tobytes() == kernel_stack(fam)[[3, 1]].tobytes()
 
 
 @pytest.mark.parametrize("layout", ["stack", "features"])
@@ -438,9 +465,49 @@ def test_family_over_no_rows_is_a_shape_error(layout):
         fam.subset([])
     with pytest.raises(ShapeError, match="nonempty"):
         if layout == "features":
-            mk.KernelFamily(features=np.zeros((0, 2)), sample_id="x")
+            mk.KernelFamily(np.zeros((0, 2)))
         else:
             mk.KernelFamily.from_grams([np.zeros((0, 0))])
+
+
+@pytest.mark.parametrize("layout", ["stack", "features"])
+@pytest.mark.parametrize("derive", ["subset", "select_kernels"])
+@pytest.mark.parametrize("indices, message", [
+    ([0.5], "index 0.5 is not an integer"),
+    (np.array([1.0, 0.0]), "index 1.0 is not an integer"),
+    ([True, False], "index True is not an integer"),
+    ([0, False], "index False is not an integer"),
+    (np.array([False, True]), "index False is not an integer"),
+    ([0, -1], "index -1 out of range"),
+    ([1, 5], "index 5 out of range for 5 rows|index 5 out of range for 4 kernels"),
+], ids=["float", "float-array", "bool", "int-and-bool", "bool-array", "negative",
+        "past-the-end"])
+def test_family_rejects_bad_indices(layout, derive, indices, message):
+    # numpy would truncate 0.5 to 0, read booleans as a mask or as 0/1,
+    # wrap -1 and fail past the end with its own IndexError.
+    X = np.abs(random_matrix(5, 3, 10))
+    specs = ([KernelSpec.rank1(0), KernelSpec.rank1(1), KernelSpec.rank1(2), KernelSpec.constant()]
+             if layout == "features"
+             else [KernelSpec.linear(), KernelSpec.gaussian(1.0), KernelSpec.polynomial(2),
+                   KernelSpec.gaussian(2.0)])
+    fam = mk.KernelFamily.from_specs(specs, X)
+    assert fam.m == 5 and fam.p == 4 and (fam.stack is None) == (layout == "features")
+    with pytest.raises(ShapeError, match=message):
+        getattr(fam, derive)(indices)
+
+
+@pytest.mark.parametrize("layout", ["stack", "features"])
+def test_family_takes_numpy_integer_indices(layout):
+    X = np.abs(random_matrix(5, 2, 11))
+    specs = ([KernelSpec.rank1(0), KernelSpec.constant()] if layout == "features"
+             else [KernelSpec.linear(), KernelSpec.gaussian(1.0)])
+    fam = mk.KernelFamily.from_specs(specs, X)
+    want = kernel_stack(fam)
+    rows = np.array([4, 0, 4], dtype=np.uint8)
+    npt.assert_array_equal(kernel_stack(fam.subset(rows)), want[:, [4, 0, 4]][:, :, [4, 0, 4]])
+    npt.assert_array_equal(kernel_stack(fam.select_kernels([np.int64(1)])), want[[1]])
+    npt.assert_array_equal(kernel_stack(fam.select_kernels(np.array([1, 1], dtype=np.int32))),
+                           want[[1, 1]])
 
 
 def _reference_gram_family(seed, m, p, zero, twin):
@@ -491,7 +558,9 @@ def test_stack_matches_per_kernel_loops(seed, m, p, zero, twin):
         return solve_pd(B, rhs)
 
     with mock.patch.object(solver, "_solve_pd", capture):
-        mu, _ = solver._newton_step(fam, alpha, v, y, lam, mu0, radius)
+        P, v_step = solver._projections(alpha, fam)
+        assert v_step.tobytes() == v.tobytes()
+        mu, _ = solver._newton_step(fam, alpha, P, v, y, lam, mu0, radius)
     [(H, R)] = seen
     Z = np.column_stack([K @ alpha for K in mats])
     nv = np.linalg.norm(v)
@@ -528,36 +597,29 @@ def test_stack_matches_per_kernel_loops(seed, m, p, zero, twin):
         fam.select_kernels([])
 
 
-def test_family_holds_one_representation():
-    grams = [mk.build_gram(KernelSpec.linear(), random_matrix(4, 2, 0))]
-    with pytest.raises(ConfigError):
-        mk.KernelFamily(grams=grams, features=np.ones((4, 1)), sample_id="x")
-    with pytest.raises(ConfigError):
-        mk.KernelFamily()
-
-
 @pytest.mark.parametrize("bad", [np.inf, -np.inf])  # NaN: test_feature_route_nan_features_raise
 def test_family_rejects_infinite_features(bad):
     with pytest.raises(DataError):
-        mk.KernelFamily(features=[[1.0], [bad], [0.0]], sample_id="x")
+        mk.KernelFamily([[1.0], [bad], [0.0]])
 
 
 @pytest.mark.filterwarnings("error")
 def test_gram_matrix_rejects_asymmetry():
     with pytest.raises(NumericalError, match="not symmetric"):
-        mk.GramMatrix(entries=np.array([[1.0, 2.0], [0.5, 1.0]]), sample_id="x")
-    # A symmetric matrix with a NaN or an infinite entry is named for that.
+        mk.GramMatrix(entries=np.array([[1.0, 2.0], [0.5, 1.0]]))
+    # A symmetric matrix with a NaN or an infinite entry is named for that:
+    # bad input data, as in krr_solve and a family's feature columns.
     for bad in (np.nan, np.inf):
-        with pytest.raises(NumericalError, match="non-finite entries"):
-            mk.GramMatrix(entries=np.array([[bad, 0.0], [0.0, 1.0]]), sample_id="x")
+        with pytest.raises(DataError, match="non-finite entries"):
+            mk.GramMatrix(entries=np.array([[bad, 0.0], [0.0, 1.0]]))
 
 
 def test_gram_matrix_rejects_negative_diagonal():
     with pytest.raises(NumericalError):
-        mk.GramMatrix(entries=np.array([[-1.0, 0.0], [0.0, 1.0]]), sample_id="x")
+        mk.GramMatrix(entries=np.array([[-1.0, 0.0], [0.0, 1.0]]))
 
 
 def test_require_psd_flags_indefinite():
-    g = mk.GramMatrix(entries=np.array([[1.0, 2.0], [2.0, 1.0]]), sample_id="x")
+    g = mk.GramMatrix(entries=np.array([[1.0, 2.0], [2.0, 1.0]]))
     with pytest.raises(NumericalError):
         g.require_psd()

@@ -12,7 +12,7 @@ from mklridge import ConfigError, DataError, KernelSpec, NumericalError, ShapeEr
 from mklridge import experiment, solver
 from mklridge.solver import project_ball_cone, project_l1_orthant
 
-from helpers import (ball_grid_points, dual_objective_grid_min,
+from helpers import (ball_grid_points, dual_objective_grid_min, kernel_stack,
                      random_psd_instance, simplex_grid_points)
 
 
@@ -74,7 +74,7 @@ def test_quad_forms_basis_vector():
     e0 = np.zeros(fam.m)
     e0[0] = 1.0
     v = mk.quad_forms(e0, fam)
-    expected = [g.entries[0, 0] for g in fam.grams]
+    expected = kernel_stack(fam)[:, 0, 0]
     npt.assert_allclose(v, expected, rtol=1e-12)
 
 
@@ -93,7 +93,7 @@ def test_quad_forms_feature_path_matches_gram_path():
     fam = mk.rank1_family(X, include_offset=True)
     alpha = np.random.default_rng(1).standard_normal(7)
     v_feat = mk.quad_forms(alpha, fam)
-    v_gram = np.array([alpha @ (g.entries @ alpha) for g in fam.grams])
+    v_gram = np.array([alpha @ (K @ alpha) for K in kernel_stack(fam)])
     npt.assert_allclose(v_feat, v_gram, rtol=1e-12, atol=1e-14)
     assert np.all(v_feat >= 0.0)
 
@@ -218,7 +218,7 @@ def test_feature_route_matches_dense_reference(m, p, seed, support, t):
     rng = np.random.default_rng(seed)
     F = rng.standard_normal((m, p))
     F[:, rng.random(p) < 0.2] = 0.0
-    fam = mk.KernelFamily(features=F, sample_id="rank1")
+    fam = mk.KernelFamily(F)
     s = {"random": int(rng.integers(0, min(p, m - 1) + 1)),
          "empty": 0, "m-1": min(p, m - 1), "all": p}[support]
     mu = np.zeros(p)
@@ -246,7 +246,7 @@ def test_feature_route_matches_dense_reference(m, p, seed, support, t):
 
 def test_feature_route_reports_eigenvalue_on_failure():
     # A negative shift makes H = Fd'Fd + lam I indefinite.
-    fam = mk.KernelFamily(features=np.zeros((3, 1)), sample_id="zero")
+    fam = mk.KernelFamily(np.zeros((3, 1)))
     with pytest.raises(NumericalError) as err:
         solver._ridge_solve(fam, np.ones(1), np.ones(3), -1.0)
     assert "smallest eigenvalue ~ -1.0" in str(err.value)
@@ -254,9 +254,9 @@ def test_feature_route_reports_eigenvalue_on_failure():
 
 def test_feature_route_nan_features_raise():
     with pytest.raises(DataError):
-        mk.KernelFamily(features=np.array([[1.0], [np.nan], [0.0]]), sample_id="nan")
+        mk.KernelFamily(np.array([[1.0], [np.nan], [0.0]]))
     # A NaN that reaches the feature route through y still raises.
-    fam = mk.KernelFamily(features=np.array([[1.0], [2.0], [0.0]]), sample_id="finite")
+    fam = mk.KernelFamily(np.array([[1.0], [2.0], [0.0]]))
     with pytest.raises(NumericalError):
         solver._ridge_solve(fam, np.ones(1), np.array([1.0, np.nan, 0.0]), 1.0)
 
@@ -277,7 +277,7 @@ def test_single_kernel_predictions_match_fit_l2(m, q, seed, log_lambda0s):
     F = np.column_stack([base, np.zeros(m), base[:, 0], -base[:, -1], np.ones(m)])
     F = F[:, rng.permutation(F.shape[1])]
     y = rng.standard_normal(m)
-    fam = mk.KernelFamily(features=F, sample_id="single")
+    fam = mk.KernelFamily(F)
     va = np.sort(rng.choice(m, size=m // 3, replace=False))
     tr = np.setdiff1d(np.arange(m), va)
     sub = fam.subset(tr)
@@ -305,7 +305,7 @@ def test_single_kernel_predictions_match_fit_l2(m, q, seed, log_lambda0s):
 def test_fit_l2_full_support_keeps_dense_route(m, extra, seed):
     # fit_l2 weights are strictly positive, so s = p >= m here.
     rng = np.random.default_rng(seed)
-    fam = mk.KernelFamily(features=rng.standard_normal((m, m + extra)), sample_id="rank1")
+    fam = mk.KernelFamily(rng.standard_normal((m, m + extra)))
     y = rng.standard_normal(m)
     model, _ = mk.fit_l2(fam, y, 0.05, 1.0)
     direct = mk.krr_solve(fam.combined_entries(model.weights.mu), y, model.lam)
@@ -316,7 +316,7 @@ def test_feature_route_fits_match_dense_family():
     rng = np.random.default_rng(17)
     X = rng.poisson(1.0, size=(40, 7)).astype(float)
     fam = mk.rank1_family(X, include_offset=True)
-    dense = mk.KernelFamily.from_grams(fam.grams)
+    dense = mk.KernelFamily.from_grams(kernel_stack(fam))
     assert fam.features is not None and dense.features is None and fam.p < fam.m
     y = X[:, 0] - X[:, 3] + 0.3 * rng.standard_normal(fam.m)
     l2_fast, _ = mk.fit_l2(fam, y, 0.01, 1.0)
@@ -359,7 +359,7 @@ def test_fit_single_kernel_closed_form():
     model, _ = mk.fit_l2(fam, y, lambda0, radius)
     assert model.weights.mu[0] == 1.0 + radius
     direct = mk.krr_solve(
-        mk.GramMatrix((1.0 + radius) * fam.grams[0].entries, fam.sample_id),
+        mk.GramMatrix((1.0 + radius) * kernel_stack(fam)[0]),
         y, lambda0 * fam.m,
     )
     npt.assert_array_equal(model.alpha, direct)
@@ -409,7 +409,7 @@ def test_fit_parameter_validation():
 
 def test_family_arguments_must_be_kernel_families():
     fam, y, lambda0, radius = random_psd_instance(72)
-    K = fam.grams[0]
+    K = mk.GramMatrix(kernel_stack(fam)[0])
     model, _ = mk.fit_l2(fam.select_kernels([0]), y, lambda0, radius)
     for call in (lambda: mk.fit_l2([K], y, lambda0, radius),
                  lambda: mk.quad_forms(model.alpha, K.entries),
@@ -429,7 +429,7 @@ def test_fit_first_iteration_is_the_closed_form_update(case):
     else:
         m, p = 12, 5
         F = np.zeros((m, p)) if case == "rank1_v0" else rng.standard_normal((m, p))
-        fam = mk.KernelFamily(features=F, sample_id="rank1")
+        fam = mk.KernelFamily(F)
         y, lambda0, radius = rng.standard_normal(m), 0.05, 0.7
     if case == "dense_v0":
         y = np.zeros(fam.m)
@@ -500,7 +500,7 @@ def _scaled_instance(kind, m, seed, radius):
         F = rng.standard_normal((m, p))
         F[:, rng.random(p) < 0.2] = 0.0
         scale = max(np.linalg.norm(F, 2), 1.0) * np.sqrt(1.0 + radius)
-        fam = mk.KernelFamily(features=F / scale, sample_id="rank1")
+        fam = mk.KernelFamily(F / scale)
     return fam, rng.standard_normal(m)
 
 
@@ -529,7 +529,7 @@ def test_fit_damped_newton_matches_oracle():
     # start, at every trial step and for the report: a fit that never
     # halves a step evaluates it iterations + 1 times.
     rng = np.random.default_rng(1)
-    fam = mk.KernelFamily(features=rng.standard_normal((30, 12)), sample_id="rank1")
+    fam = mk.KernelFamily(rng.standard_normal((30, 12)))
     y = rng.standard_normal(30)
     with mock.patch.object(solver, "objective", wraps=solver.objective) as spy:
         model, report = mk.fit_l2(fam, y, 1e-4, 1e3)
@@ -604,7 +604,7 @@ def test_oracle_single_kernel_closed_form():
 def test_oracle_certificate_is_sound_against_grid():
     fam, y, lambda0, radius = random_psd_instance(111, m_range=(6, 10), p_range=(2, 2))
     res = mk.oracle_fit(fam, y, lambda0, radius)
-    mats = [g.entries for g in fam.grams]
+    mats = list(kernel_stack(fam))
     pts = ball_grid_points(np.ones(2), radius, 0.01 * radius)
     grid_min = dual_objective_grid_min(mats, y, lambda0 * fam.m, pts)
     assert res.objective_value <= grid_min + 1e-8 * max(1.0, abs(grid_min))
@@ -645,7 +645,7 @@ def test_l1_single_kernel_takes_full_budget():
 
 def test_l1_duplicate_kernels_match_single_kernel_objective():
     fam, y, lambda0, _ = random_psd_instance(131, p_range=(1, 1))
-    K = fam.grams[0].entries
+    K = kernel_stack(fam)[0]
     twin = mk.KernelFamily.from_grams([K, K.copy()])
     single = mk.fit_l1(fam, y, lambda0, 2.0)
     double = mk.fit_l1(twin, y, lambda0, 2.0)
@@ -659,7 +659,7 @@ def test_l1_matches_simplex_grid():
         res = mk.fit_l1(fam, y, lambda0, budget)
         assert res.converged
         pts = simplex_grid_points(3, budget, 100)
-        grid_min = dual_objective_grid_min([g.entries for g in fam.grams], y,
+        grid_min = dual_objective_grid_min(kernel_stack(fam), y,
                                            lambda0 * fam.m, pts)
         scale = max(1.0, abs(grid_min))
         # Certified solution is never worse than any lattice point; the
@@ -679,7 +679,7 @@ def test_l1_never_worse_than_simplex_grid(seed, budget):
     res = mk.fit_l1(fam, y, lambda0, budget)
     assert res.converged
     pts = simplex_grid_points(3, budget, 100)
-    grid_min = dual_objective_grid_min([g.entries for g in fam.grams], y,
+    grid_min = dual_objective_grid_min(kernel_stack(fam), y,
                                        lambda0 * fam.m, pts)
     assert res.objective_value <= grid_min + 1e-8 * max(1.0, abs(grid_min))
     vstar = mk.quad_forms(res.alpha, fam)
@@ -701,7 +701,7 @@ def test_l1_scale_equivalent_combos_give_same_predictor(seed, budget, c):
     assert base.converged and scaled.converged
     npt.assert_allclose(scaled.mu, c * base.mu, rtol=0, atol=1e-6 * c * budget)
     assert scaled.objective_value == pytest.approx(base.objective_value / c, rel=1e-6)
-    grams = [g.entries for g in fam.grams]
+    grams = kernel_stack(fam)
     pred = sum(w * K for w, K in zip(base.mu, grams)) @ base.alpha
     pred_scaled = sum(w * K for w, K in zip(scaled.mu, grams)) @ scaled.alpha
     assert np.linalg.norm(pred_scaled - pred) <= 1e-6 * np.linalg.norm(pred)
@@ -730,10 +730,10 @@ _L1_CLASSES = st.lists(st.tuples(st.floats(-3.0, -1.0), st.floats(0.5, 100.0)),
 @given(**_RANK1_CASES, log_lambda0=st.floats(-3.0, -1.0), budget=st.floats(0.5, 100.0))
 def test_l1_path_start_matches_projected_gradient(m, wide, extra, seed, log_lambda0, budget):
     F, y = _rank1_case(m, wide, extra, seed)
-    fam = mk.KernelFamily(features=F, sample_id="path")
+    fam = mk.KernelFamily(F)
     lambda0 = 10.0 ** log_lambda0
     res = mk.fit_l1(fam, y, lambda0, budget)
-    ref = mk.fit_l1(mk.KernelFamily.from_grams(fam.grams), y, lambda0, budget,
+    ref = mk.fit_l1(mk.KernelFamily.from_grams(kernel_stack(fam)), y, lambda0, budget,
                     tol=1e-12, max_iters=50000)
     assert res.converged and ref.converged
     assert res.objective_value == pytest.approx(ref.objective_value, rel=1e-8)
@@ -770,7 +770,7 @@ def test_l1_path_stops_match_one_walk_per_class():
         with mock.patch.object(solver, "_chol_delete", counting_delete):
             stops = solver._l1_path_stops(F, y, classes)
         _assert_same_stops(stops, [solver._l1_path_stops(F, y, [c])[0] for c in classes])
-        fam = mk.KernelFamily(features=F, sample_id="stops")
+        fam = mk.KernelFamily(F)
         own = mk.fit_l1(fam, y, *combos[0])
         given_start = mk.fit_l1(fam, y, *combos[0], start=stops[0])
         npt.assert_array_equal(given_start.mu, own.mu)
@@ -805,9 +805,9 @@ def test_l1_path_stops_refactor_when_an_update_loses_definiteness(m, wide, extra
 def test_l1_path_start_handles_tied_columns(F, y, lambda0, budget):
     # Orthogonal columns with equal |F'y|: tied columns join the path at
     # the same knot and share the weight.
-    fam = mk.KernelFamily(features=F, sample_id="tied")
+    fam = mk.KernelFamily(F)
     res = mk.fit_l1(fam, y, lambda0, budget)
-    ref = mk.fit_l1(mk.KernelFamily.from_grams(fam.grams), y, lambda0, budget,
+    ref = mk.fit_l1(mk.KernelFamily.from_grams(kernel_stack(fam)), y, lambda0, budget,
                     tol=1e-12, max_iters=50000)
     assert res.converged
     assert res.certificate_gap <= 1e-10 * max(1.0, abs(res.objective_value))
@@ -821,14 +821,14 @@ def test_l1_path_start_declines_when_features_miss_the_targets():
     F = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
     y = np.array([1.0, -1.0, 2.0, -2.0])
     assert solver._l1_path_stops(F, y, [(0.4, 2.0), (0.4, 20.0)]) == [(None, 0), (None, 0)]
-    res = mk.fit_l1(mk.KernelFamily(features=F, sample_id="orthogonal"), y, 0.1, 2.0)
+    res = mk.fit_l1(mk.KernelFamily(F), y, 0.1, 2.0)
     assert res.converged and res.iterations == 0
     npt.assert_array_equal(res.mu, [1.0, 1.0])
 
 
 def test_l1_start_must_match_the_family():
     F, y = _rank1_case(8, True, 2, 5)
-    fam = mk.KernelFamily(features=F, sample_id="start")
+    fam = mk.KernelFamily(F)
     with pytest.raises(ShapeError, match="start"):
         mk.fit_l1(fam, y, 0.01, 2.0, start=(np.ones(fam.p + 1), 0))
     # A start is only where projected gradient begins; the certificate
@@ -858,7 +858,7 @@ def test_l1_budget_validation():
      ConfigError, "start"),
     (lambda fam, y: mk.fit_l1(fam, y, 0.1, 1.0, start=(np.full(fam.p, np.inf), 0)),
      ConfigError, "start"),
-    (lambda fam, y: mk.krr_solve(fam.grams[0], y, np.inf), ConfigError, "lam"),
+    (lambda fam, y: mk.krr_solve(kernel_stack(fam)[0], y, np.inf), ConfigError, "lam"),
     (lambda fam, y: mk.krr_solve(np.full((fam.m, fam.m), np.inf), y, 1.0),
      DataError, "non-finite"),
 ], ids=["fit_l2-epsilon", "fit_l1-tol", "oracle_fit-tol", "fit_l1-nan-start",
