@@ -3,11 +3,14 @@
 Subcommands: ``fit`` (one model from a config), ``experiment`` (full
 protocol), ``diagnose`` (verification suites), ``emit`` (re-render
 tables from a saved report). Exit codes: 0 success, 1 configuration
-error, 2 data error, 3 numerical failure.
+error, 2 data error, 3 numerical failure. A usage error (a missing or
+unknown option, a bad option value, an unknown command) is a
+configuration error.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import functools
 import json
@@ -42,13 +45,36 @@ def _exit_codes(fn):
     return wrapper
 
 
+@contextlib.contextmanager
+def _usage_is_config_error():
+    try:
+        yield
+    except click.UsageError as exc:
+        exc.exit_code = EXIT_CONFIG
+        raise
+
+
+class _Main(click.Group):
+    # Click exits 2 on a usage error, which is the data-error code here.
+    # Parsing the group's arguments, resolving the command and parsing its
+    # arguments all happen in these two methods.
+
+    def make_context(self, *args, **kwargs):
+        with _usage_is_config_error():
+            return super().make_context(*args, **kwargs)
+
+    def invoke(self, ctx):
+        with _usage_is_config_error():
+            return super().invoke(ctx)
+
+
 def _load_config(path, seed=None, out=None) -> ExperimentConfig:
     # replace re-runs the config's validation on the overridden values.
     overrides = {k: v for k, v in (("seed", seed), ("out", out)) if v is not None}
     return dataclasses.replace(ExperimentConfig.from_json(path), **overrides)
 
 
-@click.group()
+@click.group(cls=_Main)
 def main():
     """Kernel-weight learning for ridge regression."""
 
@@ -74,14 +100,11 @@ def fit(config_path, seed, out):
 @click.option("--config", "config_path", required=True, type=click.Path(), help="Config file (JSON).")
 @click.option("--seed", type=int, default=None, help="Override the config seed.")
 @click.option("--out", type=click.Path(), default=None, help="Output directory.")
-@click.option("--jobs", type=int, default=1, help="Concurrent trial workers.")
 @_exit_codes
-def experiment(config_path, seed, out, jobs):
+def experiment(config_path, seed, out):
     """Run the full cross-validated experiment protocol."""
     cfg = _load_config(config_path, seed=seed, out=out)
-    if jobs < 1:
-        raise ConfigError("--jobs must be at least 1")
-    report = run_experiment(cfg, jobs=jobs)
+    report = run_experiment(cfg)
     if cfg.out:
         click.echo(os.path.join(cfg.out, "report.json"))
     else:

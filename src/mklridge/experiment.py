@@ -13,7 +13,6 @@ import hashlib
 import json
 import os
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from functools import partial
 from typing import Callable, NamedTuple, Optional
@@ -592,24 +591,18 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> dict:
     training set (ties resolved toward the smallest lambda0, then the
     smallest second parameter), refit on the full training set, and score
     on held-out rows. Failed fits are recorded, not fatal.
+
+    Trials run one after another. ``jobs`` accepts only 1; it stays so
+    that callers passing ``jobs=1`` keep working.
     """
+    if jobs != 1:
+        raise ConfigError(f"jobs must be 1, got {jobs!r}: trials run in order")
     if not isinstance(config, ExperimentConfig):
         config = ExperimentConfig.from_dict(config)
     source = _Source(config)
     master = np.random.SeedSequence(0 if config.seed is None else config.seed)
-    trial_seeds = master.spawn(config.trials)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(
-                lambda args: _run_trial(*args),
-                [(t, source, config, trial_seeds[t]) for t in range(config.trials)],
-            ))
-    else:
-        results = [
-            _run_trial(t, source, config, trial_seeds[t])
-            for t in range(config.trials)
-        ]
+    results = [_run_trial(t, source, config, trial_seed)
+               for t, trial_seed in enumerate(master.spawn(config.trials))]
 
     methods_out = {}
     for method in config.methods:

@@ -458,10 +458,16 @@ def test_failed_method_trial_is_recorded_and_left_out_of_mean(monkeypatch):
     assert report["methods"]["uniform"] == clean["methods"]["uniform"]
 
 
-def test_experiment_jobs_matches_serial(tiny_report):
-    cfg, report = tiny_report
-    parallel = run_experiment(cfg, jobs=2)
-    assert dumps_canonical(parallel) == dumps_canonical(report)
+@pytest.mark.parametrize("jobs", [0, 2])
+def test_experiment_runs_trials_in_order_only(tmp_path, monkeypatch, jobs):
+    def no_trial(*args):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(experiment, "_run_trial", no_trial)
+    cfg = ExperimentConfig.from_dict(_tiny_config(out=str(tmp_path / "out")))
+    with pytest.raises(ConfigError, match="jobs must be 1"):
+        run_experiment(cfg, jobs=jobs)
+    assert not (tmp_path / "out" / "report.json").exists()
 
 
 def test_uniform_on_single_kernel_family_is_plain_krr():
@@ -760,6 +766,27 @@ def test_cli_diagnose_bad_section_values_exit_code(tmp_path, diag):
                                        "--out", str(tmp_path / "d")])
     assert result.exit_code == 1
     assert "config error" in result.output
+
+
+@pytest.mark.parametrize("args, message", [
+    (["fit"], "Missing option '--config'"),
+    (["experiment", "--config", "{cfg}", "--jobs", "2"], "No such option '--jobs'"),
+    (["experiment", "--config", "{cfg}", "--seed", "abc"], "'abc' is not a valid integer"),
+    (["emit", "--report", "{cfg}", "--out", "tables", "--format", "xml"],
+     "'xml' is not one of"),
+    (["bogus"], "No such command 'bogus'"),
+])
+def test_cli_usage_error_is_a_config_error(tmp_path, args, message):
+    cfg_path = _write_config(tmp_path, _tiny_config(trials=1))
+    result = CliRunner().invoke(main, [a.format(cfg=cfg_path) for a in args])
+    # CliRunner also reads 1 for an uncaught exception; click's exit is a SystemExit.
+    assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+    assert message in result.output
+
+
+def test_cli_help_still_exits_0():
+    assert CliRunner().invoke(main, ["--help"]).exit_code == 0
+    assert CliRunner().invoke(main, ["experiment", "--help"]).exit_code == 0
 
 
 def test_cli_config_error_exit_code(tmp_path):

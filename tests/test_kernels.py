@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -412,6 +413,22 @@ def test_from_grams_rejects_mixed_sizes_and_no_kernels():
         mk.KernelFamily.from_grams([])
     with pytest.raises(ConfigError, match="at least one kernel"):
         mk.KernelFamily.from_grams(iter(()))
+
+
+def test_from_grams_copies_its_inputs_once():
+    # Each input is checked in place; np.stack is the one copy, so the peak
+    # above the inputs is the stack plus one matrix's check temporaries.
+    rng = np.random.default_rng(0)
+    A = rng.standard_normal((400, 400))
+    mats = [A @ A.T / 400 for _ in range(8)]
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        fam = mk.KernelFamily.from_grams(mats)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * fam.stack.nbytes
 
 
 def test_family_subset_consistency():
