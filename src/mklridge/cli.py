@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
-import functools
 import json
 import os
 import sys
@@ -28,43 +27,36 @@ EXIT_DATA = 2
 EXIT_NUMERICAL = 3
 
 
-def _exit_codes(fn):
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except ConfigError as exc:
-            click.echo(f"config error: {exc}", err=True)
-            sys.exit(EXIT_CONFIG)
-        except DataError as exc:
-            click.echo(f"data error: {exc}", err=True)
-            sys.exit(EXIT_DATA)
-        except NumericalError as exc:
-            click.echo(f"numerical error: {exc}", err=True)
-            sys.exit(EXIT_NUMERICAL)
-    return wrapper
-
-
 @contextlib.contextmanager
-def _usage_is_config_error():
+def _exit_codes():
+    # Every failure's exit code. Click's own usage-error code, 2, is the
+    # data-error code here.
     try:
         yield
     except click.UsageError as exc:
         exc.exit_code = EXIT_CONFIG
         raise
+    except ConfigError as exc:
+        click.echo(f"config error: {exc}", err=True)
+        sys.exit(EXIT_CONFIG)
+    except DataError as exc:
+        click.echo(f"data error: {exc}", err=True)
+        sys.exit(EXIT_DATA)
+    except NumericalError as exc:
+        click.echo(f"numerical error: {exc}", err=True)
+        sys.exit(EXIT_NUMERICAL)
 
 
 class _Main(click.Group):
-    # Click exits 2 on a usage error, which is the data-error code here.
-    # Parsing the group's arguments, resolving the command and parsing its
-    # arguments all happen in these two methods.
+    # The CLI's only error boundary: these two methods parse the group's
+    # arguments, resolve the command, parse its arguments and run it.
 
     def make_context(self, *args, **kwargs):
-        with _usage_is_config_error():
+        with _exit_codes():
             return super().make_context(*args, **kwargs)
 
     def invoke(self, ctx):
-        with _usage_is_config_error():
+        with _exit_codes():
             return super().invoke(ctx)
 
 
@@ -83,7 +75,6 @@ def main():
 @click.option("--config", "config_path", required=True, type=click.Path(), help="Config file (JSON).")
 @click.option("--seed", type=int, default=None, help="Override the config seed.")
 @click.option("--out", type=click.Path(), default=None, help="Output directory.")
-@_exit_codes
 def fit(config_path, seed, out):
     """Fit a single model and write its summary."""
     cfg = _load_config(config_path, seed=seed, out=out)
@@ -100,7 +91,6 @@ def fit(config_path, seed, out):
 @click.option("--config", "config_path", required=True, type=click.Path(), help="Config file (JSON).")
 @click.option("--seed", type=int, default=None, help="Override the config seed.")
 @click.option("--out", type=click.Path(), default=None, help="Output directory.")
-@_exit_codes
 def experiment(config_path, seed, out):
     """Run the full cross-validated experiment protocol."""
     cfg = _load_config(config_path, seed=seed, out=out)
@@ -115,7 +105,6 @@ def experiment(config_path, seed, out):
 @main.command()
 @click.option("--config", "config_path", required=True, type=click.Path(), help="Diagnose config (JSON).")
 @click.option("--out", type=click.Path(), default=None, help="Output directory.")
-@_exit_codes
 def diagnose(config_path, out):
     """Run the numerical verification suites."""
     result = run_diagnose(read_json(config_path, ConfigError, "config"))
@@ -130,7 +119,6 @@ def diagnose(config_path, out):
 @click.option("--report", "report_path", required=True, type=click.Path(), help="Saved report JSON.")
 @click.option("--out", type=click.Path(), required=True, help="Output directory.")
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv")
-@_exit_codes
 def emit(report_path, out, fmt):
     """Re-render metric tables from a saved report."""
     written = emit_tables(read_json(report_path, DataError, "report"), out, fmt=fmt)

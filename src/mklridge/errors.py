@@ -1,7 +1,9 @@
 """Exception hierarchy shared across the package.
 
 The CLI maps these onto exit codes: configuration problems exit 1, data
-problems exit 2, numerical failures exit 3.
+problems exit 2, numerical failures exit 3. A command-line usage error
+(a missing or unknown option, a bad option value, an unknown command)
+exits 1, as a configuration problem.
 """
 
 

@@ -34,25 +34,25 @@ DEFAULT_RADIUS_GRID = (0.0, 0.01, 0.1, 1.0, 10.0, 100.0)
 DEFAULT_BUDGET_GRID = (0.01, 0.1, 1.0, 10.0, 100.0)
 
 
-def metric_rmse(pred, y) -> float:
-    """Root mean squared error."""
+def _score_inputs(pred, y):
     pred = np.asarray(pred, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if pred.shape != y.shape:
         raise ShapeError("prediction and target lengths differ")
     if pred.size == 0:
         raise ConfigError("cannot score an empty prediction vector")
+    return pred, y
+
+
+def metric_rmse(pred, y) -> float:
+    """Root mean squared error."""
+    pred, y = _score_inputs(pred, y)
     return float(np.sqrt(np.mean((pred - y) ** 2)))
 
 
 def metric_misclassification(pred, y) -> float:
     """Fraction of sign disagreements against +/-1 targets; sign(0) is +1."""
-    pred = np.asarray(pred, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if pred.shape != y.shape:
-        raise ShapeError("prediction and target lengths differ")
-    if pred.size == 0:
-        raise ConfigError("cannot score an empty prediction vector")
+    pred, y = _score_inputs(pred, y)
     if not np.all(np.isin(y, (-1.0, 1.0))):
         raise DataError("misclassification requires exact +/-1 targets")
     signs = np.where(pred >= 0.0, 1.0, -1.0)

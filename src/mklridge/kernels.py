@@ -305,15 +305,15 @@ class KernelFamily:
             raise ShapeError("specs and kernel counts differ")
         self.features = features
         self.stack = stack
-        self.kappa0 = self._compute_kappa0()
 
     @classmethod
-    def _of_stack(cls, stack: np.ndarray, specs) -> "KernelFamily":
+    def _of(cls, specs, features=None, stack=None) -> "KernelFamily":
         fam = cls.__new__(cls)
-        fam._adopt(specs, None, stack)
+        fam._adopt(specs, features, stack)
         return fam
 
-    def _compute_kappa0(self) -> float:
+    @property
+    def kappa0(self) -> float:
         if self.stack is not None:
             diags = np.diagonal(self.stack, axis1=1, axis2=2)
             return float(np.sqrt((diags**2).sum(axis=0)).max())
@@ -322,26 +322,29 @@ class KernelFamily:
 
     @classmethod
     def from_specs(cls, specs: Sequence[KernelSpec], X) -> "KernelFamily":
-        """Bundle the given specs over X; rank-one families stay lazy.
+        """Bundle the given specs over X.
 
-        Any other family's stack is filled one :func:`build_gram` at a
-        time. Each build copies and checks its matrix through a few m x m
-        temporaries, so about four m x m arrays sit beside the stack: for
-        eight kernels at m = 400 the build peaks at 1.5x the stack.
+        A family of rank-one kinds stores their feature columns. Any other
+        family's stack is filled one :func:`build_gram` at a time. Each
+        build copies and checks its matrix through a few m x m temporaries,
+        so about four m x m arrays sit beside the stack: for eight kernels
+        at m = 400 the build peaks at 1.5x the stack.
         """
         X = _as_matrix(X)
         if not np.isfinite(X).all():
             raise DataError("data matrix contains non-finite values")
+        if X.shape[0] == 0:
+            raise ShapeError("a kernel family needs a nonempty sample")
         specs = tuple(specs)
         if not specs:
             raise ConfigError("kernel family must contain at least one kernel")
         features = _explicit_features(specs, X)
         if features is not None:
-            return cls(features, specs)
+            return cls._of(specs, features=features)
         stack = np.empty((len(specs), X.shape[0], X.shape[0]))
         for k, s in enumerate(specs):
             stack[k] = build_gram(s, X).entries
-        return cls._of_stack(stack, specs)
+        return cls._of(specs, stack=stack)
 
     @classmethod
     def from_grams(cls, mats) -> "KernelFamily":
@@ -358,7 +361,7 @@ class KernelFamily:
             raise ShapeError("Gram matrices of a family must be nonempty")
         if any(g.shape != grams[0].shape for g in grams):
             raise ShapeError("all Gram matrices in a family must share one dimension")
-        return cls._of_stack(np.stack(grams), None)
+        return cls._of(None, stack=np.stack(grams))
 
     @property
     def p(self) -> int:
@@ -374,10 +377,10 @@ class KernelFamily:
         if idx.size == 0:
             raise ShapeError("a subset needs a nonempty index array")
         if self.features is not None:
-            return KernelFamily(self.features[idx], self.specs)
+            return KernelFamily._of(self.specs, features=self.features[idx])
         # Indexing all three axes gathers a C-contiguous stack with no
         # intermediate copy; stack[:, rows, cols] would not be C-contiguous.
-        return KernelFamily._of_stack(self.stack[np.ix_(range(self.p), idx, idx)], self.specs)
+        return KernelFamily._of(self.specs, stack=self.stack[np.ix_(range(self.p), idx, idx)])
 
     def select_kernels(self, kernel_indices) -> "KernelFamily":
         """Keep only the listed kernels (same sample). A run of consecutive
@@ -387,10 +390,11 @@ class KernelFamily:
             raise ConfigError("kernel family must contain at least one kernel")
         specs = None if self.specs is None else tuple(self.specs[k] for k in ks)
         if self.features is not None:
-            return KernelFamily(self.features[:, ks], specs)
+            # A column gather is Fortran-ordered; C order keeps BLAS rounding.
+            return KernelFamily._of(specs, features=np.ascontiguousarray(self.features[:, ks]))
         run = bool(np.all(np.diff(ks) == 1))
         stack = self.stack[ks[0]:ks[-1] + 1] if run else self.stack[ks]
-        return KernelFamily._of_stack(stack, specs)
+        return KernelFamily._of(specs, stack=stack)
 
     def combined_entries(self, mu) -> np.ndarray:
         """Sum_k mu_k K_k as a new array: one matrix product over the

@@ -9,7 +9,7 @@ import pytest
 from click.testing import CliRunner
 
 import mklridge as mk
-from mklridge import ConfigError, DataError, NumericalError
+from mklridge import ConfigError, DataError, NumericalError, ShapeError
 from mklridge import cli, experiment, solver
 from mklridge.cli import main
 from mklridge.data import split_indices
@@ -787,6 +787,26 @@ def test_cli_usage_error_is_a_config_error(tmp_path, args, message):
 def test_cli_help_still_exits_0():
     assert CliRunner().invoke(main, ["--help"]).exit_code == 0
     assert CliRunner().invoke(main, ["experiment", "--help"]).exit_code == 0
+
+
+@pytest.mark.parametrize("error, code, kind", [
+    (ConfigError, 1, "config"), (ShapeError, 1, "config"),
+    (DataError, 2, "data"), (NumericalError, 3, "numerical"),
+])
+@pytest.mark.parametrize("command, backend", [
+    ("fit", "run_fit"), ("experiment", "run_experiment"),
+    ("diagnose", "run_diagnose"), ("emit", "emit_tables"),
+])
+def test_cli_exit_code_matrix(tmp_path, monkeypatch, command, backend, error, code, kind):
+    def fail(*args, **kwargs):
+        raise error("injected")
+
+    monkeypatch.setattr(cli, backend, fail)
+    path = _write_config(tmp_path, _tiny_config(trials=1))
+    opts = ["--report", path, "--out", str(tmp_path / "t")] if command == "emit" else ["--config", path]
+    result = CliRunner().invoke(main, [command, *opts])
+    assert result.exit_code == code and isinstance(result.exception, SystemExit)
+    assert result.output == f"{kind} error: injected\n"
 
 
 def test_cli_config_error_exit_code(tmp_path):

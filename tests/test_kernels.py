@@ -479,6 +479,8 @@ def test_family_over_no_rows_is_a_shape_error(layout):
     fam = mk.KernelFamily.from_specs(specs, X)
     assert (fam.stack is None) == (layout == "features")
     with pytest.raises(ShapeError, match="nonempty"):
+        mk.KernelFamily.from_specs(specs, X[:0])
+    with pytest.raises(ShapeError, match="nonempty"):
         fam.subset([])
     with pytest.raises(ShapeError, match="nonempty"):
         if layout == "features":
