@@ -187,10 +187,17 @@ def _checked_gram(entries) -> np.ndarray:
         raise ShapeError(f"Gram matrix must be square, got shape {e.shape}")
     if not np.isfinite(e).all():
         raise DataError("Gram matrix has non-finite entries")
-    scale = np.maximum(1.0, np.abs(e))
-    if not np.all(np.abs(e - e.T) <= 1e-12 * scale):
+    # Two m x m temporaries, each reused in place: the entrywise scale
+    # max(1, |e|) and the asymmetry |e - e'|.
+    scale = np.abs(e)
+    np.maximum(scale, 1.0, out=scale)
+    largest = float(scale.max(initial=0.0))
+    asym = e - e.T
+    np.abs(asym, out=asym)
+    scale *= 1e-12
+    if not np.all(asym <= scale):
         raise NumericalError("Gram matrix is not symmetric within tolerance")
-    if e.shape[0] and np.min(np.diag(e)) < -1e-12 * float(scale.max()):
+    if e.shape[0] and np.min(np.diag(e)) < -1e-12 * largest:
         raise NumericalError("Gram matrix has a negative diagonal entry")
     return e
 
@@ -326,9 +333,9 @@ class KernelFamily:
 
         A family of rank-one kinds stores their feature columns. Any other
         family's stack is filled one :func:`build_gram` at a time. Each
-        build copies and checks its matrix through a few m x m temporaries,
-        so about four m x m arrays sit beside the stack: for eight kernels
-        at m = 400 the build peaks at 1.5x the stack.
+        build copies and checks its matrix through two m x m temporaries,
+        so about three m x m arrays sit beside the stack: for eight kernels
+        at m = 400 the build peaks at 1.4x the stack.
         """
         X = _as_matrix(X)
         if not np.isfinite(X).all():

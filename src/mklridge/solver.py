@@ -680,12 +680,18 @@ def _chol_delete(L: np.ndarray, i: int):
     # Lower factor of B with row and column i removed, from the lower factor
     # L of B. Rows and columns before i keep their entries; the trailing
     # block T T' + l l' (l the part of column i below the diagonal) is
-    # refactored. None if that factorization fails.
-    out = np.delete(np.delete(L, i, axis=0), i, axis=1)
-    tail, col = L[i + 1:, i + 1:], L[i + 1:, i]
+    # refactored. Only L's lower triangle is read, and the result's upper
+    # triangle is zero. None if that factorization fails.
+    n = L.shape[0] - 1
+    out = np.zeros((n, n), order="F")
+    lower = np.tri(n, dtype=bool)
+    np.copyto(out[:i, :i], L[:i, :i], where=lower[:i, :i])
+    out[i:, :i] = L[i + 1:, :i]
+    tail, col = out[i:, i:], L[i + 1:, i]
+    np.copyto(tail, L[i + 1:, i + 1:], where=lower[i:, i:])
     if col.size:
-        out[i:, i:], info = scipy.linalg.lapack.dpotrf(tail @ tail.T + np.outer(col, col),
-                                                       lower=1)
+        tail[...], info = scipy.linalg.lapack.dpotrf(tail @ tail.T + np.outer(col, col),
+                                                     lower=1)
         if info != 0:
             return None
     return out
@@ -712,7 +718,10 @@ def _l1_path_stops(F: np.ndarray, y: np.ndarray, classes):
     lies on it, so every class gets exactly what a walk of its own would.
     The lower Cholesky factor of G_AA is updated as columns join (one
     triangular solve) and leave (the trailing block is refactored), and
-    refactored from scratch when an update loses definiteness.
+    refactored from scratch when an update loses definiteness. The active
+    set, its signs and the event search live in length-p buffers that each
+    knot updates in place, so a knot makes one solve, one G product and a
+    fixed, small set of array operations.
 
     Returns one ``(mu, knots)`` per class, in the given order; ``knots``
     is the number of segments walked up to that class's stop. ``mu`` is
@@ -729,17 +738,32 @@ def _l1_path_stops(F: np.ndarray, y: np.ndarray, classes):
     if t == 0.0:
         return stops
     pending = list(range(len(classes)))
-    j = int(np.argmax(np.abs(Fty)))
-    A, s = np.array([j]), np.sign(Fty[[j]])
+    p = keep.size
+    # The active columns and their signs are the first n entries of A and
+    # s. ud holds [u, d] on the active rows and zeros elsewhere, so G @ ud
+    # is the product with the active block's columns. rhs holds the n x 2
+    # column-major system that dpotrs solves in place.
+    A, s, n = np.empty(p, dtype=np.intp), np.empty(p), 1
+    A[0] = np.argmax(np.abs(Fty))
+    s[0] = np.sign(Fty[A[0]])
+    rhs, ud, ua, b = np.empty(2 * p), np.zeros((p, 2)), np.empty((p, 2)), np.empty(p)
+    signs = np.array([[1.0], [-1.0]])
+    den, joins, crossing = np.empty((2, p)), np.empty((2, p)), np.empty((2, p), dtype=bool)
+    leaves, inactive = np.empty(p), np.ones(p, dtype=bool)
+    inactive[A[0]] = False
     L = None
-    for knots in range(1, L1_PATH_MAX_KNOTS * keep.size + 1):
+    for knots in range(1, L1_PATH_MAX_KNOTS * p + 1):
+        act, sgn = A[:n], s[:n]
         if L is None:
-            L, info = scipy.linalg.lapack.dpotrf(G[np.ix_(A, A)], lower=1)
+            L, info = scipy.linalg.lapack.dpotrf(G[np.ix_(act, act)], lower=1)
             if info != 0:
                 break
-        ud_A, _ = scipy.linalg.lapack.dpotrs(L, np.column_stack([Fty[A], s]), lower=1)
+        ud_A = rhs[:2 * n].reshape((n, 2), order="F")
+        Fty.take(act, out=ud_A[:, 0])
+        ud_A[:, 1] = sgn
+        ud_A, _ = scipy.linalg.lapack.dpotrs(L, ud_A, lower=1, overwrite_b=1)
         u, d = ud_A.T
-        su, sd = float(s @ u), float(s @ d)
+        su, sd = float(sgn @ u), float(sgn @ d)
         # On this segment corr(t') = F'(y - Fw) = b + t' a. As t' falls, an
         # inactive column joins where |corr_j(t')| reaches t' from below,
         # and an active weight leaves where it falls to zero; a root the
@@ -749,22 +773,27 @@ def _l1_path_stops(F: np.ndarray, y: np.ndarray, classes):
         # t' + corr_j(t')): no root. A column in the span of the active
         # ones that touches the boundary has |a_j| = 1 and rides it;
         # adding it would make the active block singular, so |a_j| within
-        # 1e-9 of 1 counts as no root.
-        ud = np.zeros((G.shape[0], 2))
-        ud[A, 0], ud[A, 1] = u, d
-        ua = G @ ud
-        b = Fty - ua[:, 0]
+        # 1e-9 of 1 counts as no root. Row 0 of joins holds b/(1 - a) and
+        # row 1 -b/(1 + a), formed as b/(-1 - a) (equal, as rounding is
+        # symmetric in sign); a division that is no root is not made.
+        ud[act] = ud_A
+        np.matmul(G, ud, out=ua)
+        np.subtract(Fty, ua[:, 0], out=b)
         a = ua[:, 1]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            joins = np.stack([np.where(a < 1.0 - 1e-9, b / (1.0 - a), -np.inf),
-                              np.where(a > -1.0 + 1e-9, -b / (1.0 + a), -np.inf)])
-            leaves = np.where(s * d < 0.0, u / d, -np.inf)
-        joins[:, A] = -np.inf
-        joins = np.minimum(joins, t)
-        leaves = np.minimum(leaves, t)
-        side, k = np.unravel_index(int(np.argmax(joins)), joins.shape)
-        i = int(np.argmax(leaves))
-        event = max(joins[side, k], leaves[i])
+        np.less(a, 1.0 - 1e-9, out=crossing[0])
+        np.greater(a, -1.0 + 1e-9, out=crossing[1])
+        crossing &= inactive
+        np.subtract(signs, a, out=den)
+        joins.fill(-np.inf)
+        np.divide(b, den, out=joins, where=crossing)
+        np.minimum(joins, t, out=joins)
+        lv = leaves[:n]
+        lv.fill(-np.inf)
+        np.divide(u, d, out=lv, where=sgn * d < 0.0)
+        np.minimum(lv, t, out=lv)
+        side, k = divmod(int(joins.argmax()), p)
+        i = int(lv.argmax())
+        event = max(joins[side, k], lv[i])
         walking = []
         for q in pending:
             lam, budget = classes[q]
@@ -773,21 +802,24 @@ def _l1_path_stops(F: np.ndarray, y: np.ndarray, classes):
             if event <= t_stop:
                 w = np.abs(u - t_stop * d)
                 mu = np.zeros(F.shape[1])
-                mu[keep[A]] = budget * (w / w.sum())
+                mu[keep[act]] = budget * (w / w.sum())
                 stops[q] = (mu, knots)
             else:
                 walking.append(q)
         pending = walking
         if not pending:
             return stops
-        if joins[side, k] >= leaves[i]:
+        if joins[side, k] >= lv[i]:
             t = float(joins[side, k])
-            L = _chol_append(L, G[A, k], G[k, k])
-            A, s = np.append(A, k), np.append(s, 1.0 - 2.0 * side)
+            L = _chol_append(L, G[act, k], G[k, k])
+            A[n], s[n], inactive[k] = k, 1.0 - 2.0 * side, False
+            n += 1
         else:
-            t = float(leaves[i])
+            t = float(lv[i])
             L = _chol_delete(L, i)
-            A, s = np.delete(A, i), np.delete(s, i)
+            ud[A[i]], inactive[A[i]] = 0.0, True
+            A[i:n - 1], s[i:n - 1] = A[i + 1:n], s[i + 1:n]
+            n -= 1
     for q in pending:
         stops[q] = (None, knots)
     return stops

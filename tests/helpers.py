@@ -1,13 +1,15 @@
-"""Shared random-instance generators, brute-force reference searches and
-the Counter n-gram reference."""
+"""Shared random-instance generators, brute-force reference searches, the
+Counter n-gram reference and the reference lasso-path walk."""
 
 from collections import Counter
 from typing import Sequence
 
 import numpy as np
+import scipy.linalg.lapack
 
 import mklridge as mk
 from mklridge import ConfigError, DataError, NgramVocabulary
+from mklridge.solver import L1_PATH_MAX_KNOTS, _distinct_columns
 
 
 def random_psd_instance(seed, m_range=(5, 30), p_range=(1, 8)):
@@ -121,3 +123,114 @@ def counts_for(per_doc_counters, vocab: NgramVocabulary) -> np.ndarray:
 def counter_apply_vocabulary(corpus: Sequence[Sequence[str]], vocab: NgramVocabulary) -> np.ndarray:
     per_doc = [_doc_ngrams(list(doc), vocab.n) for doc in corpus]
     return counts_for(per_doc, vocab)
+
+
+# The lasso-path walk and active-block factor updates that
+# ``mklridge.solver`` replaced with in-place buffers, kept as the reference
+# the tests compare it against bit for bit.
+
+def _reference_chol_append(L: np.ndarray, g: np.ndarray, gjj: float):
+    # Lower factor of [[B, g], [g', gjj]] from the lower factor L of B: one
+    # triangular solve for the new row. None when the new pivot is not
+    # positive, i.e. the grown block lost definiteness.
+    n = L.shape[0]
+    row, info = scipy.linalg.lapack.dtrtrs(L, g, lower=1)
+    pivot = gjj - float(row @ row)
+    if info != 0 or not pivot > 0.0:
+        return None
+    out = np.zeros((n + 1, n + 1), order="F")
+    out[:n, :n] = L
+    out[n, :n] = row
+    out[n, n] = np.sqrt(pivot)
+    return out
+
+
+def _reference_chol_delete(L: np.ndarray, i: int):
+    # Lower factor of B with row and column i removed, from the lower factor
+    # L of B. Rows and columns before i keep their entries; the trailing
+    # block T T' + l l' (l the part of column i below the diagonal) is
+    # refactored. None if that factorization fails.
+    out = np.delete(np.delete(L, i, axis=0), i, axis=1)
+    tail, col = L[i + 1:, i + 1:], L[i + 1:, i]
+    if col.size:
+        out[i:, i:], info = scipy.linalg.lapack.dpotrf(tail @ tail.T + np.outer(col, col),
+                                                       lower=1)
+        if info != 0:
+            return None
+    return out
+
+
+def reference_l1_path_stops(F: np.ndarray, y: np.ndarray, classes):
+    """What ``solver._l1_path_stops`` returns: the same walk, with fresh
+    arrays at every knot."""
+    keep = _distinct_columns(F)
+    Fk = F[:, keep]
+    G = Fk.T @ Fk
+    Fty = Fk.T @ y
+    stops = [(None, 0)] * len(classes)
+    t = float(np.abs(Fty).max(initial=0.0))
+    if t == 0.0:
+        return stops
+    pending = list(range(len(classes)))
+    j = int(np.argmax(np.abs(Fty)))
+    A, s = np.array([j]), np.sign(Fty[[j]])
+    L = None
+    for knots in range(1, L1_PATH_MAX_KNOTS * keep.size + 1):
+        if L is None:
+            L, info = scipy.linalg.lapack.dpotrf(G[np.ix_(A, A)], lower=1)
+            if info != 0:
+                break
+        ud_A, _ = scipy.linalg.lapack.dpotrs(L, np.column_stack([Fty[A], s]), lower=1)
+        u, d = ud_A.T
+        su, sd = float(s @ u), float(s @ d)
+        # On this segment corr(t') = F'(y - Fw) = b + t' a. As t' falls, an
+        # inactive column joins where |corr_j(t')| reaches t' from below,
+        # and an active weight leaves where it falls to zero; a root the
+        # slope does not cross (the column that just changed sides) is no
+        # event. A root at or above t (a tie, or roundoff) happens at t.
+        # At a_j = 1 the gap t' - corr_j(t') is constant (at a_j = -1,
+        # t' + corr_j(t')): no root. A column in the span of the active
+        # ones that touches the boundary has |a_j| = 1 and rides it;
+        # adding it would make the active block singular, so |a_j| within
+        # 1e-9 of 1 counts as no root.
+        ud = np.zeros((G.shape[0], 2))
+        ud[A, 0], ud[A, 1] = u, d
+        ua = G @ ud
+        b = Fty - ua[:, 0]
+        a = ua[:, 1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            joins = np.stack([np.where(a < 1.0 - 1e-9, b / (1.0 - a), -np.inf),
+                              np.where(a > -1.0 + 1e-9, -b / (1.0 + a), -np.inf)])
+            leaves = np.where(s * d < 0.0, u / d, -np.inf)
+        joins[:, A] = -np.inf
+        joins = np.minimum(joins, t)
+        leaves = np.minimum(leaves, t)
+        side, k = np.unravel_index(int(np.argmax(joins)), joins.shape)
+        i = int(np.argmax(leaves))
+        event = max(joins[side, k], leaves[i])
+        walking = []
+        for q in pending:
+            lam, budget = classes[q]
+            c = lam / budget
+            t_stop = c * su / (1.0 + c * sd)
+            if event <= t_stop:
+                w = np.abs(u - t_stop * d)
+                mu = np.zeros(F.shape[1])
+                mu[keep[A]] = budget * (w / w.sum())
+                stops[q] = (mu, knots)
+            else:
+                walking.append(q)
+        pending = walking
+        if not pending:
+            return stops
+        if joins[side, k] >= leaves[i]:
+            t = float(joins[side, k])
+            L = _reference_chol_append(L, G[A, k], G[k, k])
+            A, s = np.append(A, k), np.append(s, 1.0 - 2.0 * side)
+        else:
+            t = float(leaves[i])
+            L = _reference_chol_delete(L, i)
+            A, s = np.delete(A, i), np.delete(s, i)
+    for q in pending:
+        stops[q] = (None, knots)
+    return stops

@@ -431,6 +431,20 @@ def test_from_grams_copies_its_inputs_once():
     assert peak <= 1.25 * fam.stack.nbytes
 
 
+def test_from_specs_checks_each_gram_through_two_temporaries():
+    # Each build_gram output is copied and checked through two m x m
+    # temporaries reused in place, so eight kernels peak near 1.39x the stack.
+    X = np.random.default_rng(0).standard_normal((400, 5))
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        fam = mk.KernelFamily.from_specs([KernelSpec.linear()] * 8, X)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.45 * fam.stack.nbytes
+
+
 def test_family_subset_consistency():
     X = random_matrix(8, 3, 5)
     fam = mk.KernelFamily.from_specs([KernelSpec.linear(), KernelSpec.gaussian(1.0)], X)
@@ -631,6 +645,16 @@ def test_gram_matrix_rejects_asymmetry():
     for bad in (np.nan, np.inf):
         with pytest.raises(DataError, match="non-finite entries"):
             mk.GramMatrix(entries=np.array([[bad, 0.0], [0.0, 1.0]]))
+
+
+@pytest.mark.parametrize("size", [1.0, 1e6])
+def test_gram_matrix_symmetry_tolerance(size):
+    # |e_ij - e_ji| may reach 1e-12 max(1, |e_ij|) at both (i, j) and (j, i).
+    def gram(rel):
+        return np.array([[size, size], [size * (1.0 + rel), size]])
+    mk.GramMatrix(entries=gram(2.0 ** -42))
+    with pytest.raises(NumericalError, match="not symmetric"):
+        mk.GramMatrix(entries=gram(2.0 ** -38))
 
 
 def test_gram_matrix_rejects_negative_diagonal():

@@ -12,8 +12,14 @@ from mklridge import ConfigError, DataError, KernelSpec, NumericalError, ShapeEr
 from mklridge import experiment, solver
 from mklridge.solver import project_ball_cone, project_l1_orthant
 
-from helpers import (ball_grid_points, dual_objective_grid_min, kernel_stack,
-                     random_psd_instance, simplex_grid_points)
+from helpers import (_reference_chol_delete, ball_grid_points, dual_objective_grid_min,
+                     kernel_stack, random_psd_instance, reference_l1_path_stops,
+                     simplex_grid_points)
+
+# A broken active-block factor or an unguarded division on the lasso path
+# shows as a RuntimeWarning (overflow, invalid value, divide by zero); these
+# tests make it an error.
+_NO_PATH_WARNINGS = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 # --- krr_solve --------------------------------------------------------------
@@ -726,6 +732,7 @@ _L1_CLASSES = st.lists(st.tuples(st.floats(-3.0, -1.0), st.floats(0.5, 100.0)),
                        min_size=3, max_size=6)
 
 
+@_NO_PATH_WARNINGS
 @settings(max_examples=100)
 @given(**_RANK1_CASES, log_lambda0=st.floats(-3.0, -1.0), budget=st.floats(0.5, 100.0))
 def test_l1_path_start_matches_projected_gradient(m, wide, extra, seed, log_lambda0, budget):
@@ -749,6 +756,7 @@ def _assert_same_stops(stops, expected):
             assert np.max(np.abs(mu - mu_ref)) <= 1e-10 * np.max(np.abs(mu_ref))
 
 
+@_NO_PATH_WARNINGS
 def test_l1_path_stops_match_one_walk_per_class():
     # One shared walk stops each class where a walk of its own would, and
     # fit_l1 given that stop as its start fits what its own walk fits.
@@ -780,6 +788,7 @@ def test_l1_path_stops_match_one_walk_per_class():
     assert leaves
 
 
+@_NO_PATH_WARNINGS
 @settings(max_examples=60)
 @given(**_RANK1_CASES, classes=_L1_CLASSES)
 def test_l1_path_stops_refactor_when_an_update_loses_definiteness(m, wide, extra, seed,
@@ -797,10 +806,17 @@ def test_l1_path_stops_refactor_when_an_update_loses_definiteness(m, wide, extra
     assert append.call_count + delete.call_count == max(knots for _, knots in stops) - 1
 
 
-@pytest.mark.parametrize("F, y", [
+# Orthogonal columns with equal |F'y|, and columns F'y misses entirely.
+_TIED_CASES = [
     (np.eye(4), np.array([2.0, 2.0, 1.0, -1.0])),
     (np.kron(np.eye(3), np.ones((2, 1))), np.array([1.0, 1.0, -1.0, -1.0, 0.5, 0.5])),
-])
+]
+_MISSED_CASE = (np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]]),
+                np.array([1.0, -1.0, 2.0, -2.0]))
+
+
+@_NO_PATH_WARNINGS
+@pytest.mark.parametrize("F, y", _TIED_CASES)
 @pytest.mark.parametrize("lambda0, budget", [(0.01, 1.0), (0.1, 10.0), (0.001, 100.0)])
 def test_l1_path_start_handles_tied_columns(F, y, lambda0, budget):
     # Orthogonal columns with equal |F'y|: tied columns join the path at
@@ -815,17 +831,78 @@ def test_l1_path_start_handles_tied_columns(F, y, lambda0, budget):
     assert res.mu[0] == pytest.approx(res.mu[1], rel=1e-12)
 
 
+@_NO_PATH_WARNINGS
 def test_l1_path_start_declines_when_features_miss_the_targets():
     # F'y = 0: every feasible mu is optimal, so the path has no start and
     # fit_l1 certifies the uniform weights before any step.
-    F = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
-    y = np.array([1.0, -1.0, 2.0, -2.0])
+    F, y = _MISSED_CASE
     assert solver._l1_path_stops(F, y, [(0.4, 2.0), (0.4, 20.0)]) == [(None, 0), (None, 0)]
     res = mk.fit_l1(mk.KernelFamily(F), y, 0.1, 2.0)
     assert res.converged and res.iterations == 0
     npt.assert_array_equal(res.mu, [1.0, 1.0])
 
 
+def _assert_identical_stops(stops, expected):
+    assert len(stops) == len(expected)
+    for (mu, knots), (mu_ref, knots_ref) in zip(stops, expected):
+        assert knots == knots_ref
+        assert (mu is None) == (mu_ref is None)
+        if mu is not None:
+            npt.assert_array_equal(mu, mu_ref)
+
+
+@_NO_PATH_WARNINGS
+def test_l1_path_stops_match_the_reference_walk_bit_for_bit():
+    # The in-place walk makes the floating-point operations of the walk it
+    # replaced (tests/helpers.py), so its stops are the same bits and its
+    # knot counts the same. Columns leave on some of these paths.
+    leaves = []
+    delete = solver._chol_delete
+
+    def counting_delete(L, i):
+        leaves.append(i)
+        return delete(L, i)
+
+    @settings(max_examples=100)
+    @given(**_RANK1_CASES, classes=_L1_CLASSES)
+    def check(m, wide, extra, seed, classes):
+        F, y = _rank1_case(m, wide, extra, seed)
+        classes = [(10.0 ** log_lambda0 * m, budget) for log_lambda0, budget in classes]
+        with mock.patch.object(solver, "_chol_delete", counting_delete):
+            stops = solver._l1_path_stops(F, y, classes)
+        _assert_identical_stops(stops, reference_l1_path_stops(F, y, classes))
+
+    check()
+    assert leaves
+
+
+@_NO_PATH_WARNINGS
+@pytest.mark.parametrize("F, y", _TIED_CASES + [_MISSED_CASE], ids=["eye", "blocks", "missed"])
+def test_l1_path_stops_match_the_reference_walk_on_ties_and_misses(F, y):
+    classes = [(lambda0 * len(y), budget)
+               for lambda0, budget in [(0.01, 1.0), (0.1, 10.0), (0.001, 100.0)]]
+    _assert_identical_stops(solver._l1_path_stops(F, y, classes),
+                            reference_l1_path_stops(F, y, classes))
+
+
+@pytest.mark.parametrize("i", [0, 3, 6])
+def test_chol_delete_reads_only_the_lower_triangle(i):
+    # A factor whose upper triangle holds NaN deletes to the same bits as
+    # the clean one, and those are the reference downdate's bits.
+    rng = np.random.default_rng(4)
+    B = rng.standard_normal((7, 9))
+    B = B @ B.T
+    L = np.asfortranarray(np.linalg.cholesky(B))
+    dirty = L.copy(order="F")
+    dirty[np.triu_indices(7, 1)] = np.nan
+    out = solver._chol_delete(L, i)
+    npt.assert_array_equal(solver._chol_delete(dirty, i), out)
+    npt.assert_array_equal(out, _reference_chol_delete(L, i))
+    rest = np.delete(np.arange(7), i)
+    npt.assert_allclose(out @ out.T, B[np.ix_(rest, rest)], rtol=1e-12, atol=1e-12)
+
+
+@_NO_PATH_WARNINGS
 def test_l1_start_must_match_the_family():
     F, y = _rank1_case(8, True, 2, 5)
     fam = mk.KernelFamily(F)
