@@ -425,8 +425,10 @@ def _fit_for_combo(method, family, y, combo: dict, cfg: ExperimentConfig, start=
                    kkt=False):
     """Fit one method at one hyperparameter combo.
 
-    ``start`` is the combo's lasso-path stop for ``l1mkl`` on a rank-one
-    family (see ``fit_l1``), or None. Returns (mu_full, alpha, info). With
+    ``start`` is where the solver starts, or None for its default: a
+    ``(mu, knots)`` start for ``l1mkl`` (see ``fit_l1``), a dual vector
+    alpha for ``l2mkl`` (see ``fit_l2``); the radius-0 methods take
+    none. Returns (mu_full, alpha, info). With
     ``kkt``, ``info`` ends with the fit's KKT residuals, except for
     ``l1mkl``, whose result is not a fixed-point model.
     """
@@ -445,7 +447,7 @@ def _fit_for_combo(method, family, y, combo: dict, cfg: ExperimentConfig, start=
         return result.mu, result.alpha, info
     fit_family = family.select_kernels([combo["kernel"]]) if method == "best_single" else family
     # uniform carries no radius: it is the L2 fit pinned at mu = mu0.
-    model, report = fit_l2(fit_family, y, lambda0, combo.get("radius", 0.0))
+    model, report = fit_l2(fit_family, y, lambda0, combo.get("radius", 0.0), start=start)
     info = {
         "iterations": model.iterations,
         "converged": model.converged,
@@ -502,6 +504,13 @@ def _fold_grid(method, family, fold, y, combos: list, cfg: ExperimentConfig) -> 
     one pass scores the whole grid. One lasso-path walk gives the l1mkl
     start of every combo (solver._l1_path_stops); fit_l1 still certifies
     each.
+
+    Otherwise the fold's first combo starts cold and every later one
+    starts from the previous combo's fit on this fold, its neighbour in
+    the grid: l2mkl from its alpha, l1mkl on a Gram family from its mu
+    scaled to the new budget. Both solvers converge from any start, so a
+    start only changes how many steps a fit takes. uniform and
+    best_single fit at radius 0, where there is nothing to start.
     """
     tr_idx, va_idx, sub = fold
     y_tr = y[tr_idx]
@@ -512,14 +521,24 @@ def _fold_grid(method, family, fold, y, combos: list, cfg: ExperimentConfig) -> 
         info = {"iterations": 1, "converged": True}
         # Combos run lambda0-major, then kernel, as the rows of this reshape.
         return [(row, info) for row in preds.transpose(0, 2, 1).reshape(len(combos), -1)]
-    starts = [None] * len(combos)
+    stops = None
     if method == "l1mkl" and family.features is not None:
-        starts = solver._l1_path_stops(sub.features, y_tr,
-                                       [(c["lambda0"] * sub.m, c["budget"]) for c in combos])
-    grid = []
-    for combo, start in zip(combos, starts):
+        stops = solver._l1_path_stops(sub.features, y_tr,
+                                      [(c["lambda0"] * sub.m, c["budget"]) for c in combos])
+    grid, prev = [], None
+    for n, combo in enumerate(combos):
+        start = None
+        if stops is not None:
+            start = stops[n]
+        elif prev is not None:
+            prev_combo, prev_mu, prev_alpha = prev
+            if method == "l2mkl":
+                start = prev_alpha
+            elif method == "l1mkl":
+                start = (prev_mu * (combo["budget"] / prev_combo["budget"]), 0)
         mu_full, alpha, info = _fit_for_combo(method, sub, y_tr, combo, cfg, start)
         grid.append((_predict_rows(family, mu_full, alpha, tr_idx, va_idx), info))
+        prev = combo, mu_full, alpha
     return grid
 
 

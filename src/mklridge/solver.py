@@ -10,10 +10,10 @@ only on the objective being nonincreasing in mu, never on that closed
 form, so the two can be checked against each other. ``fit_l1`` is the
 L1-budget baseline: on rank-one families it is solved exactly on a lasso
 path and then certified by the same Frank-Wolfe gap; on Gram families it
-runs projected gradient from the uniform weights. One walk of that path,
-``_l1_path_stops``, stops every class c = lam/budget of a training set
-at its own knot, so a CV fold walks the path once for its whole grid and
-passes each class's stop to ``fit_l1`` as ``start``.
+runs projected gradient from the uniform weights or a given start. One
+walk of that path, ``_l1_path_stops``, stops every class c = lam/budget
+of a training set at its own knot, so a CV fold walks the path once for
+its whole grid and passes each class's stop to ``fit_l1`` as ``start``.
 """
 
 from __future__ import annotations
@@ -318,6 +318,16 @@ def objective(alpha, y, lam: float, quad, mu0, radius: float) -> float:
     )
 
 
+def _validated_start(start, n: int, what: str) -> np.ndarray:
+    # A solver's start vector: n finite entries, one per sample or kernel.
+    start = _as_vector(start, "start")
+    if start.shape[0] != n:
+        raise ShapeError(f"start has length {start.shape[0]}, the family has {n} {what}")
+    if not np.isfinite(start).all():
+        raise ConfigError("start must be finite")
+    return start
+
+
 def _fit_setup(family, y, lambda0: float, radius: Optional[float] = None):
     """Validated family, target vector and ridge amount lam = lambda0 * m.
 
@@ -395,23 +405,26 @@ def _newton_step(fam, alpha, P, v, y, lam: float, mu0, radius: float):
 
 
 def fit_l2(family, y, lambda0: float, radius: float, mu0=None,
-           epsilon: Optional[float] = None, max_iters: int = 200):
+           epsilon: Optional[float] = None, max_iters: int = 200, start=None):
     """Learn kernel weights under the L2 ball constraint.
 
     The optimum has the closed form mu = mu0 + radius * v/||v||, with
     v_k = alpha' K_k alpha, at the dual vector alpha that solves the
     fixed-point equation R(alpha) = (K(mu(alpha)) + lam I) alpha - y = 0.
-    Starting from the anchor-kernel ridge solution, damped Newton solves
-    that equation: each step is d = -H^(-1) R with H the Jacobian of R
-    (see ``_newton_step``). H is -1/2 times the Hessian of the strictly
-    concave reduced dual J = ``objective``, so halving the step until J
-    does not fall converges from any start, and near the optimum full
-    steps are taken. The fit stops at the first step with ||d|| <
+    Starting from ``start`` or, by default, the anchor-kernel ridge
+    solution, damped Newton solves that equation: each step is d =
+    -H^(-1) R with H the Jacobian of R (see ``_newton_step``). H is -1/2
+    times the Hessian of the strictly concave reduced dual J =
+    ``objective``, so halving the step until J does not fall converges
+    from any start, and near the optimum full steps are taken; a start
+    near the optimum, such as the fit of a neighbouring grid point, only
+    saves steps. The fit stops at the first step with ||d|| <
     ``epsilon``: a step that short lies where Newton converges
     quadratically, so it is taken whole, and the weights are the closed
     form at the iterate it reaches, O(||d||^2) from the optimum. At
-    radius 0, or when v vanishes at the start, mu = mu0 and the anchor
-    solve is the answer.
+    radius 0, or when v vanishes at the start, mu = mu0: ``start`` gives
+    way to the anchor solve, and if v vanishes there too (or the radius
+    is 0), the anchor solve is the answer.
 
     Parameters
     ----------
@@ -423,6 +436,8 @@ def fit_l2(family, y, lambda0: float, radius: float, mu0=None,
     epsilon : stopping threshold on the Newton step ||d||;
         default 1e-8 * (1 + ||y||)
     max_iters : cap on Newton steps; exceeding it returns converged=False
+    start : length-m dual vector alpha to start Newton from, default the
+        anchor-kernel ridge solution
 
     Returns
     -------
@@ -444,10 +459,20 @@ def fit_l2(family, y, lambda0: float, radius: float, mu0=None,
     if not 0.0 < epsilon < np.inf:
         raise ConfigError("epsilon must be positive and finite")
 
-    alpha = _ridge_solve(fam, mu0, y, lam)
-    # v >= 0, the domain of the closed form.
-    P, v = _projections(alpha, fam)
-    mu = _weight_step(v, mu0, radius)
+    alpha = None
+    if start is not None:
+        start = _validated_start(start, fam.m, "samples")
+        if radius > 0.0:
+            # v >= 0, the domain of the closed form. A start that pins
+            # mu at mu0 gives way to the anchor solve.
+            P, v = _projections(start, fam)
+            mu = _weight_step(v, mu0, radius)
+            if not np.array_equal(mu, mu0):
+                alpha = start
+    if alpha is None:
+        alpha = _ridge_solve(fam, mu0, y, lam)
+        P, v = _projections(alpha, fam)
+        mu = _weight_step(v, mu0, radius)
     converged = True
     iterations = 1
     step = 0.0
@@ -848,12 +873,13 @@ def fit_l1(family, y, lambda0: float, budget: float,
     ``_l1_path_stops`` already found for this family, y, lam = lambda0 * m
     and budget, as the experiment runner passes one per class from a
     single walk per CV fold; it replaces the walk, and a ``None`` mu means
-    the uniform start. Projected gradient with the exact simplex-style
-    projection then runs from the start until the Frank-Wolfe gap is at
-    most ``tol`` (relative), which certifies an exact path start before
-    any step; any other start only costs steps. ``iterations`` counts the
-    path's knots up to this budget's stop plus the projected gradient
-    steps, and ``max_iters`` caps the steps only.
+    the uniform start. Any other finite weights, such as a neighbouring
+    fit's, may be passed with 0 knots. Projected gradient with the exact
+    simplex-style projection then runs from the start until the
+    Frank-Wolfe gap is at most ``tol`` (relative), which certifies an
+    exact path start before any step; any other start only costs steps.
+    ``iterations`` counts the path's knots up to this budget's stop plus
+    the projected gradient steps, and ``max_iters`` caps the steps only.
     Non-convergence within ``max_iters`` is flagged on the result, not
     raised.
     """
@@ -883,10 +909,8 @@ def fit_l1(family, y, lambda0: float, budget: float,
     x0, knots = start
     if x0 is None:
         x0 = np.full(fam.p, budget / fam.p)
-    elif _as_vector(x0, "start").shape[0] != fam.p:
-        raise ShapeError(f"start has {np.shape(x0)[0]} weights, the family has {fam.p} kernels")
-    elif not np.isfinite(x0).all():
-        raise ConfigError("start weights must be finite")
+    else:
+        x0 = _validated_start(x0, fam.p, "kernels")
     mu, val, alpha, converged, iters, gap = _pgd_minimize(
         value_grad, project, lmo, x0, tol, max_iters
     )

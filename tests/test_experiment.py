@@ -295,17 +295,48 @@ def test_experiment_records_cv_fit_outcomes(tiny_report):
 
 
 def test_experiment_counts_unconverged_cv_fits():
-    # One projected-gradient step cannot certify these L1 fits. Gram
-    # families start from uniform weights; a rank-one family's path start
-    # would be certified before any step.
+    # One projected-gradient step cannot certify these L1 fits. With one
+    # combo, each fold's only fit on the Gram family starts from uniform
+    # weights; a rank-one family's path start would be certified before
+    # any step.
     kernels = {"kind": "explicit", "specs": [{"kind": "gaussian", "bandwidth": 1.0},
                                              {"kind": "linear"}]}
     cfg = ExperimentConfig.from_dict(_tiny_config(methods=["l1mkl"], trials=1,
-                                                  kernels=kernels, l1_max_iters=1))
+                                                  kernels=kernels, l1_max_iters=1,
+                                                  lambda0_grid=[0.01]))
     rec = run_experiment(cfg)["methods"]["l1mkl"]["trials"][0]
     assert rec["converged"] is False
-    assert rec["cv_fits"] == {"fits": 2 * cfg.cv_folds, "unconverged": 2 * cfg.cv_folds,
+    assert rec["cv_fits"] == {"fits": cfg.cv_folds, "unconverged": cfg.cv_folds,
                               "iterations": [1, 1.0, 1]}
+
+
+@pytest.mark.parametrize("method, solver_fn", [("l2mkl", "fit_l2"), ("l1mkl", "fit_l1")])
+def test_each_fold_grid_starts_cold_then_chains(monkeypatch, method, solver_fn):
+    # A fold's first combo starts from the solver's default and every
+    # later one from the previous combo's fit on the same fold; the refit
+    # on the whole training set starts cold.
+    starts = []
+    fit = getattr(experiment, solver_fn)
+
+    def recording_fit(*args, start=None, **kwargs):
+        starts.append(start)
+        return fit(*args, start=start, **kwargs)
+
+    monkeypatch.setattr(experiment, solver_fn, recording_fit)
+    kernels = {"kind": "explicit", "specs": [{"kind": "gaussian", "bandwidth": 1.0},
+                                             {"kind": "linear"}]}
+    cfg = ExperimentConfig.from_dict(_tiny_config(
+        methods=[method], trials=1, kernels=kernels, radius_grid=[1.0, 10.0],
+        budget_grid=[1.0, 3.0]))
+    run_experiment(cfg)
+    n_combos = len(_combo_grid(method, cfg, 2))
+    assert n_combos == 4
+    assert len(starts) == n_combos * cfg.cv_folds + 1
+    for f in range(cfg.cv_folds):
+        fold = starts[f * n_combos:(f + 1) * n_combos]
+        assert fold[0] is None
+        assert all(s is not None for s in fold[1:])
+    assert starts[-1] is None
 
 
 def test_l1_grid_fits_one_combo_per_scale_class(monkeypatch):
@@ -567,7 +598,7 @@ def test_weight_learner_selection_replays_every_fit(method, kernels):
         "kernels": kernels,
         "methods": [method],
         "lambda0_grid": [0.1, 0.01],
-        "radius_grid": [1.0, 0.0],
+        "radius_grid": [1.0, 0.0, 10.0],
         "budget_grid": [10.0, 1.0],
         "cv_folds": 3,
         "trials": 1,
@@ -581,22 +612,36 @@ def test_weight_learner_selection_replays_every_fit(method, kernels):
     train, _, _ = _Source(cfg).trial_data(seeds[0])
     fam = build_family(cfg.kernels, train)
     plan = make_folds(train.m, cfg.cv_folds, int(seeds[0].generate_state(2)[1]))
-    best, fits = None, []
-    for combo in _combo_grid(method, cfg, fam.p):
-        scores = []
-        for f in range(cfg.cv_folds):
-            tr, va = plan.fold_indices(f)
-            sub = fam.subset(tr)
+    # Each fold walks the grid in order, and each combo after the first
+    # starts from the previous combo's fit on that fold: l2mkl from its
+    # alpha, l1mkl on a Gram family from its mu scaled to the new budget.
+    # A rank-one l1mkl fit starts from its own lasso-path stop.
+    combos = _combo_grid(method, cfg, fam.p)
+    fold_scores, fits = [], []
+    for f in range(cfg.cv_folds):
+        tr, va = plan.fold_indices(f)
+        sub = fam.subset(tr)
+        scores, prev = [], None
+        for combo in combos:
             if method == "l2mkl":
-                model, _ = mk.fit_l2(sub, train.y[tr], combo["lambda0"], combo["radius"])
+                start = None if prev is None else prev[2]
+                model, _ = mk.fit_l2(sub, train.y[tr], combo["lambda0"], combo["radius"],
+                                     start=start)
                 mu, alpha = model.weights.mu, model.alpha
             else:
+                start = None
+                if prev is not None and fam.features is None:
+                    start = (prev[1] * (combo["budget"] / prev[0]["budget"]), 0)
                 model = mk.fit_l1(sub, train.y[tr], combo["lambda0"], combo["budget"],
-                                  tol=cfg.l1_tol, max_iters=cfg.l1_max_iters)
+                                  tol=cfg.l1_tol, max_iters=cfg.l1_max_iters, start=start)
                 mu, alpha = model.mu, model.alpha
             fits.append((model.iterations, model.converged))
             preds = experiment._predict_rows(fam, mu, alpha, tr, va)
             scores.append(mk.metric_rmse(preds, train.y[va]))
+            prev = combo, mu, alpha
+        fold_scores.append(scores)
+    best = None
+    for combo, scores in zip(combos, zip(*fold_scores)):
         score = float(np.mean(scores))
         if best is None or score < best[0]:
             best = (score, combo)

@@ -546,6 +546,78 @@ def test_fit_damped_newton_matches_oracle():
         1.0, abs(oracle.objective_value))
 
 
+def _start(kind, m, seed, scale=1.0):
+    # A random, a zero or a far-off start vector of length m.
+    rng = np.random.default_rng(seed)
+    return {"random": scale * rng.standard_normal(m), "zero": np.zeros(m),
+            "far": 100.0 * scale * rng.standard_normal(m)}[kind]
+
+
+@settings(max_examples=40)
+@given(kind=st.sampled_from(["gram", "rank1_wide", "rank1_narrow"]),
+       m=st.integers(3, 20), seed=st.integers(0, 10_000),
+       radius=st.floats(0.0, 1e3), lambda0=st.floats(0.01, 1.0),
+       start=st.sampled_from(["random", "zero", "far"]))
+def test_fit_l2_from_any_start_matches_cold_fit_and_oracle(kind, m, seed, radius, lambda0,
+                                                           start):
+    # Damped Newton on the strictly concave reduced dual converges from
+    # any start, at test_fit_l2_matches_oracle's bounds. At radius 0 the
+    # start is ignored and the fit is the cold one bit for bit.
+    fam, y = _scaled_instance(kind, m, seed, radius)
+    s = _start(start, m, seed + 1)
+    cold, cold_report = mk.fit_l2(fam, y, lambda0, radius)
+    model, report = mk.fit_l2(fam, y, lambda0, radius, start=s)
+    assert model.converged
+    if radius == 0.0:
+        npt.assert_array_equal(model.alpha, cold.alpha)
+        npt.assert_array_equal(model.weights.mu, cold.weights.mu)
+        npt.assert_array_equal(model.quad, cold.quad)
+        assert (model.iterations, model.final_step, model.certificate_gap) == (
+            cold.iterations, cold.final_step, cold.certificate_gap)
+        assert report.objective_value == cold_report.objective_value
+        return
+    oracle = mk.oracle_fit(fam, y, lambda0, radius)
+    for value in (cold_report.objective_value, oracle.objective_value):
+        assert abs(report.objective_value - value) <= 1e-6 * max(1.0, abs(value))
+    epsilon = 1e-8 * (1.0 + float(np.linalg.norm(y)))
+    assert max(mk.kkt_residuals(model, fam, y)) <= 10.0 * epsilon
+
+
+def test_fit_l2_start_at_the_cold_fit_ends_there():
+    # Started from a converged fit's alpha, Newton's first step is
+    # already below epsilon.
+    fam, y, lambda0, radius = random_psd_instance(21)
+    cold, report = mk.fit_l2(fam, y, lambda0, radius)
+    warm, warm_report = mk.fit_l2(fam, y, lambda0, radius, start=cold.alpha)
+    assert cold.iterations > 1 and warm.iterations == 1 and warm.converged
+    assert warm_report.objective_value == pytest.approx(report.objective_value, rel=1e-12)
+
+
+@settings(max_examples=30)
+@given(m=st.integers(3, 20), seed=st.integers(0, 10_000), lambda0=st.floats(0.01, 1.0),
+       budget=st.floats(0.1, 100.0), start=st.sampled_from(["random", "zero", "far"]))
+def test_gram_fit_l1_from_any_start_stays_certified(m, seed, lambda0, budget, start):
+    # Projected gradient projects any start onto the feasible set and
+    # stops on the Frank-Wolfe certificate, so a start changes only the
+    # steps: both fits lie within tol of the optimum.
+    fam, y = _scaled_instance("gram", m, seed, 0.0)
+    tol = 1e-8
+    cold = mk.fit_l1(fam, y, lambda0, budget, tol=tol)
+    warm = mk.fit_l1(fam, y, lambda0, budget, tol=tol,
+                     start=(np.abs(_start(start, fam.p, seed + 1, budget)), 0))
+    for fit in (cold, warm):
+        assert fit.converged
+        assert fit.certificate_gap <= tol * max(1.0, abs(fit.objective_value))
+    assert abs(warm.objective_value - cold.objective_value) <= tol * max(
+        1.0, abs(warm.objective_value), abs(cold.objective_value))
+
+
+def test_fit_l2_start_must_match_the_family():
+    fam, y, lambda0, radius = random_psd_instance(8)
+    with pytest.raises(ShapeError, match="start"):
+        mk.fit_l2(fam, y, lambda0, radius, start=np.ones(fam.m + 1))
+
+
 # --- projections --------------------------------------------------------------
 
 @settings(max_examples=50)
@@ -935,14 +1007,20 @@ def test_l1_budget_validation():
      ConfigError, "start"),
     (lambda fam, y: mk.fit_l1(fam, y, 0.1, 1.0, start=(np.full(fam.p, np.inf), 0)),
      ConfigError, "start"),
+    (lambda fam, y: mk.fit_l2(fam, y, 0.1, 1.0, start=np.full(fam.m, np.nan)),
+     ConfigError, "start"),
+    (lambda fam, y: mk.fit_l2(fam, y, 0.1, 1.0, start=np.full(fam.m, np.inf)),
+     ConfigError, "start"),
     (lambda fam, y: mk.krr_solve(kernel_stack(fam)[0], y, np.inf), ConfigError, "lam"),
     (lambda fam, y: mk.krr_solve(np.full((fam.m, fam.m), np.inf), y, 1.0),
      DataError, "non-finite"),
 ], ids=["fit_l2-epsilon", "fit_l1-tol", "oracle_fit-tol", "fit_l1-nan-start",
-        "fit_l1-inf-start", "krr_solve-lam", "krr_solve-inf-kernel"])
+        "fit_l1-inf-start", "fit_l2-nan-start", "fit_l2-inf-start", "krr_solve-lam",
+        "krr_solve-inf-kernel"])
 def test_non_finite_settings_rejected(call, error, match):
-    # An infinite tolerance would certify any iterate, and a NaN start
-    # weight would reach project_l1_orthant's sort.
+    # An infinite tolerance would certify any iterate, a NaN start weight
+    # would reach project_l1_orthant's sort, and a NaN start alpha the
+    # Newton solve.
     fam, y, _, _ = random_psd_instance(5)
     with pytest.raises(error, match=match):
         call(fam, y)
