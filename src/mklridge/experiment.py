@@ -496,8 +496,10 @@ def _combo_grid(method, cfg: ExperimentConfig, p: int) -> list:
 def _fold_grid(method, family, fold, y, combos: list, cfg: ExperimentConfig) -> list:
     """(validation predictions, fit info) of every combo on one CV fold,
     in combo order. ``fold`` is a (train indices, validation indices,
-    train-fold family) triple and ``family`` the trial's family, whose
-    kernels the predictions slice.
+    train-fold family) triple, built once per fold by ``_run_trial`` and
+    shared by every method, and ``family`` the trial's family, whose
+    kernels the predictions slice. A NumericalError propagates; the fold
+    loop records it as the method's failure.
 
     Two methods take a shortcut on a rank-one family. Every best_single
     ridge fit has a closed form (solver._single_kernel_predictions), so
@@ -542,19 +544,18 @@ def _fold_grid(method, family, fold, y, combos: list, cfg: ExperimentConfig) -> 
     return grid
 
 
-def _run_method_trial(method, family, folds: list, train: Dataset, test: Dataset,
-                      cfg: ExperimentConfig):
-    """CV-select hyperparameters on the trial's folds, given as (train
-    indices, validation indices, train-fold family) triples, refit on the
-    full trial training set, and score on the held-out test rows."""
+def _run_method_trial(method, family, combos: list, cv: list, train: Dataset,
+                      test: Dataset, cfg: ExperimentConfig):
+    """Select the combo with the best mean CV score, refit it on the full
+    trial training set, and score it on the held-out test rows.
+
+    ``cv`` holds one (validation indices, grid) pair per fold, in fold
+    order, where grid is ``_fold_grid``'s list for ``combos``; the CV
+    fits themselves ran in ``_run_trial``'s fold loop.
+    """
     y = train.y
     select_metric = _METRIC_FNS[cfg.metrics[0]]
-    combos = _combo_grid(method, cfg, family.p)
-    fold_scores, cv_infos = [], []
-    for fold in folds:
-        grid = _fold_grid(method, family, fold, y, combos, cfg)
-        fold_scores.append([select_metric(preds, y[fold[1]]) for preds, _ in grid])
-        cv_infos += [info for _, info in grid]
+    fold_scores = [[select_metric(preds, y[va]) for preds, _ in grid] for va, grid in cv]
     scores = [float(np.mean(s)) for s in zip(*fold_scores)]
     best = min(range(len(combos)), key=scores.__getitem__)  # the first strict minimum
 
@@ -562,6 +563,7 @@ def _run_method_trial(method, family, folds: list, train: Dataset, test: Dataset
     preds = predict_weighted(family.specs, mu_full, alpha, train.X, test.X)
     metrics = {name: _METRIC_FNS[name](preds, test.y) for name in cfg.metrics}
 
+    cv_infos = [info for _, grid in cv for _, info in grid]
     iterations = [i["iterations"] for i in cv_infos]
     record = {
         "chosen": combos[best],
@@ -579,6 +581,18 @@ def _run_method_trial(method, family, folds: list, train: Dataset, test: Dataset
 
 def _run_trial(t: int, source: _Source, cfg: ExperimentConfig,
                trial_seed: np.random.SeedSequence):
+    """One trial's records per method, and its audit row.
+
+    Cross-validation runs fold by fold: each fold's train-fold family is
+    built once, every method's grid is fitted on it, and it is released
+    before the next fold's is built. So a Gram family of p kernels on m
+    rows holds its trial stack and at most one fold stack, about
+    p m^2 (1 + (1 - 1/k)^2) doubles, instead of all k fold stacks. Only
+    the validation predictions and fit infos outlive a fold.
+
+    A method's first NumericalError, in fold order, records it as failed
+    for the trial and skips its later folds; the other methods go on.
+    """
     train, test, audit = source.trial_data(trial_seed)
     family = build_family(cfg.kernels, train)
     k = cfg.cv_folds
@@ -586,19 +600,32 @@ def _run_trial(t: int, source: _Source, cfg: ExperimentConfig,
         raise ConfigError(f"cv_folds is {k} but the training set has only {train.m} rows")
     # Every method of the trial selects on these folds.
     plan = make_folds(train.m, k, int(trial_seed.generate_state(2)[1]))
-    folds = [(tr, va, family.subset(tr)) for tr, va in map(plan.fold_indices, range(k))]
     audit = dict(audit)
     audit["trial"] = t
     ortho = diagnostics.orthogonality_check(family)
     audit["orthogonality"] = ortho
-    per_method = {}
+    combos = {method: _combo_grid(method, cfg, family.p) for method in cfg.methods}
+    cv = {method: [] for method in cfg.methods}
+    per_method = {}  # a method's record, as soon as it has one
+    for tr, va in map(plan.fold_indices, range(k)):
+        fold = (tr, va, family.subset(tr))
+        for method in cfg.methods:
+            if method in per_method:
+                continue
+            try:
+                cv[method].append((va, _fold_grid(method, family, fold, train.y,
+                                                  combos[method], cfg)))
+            except NumericalError as exc:
+                per_method[method] = {"failed": str(exc)}
+        del fold  # the next fold's family is built only after this one is freed
     for method in cfg.methods:
-        try:
-            record = _run_method_trial(method, family, folds, train, test, cfg)
-        except NumericalError as exc:
-            record = {"failed": str(exc)}
-        record["trial"] = t
-        per_method[method] = record
+        if method not in per_method:
+            try:
+                per_method[method] = _run_method_trial(method, family, combos[method],
+                                                       cv[method], train, test, cfg)
+            except NumericalError as exc:
+                per_method[method] = {"failed": str(exc)}
+        per_method[method]["trial"] = t
     return per_method, audit
 
 
@@ -609,7 +636,9 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> dict:
     rows only, select hyperparameters for each method by k-fold CV on the
     training set (ties resolved toward the smallest lambda0, then the
     smallest second parameter), refit on the full training set, and score
-    on held-out rows. Failed fits are recorded, not fatal.
+    on held-out rows. CV runs fold by fold, so a trial holds one fold's
+    kernel family at a time (see ``_run_trial``). Failed fits are
+    recorded, not fatal.
 
     Trials run one after another. ``jobs`` accepts only 1; it stays so
     that callers passing ``jobs=1`` keep working.

@@ -1,5 +1,6 @@
 """Shared random-instance generators, brute-force reference searches, the
-Counter n-gram reference and the reference lasso-path walk."""
+Counter n-gram reference, the reference lasso-path walk and the
+method-major CV loop."""
 
 from collections import Counter
 from typing import Sequence
@@ -8,7 +9,9 @@ import numpy as np
 import scipy.linalg.lapack
 
 import mklridge as mk
-from mklridge import ConfigError, DataError, NgramVocabulary
+from mklridge import ConfigError, DataError, NgramVocabulary, NumericalError
+from mklridge import diagnostics, experiment
+from mklridge.data import make_folds
 from mklridge.solver import L1_PATH_MAX_KNOTS, _distinct_columns
 
 
@@ -234,3 +237,33 @@ def reference_l1_path_stops(F: np.ndarray, y: np.ndarray, classes):
     for q in pending:
         stops[q] = (None, knots)
     return stops
+
+
+# The method-major CV loop that ``experiment._run_trial`` replaced with a
+# fold-major one, kept as the reference the tests compare it against: it
+# builds every fold's family before any method runs, then runs each method
+# over all folds. Selection, refit and test scoring are the package's own.
+
+def method_major_run_trial(t, source, cfg, trial_seed):
+    """What ``experiment._run_trial`` returns, with every fold family alive
+    for the whole trial."""
+    train, test, audit = source.trial_data(trial_seed)
+    family = experiment.build_family(cfg.kernels, train)
+    k = cfg.cv_folds
+    if train.m < k:
+        raise ConfigError(f"cv_folds is {k} but the training set has only {train.m} rows")
+    plan = make_folds(train.m, k, int(trial_seed.generate_state(2)[1]))
+    folds = [(tr, va, family.subset(tr)) for tr, va in map(plan.fold_indices, range(k))]
+    audit = dict(audit, trial=t, orthogonality=diagnostics.orthogonality_check(family))
+    per_method = {}
+    for method in cfg.methods:
+        combos = experiment._combo_grid(method, cfg, family.p)
+        try:
+            cv = [(fold[1], experiment._fold_grid(method, family, fold, train.y, combos, cfg))
+                  for fold in folds]
+            record = experiment._run_method_trial(method, family, combos, cv, train, test, cfg)
+        except NumericalError as exc:
+            record = {"failed": str(exc)}
+        record["trial"] = t
+        per_method[method] = record
+    return per_method, audit

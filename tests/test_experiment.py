@@ -2,6 +2,8 @@ import importlib.util
 import json
 import math
 import os
+import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +21,8 @@ from mklridge.experiment import (DEFAULT_BUDGET_GRID, DEFAULT_LAMBDA0_GRID,
                                  run_diagnose, run_experiment, run_fit,
                                  write_json_atomic)
 
-from helpers import counter_apply_vocabulary, counter_build_ngram_features, kernel_stack
+from helpers import (counter_apply_vocabulary, counter_build_ngram_features, kernel_stack,
+                     method_major_run_trial)
 
 
 # --- metrics ---------------------------------------------------------------
@@ -427,6 +430,87 @@ def test_trial_folds_shared_by_all_methods(monkeypatch):
     assert len(cfg.methods) == 4
     run_experiment(cfg)
     assert len(calls) == cfg.cv_folds * cfg.trials
+
+
+_GRAM_KERNELS = {"kind": "explicit", "specs": [{"kind": "gaussian", "bandwidth": 2.0},
+                                                {"kind": "polynomial", "degree": 2}]}
+
+
+@pytest.mark.parametrize("kernels", [_GRAM_KERNELS, {"kind": "rank1_all"}])
+def test_fold_major_cv_matches_method_major_reference(monkeypatch, kernels):
+    cfg = ExperimentConfig.from_dict(_tiny_config(kernels=kernels, radius_grid=[1.0, 10.0],
+                                                  budget_grid=[1.0, 10.0]))
+    assert len(cfg.methods) == 4
+    report = dumps_canonical(run_experiment(cfg))
+    monkeypatch.setattr(experiment, "_run_trial", method_major_run_trial)
+    assert report == dumps_canonical(run_experiment(cfg))
+
+
+def test_fold_failure_skips_the_method_s_later_folds(monkeypatch):
+    # l2mkl is the only method fitting at a positive radius; its first fit
+    # on fold 2 (of 0-3) fails. Fold-major and method-major runs record the
+    # same failure after the same fits, and no other method notices.
+    cfg = ExperimentConfig.from_dict(_tiny_config(kernels=_GRAM_KERNELS, trials=1, cv_folds=4,
+                                                  radius_grid=[1.0, 10.0]))
+    clean = run_experiment(cfg)["methods"]
+    n_combos = len(_combo_grid("l2mkl", cfg, 2))
+    fail_at = 2 * n_combos + 1
+    calls = []
+
+    def fit_l2_failing_on_fold_2(family, y, lambda0, radius, **kwargs):
+        if radius > 0.0:
+            calls.append(radius)
+            if len(calls) == fail_at:
+                raise NumericalError("injected failure on fold 2")
+        return mk.fit_l2(family, y, lambda0, radius, **kwargs)
+
+    monkeypatch.setattr(experiment, "fit_l2", fit_l2_failing_on_fold_2)
+    reports = []
+    for run_trial in (experiment._run_trial, method_major_run_trial):
+        monkeypatch.setattr(experiment, "_run_trial", run_trial)
+        calls.clear()
+        reports.append(run_experiment(cfg)["methods"])
+        assert len(calls) == fail_at  # nothing on fold 3, and no refit
+    fold_major, method_major = reports
+    assert dumps_canonical(fold_major) == dumps_canonical(method_major)
+    assert fold_major["l2mkl"]["trials"] == [{"failed": "injected failure on fold 2",
+                                              "trial": 0}]
+    assert fold_major["l2mkl"]["failed"] == 1
+    for method in ("l1mkl", "uniform", "best_single"):
+        assert dumps_canonical(fold_major[method]) == dumps_canonical(clean[method])
+
+
+def test_cv_holds_one_fold_family_at_a_time(monkeypatch):
+    # 200 training rows, 4 Gram kernels, 10 folds of 180 rows: holding
+    # every fold's stack at once costs about 8 fold stacks; the fold loop
+    # holds one.
+    alive = []
+    subset = mk.KernelFamily.subset
+
+    def tracked_subset(self, indices):
+        assert all(ref() is None for ref in alive), "two fold families alive at once"
+        fold = subset(self, indices)
+        alive.append(weakref.ref(fold))
+        return fold
+
+    monkeypatch.setattr(mk.KernelFamily, "subset", tracked_subset)
+    specs = [{"kind": "gaussian", "bandwidth": 1.0}, {"kind": "gaussian", "bandwidth": 3.0},
+             {"kind": "linear"}, {"kind": "polynomial", "degree": 2}]
+    cfg = ExperimentConfig.from_dict(_tiny_config(
+        dataset={"kind": "synthetic_sparse", "n_features": 4, "n_informative": 2,
+                 "train_size": 200, "test_size": 50},
+        kernels={"kind": "explicit", "specs": specs}, methods=["l2mkl", "uniform"],
+        lambda0_grid=[0.1], radius_grid=[1.0], cv_folds=10, trials=1))
+    tracemalloc.start()
+    try:
+        report = run_experiment(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(alive) == cfg.cv_folds
+    assert all(m["failed"] == 0 for m in report["methods"].values())
+    trial_stack, fold_stack = (4 * rows * rows * 8 for rows in (200, 180))
+    assert peak < trial_stack + 3 * fold_stack
 
 
 def test_experiment_deterministic_bytes(tiny_report, tmp_path):
@@ -1146,6 +1230,10 @@ def test_benchmark_tracer_finds_every_site():
         trace.uninstall()
     assert trace.absent == []
     assert not [s for s in trace.spans if s[4] and "raised" in s[4]]
+    # One method-trial span per method and trial: it covers selection,
+    # the refit and test scoring; the CV grids run outside it, fold by fold.
+    method_spans = [s[0] for s in trace.spans if s[0].startswith("experiment.method_trial.")]
+    assert sorted(method_spans) == sorted(f"experiment.method_trial.{m}" for m in cfg.methods)
     fits = tracer.fit_outcomes(trace.spans)
     assert fits["solver.fit_l1"]["calls"] > 0 and fits["solver.fit_l1"]["iters"] > 0
     assert fits["solver.fit_l2"]["calls"] > 0 and fits["solver.fit_l2"]["iters"] > 0
