@@ -44,22 +44,30 @@ def _score_inputs(pred, y):
     return pred, y
 
 
+def _rmse(P, y):
+    # Along the last axis of P, so a stack of prediction rows is scored at
+    # once; each row takes the reduction a 1-d vector would, bit for bit.
+    return np.sqrt(np.mean((P - y) ** 2, axis=-1))
+
+
+def _misclassification(P, y):
+    if not np.all(np.isin(y, (-1.0, 1.0))):
+        raise DataError("misclassification requires exact +/-1 targets")
+    return np.mean(np.where(P >= 0.0, 1.0, -1.0) != y, axis=-1)
+
+
 def metric_rmse(pred, y) -> float:
     """Root mean squared error."""
-    pred, y = _score_inputs(pred, y)
-    return float(np.sqrt(np.mean((pred - y) ** 2)))
+    return float(_rmse(*_score_inputs(pred, y)))
 
 
 def metric_misclassification(pred, y) -> float:
     """Fraction of sign disagreements against +/-1 targets; sign(0) is +1."""
-    pred, y = _score_inputs(pred, y)
-    if not np.all(np.isin(y, (-1.0, 1.0))):
-        raise DataError("misclassification requires exact +/-1 targets")
-    signs = np.where(pred >= 0.0, 1.0, -1.0)
-    return float(np.mean(signs != y))
+    return float(_misclassification(*_score_inputs(pred, y)))
 
 
 _METRIC_FNS = {"rmse": metric_rmse, "misclassification": metric_misclassification}
+_ROW_METRICS = {"rmse": _rmse, "misclassification": _misclassification}
 
 
 class _Rule(NamedTuple):
@@ -508,11 +516,13 @@ def _fold_grid(method, family, fold, y, combos: list, cfg: ExperimentConfig) -> 
     each.
 
     Otherwise the fold's first combo starts cold and every later one
-    starts from the previous combo's fit on this fold, its neighbour in
-    the grid: l2mkl from its alpha, l1mkl on a Gram family from its mu
-    scaled to the new budget. Both solvers converge from any start, so a
-    start only changes how many steps a fit takes. uniform and
-    best_single fit at radius 0, where there is nothing to start.
+    starts from a neighbouring fit on this fold. An l2mkl fit starts from
+    the alpha of the fit with the same radius at the previous lambda0,
+    and in the first lambda0 row from the previous combo's; l1mkl on a
+    Gram family starts from the previous combo's mu scaled to the new
+    budget. Both solvers converge from any start, so a start only changes
+    how many steps a fit takes. uniform and best_single fit at radius 0,
+    where there is nothing to start.
     """
     tr_idx, va_idx, sub = fold
     y_tr = y[tr_idx]
@@ -527,20 +537,20 @@ def _fold_grid(method, family, fold, y, combos: list, cfg: ExperimentConfig) -> 
     if method == "l1mkl" and family.features is not None:
         stops = solver._l1_path_stops(sub.features, y_tr,
                                       [(c["lambda0"] * sub.m, c["budget"]) for c in combos])
-    grid, prev = [], None
+    row = len(cfg.radius_grid)  # l2mkl combos per lambda0
+    grid, fits = [], []  # fits: (combo, mu, alpha) of each combo fitted so far
     for n, combo in enumerate(combos):
         start = None
         if stops is not None:
             start = stops[n]
-        elif prev is not None:
-            prev_combo, prev_mu, prev_alpha = prev
-            if method == "l2mkl":
-                start = prev_alpha
-            elif method == "l1mkl":
-                start = (prev_mu * (combo["budget"] / prev_combo["budget"]), 0)
+        elif n and method == "l2mkl":
+            start = fits[n - row if n >= row else n - 1][2]
+        elif n and method == "l1mkl":
+            prev_combo, prev_mu, _ = fits[-1]
+            start = (prev_mu * (combo["budget"] / prev_combo["budget"]), 0)
         mu_full, alpha, info = _fit_for_combo(method, sub, y_tr, combo, cfg, start)
         grid.append((_predict_rows(family, mu_full, alpha, tr_idx, va_idx), info))
-        prev = combo, mu_full, alpha
+        fits.append((combo, mu_full, alpha))
     return grid
 
 
@@ -554,8 +564,8 @@ def _run_method_trial(method, family, combos: list, cv: list, train: Dataset,
     fits themselves ran in ``_run_trial``'s fold loop.
     """
     y = train.y
-    select_metric = _METRIC_FNS[cfg.metrics[0]]
-    fold_scores = [[select_metric(preds, y[va]) for preds, _ in grid] for va, grid in cv]
+    score_rows = _ROW_METRICS[cfg.metrics[0]]
+    fold_scores = [score_rows(np.array([preds for preds, _ in grid]), y[va]) for va, grid in cv]
     scores = [float(np.mean(s)) for s in zip(*fold_scores)]
     best = min(range(len(combos)), key=scores.__getitem__)  # the first strict minimum
 

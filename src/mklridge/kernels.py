@@ -278,6 +278,9 @@ class KernelFamily:
       features[:, k]), for rank-one kernels. Solvers use it as an exact
       fast path: ridge systems are solved in |supp mu| dimensions when that
       is below m, with the same residual guarantee as the dense solve.
+      Those systems are built from F'F, which the family computes on their
+      first solve and keeps read-only beside ``features`` (p^2 doubles). A
+      ``subset`` or ``select_kernels`` child computes its own.
       ``KernelFamily(features, specs)`` builds one.
     - ``stack``, a C-contiguous p x m x m array whose slice ``stack[k]``
       is the Gram matrix K_k, for every other family. K(mu), the quadratic
@@ -312,6 +315,14 @@ class KernelFamily:
             raise ShapeError("specs and kernel counts differ")
         self.features = features
         self.stack = stack
+        self._ff = None
+
+    def _feature_gram(self) -> np.ndarray:
+        # F'F of a rank-one family, computed on the first call and read-only.
+        if self._ff is None:
+            self._ff = self.features.T @ self.features
+            self._ff.flags.writeable = False
+        return self._ff
 
     @classmethod
     def _of(cls, specs, features=None, stack=None) -> "KernelFamily":

@@ -34,7 +34,8 @@ from .kernels import GramMatrix, _as_matrix, _as_vector, _explicit_features, as_
 
 log = logging.getLogger(__name__)
 
-# Quadratic forms of PSD matrices may go this far below zero from roundoff.
+# Quadratic forms of PSD matrices may go this far below zero from roundoff,
+# relative to their scale (see ``_projections``).
 NEG_QUAD_TOL = 1e-10
 
 # ||v|| at or below this (times p) is treated as the degenerate v = 0 case.
@@ -102,11 +103,14 @@ def _ridge_solve(fam, w: np.ndarray, r: np.ndarray, lam: float, q=None,
     caller keeps M = diag(w) - shrink q q' positive definite on the
     support S of w, where q must lie. This is the one route rule: a
     rank-one family with s = |S| < m is solved in s dimensions by the
-    Woodbury identity, x = (r - Fd H^(-1) Fd'r) / lam with H = Fd'Fd +
-    lam I_s and Fd = F_S sqrt(w_S), or F_S chol(M_SS) when q is given;
-    every other case forms the m x m matrix from ``combined_entries(w)``
-    for ``_solve_pd``. Both routes check the residual against the m x m
-    system, with ``_solve_pd``'s refinement and tolerance.
+    Woodbury identity, x = (r - F_S C z) / lam with z = H^(-1) C'F_S'r and
+    H = C' G_SS C + lam I_s, where G = F'F is the family's cached Gram of
+    its feature columns and C = diag(sqrt(w_S)), or the Cholesky factor of
+    M_SS when q is given. So a solve costs two m x s products with F_S
+    (F itself when S is every kernel) and O(s^3) work. Every other case
+    forms the m x m matrix from ``combined_entries(w)`` for ``_solve_pd``.
+    Both routes check the residual against the m x m system, with
+    ``_solve_pd``'s refinement and tolerance.
     """
     support = w > 0
     s = int(np.count_nonzero(support))
@@ -116,27 +120,36 @@ def _ridge_solve(fam, w: np.ndarray, r: np.ndarray, lam: float, q=None,
         if q is not None:
             _add_outer(B, (fam.features @ q)[:, None], -shrink)
         return _solve_pd(B, r)
-    F = fam.features[:, support]
+    F, G = fam.features, fam._feature_gram()
+    if s < fam.p:
+        F, G, w = F[:, support], G[np.ix_(support, support)], w[support]
+        q = None if q is None else q[support]
     if q is None:
-        Fd = F * np.sqrt(w[support])
+        # C is diagonal: it is applied as the vector of its diagonal.
+        C = np.sqrt(w)
+        H = G * np.outer(C, C)
+        apply = np.multiply
     else:
-        q = q[support]
-        Fd = F @ np.linalg.cholesky(np.diag(w[support]) - shrink * np.outer(q, q))
-    H = Fd.T @ Fd
+        M = np.diag(w) - shrink * np.outer(q, q)
+        C = np.tril(_cholesky(M, lambda: float(np.linalg.eigvalsh(M)[0])))
+        H = C.T @ G @ C
+        apply = np.matmul
     H[np.diag_indices(s)] += lam
 
     def smallest():
-        # Eigenvalues of Fd Fd' + lam I: those of H, and lam (s < m).
+        # Eigenvalues of F_S C C'F_S' + lam I: those of H, and lam (s < m).
         return float(np.linalg.eigvalsh(H).min(initial=lam))
 
     L = _cholesky(H, smallest)
 
     def solve(b):
         # dpotrs rejects an empty system; at s = 0 the matrix is lam I.
-        z = scipy.linalg.lapack.dpotrs(L, Fd.T @ b, lower=1)[0] if s else np.zeros(0)
-        return (b - Fd @ z) / lam
+        if not s:
+            return b / lam
+        z = scipy.linalg.lapack.dpotrs(L, apply(C.T, F.T @ b), lower=1)[0]
+        return (b - F @ apply(C, z)) / lam
 
-    return _refined(solve, lambda x: lam * x + Fd @ (Fd.T @ x), r, smallest)
+    return _refined(solve, lambda x: lam * x + F @ apply(C, apply(C.T, F.T @ x)), r, smallest)
 
 
 def _ridge_value_grad(fam, y: np.ndarray, lam: float, mu: np.ndarray):
@@ -195,7 +208,8 @@ def quad_forms(alpha, family) -> np.ndarray:
     """Per-kernel quadratic forms v_k = alpha' K_k alpha of a KernelFamily.
 
     Entries are nonnegative for PSD kernels; roundoff negatives within
-    ``NEG_QUAD_TOL`` are clamped to zero (and logged), anything lower is
+    ``NEG_QUAD_TOL`` max(1, (sqrt(diag K_k)' |alpha|)^2), a bound on the
+    terms' magnitudes, are clamped to zero (and logged), anything lower is
     treated as a PSD violation.
     """
     fam = as_family(family)
@@ -216,9 +230,15 @@ def _projections(alpha: np.ndarray, fam) -> tuple:
     v = P @ alpha
     worst = float(v.min(initial=0.0))
     if worst < -NEG_QUAD_TOL:
-        raise NumericalError(
-            f"quadratic form {worst:.3e} below -{NEG_QUAD_TOL:g}; kernel not PSD?"
-        )
+        # For a PSD K_k, |alpha' K_k alpha| <= (sqrt(diag K_k)' |alpha|)^2,
+        # so roundoff scales with that bound; it is formed only here.
+        roots = np.sqrt(np.maximum(np.diagonal(fam.stack, axis1=1, axis2=2), 0.0))
+        allowed = NEG_QUAD_TOL * np.maximum(1.0, (roots @ np.abs(alpha)) ** 2)
+        k = int(np.argmin(v + allowed))
+        if v[k] < -allowed[k]:
+            raise NumericalError(
+                f"quadratic form {v[k]:.3e} below -{allowed[k]:.3g}; kernel not PSD?"
+            )
     if worst < 0.0:
         log.debug("clamped quadratic-form roundoff of %.3e to zero", worst)
         v = np.maximum(v, 0.0)
@@ -417,14 +437,20 @@ def fit_l2(family, y, lambda0: float, radius: float, mu0=None,
     times the Hessian of the strictly concave reduced dual J =
     ``objective``, so halving the step until J does not fall converges
     from any start, and near the optimum full steps are taken; a start
-    near the optimum, such as the fit of a neighbouring grid point, only
-    saves steps. The fit stops at the first step with ||d|| <
-    ``epsilon``: a step that short lies where Newton converges
-    quadratically, so it is taken whole, and the weights are the closed
-    form at the iterate it reaches, O(||d||^2) from the optimum. At
+    near the optimum, such as the fit at the same radius and the previous
+    lambda0 of a CV grid, only saves steps. On a rank-one family with
+    fewer kernels than samples, every ridge and Newton system is solved in
+    p dimensions from the family's cached F'F (see ``_ridge_solve``).
+    The fit stops at the first step with ||d|| < ``epsilon``: a step that
+    short lies where Newton converges quadratically, so it is taken
+    whole, and the weights are the closed form at the iterate it reaches,
+    O(||d||^2) from the optimum. At
     radius 0, or when v vanishes at the start, mu = mu0: ``start`` gives
     way to the anchor solve, and if v vanishes there too (or the radius
-    is 0), the anchor solve is the answer.
+    is 0), the anchor solve is the answer. Where every v_k is zero at a
+    later iterate (on a Gram family, quadratic forms at roundoff level
+    can all clamp to zero), the closed form has no derivative: the fit
+    stops there, unconverged, with mu = mu0.
 
     Parameters
     ----------
@@ -501,6 +527,9 @@ def fit_l2(family, y, lambda0: float, radius: float, mu0=None,
             else:
                 raise NumericalError("weight-learning iteration diverged to non-finite values")
             alpha, P, v, value = cand, cand_P, cand_v, cand_value
+            if not v.any():
+                mu = mu0
+                break
         alpha = _ridge_solve(fam, mu, y, lam)
         v = quad_forms(alpha, fam)
 

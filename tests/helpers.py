@@ -1,6 +1,6 @@
 """Shared random-instance generators, brute-force reference searches, the
-Counter n-gram reference, the reference lasso-path walk and the
-method-major CV loop."""
+Counter n-gram reference, the reference lasso-path walk, the reference
+Woodbury solve and the method-major CV loop."""
 
 from collections import Counter
 from typing import Sequence
@@ -12,7 +12,7 @@ import mklridge as mk
 from mklridge import ConfigError, DataError, NgramVocabulary, NumericalError
 from mklridge import diagnostics, experiment
 from mklridge.data import make_folds
-from mklridge.solver import L1_PATH_MAX_KNOTS, _distinct_columns
+from mklridge.solver import L1_PATH_MAX_KNOTS, _cholesky, _distinct_columns, _refined
 
 
 def random_psd_instance(seed, m_range=(5, 30), p_range=(1, 8)):
@@ -237,6 +237,36 @@ def reference_l1_path_stops(F: np.ndarray, y: np.ndarray, classes):
     for q in pending:
         stops[q] = (None, knots)
     return stops
+
+
+# The Woodbury route of ``solver._ridge_solve`` before it built its s x s
+# system from the family's cached F'F, kept as the reference the tests
+# compare it against: it forms Fd = F_S C and Fd'Fd at O(m s^2) per solve.
+
+def reference_woodbury_solve(fam, w, r, lam, q=None, shrink=0.0):
+    """(K(w) + lam I - shrink (F q)(F q)') x = r for a rank-one family with
+    s = |supp w| < m, through Fd = F_S sqrt(w_S) or F_S chol(M_SS)."""
+    support = w > 0
+    s = int(np.count_nonzero(support))
+    F = fam.features[:, support]
+    if q is None:
+        Fd = F * np.sqrt(w[support])
+    else:
+        q = q[support]
+        Fd = F @ np.linalg.cholesky(np.diag(w[support]) - shrink * np.outer(q, q))
+    H = Fd.T @ Fd
+    H[np.diag_indices(s)] += lam
+
+    def smallest():
+        return float(np.linalg.eigvalsh(H).min(initial=lam))
+
+    L = _cholesky(H, smallest)
+
+    def solve(b):
+        z = scipy.linalg.lapack.dpotrs(L, Fd.T @ b, lower=1)[0] if s else np.zeros(0)
+        return (b - Fd @ z) / lam
+
+    return _refined(solve, lambda x: lam * x + Fd @ (Fd.T @ x), r, smallest)
 
 
 # The method-major CV loop that ``experiment._run_trial`` replaced with a

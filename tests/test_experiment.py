@@ -27,6 +27,18 @@ from helpers import (counter_apply_vocabulary, counter_build_ngram_features, ker
 
 # --- metrics ---------------------------------------------------------------
 
+@pytest.mark.parametrize("n", [1, 7, 80, 129, 1000])
+def test_grid_scores_equal_each_row_scored_alone(n):
+    # A fold's whole grid is scored in one array operation; every row must
+    # get the bits of the one-vector formula, so cv_score does not move.
+    rng = np.random.default_rng(n)
+    P = rng.standard_normal((93, n)) * 10.0 ** rng.uniform(-3, 3, (93, 1))
+    y = rng.choice([-1.0, 1.0], n)
+    for row, rmse, miss in zip(P, experiment._rmse(P, y), experiment._misclassification(P, y)):
+        assert rmse == float(np.sqrt(np.mean((row - y) ** 2)))
+        assert miss == float(np.mean(np.where(row >= 0.0, 1.0, -1.0) != y))
+
+
 def test_rmse_perfect():
     assert mk.metric_rmse([1.0, -1.0], [1.0, -1.0]) == 0.0
 
@@ -315,15 +327,19 @@ def test_experiment_counts_unconverged_cv_fits():
 
 @pytest.mark.parametrize("method, solver_fn", [("l2mkl", "fit_l2"), ("l1mkl", "fit_l1")])
 def test_each_fold_grid_starts_cold_then_chains(monkeypatch, method, solver_fn):
-    # A fold's first combo starts from the solver's default and every
-    # later one from the previous combo's fit on the same fold; the refit
-    # on the whole training set starts cold.
-    starts = []
+    # A fold's first combo starts from the solver's default. A later l2mkl
+    # combo starts from the alpha of the same radius at the previous
+    # lambda0, or in the first lambda0 row from the previous combo's; a
+    # later l1mkl combo on a Gram family from the previous combo's mu
+    # scaled to its budget. The refit on the whole training set starts cold.
+    starts, fits = [], []
     fit = getattr(experiment, solver_fn)
 
     def recording_fit(*args, start=None, **kwargs):
         starts.append(start)
-        return fit(*args, start=start, **kwargs)
+        result = fit(*args, start=start, **kwargs)
+        fits.append((args[3], result[0].alpha if method == "l2mkl" else result.mu))
+        return result
 
     monkeypatch.setattr(experiment, solver_fn, recording_fit)
     kernels = {"kind": "explicit", "specs": [{"kind": "gaussian", "bandwidth": 1.0},
@@ -335,10 +351,18 @@ def test_each_fold_grid_starts_cold_then_chains(monkeypatch, method, solver_fn):
     n_combos = len(_combo_grid(method, cfg, 2))
     assert n_combos == 4
     assert len(starts) == n_combos * cfg.cv_folds + 1
+    row = len(cfg.radius_grid)
     for f in range(cfg.cv_folds):
         fold = starts[f * n_combos:(f + 1) * n_combos]
+        done = fits[f * n_combos:(f + 1) * n_combos]
         assert fold[0] is None
-        assert all(s is not None for s in fold[1:])
+        for n in range(1, n_combos):
+            if method == "l2mkl":
+                assert fold[n] is done[n - row if n >= row else n - 1][1]
+            else:
+                (budget, mu), knots = done[n - 1], fold[n][1]
+                assert np.array_equal(fold[n][0], mu * (done[n][0] / budget))
+                assert knots == 0
     assert starts[-1] is None
 
 
@@ -697,32 +721,37 @@ def test_weight_learner_selection_replays_every_fit(method, kernels):
     fam = build_family(cfg.kernels, train)
     plan = make_folds(train.m, cfg.cv_folds, int(seeds[0].generate_state(2)[1]))
     # Each fold walks the grid in order, and each combo after the first
-    # starts from the previous combo's fit on that fold: l2mkl from its
-    # alpha, l1mkl on a Gram family from its mu scaled to the new budget.
-    # A rank-one l1mkl fit starts from its own lasso-path stop.
+    # starts from an earlier fit on that fold: l2mkl from the alpha of the
+    # same radius at the previous lambda0 (in the first lambda0 row, the
+    # previous combo's), l1mkl on a Gram family from the previous combo's
+    # mu scaled to the new budget. A rank-one l1mkl fit starts from its own
+    # lasso-path stop.
     combos = _combo_grid(method, cfg, fam.p)
     fold_scores, fits = [], []
     for f in range(cfg.cv_folds):
         tr, va = plan.fold_indices(f)
         sub = fam.subset(tr)
-        scores, prev = [], None
+        scores, done = [], []  # (combo, mu, alpha) of each fit so far, in grid order
         for combo in combos:
             if method == "l2mkl":
+                same_radius = [d for d in done if d[0]["radius"] == combo["radius"]]
+                prev = (same_radius or done or [None])[-1]
                 start = None if prev is None else prev[2]
                 model, _ = mk.fit_l2(sub, train.y[tr], combo["lambda0"], combo["radius"],
                                      start=start)
                 mu, alpha = model.weights.mu, model.alpha
             else:
                 start = None
-                if prev is not None and fam.features is None:
-                    start = (prev[1] * (combo["budget"] / prev[0]["budget"]), 0)
+                if done and fam.features is None:
+                    prev_combo, prev_mu, _ = done[-1]
+                    start = (prev_mu * (combo["budget"] / prev_combo["budget"]), 0)
                 model = mk.fit_l1(sub, train.y[tr], combo["lambda0"], combo["budget"],
                                   tol=cfg.l1_tol, max_iters=cfg.l1_max_iters, start=start)
                 mu, alpha = model.mu, model.alpha
             fits.append((model.iterations, model.converged))
             preds = experiment._predict_rows(fam, mu, alpha, tr, va)
             scores.append(mk.metric_rmse(preds, train.y[va]))
-            prev = combo, mu, alpha
+            done.append((combo, mu, alpha))
         fold_scores.append(scores)
     best = None
     for combo, scores in zip(combos, zip(*fold_scores)):
@@ -731,7 +760,7 @@ def test_weight_learner_selection_replays_every_fit(method, kernels):
             best = (score, combo)
     iterations = [i for i, _ in fits]
     assert rec["chosen"] == best[1]
-    assert rec["cv_score"] == pytest.approx(best[0], rel=1e-12)
+    assert rec["cv_score"] == best[0]  # the same fits, from the same starts
     assert rec["cv_fits"] == {
         "fits": len(fits), "unconverged": sum(not c for _, c in fits),
         "iterations": [min(iterations), float(np.median(iterations)), max(iterations)]}

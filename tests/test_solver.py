@@ -14,7 +14,7 @@ from mklridge.solver import project_ball_cone, project_l1_orthant
 
 from helpers import (_reference_chol_delete, ball_grid_points, dual_objective_grid_min,
                      kernel_stack, random_psd_instance, reference_l1_path_stops,
-                     simplex_grid_points)
+                     reference_woodbury_solve, simplex_grid_points)
 
 # A broken active-block factor or an unguarded division on the lasso path
 # shows as a RuntimeWarning (overflow, invalid value, divide by zero); these
@@ -104,10 +104,46 @@ def test_quad_forms_feature_path_matches_gram_path():
     assert np.all(v_feat >= 0.0)
 
 
+def _with_negative_eigenvalue(m, scale, seed):
+    # scale Q diag(1, 1/2, ..., 1/(m-1), -1e-3) Q' and its last eigenvector.
+    Q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((m, m)))
+    eigs = np.append(1.0 / np.arange(1, m), -1e-3)
+    return scale * (Q * eigs) @ Q.T, Q[:, -1]
+
+
 def test_quad_forms_flags_indefinite_kernel():
-    bad = mk.KernelFamily.from_grams([np.array([[1.0, 2.0], [2.0, 1.0]])])
-    with pytest.raises(NumericalError):
-        mk.quad_forms([1.0, -1.0], bad)
+    # A negative eigenvalue of -1e-3 relative, hit along its eigenvector,
+    # is no roundoff at any scale.
+    cases = [(np.array([[1.0, 2.0], [2.0, 1.0]]), np.array([1.0, -1.0])),
+             _with_negative_eigenvalue(30, 1.0, 0), _with_negative_eigenvalue(30, 6e4, 1)]
+    for K, alpha in cases:
+        bad = mk.KernelFamily.from_grams([(K + K.T) / 2.0])
+        with pytest.raises(NumericalError, match="kernel not PSD"):
+            mk.quad_forms(alpha, bad)
+
+
+# Families of default_rng(1) outer-product Gram kernels with columns scaled
+# by up to 100 (diagonals up to 6e4), whose quadratic forms fell below an
+# absolute -1e-10 from roundoff alone; 67 and 82 later clamp them all to 0.
+_LARGE_GRAM_CASES = (1, 4, 9, 67, 82)
+
+
+@pytest.mark.parametrize("case", _LARGE_GRAM_CASES)
+def test_fit_l2_accepts_roundoff_in_large_psd_kernels(case):
+    rng = np.random.default_rng(1)
+    for _ in range(case + 1):
+        p = int(rng.integers(2, 8))
+        F = rng.standard_normal((30, p)) * rng.uniform(0.01, 100, p)
+        y = rng.standard_normal(30)
+    fam = mk.KernelFamily.from_grams([np.outer(f, f) for f in F.T])
+    model, _ = mk.fit_l2(fam, y, 1e-3, 10.0)
+    mu = model.weights.mu
+    assert np.isfinite(model.alpha).all() and np.all(mu >= 1.0)
+    assert np.linalg.norm(mu - 1.0) <= 10.0 * (1.0 + 1e-12)
+    if case in (67, 82):
+        # Where every v_k vanishes the fit stops, unconverged, at mu0.
+        assert not model.converged and model.iterations < 200
+        npt.assert_array_equal(mu, np.ones(p))
 
 
 # --- update_weights -----------------------------------------------------------
@@ -218,12 +254,17 @@ def test_objective_zero_radius_is_plain_dual_value(seed):
 )
 def test_feature_route_matches_dense_reference(m, p, seed, support, t):
     # Both routes of _ridge_solve against the formed matrix, with and
-    # without the Newton system's rank-one term. With q on the support S
-    # of mu and shrink = t / (q_S' diag(mu_S)^(-1) q_S), t < 1, the matrix
-    # M = diag(mu) - shrink q q' is positive definite on S.
+    # without the Newton system's rank-one term, on families with zero and
+    # duplicate columns. With q on the support S of mu and shrink = t /
+    # (q_S' diag(mu_S)^(-1) q_S), t < 1, the matrix M = diag(mu) - shrink
+    # q q' is positive definite on S. The Woodbury route, built from the
+    # family's F'F, also agrees with the route it replaced, which formed
+    # F_S C (helpers.reference_woodbury_solve).
     rng = np.random.default_rng(seed)
     F = rng.standard_normal((m, p))
     F[:, rng.random(p) < 0.2] = 0.0
+    for k in np.flatnonzero(rng.random(p) < 0.2):
+        F[:, k] = F[:, rng.integers(p)]
     fam = mk.KernelFamily(F)
     s = {"random": int(rng.integers(0, min(p, m - 1) + 1)),
          "empty": 0, "m-1": min(p, m - 1), "all": p}[support]
@@ -248,14 +289,49 @@ def test_feature_route_matches_dense_reference(m, p, seed, support, t):
     assert solve_pd.call_count == (s >= m)
     assert np.linalg.norm(alpha - reference) <= 1e-10 * np.linalg.norm(reference)
     assert np.linalg.norm(B @ alpha - y) <= 1e-8 * np.linalg.norm(y)
+    if s < m:
+        replaced = reference_woodbury_solve(fam, mu, y, lam, q, shrink)
+        assert np.linalg.norm(alpha - replaced) <= 1e-10 * np.linalg.norm(replaced)
+        assert np.linalg.norm(B @ replaced - y) <= 1e-8 * np.linalg.norm(y)
+
+
+def test_feature_gram_is_cached_per_family_and_read_only():
+    # The Woodbury route builds F'F once per rank-one family, on its first
+    # solve, and keeps it read-only; a subset or select_kernels child
+    # builds its own, and a Gram family never builds one.
+    rng = np.random.default_rng(3)
+    F = rng.standard_normal((12, 4))
+    y = rng.standard_normal(12)
+    fam = mk.KernelFamily(F)
+    assert fam._ff is None
+    solver._ridge_solve(fam, np.ones(4), y, 1.0)
+    G = fam._ff
+    npt.assert_array_equal(G, F.T @ F)
+    assert not G.flags.writeable
+    with pytest.raises(ValueError):
+        G[0, 0] = 0.0
+    mk.fit_l2(fam, y, 0.1, 10.0)
+    mk.fit_l1(fam, y, 0.1, 1.0)
+    assert fam._ff is G
+    for child in (fam.subset(np.arange(2, 12)), fam.select_kernels([1, 3])):
+        assert child._ff is None
+        mk.fit_l2(child, y[:child.m], 0.1, 10.0)
+        npt.assert_array_equal(child._ff, child.features.T @ child.features)
+    assert fam._ff is G
+    gram = mk.KernelFamily.from_grams(kernel_stack(fam))
+    mk.fit_l2(gram, y, 0.1, 10.0)
+    assert gram._ff is None
 
 
 def test_feature_route_reports_eigenvalue_on_failure():
-    # A negative shift makes H = Fd'Fd + lam I indefinite.
+    # A negative shift makes H = C'F'FC + lam I indefinite; too large a
+    # shrink makes M = diag(w) - shrink q q' indefinite. Both raise
+    # NumericalError, which a CV fold records, with H's or M's eigenvalue.
     fam = mk.KernelFamily(np.zeros((3, 1)))
-    with pytest.raises(NumericalError) as err:
-        solver._ridge_solve(fam, np.ones(1), np.ones(3), -1.0)
-    assert "smallest eigenvalue ~ -1.0" in str(err.value)
+    for lam, q, shrink in [(-1.0, None, 0.0), (1.0, np.ones(1), 2.0)]:
+        with pytest.raises(NumericalError) as err:
+            solver._ridge_solve(fam, np.ones(1), np.ones(3), lam, q, shrink)
+        assert "smallest eigenvalue ~ -1.0" in str(err.value)
 
 
 def test_feature_route_nan_features_raise():
