@@ -10,7 +10,7 @@ identities and stability bounds.
 
 from .data import (Dataset, FoldPlan, NgramVocabulary, apply_vocabulary,
                    build_ngram_features, load_delimited, load_text_corpus,
-                   make_folds, rank1_family, tokenize)
+                   make_folds, tokenize)
 from .diagnostics import (BoundValues, StabilityReport, bound_values,
                           kkt_residuals, orthogonality_check, stability_trial,
                           weight_shift_identity_gap)
@@ -18,10 +18,10 @@ from .errors import ConfigError, DataError, MklError, NumericalError, ShapeError
 from .experiment import (ExperimentConfig, emit_tables, metric_misclassification,
                          metric_rmse, run_experiment)
 from .kernels import (GramMatrix, KernelFamily, KernelSpec, build_gram,
-                      combine, compute_kappa, cross_gram, eval_kernel)
+                      combine, compute_kappa, cross_gram)
 from .solver import (L1Model, MklModel, MuWeights, OracleResult, SolveReport,
                      fit_l1, fit_l2, krr_solve, objective, oracle_fit, predict,
-                     predict_weighted, quad_forms, update_weights)
+                     predict_weighted, quad_forms)
 
 __version__ = "0.1.0"
 
@@ -31,11 +31,10 @@ __all__ = [
     "MklError", "MklModel", "MuWeights", "NgramVocabulary", "NumericalError",
     "OracleResult", "ShapeError", "SolveReport", "StabilityReport",
     "apply_vocabulary", "bound_values", "build_gram", "build_ngram_features",
-    "combine", "compute_kappa", "cross_gram", "emit_tables", "eval_kernel",
+    "combine", "compute_kappa", "cross_gram", "emit_tables",
     "fit_l1", "fit_l2", "kkt_residuals", "krr_solve", "load_delimited",
     "load_text_corpus", "make_folds", "metric_misclassification",
     "metric_rmse", "objective", "oracle_fit", "orthogonality_check",
-    "predict", "predict_weighted", "quad_forms", "rank1_family",
-    "run_experiment", "stability_trial", "tokenize",
-    "update_weights", "weight_shift_identity_gap",
+    "predict", "predict_weighted", "quad_forms", "run_experiment",
+    "stability_trial", "tokenize", "weight_shift_identity_gap",
 ]

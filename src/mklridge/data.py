@@ -1,5 +1,5 @@
-"""Dataset ingestion, n-gram feature extraction, rank-one kernel
-families, and deterministic splits and folds."""
+"""Dataset ingestion, n-gram count features (the columns of rank-one
+kernel families), and deterministic splits and folds."""
 
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ConfigError, DataError, ShapeError
-from .kernels import KernelFamily, KernelSpec
+from .kernels import _is_number
 
 TASKS = ("regression", "classification_pm1")
 
@@ -164,8 +164,8 @@ class NgramVocabulary:
     entries: tuple  # ((token, ...), count) pairs
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ConfigError("n must be at least 1")
+        if not (_is_number(self.n, integral=True) and self.n >= 1):
+            raise ConfigError(f"n must be at least 1 and an integer, got {self.n!r}")
         object.__setattr__(self, "entries", tuple(self.entries))
         if any(len(ngram) != self.n for ngram, _ in self.entries):
             raise ConfigError(f"every vocabulary n-gram must hold n = {self.n} tokens")
@@ -225,10 +225,9 @@ def build_ngram_features(corpus: Sequence[Sequence[str]], n: int = 2, top: int =
     when ``top`` exceeds it. Column i of the returned matrix holds
     per-document occurrence counts of vocabulary entry i.
     """
-    if top < 1:
-        raise ConfigError("top must be at least 1")
-    if n < 1:
-        raise ConfigError("n must be at least 1")
+    for name, value in (("top", top), ("n", n)):
+        if not (_is_number(value, integral=True) and value >= 1):
+            raise ConfigError(f"{name} must be at least 1 and an integer, got {value!r}")
     if not corpus:
         raise DataError("corpus is empty")
     # Ids in string order, so rows sort as the token tuples do.
@@ -267,25 +266,6 @@ def apply_vocabulary(corpus: Sequence[Sequence[str]], vocab: NgramVocabulary) ->
     return _count_matrix(doc[known], column[group[vocab.size:]], len(corpus), vocab.size)
 
 
-def rank1_family(count_matrix, include_offset: bool = True) -> KernelFamily:
-    """One rank-one kernel per count column, optionally plus the offset.
-
-    Kernel i is the outer product of column i with itself; the optional
-    constant kernel is an all-ones matrix acting as a bias term. Distinct
-    columns plus the constant coordinate give pairwise-orthogonal
-    feature maps.
-    """
-    counts = np.asarray(count_matrix, dtype=np.float64)
-    if counts.ndim != 2:
-        raise ShapeError(f"count matrix must be 2-d, got shape {counts.shape}")
-    if np.any(counts < 0):
-        raise DataError("count matrix has negative entries")
-    specs = [KernelSpec.rank1(i) for i in range(counts.shape[1])]
-    if include_offset:
-        specs.append(KernelSpec.constant())
-    return KernelFamily.from_specs(specs, counts)
-
-
 @dataclass(frozen=True, eq=False)
 class FoldPlan:
     """Assignment of each sample row to one of k folds."""
@@ -306,8 +286,8 @@ class FoldPlan:
 
 def make_folds(m: int, k: int, seed: int) -> FoldPlan:
     """Balanced random fold assignment; fold sizes differ by at most one."""
-    if not 2 <= k <= m:
-        raise ConfigError(f"need 2 <= k <= m, got k={k}, m={m}")
+    if not (_is_number(k, integral=True) and 2 <= k <= m):
+        raise ConfigError(f"need an integer k with 2 <= k <= m, got k={k!r}, m={m}")
     rng = np.random.default_rng(seed)
     perm = rng.permutation(m)
     assignments = np.empty(m, dtype=np.intp)

@@ -66,7 +66,6 @@ def metric_misclassification(pred, y) -> float:
     return float(_misclassification(*_score_inputs(pred, y)))
 
 
-_METRIC_FNS = {"rmse": metric_rmse, "misclassification": metric_misclassification}
 _ROW_METRICS = {"rmse": _rmse, "misclassification": _misclassification}
 
 
@@ -571,7 +570,7 @@ def _run_method_trial(method, family, combos: list, cv: list, train: Dataset,
 
     mu_full, alpha, info = _fit_for_combo(method, family, y, combos[best], cfg, kkt=True)
     preds = predict_weighted(family.specs, mu_full, alpha, train.X, test.X)
-    metrics = {name: _METRIC_FNS[name](preds, test.y) for name in cfg.metrics}
+    metrics = {name: float(_ROW_METRICS[name](preds, test.y)) for name in cfg.metrics}
 
     cv_infos = [info for _, grid in cv for _, info in grid]
     iterations = [i["iterations"] for i in cv_infos]

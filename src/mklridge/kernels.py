@@ -104,10 +104,10 @@ class KernelSpec:
 
 def _block(spec: KernelSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     # Kernel values between the rows of A and the rows of B: the one
-    # evaluator behind eval_kernel, build_gram and cross_gram. Entry (i, j)
-    # takes the same operations in the same order whatever the block shape,
-    # so a 1 x 1 block equals the matching entry of a larger one bit for
-    # bit, and A = B gives an exactly symmetric block. That is why dot
+    # evaluator behind build_gram and cross_gram. Entry (i, j) takes the
+    # same operations in the same order whatever the block shape, so a
+    # 1 x 1 block equals the matching entry of a larger one bit for bit,
+    # and A = B gives an exactly symmetric block. That is why dot
     # products go through einsum (a GEMM's rounding depends on the shape)
     # and Gaussian distances are direct differences (the expansion
     # |a|^2 + |b|^2 - 2 a.b cancels catastrophically on offset data).
@@ -137,26 +137,10 @@ def _check_index(spec: KernelSpec, dim: int):
         )
 
 
-def eval_kernel(spec: KernelSpec, x, z) -> float:
-    """Evaluate one kernel on a pair of points.
-
-    Evaluated as a 1 x 1 block of the evaluator behind :func:`build_gram`
-    and :func:`cross_gram`, so for sample rows xi, xj the value equals the
-    corresponding Gram or cross-matrix entry bit for bit.
-    """
-    x = _as_vector(x, "x")
-    z = _as_vector(z, "z")
-    if x.shape != z.shape:
-        raise ShapeError(f"point dimensions differ: {x.shape[0]} vs {z.shape[0]}")
-    if not (np.isfinite(x).all() and np.isfinite(z).all()):
-        raise DataError("kernel arguments contain non-finite values")
-    _check_index(spec, x.shape[0])
-    return float(_block(spec, x[None], z[None])[0, 0])
-
-
 @dataclass(frozen=True, eq=False)
 class GramMatrix:
-    """Symmetric PSD matrix of kernel values over one sample."""
+    """Kernel matrix over one sample, checked square, finite, symmetric
+    within 1e-12 and with no negative diagonal; PSD is not checked."""
 
     entries: np.ndarray
 
@@ -164,19 +148,6 @@ class GramMatrix:
         e = _checked_gram(self.entries).copy()
         e.flags.writeable = False
         object.__setattr__(self, "entries", e)
-
-    @property
-    def m(self) -> int:
-        return self.entries.shape[0]
-
-    def require_psd(self, rel_tol: float = 1e-8):
-        """Raise unless the smallest eigenvalue is >= -rel_tol * largest."""
-        eigs = np.linalg.eigvalsh(self.entries)
-        smallest, largest = float(eigs[0]), float(eigs[-1])
-        if smallest < -rel_tol * max(largest, np.finfo(float).tiny):
-            raise NumericalError(
-                f"Gram matrix is not PSD: min eigenvalue {smallest:.3e}, max {largest:.3e}"
-            )
 
 
 def _checked_gram(entries) -> np.ndarray:
@@ -205,10 +176,9 @@ def _checked_gram(entries) -> np.ndarray:
 def build_gram(spec: KernelSpec, X) -> GramMatrix:
     """Pairwise kernel matrix over the rows of X.
 
-    All kinds share one block evaluator with :func:`cross_gram` and
-    :func:`eval_kernel`, so every entry equals the matching
-    ``eval_kernel`` value bit for bit and the result is exactly symmetric
-    (Gaussian diagonals are exactly 1).
+    All kinds share one block evaluator with :func:`cross_gram`, so entry
+    (i, j) equals ``cross_gram(spec, X[i:i+1], X[j:j+1])`` bit for bit and
+    the result is exactly symmetric (Gaussian diagonals are exactly 1).
     """
     X = _as_matrix(X)
     if not np.isfinite(X).all():
@@ -220,7 +190,8 @@ def build_gram(spec: KernelSpec, X) -> GramMatrix:
 def cross_gram(spec: KernelSpec, A, B) -> np.ndarray:
     """Kernel values between rows of A and rows of B (len(A) x len(B)).
 
-    Entry (i, j) equals ``eval_kernel(spec, A[i], B[j])`` bit for bit.
+    Entry (i, j) equals ``cross_gram(spec, A[i:i+1], B[j:j+1])[0, 0]``
+    bit for bit, whatever the block shape.
     """
     A = _as_matrix(A)
     B = _as_matrix(B)

@@ -298,26 +298,13 @@ def _validated_radius(radius) -> float:
 
 
 def _weight_step(v: np.ndarray, mu0: np.ndarray, radius: float) -> np.ndarray:
-    # update_weights' closed form for inputs already checked: v >= 0, a
-    # valid anchor mu0 and a finite radius >= 0.
+    # The closed form mu = mu0 + radius * v/||v||, or mu0 when ||v|| is
+    # numerically zero and the direction immaterial, for inputs already
+    # checked: v >= 0, a valid anchor mu0 and a finite radius >= 0.
     nv = float(np.linalg.norm(v))
     if nv <= DEGENERATE_V_TOL * v.shape[0]:
         return mu0.copy()
     return mu0 + radius * (v / nv)
-
-
-def update_weights(quad, mu0, radius: float) -> MuWeights:
-    """Closed-form weight update mu = mu0 + radius * v / ||v||.
-
-    When ||v|| is numerically zero the direction is immaterial (the
-    weighted objective no longer depends on it) and mu = mu0 is returned.
-    """
-    v = _as_vector(quad, "quad")
-    mu0 = _validated_mu0(mu0, v.shape[0])
-    radius = _validated_radius(radius)
-    if not np.all(np.isfinite(v) & (v >= -NEG_QUAD_TOL)):
-        raise ConfigError("quadratic-form vector must be finite and nonnegative within tolerance")
-    return MuWeights(_weight_step(np.maximum(v, 0.0), mu0, radius), mu0, radius)
 
 
 def objective(alpha, y, lam: float, quad, mu0, radius: float) -> float:
@@ -935,6 +922,9 @@ def fit_l1(family, y, lambda0: float, budget: float,
         start = (None, 0)
         if fam.features is not None:
             start = _l1_path_stops(fam.features, y, [(lam, budget)])[0]
+    if not (isinstance(start, (tuple, list)) and len(start) == 2
+            and kernels._is_number(start[1], integral=True) and start[1] >= 0):
+        raise ConfigError("start must be a (mu, knots) pair with an integer knots >= 0")
     x0, knots = start
     if x0 is None:
         x0 = np.full(fam.p, budget / fam.p)

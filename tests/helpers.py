@@ -41,6 +41,13 @@ def random_psd_instance(seed, m_range=(5, 30), p_range=(1, 8)):
     return fam, y, lambda0, radius
 
 
+def rank1_all_family(X, include_offset=True):
+    """The ``rank1_all`` family over the rows of X, as the experiment runner
+    builds it: one rank-one kernel per column, then the optional constant."""
+    train = mk.Dataset(X=X, y=np.zeros(len(X)))
+    return experiment.build_family({"kind": "rank1_all", "include_offset": include_offset}, train)
+
+
 def kernel_stack(fam):
     """The p x m x m per-kernel matrices of a family: its stack, or for a
     rank-one family the outer products of its feature columns, formed by

@@ -9,6 +9,7 @@ advisory and warns instead of failing.
 import os
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -324,7 +325,7 @@ def test_criterion_9_full_determinism(tmp_path):
     })
     p1 = write_json_atomic(run_experiment(cfg), tmp_path / "r1.json")
     p2 = write_json_atomic(run_experiment(cfg), tmp_path / "r2.json")
-    reports_equal = open(p1, "rb").read() == open(p2, "rb").read()
+    reports_equal = Path(p1).read_bytes() == Path(p2).read_bytes()
 
     # Solver: bit-identical models.
     fam, y, lambda0, radius = random_psd_instance(7)

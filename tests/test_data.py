@@ -8,7 +8,8 @@ import mklridge as mk
 from mklridge import ConfigError, DataError
 from mklridge.data import apply_vocabulary, load_text_corpus, split_indices
 
-from helpers import counter_apply_vocabulary, counter_build_ngram_features, kernel_stack
+from helpers import (counter_apply_vocabulary, counter_build_ngram_features, kernel_stack,
+                     rank1_all_family)
 
 
 # --- load_delimited -----------------------------------------------------------
@@ -120,6 +121,8 @@ def test_vocabulary_determinism():
 def test_vocabulary_rejects_ngrams_of_another_length():
     with pytest.raises(ConfigError, match="n = 2 tokens"):
         mk.NgramVocabulary(n=2, entries=((("a", "b"), 1), (("a", "b", "c"), 1)))
+    with pytest.raises(ConfigError, match="n must be .* an integer"):
+        mk.NgramVocabulary(n=2.5, entries=())
 
 
 def test_apply_vocabulary_ignores_unseen():
@@ -192,7 +195,10 @@ def test_ngram_ids_do_not_overflow():
 
 @pytest.mark.parametrize("n, top, message", [(0, 5, "n must be at least 1"),
                                               (-1, 5, "n must be at least 1"),
-                                              (2, 0, "top must be at least 1")])
+                                              (2, 0, "top must be at least 1"),
+                                              (2.5, 5, "n must be .* an integer"),
+                                              (2, 2.5, "top must be .* an integer"),
+                                              (2, "3", "top must be .* an integer")])
 def test_ngram_rejects_bad_n_and_top(n, top, message):
     # Checked before any work, so ahead of the empty-corpus check too.
     for corpus in ([["a", "b", "c"]], []):
@@ -200,37 +206,32 @@ def test_ngram_rejects_bad_n_and_top(n, top, message):
             mk.build_ngram_features(corpus, n=n, top=top)
 
 
-# --- rank1_family ------------------------------------------------------------------
+# --- rank1_all families ------------------------------------------------------------
 
 def test_rank1_single_column():
-    fam = mk.rank1_family(np.array([[2.0], [3.0]]), include_offset=False)
+    fam = rank1_all_family(np.array([[2.0], [3.0]]), include_offset=False)
     npt.assert_array_equal(kernel_stack(fam)[0], [[4.0, 6.0], [6.0, 9.0]])
 
 
 def test_rank1_offset_gram_is_all_ones():
-    fam = mk.rank1_family(np.array([[1.0], [2.0]]), include_offset=True)
+    fam = rank1_all_family(np.array([[1.0], [2.0]]), include_offset=True)
     npt.assert_array_equal(kernel_stack(fam)[-1], np.ones((2, 2)))
 
 
 def test_rank1_disjoint_columns_orthogonal():
     counts = np.array([[1.0, 0.0], [0.0, 2.0]])
-    fam = mk.rank1_family(counts, include_offset=False)
+    fam = rank1_all_family(counts, include_offset=False)
     assert mk.orthogonality_check(fam) is True
 
 
 def test_rank1_sum_equals_count_gram():
     rng = np.random.default_rng(3)
     counts = rng.integers(0, 5, size=(7, 4)).astype(float)
-    fam = mk.rank1_family(counts, include_offset=False)
+    fam = rank1_all_family(counts, include_offset=False)
     total = np.zeros((7, 7))
     for K in kernel_stack(fam):
         total += K
     assert np.max(np.abs(total - counts @ counts.T)) <= 1e-12
-
-
-def test_rank1_rejects_negative_counts():
-    with pytest.raises(DataError):
-        mk.rank1_family(np.array([[-1.0]]), include_offset=False)
 
 
 # --- folds and splits ----------------------------------------------------------------
@@ -265,6 +266,13 @@ def test_folds_validation():
         mk.make_folds(5, 6, seed=0)
     with pytest.raises(ConfigError):
         mk.make_folds(5, 1, seed=0)
+
+
+@pytest.mark.parametrize("k", [2.5, 3.0, "3", True])
+def test_folds_reject_non_integer_k(k):
+    # numpy would take 2.5 as a fold count and deal out three folds.
+    with pytest.raises(ConfigError, match="integer k"):
+        mk.make_folds(5, k, seed=0)
 
 
 def test_split_even():

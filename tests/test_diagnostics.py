@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import mklridge as mk
 from mklridge import ConfigError, KernelSpec
 
-from helpers import random_psd_instance
+from helpers import random_psd_instance, rank1_all_family
 
 
 # --- kkt_residuals -----------------------------------------------------------
@@ -148,7 +148,7 @@ def test_orthogonality_gaussian_not_checkable():
 
 def test_orthogonality_offset_and_rank1_true():
     X = np.abs(np.random.default_rng(3).standard_normal((4, 2)))
-    fam = mk.rank1_family(X, include_offset=True)
+    fam = rank1_all_family(X, include_offset=True)
     assert mk.orthogonality_check(fam) is True
 
 

@@ -542,7 +542,7 @@ def test_experiment_deterministic_bytes(tiny_report, tmp_path):
     again = run_experiment(cfg)
     p1 = write_json_atomic(report, tmp_path / "a.json")
     p2 = write_json_atomic(again, tmp_path / "b.json")
-    assert open(p1, "rb").read() == open(p2, "rb").read()
+    assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
 
 def test_delimited_experiment_splits_the_file_per_trial(tmp_path):
@@ -802,7 +802,7 @@ def test_tie_break_prefers_smallest_lambda0():
 def test_tables_normalized_baseline_is_one(tiny_report, tmp_path):
     _, report = tiny_report
     written = emit_tables(report, tmp_path, fmt="json")
-    rows = json.load(open(written["normalized_metrics"]))
+    rows = json.loads(Path(written["normalized_metrics"]).read_text())
     uniform_rows = [r for r in rows if r["method"] == "uniform"]
     assert uniform_rows and all(r["normalized_mean"] == 1.0 for r in uniform_rows)
 
@@ -825,8 +825,8 @@ def test_tables_csv_json_identical_content(tiny_report, tmp_path):
     w_csv = emit_tables(report, tmp_path / "c", fmt="csv")
     w_json = emit_tables(report, tmp_path / "j", fmt="json")
     for name in ("absolute_metrics", "normalized_metrics"):
-        jrows = json.load(open(w_json[name]))
-        lines = open(w_csv[name]).read().strip().splitlines()
+        jrows = json.loads(Path(w_json[name]).read_text())
+        lines = Path(w_csv[name]).read_text().strip().splitlines()
         header = lines[0].split(",")
         crows = [dict(zip(header, line.split(","))) for line in lines[1:]]
         assert len(crows) == len(jrows)
@@ -891,7 +891,7 @@ def test_cli_fit(tmp_path):
     runner = CliRunner()
     result = runner.invoke(main, ["fit", "--config", cfg_path, "--out", str(tmp_path / "fit_out")])
     assert result.exit_code == 0, result.output
-    summary = json.load(open(tmp_path / "fit_out" / "fit.json"))
+    summary = json.loads((tmp_path / "fit_out" / "fit.json").read_text())
     assert summary["converged"] is True
     assert summary["orthogonality"] is True
 
@@ -907,7 +907,7 @@ def test_cli_diagnose(tmp_path):
     runner = CliRunner()
     result = runner.invoke(main, ["diagnose", "--config", cfg_path, "--out", str(tmp_path / "d")])
     assert result.exit_code == 0, result.output
-    payload = json.load(open(tmp_path / "d" / "diagnose.json"))
+    payload = json.loads((tmp_path / "d" / "diagnose.json").read_text())
     assert payload["identity"]["max_gap"] <= 1e-10
     assert payload["stability"]["violations"] == 0
     assert payload["bounds"]["beta"] == 52.0
@@ -1267,3 +1267,12 @@ def test_benchmark_tracer_finds_every_site():
     assert fits["solver.fit_l1"]["calls"] > 0 and fits["solver.fit_l1"]["iters"] > 0
     assert fits["solver.fit_l2"]["calls"] > 0 and fits["solver.fit_l2"]["iters"] > 0
     assert experiment.fit_l2 is mk.fit_l2
+
+
+def test_every_public_name_resolves():
+    # A definition deleted from src/ must leave __all__ too, or the
+    # star import below fails.
+    assert [name for name in mk.__all__ if not hasattr(mk, name)] == []
+    namespace = {}
+    exec("from mklridge import *", namespace)
+    assert set(mk.__all__) <= namespace.keys()

@@ -11,7 +11,7 @@ import mklridge as mk
 from mklridge import ConfigError, DataError, KernelSpec, NumericalError, ShapeError
 from mklridge import experiment, solver
 
-from helpers import kernel_stack
+from helpers import kernel_stack, rank1_all_family
 
 ALL_SPECS = [
     KernelSpec.gaussian(0.7),
@@ -68,32 +68,32 @@ def test_spec_constructors_do_not_truncate():
     assert KernelSpec.polynomial(np.int64(3)).degree == 3
 
 
-# --- eval_kernel examples --------------------------------------------------
+# --- one-pair examples: cross_gram on one-row inputs ------------------------
 
 def test_eval_linear_dot():
-    assert mk.eval_kernel(KernelSpec.linear(), [1, 2], [3, 4]) == 11.0
+    assert mk.cross_gram(KernelSpec.linear(), [[1, 2]], [[3, 4]])[0, 0] == 11.0
 
 
 def test_eval_polynomial():
-    assert mk.eval_kernel(KernelSpec.polynomial(2, 1.0), [1, 0], [1, 0]) == 4.0
+    assert mk.cross_gram(KernelSpec.polynomial(2, 1.0), [[1, 0]], [[1, 0]])[0, 0] == 4.0
 
 
 def test_eval_rank1():
-    assert mk.eval_kernel(KernelSpec.rank1(1), [0, 5], [0, 2]) == 10.0
+    assert mk.cross_gram(KernelSpec.rank1(1), [[0, 5]], [[0, 2]])[0, 0] == 10.0
 
 
 def test_eval_constant():
-    assert mk.eval_kernel(KernelSpec.constant(), [3.0], [9.0]) == 1.0
+    assert mk.cross_gram(KernelSpec.constant(), [[3.0]], [[9.0]])[0, 0] == 1.0
 
 
 def test_eval_dimension_mismatch():
     with pytest.raises(ShapeError):
-        mk.eval_kernel(KernelSpec.linear(), [1, 2], [1, 2, 3])
+        mk.cross_gram(KernelSpec.linear(), [[1, 2]], [[1, 2, 3]])
 
 
 def test_eval_non_finite():
     with pytest.raises(DataError):
-        mk.eval_kernel(KernelSpec.linear(), [np.nan, 1.0], [1.0, 1.0])
+        mk.cross_gram(KernelSpec.linear(), [[np.nan, 1.0]], [[1.0, 1.0]])
 
 
 # --- build_gram examples ---------------------------------------------------
@@ -148,7 +148,8 @@ def test_gram_symmetric_psd_property(m, d, spec_idx, seed):
     scale = np.maximum(1.0, np.abs(g.entries))
     assert np.all(np.abs(g.entries - g.entries.T) <= 1e-12 * scale)
     assert np.all(np.diag(g.entries) >= 0.0)
-    g.require_psd(rel_tol=1e-8)
+    eigs = np.linalg.eigvalsh(g.entries)
+    assert eigs[0] >= -1e-8 * max(eigs[-1], np.finfo(float).tiny)
 
 
 @settings(max_examples=40)
@@ -163,7 +164,7 @@ def test_eval_gram_consistency(m, d, spec_idx, seed):
     spec = ALL_SPECS[spec_idx]
     g = mk.build_gram(spec, X)
     worst = max(
-        abs(mk.eval_kernel(spec, X[i], X[j]) - g.entries[i, j])
+        abs(mk.cross_gram(spec, X[i:i + 1], X[j:j + 1])[0, 0] - g.entries[i, j])
         for i in range(m)
         for j in range(m)
     )
@@ -177,12 +178,12 @@ def test_cross_gram_matches_eval():
         C = mk.cross_gram(spec, A, B)
         for i in range(4):
             for j in range(5):
-                assert C[i, j] == mk.eval_kernel(spec, A[i], B[j])
+                assert C[i, j] == mk.cross_gram(spec, A[i:i + 1], B[j:j + 1])[0, 0]
 
 
 def _scalar_reference(spec, x, z):
     # Per-pair kernel formula, independent of the block evaluator behind
-    # build_gram, cross_gram and eval_kernel.
+    # build_gram and cross_gram.
     if spec.kind == "linear":
         return float(np.dot(x, z))
     if spec.kind == "gaussian":
@@ -251,7 +252,8 @@ def test_block_evaluator_matches_scalar_reference(kind, m, n, d, offset_data, du
             ref = _scalar_reference(spec, X[i], Z[j])
             tol = 1e-12 * _reference_scale(spec, X[i], Z[j])
             assert abs(C[i, j] - ref) <= tol
-            assert mk.eval_kernel(spec, X[i], Z[j]) == C[i, j]
+            # Block-shape independence, which _predict_rows relies on.
+            assert mk.cross_gram(spec, X[i:i + 1], Z[j:j + 1])[0, 0] == C[i, j]
 
 
 # --- combine ----------------------------------------------------------------
@@ -317,7 +319,7 @@ def test_combine_equals_combined_entries(kind):
     if kind == "dense":
         fam = _random_family(4, m=6, p=4)
     else:
-        fam = mk.rank1_family(np.abs(random_matrix(6, 3, 4)), include_offset=True)
+        fam = rank1_all_family(np.abs(random_matrix(6, 3, 4)), include_offset=True)
         assert fam.features is not None
     mu = np.array([0.5, 1.5, 2.0, 1.0])
     npt.assert_array_equal(mk.combine(fam, mu).entries, fam.combined_entries(mu))
@@ -458,10 +460,10 @@ def test_family_subset_consistency():
 
 def test_family_subset_lazy_matches_direct_build():
     X = np.abs(random_matrix(7, 4, 6))
-    fam = mk.rank1_family(X, include_offset=True)
+    fam = rank1_all_family(X, include_offset=True)
     idx = np.array([1, 3, 4])
     sub = fam.subset(idx)
-    direct = mk.rank1_family(X[idx], include_offset=True)
+    direct = rank1_all_family(X[idx], include_offset=True)
     npt.assert_array_equal(kernel_stack(sub), kernel_stack(direct))
     assert sub.kappa0 == direct.kappa0
 
@@ -478,7 +480,7 @@ def test_family_select_kernels():
 
 
 def test_select_kernels_keeps_feature_families_lazy():
-    fam = mk.rank1_family(np.abs(random_matrix(6, 3, 8)), include_offset=True)
+    fam = rank1_all_family(np.abs(random_matrix(6, 3, 8)), include_offset=True)
     sel = fam.select_kernels([3, 1])
     assert sel.features is not None and sel.stack is None
     npt.assert_array_equal(sel.features, fam.features[:, [3, 1]])
@@ -660,9 +662,3 @@ def test_gram_matrix_symmetry_tolerance(size):
 def test_gram_matrix_rejects_negative_diagonal():
     with pytest.raises(NumericalError):
         mk.GramMatrix(entries=np.array([[-1.0, 0.0], [0.0, 1.0]]))
-
-
-def test_require_psd_flags_indefinite():
-    g = mk.GramMatrix(entries=np.array([[1.0, 2.0], [2.0, 1.0]]))
-    with pytest.raises(NumericalError):
-        g.require_psd()

@@ -13,8 +13,9 @@ from mklridge import experiment, solver
 from mklridge.solver import project_ball_cone, project_l1_orthant
 
 from helpers import (_reference_chol_delete, ball_grid_points, dual_objective_grid_min,
-                     kernel_stack, random_psd_instance, reference_l1_path_stops,
-                     reference_woodbury_solve, simplex_grid_points)
+                     kernel_stack, random_psd_instance, rank1_all_family,
+                     reference_l1_path_stops, reference_woodbury_solve,
+                     simplex_grid_points)
 
 # A broken active-block factor or an unguarded division on the lasso path
 # shows as a RuntimeWarning (overflow, invalid value, divide by zero); these
@@ -96,7 +97,7 @@ def test_quad_forms_identity_kernels():
 
 def test_quad_forms_feature_path_matches_gram_path():
     X = np.abs(np.random.default_rng(0).standard_normal((7, 3)))
-    fam = mk.rank1_family(X, include_offset=True)
+    fam = rank1_all_family(X, include_offset=True)
     alpha = np.random.default_rng(1).standard_normal(7)
     v_feat = mk.quad_forms(alpha, fam)
     v_gram = np.array([alpha @ (K @ alpha) for K in kernel_stack(fam)])
@@ -146,38 +147,28 @@ def test_fit_l2_accepts_roundoff_in_large_psd_kernels(case):
         npt.assert_array_equal(mu, np.ones(p))
 
 
-# --- update_weights -----------------------------------------------------------
+# --- the closed-form weight update, solver._weight_step ------------------------
 
 def test_update_zero_radius():
-    w = mk.update_weights([3.0, 4.0], [1.0, 1.0], 0.0)
-    npt.assert_array_equal(w.mu, [1.0, 1.0])
+    mu = solver._weight_step(np.array([3.0, 4.0]), np.array([1.0, 1.0]), 0.0)
+    npt.assert_array_equal(mu, [1.0, 1.0])
 
 
 def test_update_hand_example():
-    w = mk.update_weights([3.0, 4.0], [1.0, 1.0], 10.0)
-    npt.assert_allclose(w.mu, [7.0, 9.0], rtol=0, atol=1e-12)
+    mu = solver._weight_step(np.array([3.0, 4.0]), np.array([1.0, 1.0]), 10.0)
+    npt.assert_allclose(mu, [7.0, 9.0], rtol=0, atol=1e-12)
 
 
 def test_update_degenerate_direction():
-    w = mk.update_weights([0.0, 0.0], [1.0, 2.0], 5.0)
-    npt.assert_array_equal(w.mu, [1.0, 2.0])
-
-
-def test_update_rejects_negative_quad():
-    with pytest.raises(ConfigError):
-        mk.update_weights([1.0, -1.0], [1.0, 1.0], 1.0)
-
-
-@pytest.mark.parametrize("quad", [[1.0, np.nan], [1.0, np.inf]])
-def test_update_rejects_non_finite_quad(quad):
-    with pytest.raises(ConfigError):
-        mk.update_weights(quad, [1.0, 1.0], 1.0)
+    mu = solver._weight_step(np.array([0.0, 0.0]), np.array([1.0, 2.0]), 5.0)
+    npt.assert_array_equal(mu, [1.0, 2.0])
 
 
 @pytest.mark.parametrize("radius", [-1.0, np.nan, np.inf])
 def test_update_rejects_bad_radius(radius):
+    # The check every weight update's radius passes before _weight_step.
     with pytest.raises(ConfigError, match="radius"):
-        mk.update_weights([3.0, 4.0], [1.0, 1.0], radius)
+        solver._validated_radius(radius)
 
 
 @settings(max_examples=40)
@@ -192,9 +183,9 @@ def test_update_invariants(p, radius, seed):
     v[int(rng.integers(p))] += 0.5
     mu0 = 1.0 + rng.uniform(0.0, 3.0, size=p)
     mu0[int(rng.integers(p))] = 1.0
-    w = mk.update_weights(v, mu0, radius)
-    assert np.all(w.mu >= w.mu0 - 1e-12)
-    assert abs(np.linalg.norm(w.mu - w.mu0) - radius) <= 1e-9 * max(1.0, radius)
+    mu = solver._weight_step(v, mu0, radius)
+    assert np.all(mu >= mu0 - 1e-12)
+    assert abs(np.linalg.norm(mu - mu0) - radius) <= 1e-9 * max(1.0, radius)
 
 
 def test_mu_weights_validation():
@@ -397,7 +388,7 @@ def test_fit_l2_full_support_keeps_dense_route(m, extra, seed):
 def test_feature_route_fits_match_dense_family():
     rng = np.random.default_rng(17)
     X = rng.poisson(1.0, size=(40, 7)).astype(float)
-    fam = mk.rank1_family(X, include_offset=True)
+    fam = rank1_all_family(X, include_offset=True)
     dense = mk.KernelFamily.from_grams(kernel_stack(fam))
     assert fam.features is not None and dense.features is None and fam.p < fam.m
     y = X[:, 0] - X[:, 3] + 0.3 * rng.standard_normal(fam.m)
@@ -429,7 +420,7 @@ def test_fit_zero_radius_equals_plain_krr():
 
 def test_fit_zero_radius_rank1_family():
     X = np.abs(np.random.default_rng(5).standard_normal((10, 4)))
-    fam = mk.rank1_family(X, include_offset=True)
+    fam = rank1_all_family(X, include_offset=True)
     y = np.random.default_rng(6).standard_normal(10)
     model, _ = mk.fit_l2(fam, y, 0.1, 0.0)
     direct = mk.krr_solve(mk.combine(fam, np.ones(fam.p)), y, 0.1 * fam.m)
@@ -520,7 +511,7 @@ def test_fit_first_iteration_is_the_closed_form_update(case):
     v = mk.quad_forms(alpha0, fam)
     assert (not v.any()) == case.endswith("v0")
     model, _ = mk.fit_l2(fam, y, lambda0, radius, mu0=mu0, max_iters=1)
-    expected = mk.update_weights(v, mu0, radius).mu
+    expected = solver._weight_step(v, mu0, radius)
     npt.assert_array_equal(model.weights.mu, expected)
     if case.endswith("v0"):
         npt.assert_array_equal(model.weights.mu, mu0)
@@ -1064,6 +1055,17 @@ def test_l1_start_must_match_the_family():
     assert uniform.objective_value == pytest.approx(own.objective_value, rel=1e-7)
 
 
+@pytest.mark.parametrize("start", ["negative_knots", "fractional_knots", "text_knots",
+                                   "bare_vector"])
+def test_l1_start_must_be_a_mu_knots_pair(start):
+    fam, y, lambda0, _ = random_psd_instance(152)
+    mu = np.ones(fam.p)
+    start = {"negative_knots": (mu, -5), "fractional_knots": (mu, 2.5),
+             "text_knots": (None, "x"), "bare_vector": mu}[start]
+    with pytest.raises(ConfigError, match="start must be a"):
+        mk.fit_l1(fam, y, lambda0, 1.0, start=start)
+
+
 def test_l1_budget_validation():
     fam, y, lambda0, _ = random_psd_instance(151)
     with pytest.raises(ConfigError):
@@ -1148,7 +1150,7 @@ def test_predict_rank1_feature_path_matches_cross_gram():
     rng = np.random.default_rng(19)
     X_train = np.abs(rng.standard_normal((8, 3)))
     X_test = np.abs(rng.standard_normal((5, 3)))
-    fam = mk.rank1_family(X_train, include_offset=True)
+    fam = rank1_all_family(X_train, include_offset=True)
     y = rng.standard_normal(8)
     model, _ = mk.fit_l2(fam, y, 0.3, 1.0)
     fast = mk.predict(model, fam.specs, X_train, X_test)
