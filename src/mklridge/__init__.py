@@ -17,8 +17,8 @@ from .diagnostics import (BoundValues, StabilityReport, bound_values,
 from .errors import ConfigError, DataError, MklError, NumericalError, ShapeError
 from .experiment import (ExperimentConfig, emit_tables, metric_misclassification,
                          metric_rmse, run_experiment)
-from .kernels import (GramMatrix, KernelFamily, KernelSpec, build_gram,
-                      combine, compute_kappa, cross_gram)
+from .kernels import (KernelFamily, KernelSpec, build_gram, combine,
+                      compute_kappa, cross_gram)
 from .solver import (L1Model, MklModel, MuWeights, OracleResult, SolveReport,
                      fit_l1, fit_l2, krr_solve, objective, oracle_fit, predict,
                      predict_weighted, quad_forms)
@@ -27,12 +27,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BoundValues", "ConfigError", "DataError", "Dataset", "ExperimentConfig",
-    "FoldPlan", "GramMatrix", "KernelFamily", "KernelSpec", "L1Model",
-    "MklError", "MklModel", "MuWeights", "NgramVocabulary", "NumericalError",
+    "FoldPlan", "KernelFamily", "KernelSpec", "L1Model", "MklError",
+    "MklModel", "MuWeights", "NgramVocabulary", "NumericalError",
     "OracleResult", "ShapeError", "SolveReport", "StabilityReport",
     "apply_vocabulary", "bound_values", "build_gram", "build_ngram_features",
-    "combine", "compute_kappa", "cross_gram", "emit_tables",
-    "fit_l1", "fit_l2", "kkt_residuals", "krr_solve", "load_delimited",
+    "combine", "compute_kappa", "cross_gram", "emit_tables", "fit_l1",
+    "fit_l2", "kkt_residuals", "krr_solve", "load_delimited",
     "load_text_corpus", "make_folds", "metric_misclassification",
     "metric_rmse", "objective", "oracle_fit", "orthogonality_check",
     "predict", "predict_weighted", "quad_forms", "run_experiment",

@@ -286,8 +286,8 @@ class FoldPlan:
 
 def make_folds(m: int, k: int, seed: int) -> FoldPlan:
     """Balanced random fold assignment; fold sizes differ by at most one."""
-    if not (_is_number(k, integral=True) and 2 <= k <= m):
-        raise ConfigError(f"need an integer k with 2 <= k <= m, got k={k!r}, m={m}")
+    if not (_is_number(m, integral=True) and _is_number(k, integral=True) and 2 <= k <= m):
+        raise ConfigError(f"need an integer m and integer k with 2 <= k <= m, got k={k!r}, m={m!r}")
     rng = np.random.default_rng(seed)
     perm = rng.permutation(m)
     assignments = np.empty(m, dtype=np.intp)
@@ -297,6 +297,8 @@ def make_folds(m: int, k: int, seed: int) -> FoldPlan:
 
 def split_indices(m: int, fraction: float, seed: int):
     """Deterministic shuffled split of range(m) into (train, test) indices."""
+    if not _is_number(m, integral=True):
+        raise ConfigError(f"m must be an integer, got {m!r}")
     if not 0.0 < fraction < 1.0:
         raise ConfigError("fraction must lie strictly between 0 and 1")
     n_train = int(round(m * fraction))

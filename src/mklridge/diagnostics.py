@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError, ShapeError
 from .kernels import (EXPLICIT_MAP_KINDS, KernelFamily, KernelSpec, _as_matrix, _as_vector,
-                      as_family, compute_kappa)
+                      _is_number, as_family, compute_kappa)
 from .solver import MklModel, MuWeights, _validated_radius, krr_solve, quad_forms
 
 
@@ -136,8 +136,8 @@ def stability_trial(specs: Sequence[KernelSpec], X, y, lambda0: float,
     m = X.shape[0]
     if y.shape[0] != m:
         raise ShapeError("X and y lengths differ")
-    if swaps < 1:
-        raise ConfigError("swaps must be at least 1")
+    if not (_is_number(swaps, integral=True) and swaps >= 1):
+        raise ConfigError(f"swaps must be an integer of at least 1, got {swaps!r}")
     if not 0.0 < lambda0 < np.inf:
         raise ConfigError("lambda0 must be positive and finite")
     if len(specs) != weights.p:

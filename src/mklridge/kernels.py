@@ -137,19 +137,6 @@ def _check_index(spec: KernelSpec, dim: int):
         )
 
 
-@dataclass(frozen=True, eq=False)
-class GramMatrix:
-    """Kernel matrix over one sample, checked square, finite, symmetric
-    within 1e-12 and with no negative diagonal; PSD is not checked."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        e = _checked_gram(self.entries).copy()
-        e.flags.writeable = False
-        object.__setattr__(self, "entries", e)
-
-
 def _checked_gram(entries) -> np.ndarray:
     """``entries`` as float64, uncopied when it already is, once it is
     square, finite, symmetric within 1e-12 and has no negative diagonal."""
@@ -173,8 +160,8 @@ def _checked_gram(entries) -> np.ndarray:
     return e
 
 
-def build_gram(spec: KernelSpec, X) -> GramMatrix:
-    """Pairwise kernel matrix over the rows of X.
+def build_gram(spec: KernelSpec, X) -> np.ndarray:
+    """Pairwise kernel matrix over the rows of X, a new checked array.
 
     All kinds share one block evaluator with :func:`cross_gram`, so entry
     (i, j) equals ``cross_gram(spec, X[i:i+1], X[j:j+1])`` bit for bit and
@@ -184,7 +171,7 @@ def build_gram(spec: KernelSpec, X) -> GramMatrix:
     if not np.isfinite(X).all():
         raise DataError("data matrix contains non-finite values")
     _check_index(spec, X.shape[1])
-    return GramMatrix(entries=_block(spec, X, X))
+    return _checked_gram(_block(spec, X, X))
 
 
 def cross_gram(spec: KernelSpec, A, B) -> np.ndarray:
@@ -315,7 +302,7 @@ class KernelFamily:
 
         A family of rank-one kinds stores their feature columns. Any other
         family's stack is filled one :func:`build_gram` at a time. Each
-        build copies and checks its matrix through two m x m temporaries,
+        build checks its new matrix in place through two m x m temporaries,
         so about three m x m arrays sit beside the stack: for eight kernels
         at m = 400 the build peaks at 1.4x the stack.
         """
@@ -332,18 +319,18 @@ class KernelFamily:
             return cls._of(specs, features=features)
         stack = np.empty((len(specs), X.shape[0], X.shape[0]))
         for k, s in enumerate(specs):
-            stack[k] = build_gram(s, X).entries
+            stack[k] = build_gram(s, X)
         return cls._of(specs, stack=stack)
 
     @classmethod
     def from_grams(cls, mats) -> "KernelFamily":
         """Stack PSD matrices without evaluable specs into a family.
 
-        ``mats`` is any iterable of raw arrays or :class:`GramMatrix`
-        objects; each raw array is checked in place as a GramMatrix, and
-        all must share one nonzero size. ``np.stack`` makes the only copy.
+        ``mats`` is any iterable of arrays of one nonzero size, each checked
+        in place as :func:`build_gram`'s output is (PSD is not checked).
+        ``np.stack`` makes the only copy.
         """
-        grams = [g.entries if isinstance(g, GramMatrix) else _checked_gram(g) for g in mats]
+        grams = [_checked_gram(g) for g in mats]
         if not grams:
             raise ConfigError("kernel family must contain at least one kernel")
         if grams[0].shape[0] == 0:
@@ -410,16 +397,17 @@ def as_family(obj) -> KernelFamily:
     return obj
 
 
-def combine(family: KernelFamily, mu) -> GramMatrix:
+def combine(family: KernelFamily, mu) -> np.ndarray:
     """The weighted kernel K(mu) = sum_k mu_k K_k of a KernelFamily, mu >= 0.
 
-    Its entries are :meth:`KernelFamily.combined_entries`, the K(mu) the
-    solvers use.
+    It is :meth:`KernelFamily.combined_entries`, the K(mu) the solvers use,
+    unchecked: a rank-one family's product is symmetric only to roundoff.
     """
     fam = as_family(family)
-    if np.any(np.asarray(mu, dtype=np.float64) < 0):
-        raise ConfigError("combination weights must be nonnegative")
-    return GramMatrix(entries=fam.combined_entries(mu))
+    mu = np.asarray(mu, dtype=np.float64)
+    if not (np.isfinite(mu).all() and np.all(mu >= 0)):
+        raise ConfigError("combination weights must be finite and nonnegative")
+    return fam.combined_entries(mu)
 
 
 def compute_kappa(family: KernelFamily, mu_norm_bound: float) -> float:

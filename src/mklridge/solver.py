@@ -30,7 +30,7 @@ import scipy.linalg.lapack
 
 from . import kernels
 from .errors import ConfigError, DataError, NumericalError, ShapeError
-from .kernels import GramMatrix, _as_matrix, _as_vector, _explicit_features, as_family
+from .kernels import _as_matrix, _as_vector, _explicit_features, _is_number, as_family
 
 log = logging.getLogger(__name__)
 
@@ -164,7 +164,7 @@ def krr_solve(K, y, lam: float) -> np.ndarray:
     K must be finite and PSD and lam finite and > 0, so K + lam I is
     positive definite and a Cholesky solve applies.
     """
-    A = K.entries if isinstance(K, GramMatrix) else np.asarray(K, dtype=np.float64)
+    A = np.asarray(K, dtype=np.float64)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ShapeError(f"kernel matrix must be square, got shape {A.shape}")
     y = _as_vector(y, "y")
@@ -335,10 +335,11 @@ def _validated_start(start, n: int, what: str) -> np.ndarray:
     return start
 
 
-def _fit_setup(family, y, lambda0: float, radius: Optional[float] = None):
+def _fit_setup(family, y, lambda0: float, max_iters, radius: Optional[float] = None):
     """Validated family, target vector and ridge amount lam = lambda0 * m.
 
-    Shared by the weight fits; the L2 fits also pass their ball radius.
+    Shared by the weight fits, which pass their step cap ``max_iters``;
+    the L2 fits also pass their ball radius.
     """
     fam = as_family(family)
     y = _as_vector(y, "y")
@@ -346,6 +347,8 @@ def _fit_setup(family, y, lambda0: float, radius: Optional[float] = None):
         raise ShapeError(f"y has length {y.shape[0]}, sample size is {fam.m}")
     if not 0.0 < lambda0 < np.inf:
         raise ConfigError("lambda0 must be positive and finite")
+    if not (_is_number(max_iters, integral=True) and max_iters >= 1):
+        raise ConfigError(f"max_iters must be an integer of at least 1, got {max_iters!r}")
     if radius is not None:
         _validated_radius(radius)
     return fam, y, lambda0 * fam.m
@@ -463,9 +466,7 @@ def fit_l2(family, y, lambda0: float, radius: float, mu0=None,
         radius ||v|| - v'(mu - mu0) of that pair, an upper bound on how far
         y'(K(mu) + lam I)^(-1) y lies above its minimum over the ball.
     """
-    fam, y, lam = _fit_setup(family, y, lambda0, radius)
-    if max_iters < 1:
-        raise ConfigError("max_iters must be at least 1")
+    fam, y, lam = _fit_setup(family, y, lambda0, max_iters, radius)
     mu0 = _validated_mu0(mu0, fam.p)
     if epsilon is None:
         epsilon = 1e-8 * (1.0 + float(np.linalg.norm(y)))
@@ -657,7 +658,7 @@ def oracle_fit(family, y, lambda0: float, radius: float, mu0=None,
     mu0 + radius * v/||v|| lies in F, so the gap bounds the error over the
     whole feasible set. At radius 0 the start mu0 is certified at once.
     """
-    fam, y, lam = _fit_setup(family, y, lambda0, radius)
+    fam, y, lam = _fit_setup(family, y, lambda0, max_iters, radius)
     if fam.m > 200 or fam.p > 50:
         raise ConfigError("oracle_fit is restricted to m <= 200 and p <= 50")
     if not 0.0 < tol < np.inf:
@@ -899,13 +900,11 @@ def fit_l1(family, y, lambda0: float, budget: float,
     Non-convergence within ``max_iters`` is flagged on the result, not
     raised.
     """
-    fam, y, lam = _fit_setup(family, y, lambda0)
+    fam, y, lam = _fit_setup(family, y, lambda0, max_iters)
     if not 0.0 < budget < np.inf:
         raise ConfigError("budget must be positive and finite")
     if not 0.0 < tol < np.inf:
         raise ConfigError("tol must be positive and finite")
-    if max_iters < 1:
-        raise ConfigError("max_iters must be at least 1")
     value_grad = functools.partial(_ridge_value_grad, fam, y, lam)
 
     def project(x):

@@ -275,6 +275,12 @@ def test_folds_reject_non_integer_k(k):
         mk.make_folds(5, k, seed=0)
 
 
+def test_folds_reject_non_integer_m():
+    # numpy's permutation would raise an AxisError on a float sample size.
+    with pytest.raises(ConfigError, match="integer m"):
+        mk.make_folds(5.5, 2, seed=0)
+
+
 def test_split_even():
     train, test = split_indices(100, 0.5, seed=4)
     assert len(train) == 50 and len(test) == 50
@@ -294,6 +300,11 @@ def test_split_fraction_validation():
         split_indices(4, 0.0, seed=0)
     with pytest.raises(ConfigError):
         split_indices(4, 1.0, seed=0)
+
+
+def test_split_rejects_non_integer_m():
+    with pytest.raises(ConfigError, match="m must be an integer"):
+        split_indices(7.5, 0.5, seed=0)
 
 
 # --- text corpus -----------------------------------------------------------------------

@@ -293,6 +293,15 @@ def test_stability_rejects_bad_lambda0(lambda0):
         mk.stability_trial([KernelSpec.linear()], X, y, lambda0, weights, 2, 1, draw)
 
 
+@pytest.mark.parametrize("swaps", [2.5, 0, -1, True])
+def test_stability_rejects_bad_swap_counts(swaps):
+    # range() would raise a raw TypeError on 2.5.
+    X, y, draw = _linear_sample(4, 2, 10)
+    weights = mk.MuWeights(np.ones(1), np.ones(1), 0.0)
+    with pytest.raises(ConfigError, match="swaps must be an integer"):
+        mk.stability_trial([KernelSpec.linear()], X, y, 0.5, weights, swaps, 1, draw)
+
+
 def test_stability_generator_exhaustion():
     X, y, _ = _linear_sample(4, 2, 10)
 

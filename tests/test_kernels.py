@@ -100,19 +100,19 @@ def test_eval_non_finite():
 
 def test_gram_linear_orthonormal_rows():
     g = mk.build_gram(KernelSpec.linear(), [[1, 0], [0, 1]])
-    npt.assert_array_equal(g.entries, np.eye(2))
+    npt.assert_array_equal(g, np.eye(2))
 
 
 def test_gram_gaussian_unit_diagonal():
     X = random_matrix(7, 3, 0)
     for bw in (0.3, 1.0, 5.0):
         g = mk.build_gram(KernelSpec.gaussian(bw), X)
-        npt.assert_array_equal(np.diag(g.entries), np.ones(7))
+        npt.assert_array_equal(np.diag(g), np.ones(7))
 
 
 def test_gram_rank1_outer_product():
     g = mk.build_gram(KernelSpec.rank1(0), [[2.0], [3.0]])
-    npt.assert_array_equal(g.entries, [[4.0, 6.0], [6.0, 9.0]])
+    npt.assert_array_equal(g, [[4.0, 6.0], [6.0, 9.0]])
 
 
 def test_gram_rejects_non_finite():
@@ -129,7 +129,7 @@ def test_gram_determinism():
     X = random_matrix(9, 4, 3)
     a = mk.build_gram(KernelSpec.gaussian(1.3), X)
     b = mk.build_gram(KernelSpec.gaussian(1.3), X)
-    assert a.entries.tobytes() == b.entries.tobytes()
+    assert a.tobytes() == b.tobytes()
 
 
 # --- Gram invariants over random inputs ------------------------------------
@@ -145,10 +145,10 @@ def test_gram_symmetric_psd_property(m, d, spec_idx, seed):
     X = random_matrix(m, d, seed)
     spec = ALL_SPECS[spec_idx]
     g = mk.build_gram(spec, X)
-    scale = np.maximum(1.0, np.abs(g.entries))
-    assert np.all(np.abs(g.entries - g.entries.T) <= 1e-12 * scale)
-    assert np.all(np.diag(g.entries) >= 0.0)
-    eigs = np.linalg.eigvalsh(g.entries)
+    scale = np.maximum(1.0, np.abs(g))
+    assert np.all(np.abs(g - g.T) <= 1e-12 * scale)
+    assert np.all(np.diag(g) >= 0.0)
+    eigs = np.linalg.eigvalsh(g)
     assert eigs[0] >= -1e-8 * max(eigs[-1], np.finfo(float).tiny)
 
 
@@ -164,7 +164,7 @@ def test_eval_gram_consistency(m, d, spec_idx, seed):
     spec = ALL_SPECS[spec_idx]
     g = mk.build_gram(spec, X)
     worst = max(
-        abs(mk.cross_gram(spec, X[i:i + 1], X[j:j + 1])[0, 0] - g.entries[i, j])
+        abs(mk.cross_gram(spec, X[i:i + 1], X[j:j + 1])[0, 0] - g[i, j])
         for i in range(m)
         for j in range(m)
     )
@@ -239,7 +239,7 @@ def test_block_evaluator_matches_scalar_reference(kind, m, n, d, offset_data, du
         "constant_offset": KernelSpec.constant(),
     }[kind]
 
-    G = mk.build_gram(spec, X).entries
+    G = mk.build_gram(spec, X)
     C = mk.cross_gram(spec, X, Z)
     assert np.array_equal(G, G.T)
     if kind == "gaussian":
@@ -270,19 +270,19 @@ def _random_family(seed, m=8, p=4):
 def test_combine_zero_weights():
     fam = _random_family(0)
     K = mk.combine(fam, np.zeros(fam.p))
-    npt.assert_array_equal(K.entries, np.zeros((fam.m, fam.m)))
+    npt.assert_array_equal(K, np.zeros((fam.m, fam.m)))
 
 
 def test_combine_single_kernel_scaling():
     fam = _random_family(1, p=1)
     K = mk.combine(fam, [2.0])
-    npt.assert_array_equal(K.entries, 2.0 * fam.stack[0])
+    npt.assert_array_equal(K, 2.0 * fam.stack[0])
 
 
 def test_combine_identity_sum():
     fam = mk.KernelFamily.from_grams([np.eye(2), np.eye(2)])
     K = mk.combine(fam, [1.0, 1.0])
-    npt.assert_array_equal(K.entries, 2.0 * np.eye(2))
+    npt.assert_array_equal(K, 2.0 * np.eye(2))
 
 
 @settings(max_examples=25)
@@ -294,7 +294,7 @@ def test_combine_matches_independent_loop_exactly(seed, p):
     acc = np.zeros((fam.m, fam.m))
     for k in range(p):
         acc += mu[k] * fam.stack[k]
-    npt.assert_array_equal(K.entries, acc)
+    npt.assert_array_equal(K, acc)
 
 
 @settings(max_examples=60)
@@ -322,13 +322,40 @@ def test_combine_equals_combined_entries(kind):
         fam = rank1_all_family(np.abs(random_matrix(6, 3, 4)), include_offset=True)
         assert fam.features is not None
     mu = np.array([0.5, 1.5, 2.0, 1.0])
-    npt.assert_array_equal(mk.combine(fam, mu).entries, fam.combined_entries(mu))
+    npt.assert_array_equal(mk.combine(fam, mu), fam.combined_entries(mu))
 
 
 def test_combine_rejects_negative_weights():
     fam = _random_family(2, p=2)
     with pytest.raises(ConfigError):
         mk.combine(fam, [1.0, -0.5])
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_combine_rejects_non_finite_weights(bad):
+    fam = _random_family(2, p=2)
+    with pytest.raises(ConfigError, match="finite and nonnegative"):
+        mk.combine(fam, [1.0, bad])
+
+
+def test_combine_takes_a_rank_one_product_as_it_is():
+    # Two widely scaled rank-one kernels whose terms cancel in K[0, 1]:
+    # each is about 4e6 and their sum about -4e-3. The product
+    # (F * mu) @ F' rounds F_0k mu_k F_1k and F_1k mu_k F_0k apart, so K
+    # misses the Gram check's symmetry bound 1e-12 max(1, |K_ij|) by far.
+    # It is still the valid PSD K(mu) the solvers form, and combine
+    # returns it unchanged.
+    mu = np.array([3.3, 7.1])
+    a, b, c = 1234.567, 2345.678, 987.654
+    d = -(mu[0] * a * c) / (mu[1] * b) * (1.0 + 1e-9)
+    fam = mk.KernelFamily([[a, b], [c, d]])
+    K = mk.combine(fam, mu)
+    assert K.tobytes() == fam.combined_entries(mu).tobytes()
+    with pytest.raises(NumericalError, match="not symmetric"):
+        mk.KernelFamily.from_grams([K])
+    y = np.array([1.0, -2.0])
+    alpha = mk.krr_solve(K, y, 0.1)
+    assert np.linalg.norm((K + 0.1 * np.eye(2)) @ alpha - y) <= 1e-8 * np.linalg.norm(y)
 
 
 def test_combine_length_mismatch():
@@ -377,7 +404,7 @@ def test_kappa0_bounds_diagonal():
        zero=st.booleans(), twin=st.booleans())
 def test_from_grams_rebuilds_a_family_bit_for_bit(seed, m, rank_one, zero, twin):
     # from_grams on a family's per-kernel matrices, given as an array, an
-    # iterator or GramMatrix objects, against the same kernels stacked by
+    # iterator or a list of arrays, against the same kernels stacked by
     # from_specs; column 2 of X is zero, so rank1(2) is a zero kernel.
     rng = np.random.default_rng(seed)
     X = rng.uniform(-2.0, 2.0, size=(m, 3))
@@ -397,7 +424,7 @@ def test_from_grams_rebuilds_a_family_bit_for_bit(seed, m, rank_one, zero, twin)
     mu = rng.uniform(0.0, 2.0, size=len(specs))
     mu[rng.random(len(specs)) < 0.3] = 0.0
     alpha = rng.standard_normal(m)
-    for mats in (stack, iter(stack), [mk.GramMatrix(K) for K in stack]):
+    for mats in (stack, iter(stack), list(stack)):
         got = mk.KernelFamily.from_grams(mats)
         assert got.specs is None and got.features is None
         assert got.stack.tobytes() == ref.stack.tobytes()
@@ -410,7 +437,7 @@ def test_from_grams_rejects_mixed_sizes_and_no_kernels():
     with pytest.raises(ShapeError, match="share one dimension"):
         mk.KernelFamily.from_grams([np.eye(2), np.eye(3)])
     with pytest.raises(ShapeError, match="share one dimension"):
-        mk.KernelFamily.from_grams(iter([mk.GramMatrix(np.eye(3)), np.eye(2)]))
+        mk.KernelFamily.from_grams(iter([np.eye(3), np.eye(2)]))
     with pytest.raises(ConfigError, match="at least one kernel"):
         mk.KernelFamily.from_grams([])
     with pytest.raises(ConfigError, match="at least one kernel"):
@@ -434,8 +461,9 @@ def test_from_grams_copies_its_inputs_once():
 
 
 def test_from_specs_checks_each_gram_through_two_temporaries():
-    # Each build_gram output is copied and checked through two m x m
-    # temporaries reused in place, so eight kernels peak near 1.39x the stack.
+    # Each build_gram output is checked in place through two m x m
+    # temporaries, and the new matrix and these two sit beside the stack,
+    # so eight kernels peak near 1.39x the stack.
     X = np.random.default_rng(0).standard_normal((400, 5))
     tracemalloc.start()
     try:
@@ -638,15 +666,17 @@ def test_family_rejects_infinite_features(bad):
         mk.KernelFamily([[1.0], [bad], [0.0]])
 
 
-@pytest.mark.filterwarnings("error")
+# A Gram matrix enters a family through from_grams, which checks each one
+# as build_gram checks its output.
+
 def test_gram_matrix_rejects_asymmetry():
     with pytest.raises(NumericalError, match="not symmetric"):
-        mk.GramMatrix(entries=np.array([[1.0, 2.0], [0.5, 1.0]]))
+        mk.KernelFamily.from_grams([np.array([[1.0, 2.0], [0.5, 1.0]])])
     # A symmetric matrix with a NaN or an infinite entry is named for that:
     # bad input data, as in krr_solve and a family's feature columns.
     for bad in (np.nan, np.inf):
         with pytest.raises(DataError, match="non-finite entries"):
-            mk.GramMatrix(entries=np.array([[bad, 0.0], [0.0, 1.0]]))
+            mk.KernelFamily.from_grams([np.array([[bad, 0.0], [0.0, 1.0]])])
 
 
 @pytest.mark.parametrize("size", [1.0, 1e6])
@@ -654,11 +684,11 @@ def test_gram_matrix_symmetry_tolerance(size):
     # |e_ij - e_ji| may reach 1e-12 max(1, |e_ij|) at both (i, j) and (j, i).
     def gram(rel):
         return np.array([[size, size], [size * (1.0 + rel), size]])
-    mk.GramMatrix(entries=gram(2.0 ** -42))
+    mk.KernelFamily.from_grams([gram(2.0 ** -42)])
     with pytest.raises(NumericalError, match="not symmetric"):
-        mk.GramMatrix(entries=gram(2.0 ** -38))
+        mk.KernelFamily.from_grams([gram(2.0 ** -38)])
 
 
 def test_gram_matrix_rejects_negative_diagonal():
-    with pytest.raises(NumericalError):
-        mk.GramMatrix(entries=np.array([[-1.0, 0.0], [0.0, 1.0]]))
+    with pytest.raises(NumericalError, match="negative diagonal"):
+        mk.KernelFamily.from_grams([np.array([[-1.0, 0.0], [0.0, 1.0]])])

@@ -70,7 +70,7 @@ def test_krr_residual_bound(seed):
     K = mk.combine(fam, np.ones(fam.p))
     lam = lambda0 * fam.m
     alpha = mk.krr_solve(K, y, lam)
-    resid = (K.entries + lam * np.eye(fam.m)) @ alpha - y
+    resid = (K + lam * np.eye(fam.m)) @ alpha - y
     assert np.linalg.norm(resid) <= 1e-8 * np.linalg.norm(y)
 
 
@@ -229,7 +229,7 @@ def test_objective_zero_radius_is_plain_dual_value(seed):
     v = mk.quad_forms(alpha, fam)
     mu0 = np.ones(fam.p)
     K0 = mk.combine(fam, mu0)
-    direct = -lam * alpha @ alpha - alpha @ (K0.entries @ alpha) + 2 * alpha @ y
+    direct = -lam * alpha @ alpha - alpha @ (K0 @ alpha) + 2 * alpha @ y
     assert mk.objective(alpha, y, lam, v, mu0, 0.0) == pytest.approx(direct, rel=1e-10, abs=1e-10)
 
 
@@ -264,7 +264,7 @@ def test_feature_route_matches_dense_reference(m, p, seed, support, t):
     mu[on] = rng.uniform(0.01, 3.0, size=s)
     y = rng.standard_normal(m)
     lam = float(rng.uniform(0.005, 0.5)) * m
-    B = mk.combine(fam, mu).entries + lam * np.eye(m)
+    B = mk.combine(fam, mu) + lam * np.eye(m)
     q, shrink = None, 0.0
     if t is not None:
         q = np.zeros(p)
@@ -431,10 +431,7 @@ def test_fit_single_kernel_closed_form():
     fam, y, lambda0, radius = random_psd_instance(21, p_range=(1, 1))
     model, _ = mk.fit_l2(fam, y, lambda0, radius)
     assert model.weights.mu[0] == 1.0 + radius
-    direct = mk.krr_solve(
-        mk.GramMatrix((1.0 + radius) * kernel_stack(fam)[0]),
-        y, lambda0 * fam.m,
-    )
+    direct = mk.krr_solve((1.0 + radius) * kernel_stack(fam)[0], y, lambda0 * fam.m)
     npt.assert_array_equal(model.alpha, direct)
 
 
@@ -482,10 +479,10 @@ def test_fit_parameter_validation():
 
 def test_family_arguments_must_be_kernel_families():
     fam, y, lambda0, radius = random_psd_instance(72)
-    K = mk.GramMatrix(kernel_stack(fam)[0])
+    K = kernel_stack(fam)[0]
     model, _ = mk.fit_l2(fam.select_kernels([0]), y, lambda0, radius)
     for call in (lambda: mk.fit_l2([K], y, lambda0, radius),
-                 lambda: mk.quad_forms(model.alpha, K.entries),
+                 lambda: mk.quad_forms(model.alpha, K),
                  lambda: mk.kkt_residuals(model, [K], y)):
         with pytest.raises(ConfigError, match="KernelFamily"):
             call()
@@ -1114,6 +1111,17 @@ def test_l1_rejects_bad_stopping_settings(kwargs, match):
         mk.fit_l1(fam, y, lambda0, 1.0, **kwargs)
 
 
+@pytest.mark.parametrize("max_iters", [2.5, 0, -1, True])
+@pytest.mark.parametrize("fit", [mk.fit_l2, mk.fit_l1, mk.oracle_fit],
+                         ids=["fit_l2", "fit_l1", "oracle_fit"])
+def test_step_caps_must_be_integers_of_at_least_one(fit, max_iters):
+    # range() would raise a raw TypeError on 2.5, and a cap of 0 would run
+    # no step, after which oracle_fit would report a failure to certify.
+    fam, y, lambda0, _ = random_psd_instance(3)
+    with pytest.raises(ConfigError, match="max_iters must be an integer of at least 1"):
+        fit(fam, y, lambda0, 1.0, max_iters=max_iters)
+
+
 # --- predict ---------------------------------------------------------------------
 
 def test_predict_zero_alpha():
@@ -1142,7 +1150,7 @@ def test_predict_on_training_points_matches_gram_product():
     y = rng.standard_normal(12)
     model, _ = mk.fit_l2(fam, y, 0.2, 0.7)
     preds = mk.predict(model, fam.specs, X, X)
-    direct = mk.combine(fam, model.weights.mu).entries @ model.alpha
+    direct = mk.combine(fam, model.weights.mu) @ model.alpha
     assert np.max(np.abs(preds - direct)) <= 1e-10
 
 
