@@ -11,7 +11,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ConfigError, DataError, ShapeError
-from .kernels import _is_number
+from .kernels import _FRACTION, _int
 
 TASKS = ("regression", "classification_pm1")
 
@@ -164,8 +164,7 @@ class NgramVocabulary:
     entries: tuple  # ((token, ...), count) pairs
 
     def __post_init__(self):
-        if not (_is_number(self.n, integral=True) and self.n >= 1):
-            raise ConfigError(f"n must be at least 1 and an integer, got {self.n!r}")
+        _int(1).check("n", self.n)
         object.__setattr__(self, "entries", tuple(self.entries))
         if any(len(ngram) != self.n for ngram, _ in self.entries):
             raise ConfigError(f"every vocabulary n-gram must hold n = {self.n} tokens")
@@ -225,9 +224,8 @@ def build_ngram_features(corpus: Sequence[Sequence[str]], n: int = 2, top: int =
     when ``top`` exceeds it. Column i of the returned matrix holds
     per-document occurrence counts of vocabulary entry i.
     """
-    for name, value in (("top", top), ("n", n)):
-        if not (_is_number(value, integral=True) and value >= 1):
-            raise ConfigError(f"{name} must be at least 1 and an integer, got {value!r}")
+    _int(1).check("top", top)
+    _int(1).check("n", n)
     if not corpus:
         raise DataError("corpus is empty")
     # Ids in string order, so rows sort as the token tuples do.
@@ -286,8 +284,9 @@ class FoldPlan:
 
 def make_folds(m: int, k: int, seed: int) -> FoldPlan:
     """Balanced random fold assignment; fold sizes differ by at most one."""
-    if not (_is_number(m, integral=True) and _is_number(k, integral=True) and 2 <= k <= m):
-        raise ConfigError(f"need an integer m and integer k with 2 <= k <= m, got k={k!r}, m={m!r}")
+    _int(2).check("k", k)
+    _int(k).check("m", m)
+    _int(0).check("seed", seed)
     rng = np.random.default_rng(seed)
     perm = rng.permutation(m)
     assignments = np.empty(m, dtype=np.intp)
@@ -297,10 +296,9 @@ def make_folds(m: int, k: int, seed: int) -> FoldPlan:
 
 def split_indices(m: int, fraction: float, seed: int):
     """Deterministic shuffled split of range(m) into (train, test) indices."""
-    if not _is_number(m, integral=True):
-        raise ConfigError(f"m must be an integer, got {m!r}")
-    if not 0.0 < fraction < 1.0:
-        raise ConfigError("fraction must lie strictly between 0 and 1")
+    _int(2).check("m", m)
+    _FRACTION.check("fraction", fraction)
+    _int(0).check("seed", seed)
     n_train = int(round(m * fraction))
     if not 1 <= n_train <= m - 1:
         raise ConfigError(f"fraction {fraction} leaves an empty side for m={m}")

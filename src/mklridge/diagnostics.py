@@ -11,9 +11,9 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import ConfigError, DataError, ShapeError
-from .kernels import (EXPLICIT_MAP_KINDS, KernelFamily, KernelSpec, _as_matrix, _as_vector,
-                      _is_number, as_family, compute_kappa)
-from .solver import MklModel, MuWeights, _validated_radius, krr_solve, quad_forms
+from .kernels import (EXPLICIT_MAP_KINDS, KernelFamily, KernelSpec, _FRACTION, _NONNEGATIVE,
+                      _POSITIVE, _as_matrix, _as_vector, _int, as_family, compute_kappa)
+from .solver import MklModel, MuWeights, krr_solve, quad_forms
 
 
 def kkt_residuals(model: MklModel, family: KernelFamily, y) -> tuple:
@@ -45,7 +45,7 @@ def weight_shift_identity_gap(v, v_prime, radius: float) -> float:
     (||v|| ||v'|| (||v|| + ||v'||))]. Returns max_k |direct - expanded|.
     The radius must be finite and nonnegative.
     """
-    radius = _validated_radius(radius)
+    _NONNEGATIVE.check("radius", radius)
     v = _as_vector(v, "v")
     w = _as_vector(v_prime, "v_prime")
     if v.shape != w.shape:
@@ -136,10 +136,10 @@ def stability_trial(specs: Sequence[KernelSpec], X, y, lambda0: float,
     m = X.shape[0]
     if y.shape[0] != m:
         raise ShapeError("X and y lengths differ")
-    if not (_is_number(swaps, integral=True) and swaps >= 1):
-        raise ConfigError(f"swaps must be an integer of at least 1, got {swaps!r}")
-    if not 0.0 < lambda0 < np.inf:
-        raise ConfigError("lambda0 must be positive and finite")
+    _int(1).check("swaps", swaps)
+    _int(0).check("seed", seed)
+    _int(0).check("extra_eval_points", extra_eval_points)
+    _POSITIVE.check("lambda0", lambda0)
     if len(specs) != weights.p:
         raise ShapeError("number of specs differs from number of weights")
     lam = lambda0 * m
@@ -234,11 +234,10 @@ def bound_values(kappa: float, max_error: float, radius: float, lambda0: float,
     generalization gap 2 beta + (4 m beta + M) sqrt(log(1/delta) / (2m)).
     No tightness is claimed; radius = 0 recovers the fixed-kernel case.
     """
-    if not all(0.0 < v < math.inf for v in (kappa, max_error, lambda0, p, m)):
-        raise ConfigError("kappa, max_error, lambda0, p, and m must be positive and finite")
-    _validated_radius(radius)
-    if not 0.0 < delta < 1.0:
-        raise ConfigError("delta must lie in (0, 1)")
+    for name, value, rule in (("kappa", kappa, _POSITIVE), ("max_error", max_error, _POSITIVE),
+                              ("radius", radius, _NONNEGATIVE), ("lambda0", lambda0, _POSITIVE),
+                              ("p", p, _int(1)), ("m", m, _int(1)), ("delta", delta, _FRACTION)):
+        rule.check(name, value)
     c0 = 2.0 * kappa * max_error + 4.0 * radius * max_error * math.sqrt(kappa) * (kappa / lambda0 + 1.0)
     c1 = 16.0 * radius**2 * max_error * kappa**1.5 / lambda0
     beta = 2.0 * max_error * (c0 + c1 * math.sqrt(p)) / (lambda0 * m)

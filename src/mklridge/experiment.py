@@ -15,7 +15,7 @@ import os
 import tempfile
 from dataclasses import dataclass, field, fields
 from functools import partial
-from typing import Callable, NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -23,7 +23,8 @@ from . import diagnostics, solver
 from .data import (TASKS, Dataset, apply_vocabulary, build_ngram_features,
                    load_delimited, load_text_corpus, make_folds, split_indices)
 from .errors import ConfigError, DataError, NumericalError, ShapeError
-from .kernels import KernelFamily, KernelSpec, _is_number
+from .kernels import (KernelFamily, KernelSpec, _FRACTION, _NONNEGATIVE, _POSITIVE, _Rule,
+                      _int, _is_number)
 from .solver import MuWeights, fit_l1, fit_l2, predict_weighted
 
 METHODS = ("l2mkl", "l1mkl", "uniform", "best_single")
@@ -69,19 +70,6 @@ def metric_misclassification(pred, y) -> float:
 _ROW_METRICS = {"rmse": _rmse, "misclassification": _misclassification}
 
 
-class _Rule(NamedTuple):
-    """What one config value may be: ``text`` says it in errors."""
-
-    text: str
-    test: Callable
-    required: bool = False
-
-
-def _int(low) -> _Rule:
-    return _Rule(f"an integer of at least {low}",
-                 lambda v: _is_number(v, integral=True) and v >= low)
-
-
 def _one_of(choices) -> _Rule:
     return _Rule(f"one of {list(choices)}", lambda v: isinstance(v, str) and v in choices)
 
@@ -100,9 +88,6 @@ def _list_of(item: _Rule, nonempty=False, distinct=False) -> _Rule:
                  and all(map(item.test, v)) and not (distinct and len(set(v)) < len(v)))
 
 
-_POSITIVE = _Rule("a positive finite number", lambda v: _is_number(v) and v > 0)
-_NONNEGATIVE = _Rule("a nonnegative finite number", lambda v: _is_number(v) and v >= 0)
-_FRACTION = _Rule("a number strictly between 0 and 1", lambda v: _is_number(v) and 0 < v < 1)
 _BOOL = _Rule("true or false", lambda v: isinstance(v, bool))
 _TEXT = _Rule("a nonempty string", lambda v: isinstance(v, str) and v != "")
 _OBJECT = _Rule("a JSON object", lambda v: isinstance(v, dict))
@@ -181,8 +166,8 @@ def _check(name: str, section, path: str = ""):
     if missing:
         raise ConfigError(f"missing {name} keys{where}: {missing}")
     for key, rule in rules.items():
-        if key in section and not rule.test(section[key]):
-            raise ConfigError(f"{path}{key} must be {rule.text}, got {section[key]!r}")
+        if key in section:
+            rule.check(path + key, section[key])
     return kind
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -29,6 +29,30 @@ def _is_number(value, integral: bool = False) -> bool:
     kind = numbers.Integral if integral else numbers.Real
     return (isinstance(value, kind) and not isinstance(value, bool)
             and (isinstance(value, numbers.Integral) or math.isfinite(value)))
+
+
+class _Rule(NamedTuple):
+    """What one scalar argument or config value may be: ``text`` says it in errors."""
+
+    text: str
+    test: Callable
+    required: bool = False
+
+    def check(self, name: str, value):
+        """``value`` when it obeys the rule, else a ConfigError naming ``name``."""
+        if not self.test(value):
+            raise ConfigError(f"{name} must be {self.text}, got {value!r}")
+        return value
+
+
+def _int(low) -> _Rule:
+    return _Rule(f"an integer of at least {low}",
+                 lambda v: _is_number(v, integral=True) and v >= low)
+
+
+_POSITIVE = _Rule("a positive finite number", lambda v: _is_number(v) and v > 0)
+_NONNEGATIVE = _Rule("a nonnegative finite number", lambda v: _is_number(v) and v >= 0)
+_FRACTION = _Rule("a number strictly between 0 and 1", lambda v: _is_number(v) and 0 < v < 1)
 
 
 def _as_matrix(X) -> np.ndarray:
@@ -63,23 +87,16 @@ class KernelSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ConfigError(f"unknown kernel kind {self.kind!r}; expected one of {KINDS}")
-        if self.kind == "gaussian" and not (_is_number(self.bandwidth) and self.bandwidth > 0):
-            raise ConfigError("gaussian bandwidth must be a positive finite number, "
-                              f"got {self.bandwidth!r}")
+        if self.kind == "gaussian":
+            _POSITIVE.check("gaussian bandwidth", self.bandwidth)
         if self.kind == "polynomial":
-            if not (_is_number(self.degree, integral=True) and self.degree >= 1):
-                raise ConfigError("polynomial degree must be an integer of at least 1, "
-                                  f"got {self.degree!r}")
+            _int(1).check("polynomial degree", self.degree)
             if self.offset is None:
                 object.__setattr__(self, "offset", 1.0)
             # A negative offset would break positive semidefiniteness.
-            if not (_is_number(self.offset) and self.offset >= 0):
-                raise ConfigError("polynomial offset must be a nonnegative finite number, "
-                                  f"got {self.offset!r}")
-        index = self.feature_index
-        if self.kind == "rank1_feature" and not (_is_number(index, integral=True) and index >= 0):
-            raise ConfigError("rank1_feature feature_index must be an integer of at least 0, "
-                              f"got {index!r}")
+            _NONNEGATIVE.check("polynomial offset", self.offset)
+        if self.kind == "rank1_feature":
+            _int(0).check("rank1_feature feature_index", self.feature_index)
 
     @classmethod
     def gaussian(cls, bandwidth: float) -> "KernelSpec":
@@ -413,6 +430,5 @@ def combine(family: KernelFamily, mu) -> np.ndarray:
 def compute_kappa(family: KernelFamily, mu_norm_bound: float) -> float:
     """Bound on the combined kernel's diagonal: kappa0 * (||mu0|| + radius)."""
     fam = as_family(family)
-    if not 0.0 <= mu_norm_bound < np.inf:
-        raise ConfigError("mu_norm_bound must be finite and nonnegative")
+    _NONNEGATIVE.check("mu_norm_bound", mu_norm_bound)
     return fam.kappa0 * float(mu_norm_bound)

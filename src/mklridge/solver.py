@@ -30,7 +30,8 @@ import scipy.linalg.lapack
 
 from . import kernels
 from .errors import ConfigError, DataError, NumericalError, ShapeError
-from .kernels import _as_matrix, _as_vector, _explicit_features, _is_number, as_family
+from .kernels import (_NONNEGATIVE, _POSITIVE, _as_matrix, _as_vector, _explicit_features, _int,
+                      as_family)
 
 log = logging.getLogger(__name__)
 
@@ -172,8 +173,7 @@ def krr_solve(K, y, lam: float) -> np.ndarray:
         raise ShapeError(f"K is {A.shape[0]}x{A.shape[0]} but y has length {y.shape[0]}")
     if not np.isfinite(A).all():
         raise DataError("kernel matrix has non-finite entries")
-    if not 0.0 < lam < np.inf:
-        raise ConfigError("ridge amount lam must be positive and finite")
+    _POSITIVE.check("lam", lam)
     B = A + lam * np.eye(A.shape[0])
     return _solve_pd(B, y)
 
@@ -260,7 +260,7 @@ class MuWeights:
     def __post_init__(self):
         mu = _as_vector(self.mu, "mu")
         mu0 = _validated_mu0(self.mu0, mu.shape[0])
-        _validated_radius(self.radius)
+        _NONNEGATIVE.check("radius", self.radius)
         if not np.all(np.isfinite(mu) & (mu >= -1e-12)):
             raise ConfigError("mu must be finite and nonnegative")
         if np.linalg.norm(mu - mu0) > self.radius + 1e-9 * max(1.0, self.radius):
@@ -289,12 +289,6 @@ def _validated_mu0(mu0, p: int) -> np.ndarray:
     if abs(float(mu0.min()) - 1.0) > 1e-9:
         raise ConfigError("mu0 must be normalized so its minimum component is 1")
     return mu0
-
-
-def _validated_radius(radius) -> float:
-    if not 0.0 <= radius < np.inf:
-        raise ConfigError("radius must be finite and nonnegative")
-    return float(radius)
 
 
 def _weight_step(v: np.ndarray, mu0: np.ndarray, radius: float) -> np.ndarray:
@@ -345,12 +339,10 @@ def _fit_setup(family, y, lambda0: float, max_iters, radius: Optional[float] = N
     y = _as_vector(y, "y")
     if y.shape[0] != fam.m:
         raise ShapeError(f"y has length {y.shape[0]}, sample size is {fam.m}")
-    if not 0.0 < lambda0 < np.inf:
-        raise ConfigError("lambda0 must be positive and finite")
-    if not (_is_number(max_iters, integral=True) and max_iters >= 1):
-        raise ConfigError(f"max_iters must be an integer of at least 1, got {max_iters!r}")
+    _POSITIVE.check("lambda0", lambda0)
+    _int(1).check("max_iters", max_iters)
     if radius is not None:
-        _validated_radius(radius)
+        _NONNEGATIVE.check("radius", radius)
     return fam, y, lambda0 * fam.m
 
 
@@ -470,8 +462,7 @@ def fit_l2(family, y, lambda0: float, radius: float, mu0=None,
     mu0 = _validated_mu0(mu0, fam.p)
     if epsilon is None:
         epsilon = 1e-8 * (1.0 + float(np.linalg.norm(y)))
-    if not 0.0 < epsilon < np.inf:
-        raise ConfigError("epsilon must be positive and finite")
+    _POSITIVE.check("epsilon", epsilon)
 
     alpha = None
     if start is not None:
@@ -661,8 +652,7 @@ def oracle_fit(family, y, lambda0: float, radius: float, mu0=None,
     fam, y, lam = _fit_setup(family, y, lambda0, max_iters, radius)
     if fam.m > 200 or fam.p > 50:
         raise ConfigError("oracle_fit is restricted to m <= 200 and p <= 50")
-    if not 0.0 < tol < np.inf:
-        raise ConfigError("tol must be positive and finite")
+    _POSITIVE.check("tol", tol)
     mu0 = _validated_mu0(mu0, fam.p)
     value_grad = functools.partial(_ridge_value_grad, fam, y, lam)
 
@@ -901,10 +891,8 @@ def fit_l1(family, y, lambda0: float, budget: float,
     raised.
     """
     fam, y, lam = _fit_setup(family, y, lambda0, max_iters)
-    if not 0.0 < budget < np.inf:
-        raise ConfigError("budget must be positive and finite")
-    if not 0.0 < tol < np.inf:
-        raise ConfigError("tol must be positive and finite")
+    _POSITIVE.check("budget", budget)
+    _POSITIVE.check("tol", tol)
     value_grad = functools.partial(_ridge_value_grad, fam, y, lam)
 
     def project(x):
@@ -922,7 +910,7 @@ def fit_l1(family, y, lambda0: float, budget: float,
         if fam.features is not None:
             start = _l1_path_stops(fam.features, y, [(lam, budget)])[0]
     if not (isinstance(start, (tuple, list)) and len(start) == 2
-            and kernels._is_number(start[1], integral=True) and start[1] >= 0):
+            and _int(0).test(start[1])):
         raise ConfigError("start must be a (mu, knots) pair with an integer knots >= 0")
     x0, knots = start
     if x0 is None:

@@ -121,7 +121,7 @@ def test_vocabulary_determinism():
 def test_vocabulary_rejects_ngrams_of_another_length():
     with pytest.raises(ConfigError, match="n = 2 tokens"):
         mk.NgramVocabulary(n=2, entries=((("a", "b"), 1), (("a", "b", "c"), 1)))
-    with pytest.raises(ConfigError, match="n must be .* an integer"):
+    with pytest.raises(ConfigError, match="n must be an integer of at least 1"):
         mk.NgramVocabulary(n=2.5, entries=())
 
 
@@ -193,12 +193,12 @@ def test_ngram_ids_do_not_overflow():
     _assert_matches_counter_reference(train, test, n=8, top=50)
 
 
-@pytest.mark.parametrize("n, top, message", [(0, 5, "n must be at least 1"),
-                                              (-1, 5, "n must be at least 1"),
-                                              (2, 0, "top must be at least 1"),
-                                              (2.5, 5, "n must be .* an integer"),
-                                              (2, 2.5, "top must be .* an integer"),
-                                              (2, "3", "top must be .* an integer")])
+@pytest.mark.parametrize("n, top, message", [(0, 5, "n must be an integer of at least 1"),
+                                              (-1, 5, "n must be an integer of at least 1"),
+                                              (2, 0, "top must be an integer of at least 1"),
+                                              (2.5, 5, "n must be an integer of at least 1"),
+                                              (2, 2.5, "top must be an integer of at least 1"),
+                                              (2, "3", "top must be an integer of at least 1")])
 def test_ngram_rejects_bad_n_and_top(n, top, message):
     # Checked before any work, so ahead of the empty-corpus check too.
     for corpus in ([["a", "b", "c"]], []):
@@ -271,14 +271,21 @@ def test_folds_validation():
 @pytest.mark.parametrize("k", [2.5, 3.0, "3", True])
 def test_folds_reject_non_integer_k(k):
     # numpy would take 2.5 as a fold count and deal out three folds.
-    with pytest.raises(ConfigError, match="integer k"):
+    with pytest.raises(ConfigError, match="k must be an integer of at least 2"):
         mk.make_folds(5, k, seed=0)
 
 
 def test_folds_reject_non_integer_m():
     # numpy's permutation would raise an AxisError on a float sample size.
-    with pytest.raises(ConfigError, match="integer m"):
+    with pytest.raises(ConfigError, match="m must be an integer of at least 2"):
         mk.make_folds(5.5, 2, seed=0)
+
+
+@pytest.mark.parametrize("seed", [2.5, -1])
+def test_folds_reject_bad_seed(seed):
+    # numpy would raise a raw TypeError on 2.5 and a ValueError on -1.
+    with pytest.raises(ConfigError, match="seed must be an integer of at least 0"):
+        mk.make_folds(5, 2, seed)
 
 
 def test_split_even():
@@ -305,6 +312,12 @@ def test_split_fraction_validation():
 def test_split_rejects_non_integer_m():
     with pytest.raises(ConfigError, match="m must be an integer"):
         split_indices(7.5, 0.5, seed=0)
+
+
+@pytest.mark.parametrize("seed", [2.5, -1])
+def test_split_rejects_bad_seed(seed):
+    with pytest.raises(ConfigError, match="seed must be an integer of at least 0"):
+        split_indices(7, 0.5, seed)
 
 
 # --- text corpus -----------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import ast
 import importlib.util
 import json
 import math
@@ -1276,3 +1277,24 @@ def test_every_public_name_resolves():
     namespace = {}
     exec("from mklridge import *", namespace)
     assert set(mk.__all__) <= namespace.keys()
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # CI runs no linter, and names move between modules: an import left
+    # behind by a move is caught here. __init__.py imports to re-export.
+    unused = []
+    for path in sorted(Path(mk.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(
+                    node, "module", None) != "__future__":
+                for alias in node.names:
+                    # "import scipy.linalg.blas" binds the name scipy.
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
+                   if name not in used]
+    assert unused == []

@@ -692,3 +692,68 @@ def test_gram_matrix_symmetry_tolerance(size):
 def test_gram_matrix_rejects_negative_diagonal():
     with pytest.raises(NumericalError, match="negative diagonal"):
         mk.KernelFamily.from_grams([np.array([[-1.0, 0.0], [0.0, 1.0]])])
+
+
+# --- scalar arguments ------------------------------------------------------
+# Scalar arguments are checked by the rules of the config sections
+# (kernels._Rule), so a bad value is a ConfigError naming the argument.
+
+_X = np.arange(12.0).reshape(6, 2) / 6.0
+_Y = np.array([1.0, -1.0, 0.5, 0.0, 2.0, -0.5])
+_FAM = mk.KernelFamily(_X)
+_STABILITY = dict(specs=[KernelSpec.linear()], X=_X, y=_Y, lambda0=0.5,
+                  weights=mk.MuWeights(np.ones(1), np.ones(1), 0.0), swaps=2, seed=1,
+                  draw_point=lambda r: (r.standard_normal(2), 0.0), extra_eval_points=3)
+_BOUNDS = dict(kappa=1.0, max_error=1.0, radius=1.0, lambda0=1.0, p=2, m=10, delta=0.5)
+
+# (argument name as errors give it, valid value, call taking the value)
+SCALAR_ARGUMENTS = [
+    ("bandwidth", 0.7, KernelSpec.gaussian),
+    ("degree", 2, lambda v: KernelSpec.polynomial(v, 1.0)),
+    ("offset", 1.0, lambda v: KernelSpec.polynomial(2, v)),
+    ("feature_index", 0, KernelSpec.rank1),
+    ("mu_norm_bound", 1.0, lambda v: mk.compute_kappa(_FAM, v)),
+    ("lam", 0.1, lambda v: mk.krr_solve(np.eye(6), _Y, v)),
+    ("radius", 1.0, lambda v: mk.MuWeights(np.ones(2), np.ones(2), v)),
+    ("lambda0", 0.1, lambda v: mk.fit_l2(_FAM, _Y, v, 1.0)),
+    ("radius", 1.0, lambda v: mk.fit_l2(_FAM, _Y, 0.1, v)),
+    ("max_iters", 50, lambda v: mk.fit_l2(_FAM, _Y, 0.1, 1.0, max_iters=v)),
+    ("epsilon", 1e-8, lambda v: mk.fit_l2(_FAM, _Y, 0.1, 1.0, epsilon=v)),
+    ("tol", 1e-6, lambda v: mk.oracle_fit(_FAM, _Y, 0.1, 1.0, tol=v)),
+    ("budget", 1.0, lambda v: mk.fit_l1(_FAM, _Y, 0.1, v)),
+    ("tol", 1e-6, lambda v: mk.fit_l1(_FAM, _Y, 0.1, 1.0, tol=v)),
+    ("start", 0, lambda v: mk.fit_l1(_FAM, _Y, 0.1, 1.0, start=(None, v))),
+    ("radius", 1.0, lambda v: mk.weight_shift_identity_gap([1.0, 2.0], [2.0, 1.0], v)),
+    ("swaps", 2, lambda v: mk.stability_trial(**{**_STABILITY, "swaps": v})),
+    ("lambda0", 0.5, lambda v: mk.stability_trial(**{**_STABILITY, "lambda0": v})),
+    ("seed", 1, lambda v: mk.stability_trial(**{**_STABILITY, "seed": v})),
+    ("extra_eval_points", 3,
+     lambda v: mk.stability_trial(**{**_STABILITY, "extra_eval_points": v})),
+    *[(key, value, lambda v, key=key: mk.bound_values(**{**_BOUNDS, key: v}))
+      for key, value in _BOUNDS.items()],
+    ("n", 2, lambda v: mk.NgramVocabulary(n=v, entries=())),
+    ("n", 2, lambda v: mk.build_ngram_features([["a", "b", "c"]], n=v, top=2)),
+    ("top", 2, lambda v: mk.build_ngram_features([["a", "b", "c"]], n=2, top=v)),
+    ("m", 7, lambda v: mk.data.split_indices(v, 0.5, 0)),
+    ("fraction", 0.5, lambda v: mk.data.split_indices(7, v, 0)),
+    ("seed", 0, lambda v: mk.data.split_indices(7, 0.5, v)),
+    ("k", 2, lambda v: mk.make_folds(5, v, 0)),
+    ("m", 5, lambda v: mk.make_folds(v, 2, 0)),
+    ("seed", 0, lambda v: mk.make_folds(5, 2, v)),
+]
+SCALAR_IDS = [f"{i}-{name}" for i, (name, _, _) in enumerate(SCALAR_ARGUMENTS)]
+
+
+@pytest.mark.parametrize("bad", ["1", True, np.nan])
+@pytest.mark.parametrize("name, good, call", SCALAR_ARGUMENTS, ids=SCALAR_IDS)
+def test_scalar_argument_rejects_string_bool_and_nan(name, good, call, bad):
+    with pytest.raises(ConfigError, match=rf"\b{name} must be "):
+        call(bad)
+
+
+@pytest.mark.parametrize("name, good, call", SCALAR_ARGUMENTS, ids=SCALAR_IDS)
+def test_scalar_argument_takes_numpy_scalars_but_not_arrays(name, good, call):
+    call(good)
+    call(np.asarray(good)[()])  # np.float64 or np.int64
+    with pytest.raises(ConfigError, match=rf"\b{name} must be "):
+        call(np.asarray(good))

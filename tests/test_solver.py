@@ -167,8 +167,8 @@ def test_update_degenerate_direction():
 @pytest.mark.parametrize("radius", [-1.0, np.nan, np.inf])
 def test_update_rejects_bad_radius(radius):
     # The check every weight update's radius passes before _weight_step.
-    with pytest.raises(ConfigError, match="radius"):
-        solver._validated_radius(radius)
+    with pytest.raises(ConfigError, match="radius must be a nonnegative finite number"):
+        mk.MuWeights(np.ones(2), np.ones(2), radius)
 
 
 @settings(max_examples=40)
