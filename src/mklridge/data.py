@@ -10,8 +10,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DataError, ShapeError
-from .kernels import _FRACTION, _int
+from .errors import ConfigError, DataError
+from .kernels import (_BOOL, _CHAR, _FRACTION, _INTEGER, _LABEL_MAP, _as_matrix, _as_vector, _int,
+                      _one_of)
 
 TASKS = ("regression", "classification_pm1")
 
@@ -25,14 +26,8 @@ class Dataset:
     task: str = "regression"
 
     def __post_init__(self):
-        X = np.asarray(self.X, dtype=np.float64)
-        y = np.asarray(self.y, dtype=np.float64)
-        if X.ndim != 2:
-            raise ShapeError(f"X must be 2-d, got shape {X.shape}")
-        if y.ndim != 1 or y.shape[0] != X.shape[0]:
-            raise ShapeError("y must be 1-d with one entry per row of X")
-        if not (np.isfinite(X).all() and np.isfinite(y).all()):
-            raise DataError("dataset contains non-finite values")
+        X = _as_matrix(self.X, "X")
+        y = _as_vector(self.y, "y", X.shape[0], DataError)
         if self.task not in TASKS:
             raise ConfigError(f"unknown task {self.task!r}; expected one of {TASKS}")
         if self.task == "classification_pm1" and not np.all(np.isin(y, (-1.0, 1.0))):
@@ -61,8 +56,14 @@ def load_delimited(path, label_column: int = -1, delimiter: str = ",",
     from the end). With ``label_map``, raw label tokens are translated
     through the mapping; unmapped tokens are rejected. With ``header``,
     the first nonblank row is skipped. Parse problems are reported with
-    their line and column.
+    their line and column. The settings obey the config's rules for a
+    delimited dataset.
     """
+    _INTEGER.check("label_column", label_column)
+    _CHAR.check("delimiter", delimiter)
+    _one_of(TASKS).check("task", task)
+    _LABEL_MAP.check("label_map", label_map)
+    _BOOL.check("header", header)
     rows = []
     try:
         fh = open(path, newline="", encoding="utf-8-sig")

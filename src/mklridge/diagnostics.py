@@ -10,7 +10,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DataError, ShapeError
+from .errors import ConfigError, DataError
 from .kernels import (EXPLICIT_MAP_KINDS, KernelFamily, KernelSpec, _FRACTION, _NONNEGATIVE,
                       _POSITIVE, _as_matrix, _as_vector, _int, as_family, compute_kappa)
 from .solver import MklModel, MuWeights, krr_solve, quad_forms
@@ -25,7 +25,7 @@ def kkt_residuals(model: MklModel, family: KernelFamily, y) -> tuple:
     near zero at a true solution.
     """
     fam = as_family(family)
-    y = _as_vector(y, "y")
+    y = _as_vector(y, "y", fam.m, DataError)
     alpha = model.alpha
     K = fam.combined_entries(model.weights.mu)
     r_alpha = float(np.linalg.norm(K @ alpha + model.lam * alpha - y))
@@ -46,10 +46,8 @@ def weight_shift_identity_gap(v, v_prime, radius: float) -> float:
     The radius must be finite and nonnegative.
     """
     _NONNEGATIVE.check("radius", radius)
-    v = _as_vector(v, "v")
-    w = _as_vector(v_prime, "v_prime")
-    if v.shape != w.shape:
-        raise ShapeError("v and v_prime lengths differ")
+    v = _as_vector(v, "v", finite=ConfigError)
+    w = _as_vector(v_prime, "v_prime", v.shape[0], ConfigError)
     if np.any(v < 0) or np.any(w < 0):
         raise ConfigError("quadratic-form vectors must be nonnegative")
     n1 = float(np.linalg.norm(v))
@@ -131,17 +129,14 @@ def stability_trial(specs: Sequence[KernelSpec], X, y, lambda0: float,
     2 kappa M / (lambda_min + lambda0 m), with kappa evaluated over every
     point the trial touches and M the empirical error bound.
     """
-    X = _as_matrix(X)
-    y = _as_vector(y, "y")
+    X = _as_matrix(X, "X")
     m = X.shape[0]
-    if y.shape[0] != m:
-        raise ShapeError("X and y lengths differ")
+    y = _as_vector(y, "y", m, DataError)
     _int(1).check("swaps", swaps)
     _int(0).check("seed", seed)
     _int(0).check("extra_eval_points", extra_eval_points)
     _POSITIVE.check("lambda0", lambda0)
-    if len(specs) != weights.p:
-        raise ShapeError("number of specs differs from number of weights")
+    _as_vector(weights.mu, "mu", len(specs))
     lam = lambda0 * m
 
     rng = np.random.default_rng(seed)
@@ -153,9 +148,9 @@ def stability_trial(specs: Sequence[KernelSpec], X, y, lambda0: float,
                 x_new, y_new = draw_point(rng)
             except StopIteration as exc:
                 raise DataError("point generator exhausted") from exc
-            xs.append(np.asarray(x_new, dtype=np.float64))
-            ys.append(float(y_new))
-        return xs, ys
+            xs.append(_as_vector(x_new, "drawn point", X.shape[1], DataError))
+            ys.append(y_new)
+        return xs, _as_vector(ys, "drawn targets", count, DataError)
 
     swap_xs, swap_ys = draw(swaps)
     extra_xs, extra_ys = draw(extra_eval_points)
@@ -164,7 +159,7 @@ def stability_trial(specs: Sequence[KernelSpec], X, y, lambda0: float,
     # evaluation points. Everything below is sliced out of its combined
     # Gram matrix, and kappa covers every point of it.
     E = np.vstack([X] + [x[None, :] for x in swap_xs] + [x[None, :] for x in extra_xs])
-    y_E = np.concatenate([y, np.asarray(swap_ys), np.asarray(extra_ys)])
+    y_E = np.concatenate([y, swap_ys, extra_ys])
     fam = KernelFamily.from_specs(specs, E)
     G = fam.combined_entries(weights.mu)
     kappa = compute_kappa(fam, float(np.linalg.norm(weights.mu0)) + weights.radius)

@@ -14,7 +14,6 @@ import json
 import os
 import tempfile
 from dataclasses import dataclass, field, fields
-from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -22,9 +21,9 @@ import numpy as np
 from . import diagnostics, solver
 from .data import (TASKS, Dataset, apply_vocabulary, build_ngram_features,
                    load_delimited, load_text_corpus, make_folds, split_indices)
-from .errors import ConfigError, DataError, NumericalError, ShapeError
-from .kernels import (KernelFamily, KernelSpec, _FRACTION, _NONNEGATIVE, _POSITIVE, _Rule,
-                      _int, _is_number)
+from .errors import ConfigError, DataError, NumericalError
+from .kernels import (KernelFamily, KernelSpec, _BOOL, _CHAR, _FRACTION, _INTEGER, _LABEL_MAP,
+                      _NONNEGATIVE, _POSITIVE, _Rule, _as_vector, _int, _is_number, _one_of)
 from .solver import MuWeights, fit_l1, fit_l2, predict_weighted
 
 METHODS = ("l2mkl", "l1mkl", "uniform", "best_single")
@@ -36,10 +35,8 @@ DEFAULT_BUDGET_GRID = (0.01, 0.1, 1.0, 10.0, 100.0)
 
 
 def _score_inputs(pred, y):
-    pred = np.asarray(pred, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if pred.shape != y.shape:
-        raise ShapeError("prediction and target lengths differ")
+    pred = _as_vector(pred, "prediction", finite=DataError)
+    y = _as_vector(y, "target", pred.shape[0], DataError)
     if pred.size == 0:
         raise ConfigError("cannot score an empty prediction vector")
     return pred, y
@@ -70,10 +67,6 @@ def metric_misclassification(pred, y) -> float:
 _ROW_METRICS = {"rmse": _rmse, "misclassification": _misclassification}
 
 
-def _one_of(choices) -> _Rule:
-    return _Rule(f"one of {list(choices)}", lambda v: isinstance(v, str) and v in choices)
-
-
 def _optional(rule: _Rule) -> _Rule:
     return _Rule(f"{rule.text} or null", lambda v: v is None or rule.test(v))
 
@@ -88,12 +81,8 @@ def _list_of(item: _Rule, nonempty=False, distinct=False) -> _Rule:
                  and all(map(item.test, v)) and not (distinct and len(set(v)) < len(v)))
 
 
-_BOOL = _Rule("true or false", lambda v: isinstance(v, bool))
 _TEXT = _Rule("a nonempty string", lambda v: isinstance(v, str) and v != "")
 _OBJECT = _Rule("a JSON object", lambda v: isinstance(v, dict))
-_CHAR = _Rule("a one-character string", lambda v: isinstance(v, str) and len(v) == 1)
-_LABEL_MAP = _Rule("null or a JSON object of finite numbers", lambda v: v is None or (
-    isinstance(v, dict) and all(map(_is_number, v.values()))))
 
 # Every key each config section reads, with the rule for its value. A
 # section with a selector is (selector key, its default, rules per value).
@@ -109,7 +98,7 @@ _RULES = {
     },
     "dataset": ("kind", None, {
         "delimited": {"path": _required(_TEXT),
-                      "label_column": _Rule("an integer", partial(_is_number, integral=True)),
+                      "label_column": _INTEGER,
                       "delimiter": _CHAR, "task": _one_of(TASKS), "label_map": _LABEL_MAP,
                       "header": _BOOL, "split_fraction": _FRACTION},
         "text": {"path": _required(_TEXT), "task": _one_of(TASKS), "split_fraction": _FRACTION},

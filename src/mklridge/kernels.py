@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -50,22 +51,61 @@ def _int(low) -> _Rule:
                  lambda v: _is_number(v, integral=True) and v >= low)
 
 
+def _one_of(choices) -> _Rule:
+    return _Rule(f"one of {list(choices)}", lambda v: isinstance(v, str) and v in choices)
+
+
 _POSITIVE = _Rule("a positive finite number", lambda v: _is_number(v) and v > 0)
 _NONNEGATIVE = _Rule("a nonnegative finite number", lambda v: _is_number(v) and v >= 0)
 _FRACTION = _Rule("a number strictly between 0 and 1", lambda v: _is_number(v) and 0 < v < 1)
+_INTEGER = _Rule("an integer", partial(_is_number, integral=True))
+_BOOL = _Rule("true or false", lambda v: isinstance(v, bool))
+_CHAR = _Rule("a one-character string", lambda v: isinstance(v, str) and len(v) == 1)
+_LABEL_MAP = _Rule("null or a JSON object of finite numbers", lambda v: v is None or (
+    isinstance(v, dict) and all(map(_is_number, v.values()))))
+
+_FLOAT64 = np.dtype(np.float64)
 
 
-def _as_matrix(X) -> np.ndarray:
-    X = np.asarray(X, dtype=np.float64)
+def _as_float64(x, name: str) -> np.ndarray:
+    try:
+        return np.asarray(x, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{name} must be an array of numbers: {exc}") from exc
+
+
+def _as_matrix(X, name: str = "data matrix", cols=None) -> np.ndarray:
+    """``X`` as a finite 2-d float64 array, with ``cols`` columns when given.
+
+    A wrong shape is a ShapeError and a NaN or infinite entry a DataError,
+    each naming ``name``; a value numpy cannot convert is a ConfigError.
+    """
+    X = _as_float64(X, name)
     if X.ndim != 2:
-        raise ShapeError(f"expected a 2-d data matrix, got shape {X.shape}")
+        raise ShapeError(f"{name} must be 2-d, got shape {X.shape}")
+    if cols is not None and X.shape[1] != cols:
+        raise ShapeError(f"{name} has {X.shape[1]} columns, expected {cols}")
+    if not np.isfinite(X).all():
+        raise DataError(f"{name} contains non-finite values")
     return X
 
 
-def _as_vector(x, name="vector") -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
+def _as_vector(x, name: str = "vector", length=None, finite=None) -> np.ndarray:
+    """``x`` as a 1-d float64 array, uncopied when it already is one.
+
+    A length other than ``length`` (when given) is a ShapeError naming
+    ``name``. ``finite``, an error class, is raised on a NaN or infinite
+    entry: DataError for data, ConfigError for settings. Without it no
+    entry is read, so a hot path pays for the shape checks only.
+    """
+    if type(x) is not np.ndarray or x.dtype is not _FLOAT64:
+        x = _as_float64(x, name)
     if x.ndim != 1:
         raise ShapeError(f"{name} must be 1-d, got shape {x.shape}")
+    if length is not None and x.shape[0] != length:
+        raise ShapeError(f"{name} has length {x.shape[0]}, expected {length}")
+    if finite is not None and not np.isfinite(x).all():
+        raise finite(f"{name} contains non-finite values")
     return x
 
 
@@ -185,8 +225,6 @@ def build_gram(spec: KernelSpec, X) -> np.ndarray:
     the result is exactly symmetric (Gaussian diagonals are exactly 1).
     """
     X = _as_matrix(X)
-    if not np.isfinite(X).all():
-        raise DataError("data matrix contains non-finite values")
     _check_index(spec, X.shape[1])
     return _checked_gram(_block(spec, X, X))
 
@@ -197,12 +235,8 @@ def cross_gram(spec: KernelSpec, A, B) -> np.ndarray:
     Entry (i, j) equals ``cross_gram(spec, A[i:i+1], B[j:j+1])[0, 0]``
     bit for bit, whatever the block shape.
     """
-    A = _as_matrix(A)
-    B = _as_matrix(B)
-    if A.shape[1] != B.shape[1]:
-        raise ShapeError(f"point dimensions differ: {A.shape[1]} vs {B.shape[1]}")
-    if not (np.isfinite(A).all() and np.isfinite(B).all()):
-        raise DataError("data matrix contains non-finite values")
+    A = _as_matrix(A, "A")
+    B = _as_matrix(B, "B", cols=A.shape[1])
     _check_index(spec, A.shape[1])
     return _block(spec, A, B)
 
@@ -268,11 +302,9 @@ class KernelFamily:
     """
 
     def __init__(self, features, specs=None):
-        f = np.asarray(features, dtype=np.float64)
-        if f.ndim != 2 or f.size == 0:
-            raise ShapeError(f"features must be a nonempty 2-d matrix, got {f.shape}")
-        if not np.isfinite(f).all():
-            raise DataError("feature columns contain non-finite values")
+        f = _as_matrix(features, "features")
+        if f.size == 0:
+            raise ShapeError(f"features must be nonempty, got shape {f.shape}")
         self._adopt(specs, f.copy(), None)
 
     def _adopt(self, specs, features, stack):
@@ -324,8 +356,6 @@ class KernelFamily:
         at m = 400 the build peaks at 1.4x the stack.
         """
         X = _as_matrix(X)
-        if not np.isfinite(X).all():
-            raise DataError("data matrix contains non-finite values")
         if X.shape[0] == 0:
             raise ShapeError("a kernel family needs a nonempty sample")
         specs = tuple(specs)
@@ -393,9 +423,7 @@ class KernelFamily:
         """Sum_k mu_k K_k as a new array: one matrix product over the
         feature columns, or one contraction of the stack whose entries
         equal the kernel-by-kernel sum in index order bit for bit."""
-        mu = _as_vector(mu, "mu")
-        if mu.shape[0] != self.p:
-            raise ShapeError(f"mu has length {mu.shape[0]}, family has {self.p} kernels")
+        mu = _as_vector(mu, "mu", self.p)
         if self.features is not None:
             return (self.features * mu) @ self.features.T
         if self.m > 1:

@@ -162,17 +162,19 @@ def _ridge_value_grad(fam, y: np.ndarray, lam: float, mu: np.ndarray):
 def krr_solve(K, y, lam: float) -> np.ndarray:
     """Dual ridge solution alpha = (K + lam I)^(-1) y.
 
-    K must be finite and PSD and lam finite and > 0, so K + lam I is
-    positive definite and a Cholesky solve applies.
+    K must be finite, symmetric and PSD and lam finite and > 0, so K +
+    lam I is positive definite and a Cholesky solve applies. The Cholesky
+    factor reads only K's lower triangle, so K is rejected unless
+    max|K - K'| <= 1e-12 max(1, max|K|): a bound on the whole matrix, as
+    the rank-one K(mu) of ``combine`` is symmetric only to roundoff
+    relative to its largest entry, not to each entry.
     """
-    A = np.asarray(K, dtype=np.float64)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ShapeError(f"kernel matrix must be square, got shape {A.shape}")
-    y = _as_vector(y, "y")
-    if A.shape[0] != y.shape[0]:
-        raise ShapeError(f"K is {A.shape[0]}x{A.shape[0]} but y has length {y.shape[0]}")
-    if not np.isfinite(A).all():
-        raise DataError("kernel matrix has non-finite entries")
+    A = _as_matrix(K, "K")
+    if A.shape[0] != A.shape[1]:
+        raise ShapeError(f"K must be square, got shape {A.shape}")
+    y = _as_vector(y, "y", A.shape[0], DataError)
+    if np.abs(A - A.T).max(initial=0.0) > 1e-12 * max(1.0, np.abs(A).max(initial=0.0)):
+        raise NumericalError("K is not symmetric within tolerance")
     _POSITIVE.check("lam", lam)
     B = A + lam * np.eye(A.shape[0])
     return _solve_pd(B, y)
@@ -213,10 +215,7 @@ def quad_forms(alpha, family) -> np.ndarray:
     treated as a PSD violation.
     """
     fam = as_family(family)
-    alpha = _as_vector(alpha, "alpha")
-    if alpha.shape[0] != fam.m:
-        raise ShapeError(f"alpha has length {alpha.shape[0]}, sample size is {fam.m}")
-    return _projections(alpha, fam)[1]
+    return _projections(_as_vector(alpha, "alpha", fam.m), fam)[1]
 
 
 def _projections(alpha: np.ndarray, fam) -> tuple:
@@ -281,11 +280,9 @@ def _validated_mu0(mu0, p: int) -> np.ndarray:
     # None is the all-ones anchor, already normalized to minimum one.
     if mu0 is None:
         return np.ones(p)
-    mu0 = _as_vector(mu0, "mu0")
-    if mu0.shape[0] != p:
-        raise ShapeError(f"mu0 has length {mu0.shape[0]}, expected {p}")
-    if not np.all((mu0 > 0) & np.isfinite(mu0)):
-        raise ConfigError("mu0 must be finite and strictly positive")
+    mu0 = _as_vector(mu0, "mu0", p, ConfigError)
+    if not np.all(mu0 > 0):
+        raise ConfigError("mu0 must be strictly positive")
     if abs(float(mu0.min()) - 1.0) > 1e-9:
         raise ConfigError("mu0 must be normalized so its minimum component is 1")
     return mu0
@@ -303,30 +300,23 @@ def _weight_step(v: np.ndarray, mu0: np.ndarray, radius: float) -> np.ndarray:
 
 def objective(alpha, y, lam: float, quad, mu0, radius: float) -> float:
     """Reduced dual objective -lam a'a + 2 a'y - mu0'v - radius ||v||."""
+    _POSITIVE.check("lam", lam)
+    _NONNEGATIVE.check("radius", radius)
     alpha = _as_vector(alpha, "alpha")
-    y = _as_vector(y, "y")
-    v = _as_vector(quad, "quad")
     mu0 = _as_vector(mu0, "mu0")
-    if alpha.shape != y.shape:
-        raise ShapeError("alpha and y lengths differ")
-    if v.shape != mu0.shape:
-        raise ShapeError("quad and mu0 lengths differ")
+    return _objective(alpha, _as_vector(y, "y", alpha.shape[0]), lam,
+                      _as_vector(quad, "quad", mu0.shape[0]), mu0, radius)
+
+
+def _objective(alpha, y, lam: float, v, mu0, radius: float) -> float:
+    # ``objective`` for checked arguments; a non-finite alpha gives a
+    # non-finite value, which fit_l2's line search never accepts.
     return float(
         -lam * (alpha @ alpha)
         + 2.0 * (alpha @ y)
         - mu0 @ v
         - radius * np.linalg.norm(v)
     )
-
-
-def _validated_start(start, n: int, what: str) -> np.ndarray:
-    # A solver's start vector: n finite entries, one per sample or kernel.
-    start = _as_vector(start, "start")
-    if start.shape[0] != n:
-        raise ShapeError(f"start has length {start.shape[0]}, the family has {n} {what}")
-    if not np.isfinite(start).all():
-        raise ConfigError("start must be finite")
-    return start
 
 
 def _fit_setup(family, y, lambda0: float, max_iters, radius: Optional[float] = None):
@@ -336,9 +326,7 @@ def _fit_setup(family, y, lambda0: float, max_iters, radius: Optional[float] = N
     the L2 fits also pass their ball radius.
     """
     fam = as_family(family)
-    y = _as_vector(y, "y")
-    if y.shape[0] != fam.m:
-        raise ShapeError(f"y has length {y.shape[0]}, sample size is {fam.m}")
+    y = _as_vector(y, "y", fam.m, DataError)
     _POSITIVE.check("lambda0", lambda0)
     _int(1).check("max_iters", max_iters)
     if radius is not None:
@@ -466,7 +454,7 @@ def fit_l2(family, y, lambda0: float, radius: float, mu0=None,
 
     alpha = None
     if start is not None:
-        start = _validated_start(start, fam.m, "samples")
+        start = _as_vector(start, "start", fam.m, ConfigError)
         if radius > 0.0:
             # v >= 0, the domain of the closed form. A start that pins
             # mu at mu0 gives way to the anchor solve.
@@ -484,7 +472,7 @@ def fit_l2(family, y, lambda0: float, radius: float, mu0=None,
     # At radius 0, or with v = 0, mu(alpha) = mu0 and the anchor solve is the fixed point.
     if not np.array_equal(mu, mu0):
         converged = False
-        value = objective(alpha, y, lam, v, mu0, radius)
+        value = _objective(alpha, y, lam, v, mu0, radius)
         for iterations in range(1, max_iters + 1):
             mu, d = _newton_step(fam, alpha, P, v, y, lam, mu0, radius)
             step = float(np.linalg.norm(d))
@@ -499,7 +487,7 @@ def fit_l2(family, y, lambda0: float, radius: float, mu0=None,
             for _ in range(60):
                 cand = alpha + d
                 cand_P, cand_v = _projections(cand, fam)
-                cand_value = objective(cand, y, lam, cand_v, mu0, radius)
+                cand_value = _objective(cand, y, lam, cand_v, mu0, radius)
                 if cand_value >= floor:
                     break
                 d = 0.5 * d
@@ -523,7 +511,7 @@ def fit_l2(family, y, lambda0: float, radius: float, mu0=None,
         final_step=step,
         certificate_gap=float(radius * np.linalg.norm(v) - v @ (mu - mu0)),
     )
-    return model, SolveReport(objective(alpha, y, lam, v, mu0, radius))
+    return model, SolveReport(_objective(alpha, y, lam, v, mu0, radius))
 
 
 # ---------------------------------------------------------------------------
@@ -539,7 +527,7 @@ def project_ball_cone(x, mu0, radius: float) -> np.ndarray:
     already in the set is returned unchanged, bit for bit.
     """
     x = _as_vector(x, "x")
-    mu0 = _as_vector(mu0, "mu0")
+    mu0 = _as_vector(mu0, "mu0", x.shape[0])
     z = np.maximum(x, mu0)
     d = z - mu0
     nd = float(np.linalg.norm(d))
@@ -916,7 +904,7 @@ def fit_l1(family, y, lambda0: float, budget: float,
     if x0 is None:
         x0 = np.full(fam.p, budget / fam.p)
     else:
-        x0 = _validated_start(x0, fam.p, "kernels")
+        x0 = _as_vector(x0, "start", fam.p, ConfigError)
     mu, val, alpha, converged, iters, gap = _pgd_minimize(
         value_grad, project, lmo, x0, tol, max_iters
     )
@@ -935,22 +923,11 @@ def predict_weighted(specs, mu, alpha, X_train, X):
     """
     if specs is None:
         raise ConfigError("prediction requires evaluable kernel specs")
-    X_train = _as_matrix(X_train)
-    mu = _as_vector(mu, "mu")
-    alpha = _as_vector(alpha, "alpha")
-    single = np.asarray(X, dtype=np.float64).ndim == 1
-    Xq = np.asarray(X, dtype=np.float64)
-    if single:
-        Xq = Xq[None, :]
-    Xq = _as_matrix(Xq)
-    if Xq.shape[1] != X_train.shape[1]:
-        raise ShapeError(
-            f"query dimension {Xq.shape[1]} differs from training dimension {X_train.shape[1]}"
-        )
-    if len(specs) != mu.shape[0]:
-        raise ShapeError("number of specs differs from number of weights")
-    if alpha.shape[0] != X_train.shape[0]:
-        raise ShapeError("alpha length differs from number of training rows")
+    X_train = _as_matrix(X_train, "X_train")
+    mu = _as_vector(mu, "mu", len(specs), ConfigError)
+    alpha = _as_vector(alpha, "alpha", X_train.shape[0], DataError)
+    single = np.ndim(X) == 1
+    Xq = _as_matrix([X] if single else X, "X", cols=X_train.shape[1])
 
     f_train = _explicit_features(specs, X_train)
     if f_train is not None:

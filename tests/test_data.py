@@ -86,6 +86,21 @@ def test_classification_requires_pm1(tmp_path):
         mk.load_delimited(path, task="classification_pm1")
 
 
+@pytest.mark.parametrize("setting, value", [
+    ("label_column", 1.5), ("label_column", True), ("label_column", "1"),
+    ("delimiter", "ab"), ("delimiter", 1), ("header", "yes"), ("label_map", {"a": "x"}),
+    ("task", "ranking"),
+])
+def test_load_checks_settings_by_the_config_rules(tmp_path, setting, value):
+    # The config's delimited-dataset rules: numpy and the csv module would
+    # index by True, fail on 1.5 with a message about the cells, and raise
+    # raw errors on the rest.
+    path = tmp_path / "two.csv"
+    path.write_text("1,2,a\n3,4,b\n")
+    with pytest.raises(ConfigError, match=f"^{setting} must be "):
+        mk.load_delimited(path, **{setting: value})
+
+
 # --- n-gram features ------------------------------------------------------------
 
 def test_bigram_hand_count():

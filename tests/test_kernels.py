@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from unittest import mock
 
@@ -757,3 +758,101 @@ def test_scalar_argument_takes_numpy_scalars_but_not_arrays(name, good, call):
     call(np.asarray(good)[()])  # np.float64 or np.int64
     with pytest.raises(ConfigError, match=rf"\b{name} must be "):
         call(np.asarray(good))
+
+
+# --- array arguments -------------------------------------------------------
+# Array arguments are checked by kernels._as_vector and kernels._as_matrix:
+# a wrong length or shape is a ShapeError naming the argument, a NaN in data
+# a DataError and in a setting a ConfigError, and a value numpy cannot
+# convert a ConfigError.
+
+_GFAM = mk.KernelFamily.from_specs([KernelSpec.gaussian(1.0), KernelSpec.linear()], _X)
+_RANK1_SPECS = [KernelSpec.rank1(0), KernelSpec.rank1(1)]
+_K = mk.combine(_GFAM, np.ones(2))
+_MODEL, _ = mk.fit_l2(_FAM, _Y, 0.1, 1.0)
+
+
+def _stability_draw(x, target):
+    return lambda v: mk.stability_trial(**{**_STABILITY, "draw_point": lambda r: (x(v), target(v))})
+
+
+# (argument name as errors give it, call taking the value, valid value,
+# a value of the wrong length or shape, error class for a NaN entry or None
+# where entries are not read)
+ARRAY_ARGUMENTS = [
+    ("data matrix", lambda v: mk.build_gram(KernelSpec.linear(), v), _X, _X[0], DataError),
+    ("A", lambda v: mk.cross_gram(KernelSpec.linear(), v, _X), _X, _X[0], DataError),
+    ("B", lambda v: mk.cross_gram(KernelSpec.linear(), _X, v), _X, _X[:, :1], DataError),
+    ("features", mk.KernelFamily, _X, _X[0], DataError),
+    ("data matrix", lambda v: mk.KernelFamily.from_specs([KernelSpec.linear()], v), _X, _X[0],
+     DataError),
+    ("mu", _FAM.combined_entries, np.ones(2), np.ones(3), None),
+    ("mu", _GFAM.combined_entries, np.ones(2), np.ones(3), None),
+    ("K", lambda v: mk.krr_solve(v, _Y, 1.0), _K, _K[:, :-1], DataError),
+    ("y", lambda v: mk.krr_solve(_K, v, 1.0), _Y, _Y[:-1], DataError),
+    ("alpha", lambda v: mk.quad_forms(v, _FAM), _Y, _Y[:-1], None),
+    ("y", lambda v: mk.objective(_Y, v, 1.0, np.ones(2), np.ones(2), 1.0), _Y, _Y[:-1], None),
+    ("quad", lambda v: mk.objective(_Y, _Y, 1.0, v, np.ones(2), 1.0), np.ones(2), np.ones(3),
+     None),
+    *[("y", lambda v, fit=fit, fam=fam: fit(fam, v, 0.1, 1.0), _Y, _Y[:-1], DataError)
+      for fit in (mk.fit_l2, mk.fit_l1, mk.oracle_fit) for fam in (_FAM, _GFAM)],
+    ("mu0", lambda v: mk.fit_l2(_FAM, _Y, 0.1, 1.0, mu0=v), np.ones(2), np.ones(3), ConfigError),
+    ("start", lambda v: mk.fit_l2(_GFAM, _Y, 0.1, 1.0, start=v), _Y, _Y[:-1], ConfigError),
+    ("start", lambda v: mk.fit_l1(_GFAM, _Y, 0.1, 1.0, start=(v, 0)), np.ones(2), np.ones(3),
+     ConfigError),
+    ("X_train", lambda v: mk.predict_weighted(_RANK1_SPECS, np.ones(2), _Y, v, _X), _X, _X[0],
+     DataError),
+    ("mu", lambda v: mk.predict_weighted(_RANK1_SPECS, v, _Y, _X, _X), np.ones(2), np.ones(3),
+     ConfigError),
+    ("alpha", lambda v: mk.predict_weighted(_RANK1_SPECS, np.ones(2), v, _X, _X), _Y, _Y[:-1],
+     DataError),
+    ("X", lambda v: mk.predict_weighted(_RANK1_SPECS, np.ones(2), _Y, _X, v), _X[:3],
+     _X[:3, :1], DataError),
+    ("X", lambda v: mk.predict_weighted(_RANK1_SPECS, np.ones(2), _Y, _X, v), _X[0], _X[0, :1],
+     DataError),
+    ("y", lambda v: mk.kkt_residuals(_MODEL, _FAM, v), _Y, _Y[:-1], DataError),
+    ("v", lambda v: mk.weight_shift_identity_gap(v, [1.0, 1.0], 1.0), np.ones(2),
+     np.ones((2, 1)), ConfigError),
+    ("v_prime", lambda v: mk.weight_shift_identity_gap([1.0, 1.0], v, 1.0), np.ones(2),
+     np.ones(3), ConfigError),
+    ("X", lambda v: mk.stability_trial(**{**_STABILITY, "X": v}), _X, _X[0], DataError),
+    ("y", lambda v: mk.stability_trial(**{**_STABILITY, "y": v}), _Y, _Y[:-1], DataError),
+    ("drawn point", _stability_draw(lambda v: v, lambda v: 0.0), np.zeros(2), np.zeros(3),
+     DataError),
+    ("drawn targets", _stability_draw(lambda v: np.zeros(2), lambda v: v), np.float64(0.0),
+     np.zeros(2), DataError),
+    ("X", lambda v: mk.Dataset(X=v, y=_Y), _X, _X[0], DataError),
+    ("y", lambda v: mk.Dataset(X=_X, y=v), _Y, _Y[:-1], DataError),
+    ("prediction", lambda v: mk.metric_rmse(v, _Y), _Y, _X, DataError),
+    ("target", lambda v: mk.metric_rmse(_Y, v), _Y, _Y[:-1], DataError),
+]
+ARRAY_IDS = [f"{i}-{name}" for i, (name, *_) in enumerate(ARRAY_ARGUMENTS)]
+
+
+def _names(name):
+    return rf"^{re.escape(name)} "
+
+
+@pytest.mark.parametrize("name, call, good, wrong, finite", ARRAY_ARGUMENTS, ids=ARRAY_IDS)
+def test_array_argument_of_wrong_shape_is_a_shape_error(name, call, good, wrong, finite):
+    call(good)
+    with pytest.raises(ShapeError, match=_names(name)):
+        call(wrong)
+
+
+@pytest.mark.parametrize("name, call, good, wrong, finite",
+                         [a for a in ARRAY_ARGUMENTS if a[-1] is not None],
+                         ids=[i for i, a in zip(ARRAY_IDS, ARRAY_ARGUMENTS) if a[-1] is not None])
+def test_array_argument_with_a_nan_is_a_data_or_config_error(name, call, good, wrong, finite):
+    bad = np.array(good, dtype=np.float64)
+    bad.flat[-1] = np.nan
+    with pytest.raises(finite, match=_names(name)) as err:
+        call(bad)
+    # A NaN setting is a ConfigError, never the ShapeError beneath it.
+    assert type(err.value) is finite
+
+
+@pytest.mark.parametrize("name, call, good, wrong, finite", ARRAY_ARGUMENTS, ids=ARRAY_IDS)
+def test_array_argument_numpy_cannot_convert_is_a_config_error(name, call, good, wrong, finite):
+    with pytest.raises(ConfigError, match=rf"{_names(name)}must be an array of numbers"):
+        call(np.full(np.shape(good), "a", dtype=object))

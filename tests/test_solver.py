@@ -4,6 +4,7 @@ from unittest import mock
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.linalg.lapack
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -61,6 +62,32 @@ def test_krr_indefinite_matrix_reports_eigenvalue():
 def test_krr_nan_matrix_raises():
     with pytest.raises(DataError, match="non-finite"):
         mk.krr_solve(np.array([[1.0, 0.0], [0.0, np.nan]]), [1.0, 1.0], 1.0)
+
+
+def test_krr_rejects_an_asymmetric_kernel_and_takes_rank_one_products():
+    # The Cholesky factor reads K's lower triangle only, so this K was
+    # solved as [[2, 0], [0, 2]] plus refinement against the full matrix.
+    with pytest.raises(NumericalError, match="not symmetric"):
+        mk.krr_solve(np.array([[2.0, 1.0], [0.0, 2.0]]), [1.0, 1.0], 1.0)
+    # Random rank-one K(mu) with widely scaled columns are symmetric only to
+    # roundoff relative to max|K|; the entrywise Gram bound rejects some of
+    # them, the bound on the whole matrix none.
+    rng = np.random.default_rng(1)
+    entrywise = 0
+    for _ in range(2000):
+        m, p = int(rng.integers(2, 61)), int(rng.integers(1, 301))
+        F = rng.standard_normal((m, p)) * 10.0 ** rng.uniform(-3.0, 3.0, p)
+        mu = rng.uniform(0.0, 10.0, p) * (rng.uniform(size=p) >= 0.3)
+        K = mk.KernelFamily(F).combined_entries(mu)
+        try:
+            mk.KernelFamily.from_grams([K])
+        except NumericalError:
+            entrywise += 1
+        try:
+            mk.krr_solve(K, rng.standard_normal(m), 1.0)
+        except NumericalError as exc:
+            assert "not symmetric" not in str(exc)
+    assert entrywise > 0
 
 
 @settings(max_examples=30)
@@ -217,6 +244,17 @@ def test_objective_hand_value():
     # Scalar case: -lam a^2 + 2 a y - mu0 v with v = a^2 K11.
     val = mk.objective([0.5], [1.0], 1.0, [0.25], [1.0], 0.0)
     assert val == pytest.approx(0.5, abs=1e-15)
+
+
+@pytest.mark.parametrize("lam, radius, match", [
+    ("1", 1.0, "lam must be a positive finite number"),
+    (0.0, 1.0, "lam must be"), (np.nan, 1.0, "lam must be"),
+    (1.0, -5.0, "radius must be a nonnegative finite number"),
+    (1.0, True, "radius must be"), (1.0, np.nan, "radius must be"),
+])
+def test_objective_checks_its_scalars(lam, radius, match):
+    with pytest.raises(ConfigError, match=match):
+        mk.objective(np.ones(3), np.ones(3), lam, np.ones(2), np.ones(2), radius)
 
 
 @settings(max_examples=25)
@@ -601,7 +639,7 @@ def test_fit_damped_newton_matches_oracle():
     rng = np.random.default_rng(1)
     fam = mk.KernelFamily(rng.standard_normal((30, 12)))
     y = rng.standard_normal(30)
-    with mock.patch.object(solver, "objective", wraps=solver.objective) as spy:
+    with mock.patch.object(solver, "_objective", wraps=solver._objective) as spy:
         model, report = mk.fit_l2(fam, y, 1e-4, 1e3)
     assert model.converged
     assert spy.call_count > model.iterations + 1
@@ -1036,6 +1074,106 @@ def test_chol_delete_reads_only_the_lower_triangle(i):
     npt.assert_array_equal(out, _reference_chol_delete(L, i))
     rest = np.delete(np.arange(7), i)
     npt.assert_allclose(out @ out.T, B[np.ix_(rest, rest)], rtol=1e-12, atol=1e-12)
+
+
+def test_chol_append_and_delete_report_a_block_that_loses_definiteness():
+    L = np.array([[2.0, 0.0], [1.0, 1.0]], order="F")  # factor of [[4, 2], [2, 2]]
+    grown = solver._chol_append(L, np.array([2.0, 1.0]), 5.0)
+    npt.assert_allclose(grown @ grown.T, [[4.0, 2.0, 2.0], [2.0, 2.0, 1.0], [2.0, 1.0, 5.0]],
+                        rtol=1e-15)
+    # The new row is (1, 0), so a corner entry of 1 leaves the pivot 0 (a
+    # singular block) and one of 0.5 a negative pivot (an indefinite one).
+    assert solver._chol_append(L, np.array([2.0, 1.0]), 1.0) is None
+    assert solver._chol_append(L, np.array([2.0, 1.0]), 0.5) is None
+    # A factor of the singular PSD B = [[1, 1, 0], [1, 1, 0], [0, 0, 0]]:
+    # deleting row and column 0 leaves [[1, 0], [0, 0]], which dpotrf
+    # cannot factor; deleting the last keeps [[1, 1], [1, 1]]'s factor.
+    L = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]], order="F")
+    assert solver._chol_delete(L, 0) is None
+    npt.assert_array_equal(solver._chol_delete(L, 2), [[1.0, 0.0], [1.0, 0.0]])
+
+
+def _one_failure(fn, calls):
+    # fn with its call number ``calls`` (from 1) answered by None instead.
+    count = [0]
+
+    def wrapped(*args, **kwargs):
+        count[0] += 1
+        return None if count[0] == calls else fn(*args, **kwargs)
+    return wrapped
+
+
+@_NO_PATH_WARNINGS
+@pytest.mark.parametrize("seed", [0, 1, 3])
+def test_l1_path_refactors_after_one_lost_update(seed):
+    # One join whose update reports a lost factor: the next knot factors
+    # its block from scratch, and the walk continues with updates.
+    F, y = _rank1_case(8, True, 2, seed)
+    classes = [(lambda0 * 8, budget) for lambda0, budget in [(1e-3, 100.0), (0.01, 1.0)]]
+    stops = solver._l1_path_stops(F, y, classes)
+    assert max(knots for _, knots in stops) > 3
+    append = solver._chol_append
+    with mock.patch.object(solver, "_chol_append", _one_failure(append, 2)):
+        refactored = solver._l1_path_stops(F, y, classes)
+    _assert_same_stops(refactored, stops)
+
+
+@_NO_PATH_WARNINGS
+def test_l1_path_gives_way_when_the_refactor_fails():
+    # A lost update followed by a failed from-scratch factorization ends the
+    # walk: every class still walking gets no stop, with the knots walked,
+    # and fit_l1 then certifies from the uniform start.
+    F, y = _rank1_case(8, True, 2, 0)
+    lam, budget = 1e-3 * 8, 100.0
+    (_, knots), = solver._l1_path_stops(F, y, [(lam, budget)])
+    dpotrf = scipy.linalg.lapack.dpotrf
+
+    def failing_second(B, **kwargs):
+        failing_second.calls += 1
+        return (B, 1) if failing_second.calls == 2 else dpotrf(B, **kwargs)
+    failing_second.calls = 0
+    with mock.patch.object(solver, "_chol_append", _one_failure(solver._chol_append, 1)), \
+            mock.patch.object(scipy.linalg.lapack, "dpotrf", failing_second):
+        assert solver._l1_path_stops(F, y, [(lam, budget)]) == [(None, 2)]
+    assert knots > 2
+    fit = mk.fit_l1(mk.KernelFamily(F), y, 1e-3, budget, start=(None, 2))
+    assert fit.converged and fit.iterations > 2
+
+
+@_NO_PATH_WARNINGS
+def test_l1_path_cap_falls_back_to_the_uniform_start(monkeypatch):
+    # This class stops after 12 knots on a path over 10 distinct columns;
+    # a cap of one knot per column ends the walk first.
+    F, y = _rank1_case(6, True, 2, 0)
+    fam = mk.KernelFamily(F)
+    lambda0, budget = 1e-3, 100.0
+    assert solver._distinct_columns(F).size == 10
+    assert solver._l1_path_stops(F, y, [(lambda0 * 6, budget)])[0][1] == 12
+    own = mk.fit_l1(fam, y, lambda0, budget)
+    monkeypatch.setattr(solver, "L1_PATH_MAX_KNOTS", 1)
+    assert solver._l1_path_stops(F, y, [(lambda0 * 6, budget)]) == [(None, 10)]
+    capped = mk.fit_l1(fam, y, lambda0, budget, max_iters=20000)
+    assert capped.converged and capped.iterations > 10
+    assert capped.objective_value == pytest.approx(own.objective_value, rel=1e-7)
+
+
+@pytest.mark.parametrize("stuck", ["fixed_point", "no_descent"])
+def test_pgd_stops_where_no_step_makes_progress(stuck):
+    # A projection that maps every point to the start, or a value that rises
+    # off the start whatever the step: the run stops after one iteration,
+    # unconverged, and reports the start with its Frank-Wolfe gap.
+    x0 = np.zeros(2)
+
+    def value_grad(x):
+        return (0.0 if np.array_equal(x, x0) else 1.0), np.array([1.0, 0.0]), "extra"
+
+    def project(x):
+        return x0.copy() if stuck == "fixed_point" else x
+
+    x, val, extra, converged, iters, gap = solver._pgd_minimize(
+        value_grad, project, lambda g: np.array([-1.0, 0.0]), x0, 1e-9, 100)
+    npt.assert_array_equal(x, x0)
+    assert (val, extra, converged, iters, gap) == (0.0, "extra", False, 1, 1.0)
 
 
 @_NO_PATH_WARNINGS
