@@ -183,7 +183,11 @@ def _block(spec: KernelSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     out = np.einsum("ik,jk->ij", A, B)
     if spec.kind == "polynomial":
         out += spec.offset
-        out **= spec.degree
+        if spec.degree > 1:
+            # Repeated multiplication: ``**`` would call libm pow per entry.
+            base = out.copy()
+            for _ in range(spec.degree - 1):
+                out *= base
     return out
 
 
@@ -288,8 +292,11 @@ class KernelFamily:
       fast path: ridge systems are solved in |supp mu| dimensions when that
       is below m, with the same residual guarantee as the dense solve.
       Those systems are built from F'F, which the family computes on their
-      first solve and keeps read-only beside ``features`` (p^2 doubles). A
-      ``subset`` or ``select_kernels`` child computes its own.
+      first solve and keeps read-only beside ``features`` (p^2 doubles).
+      When p < m it likewise keeps, from the first ``fit_l2`` Newton loop,
+      a QR twin: the reduced QR F = QR and the rank-one family of R's
+      columns (m x p + p x p doubles). A ``subset`` or ``select_kernels``
+      child computes its own of each.
       ``KernelFamily(features, specs)`` builds one.
     - ``stack``, a C-contiguous p x m x m array whose slice ``stack[k]``
       is the Gram matrix K_k, for every other family. K(mu), the quadratic
@@ -323,6 +330,7 @@ class KernelFamily:
         self.features = features
         self.stack = stack
         self._ff = None
+        self._twin = None
 
     def _feature_gram(self) -> np.ndarray:
         # F'F of a rank-one family, computed on the first call and read-only.
@@ -330,6 +338,19 @@ class KernelFamily:
             self._ff = self.features.T @ self.features
             self._ff.flags.writeable = False
         return self._ff
+
+    def _qr_twin(self):
+        # (Q, twin) of a rank-one family with p < m, else None: F = QR with
+        # orthonormal columns in Q, and twin the p-row family of R's columns,
+        # so K_k = Q T_k Q' with T_k the twin's kernel k. Computed on the
+        # first call and read-only.
+        if self.features is None or self._p >= self._m:
+            return None
+        if self._twin is None:
+            Q, R = np.linalg.qr(self.features)
+            Q.flags.writeable = False
+            self._twin = (Q, KernelFamily._of(None, features=R))
+        return self._twin
 
     @classmethod
     def _of(cls, specs, features=None, stack=None) -> "KernelFamily":

@@ -100,22 +100,21 @@ def _ridge_solve(fam, w: np.ndarray, r: np.ndarray, lam: float, q=None,
                  shrink: float = 0.0) -> np.ndarray:
     """Solve (K(w) + lam I - shrink (F q)(F q)') x = r for weights w >= 0.
 
-    The rank-one term needs a rank-one family, K(w) = F diag(w) F'; the
-    caller keeps M = diag(w) - shrink q q' positive definite on the
-    support S of w, where q must lie. This is the one route rule: a
-    rank-one family with s = |S| < m is solved in s dimensions by the
-    Woodbury identity, x = (r - F_S C z) / lam with z = H^(-1) C'F_S'r and
-    H = C' G_SS C + lam I_s, where G = F'F is the family's cached Gram of
-    its feature columns and C = diag(sqrt(w_S)), or the Cholesky factor of
-    M_SS when q is given. So a solve costs two m x s products with F_S
-    (F itself when S is every kernel) and O(s^3) work. Every other case
-    forms the m x m matrix from ``combined_entries(w)`` for ``_solve_pd``.
-    Both routes check the residual against the m x m system, with
-    ``_solve_pd``'s refinement and tolerance.
+    The rank-one term needs a rank-one family, K(w) = F diag(w) F', and
+    the caller keeps the matrix positive definite. This is the one route
+    rule: without that term, a rank-one family with s = |supp w| < m is
+    solved in s dimensions by the Woodbury identity, x = (r - F_S C z) /
+    lam with z = H^(-1) C'F_S'r, C = diag(sqrt(w_S)) and H = C G_SS C +
+    lam I_s, where G = F'F is the family's cached Gram of its feature
+    columns. So a solve costs two m x s products with F_S (F itself when
+    S is every kernel) and O(s^3) work. Every other case forms the m x m
+    matrix from ``combined_entries(w)`` for ``_solve_pd``. Both routes
+    check the residual against the m x m system, with ``_solve_pd``'s
+    refinement and tolerance.
     """
     support = w > 0
     s = int(np.count_nonzero(support))
-    if fam.features is None or s >= fam.m:
+    if fam.features is None or s >= fam.m or q is not None:
         B = fam.combined_entries(w)
         B[np.diag_indices(fam.m)] += lam
         if q is not None:
@@ -124,17 +123,9 @@ def _ridge_solve(fam, w: np.ndarray, r: np.ndarray, lam: float, q=None,
     F, G = fam.features, fam._feature_gram()
     if s < fam.p:
         F, G, w = F[:, support], G[np.ix_(support, support)], w[support]
-        q = None if q is None else q[support]
-    if q is None:
-        # C is diagonal: it is applied as the vector of its diagonal.
-        C = np.sqrt(w)
-        H = G * np.outer(C, C)
-        apply = np.multiply
-    else:
-        M = np.diag(w) - shrink * np.outer(q, q)
-        C = np.tril(_cholesky(M, lambda: float(np.linalg.eigvalsh(M)[0])))
-        H = C.T @ G @ C
-        apply = np.matmul
+    # C is diagonal: it is applied as the vector of its diagonal.
+    C = np.sqrt(w)
+    H = G * np.outer(C, C)
     H[np.diag_indices(s)] += lam
 
     def smallest():
@@ -147,10 +138,10 @@ def _ridge_solve(fam, w: np.ndarray, r: np.ndarray, lam: float, q=None,
         # dpotrs rejects an empty system; at s = 0 the matrix is lam I.
         if not s:
             return b / lam
-        z = scipy.linalg.lapack.dpotrs(L, apply(C.T, F.T @ b), lower=1)[0]
-        return (b - F @ apply(C, z)) / lam
+        z = scipy.linalg.lapack.dpotrs(L, C * (F.T @ b), lower=1)[0]
+        return (b - F @ (C * z)) / lam
 
-    return _refined(solve, lambda x: lam * x + F @ apply(C, apply(C.T, F.T @ x)), r, smallest)
+    return _refined(solve, lambda x: lam * x + F @ (C * (C * (F.T @ x))), r, smallest)
 
 
 def _ridge_value_grad(fam, y: np.ndarray, lam: float, mu: np.ndarray):
@@ -375,7 +366,7 @@ def _newton_step(fam, alpha, P, v, y, lam: float, mu0, radius: float):
     in the buffer of ``combined_entries(mu)``. A rank-one family has
     Z = F diag(P), so H = lam I + F M F' with M = diag(mu + c v) -
     (c/||v||^2) q q', q = P v; M >= diag(mu) is positive definite, and
-    ``_ridge_solve`` solves it. The step is solved from R rather than as
+    ``_ridge_solve`` forms H and solves it. The step is solved from R rather than as
     H^(-1) y - alpha, the same point (H alpha - R = y): the solve's
     residual check is then relative to R, while at a large c and a small
     lam the solve for H^(-1) y can fail its check.
@@ -409,8 +400,10 @@ def fit_l2(family, y, lambda0: float, radius: float, mu0=None,
     from any start, and near the optimum full steps are taken; a start
     near the optimum, such as the fit at the same radius and the previous
     lambda0 of a CV grid, only saves steps. On a rank-one family with
-    fewer kernels than samples, every ridge and Newton system is solved in
-    p dimensions from the family's cached F'F (see ``_ridge_solve``).
+    fewer kernels than samples, F = QR: v depends on alpha only through
+    Q'alpha, so the loop runs on the family's p-row QR twin with Q'y and
+    Q'alpha, and a start's part outside range(F) is dropped; the anchor
+    and final ridge solves take the p-dimensional ``_ridge_solve`` route.
     The fit stops at the first step with ||d|| < ``epsilon``: a step that
     short lies where Newton converges quadratically, so it is taken
     whole, and the weights are the closed form at the iterate it reaches,
@@ -472,13 +465,20 @@ def fit_l2(family, y, lambda0: float, radius: float, mu0=None,
     # At radius 0, or with v = 0, mu(alpha) = mu0 and the anchor solve is the fixed point.
     if not np.array_equal(mu, mu0):
         converged = False
-        value = _objective(alpha, y, lam, v, mu0, radius)
+        # With F = QR, v and the fixed point's range(F) part depend on alpha
+        # only through Q'alpha, so Newton runs on the p-row twin; the rest,
+        # (I - QQ')y / lam, moves no weight and the final solve gives it.
+        Q, loop = fam._qr_twin() or (None, fam)
+        b, alpha = (y, alpha) if Q is None else (Q.T @ y, Q.T @ alpha)
+        value = _objective(alpha, b, lam, v, mu0, radius)
         for iterations in range(1, max_iters + 1):
-            mu, d = _newton_step(fam, alpha, P, v, y, lam, mu0, radius)
+            mu, d = _newton_step(loop, alpha, P, v, b, lam, mu0, radius)
             step = float(np.linalg.norm(d))
             if step < epsilon:
                 alpha = alpha + d
-                mu = _weight_step(quad_forms(alpha, fam), mu0, radius)
+                # The closed form of the full family's v, as without the twin.
+                full = alpha if Q is None else Q @ alpha
+                mu = _weight_step(quad_forms(full, fam), mu0, radius)
                 converged = True
                 break
             # Backtrack on J; the allowance absorbs roundoff in J near the
@@ -486,8 +486,8 @@ def fit_l2(family, y, lambda0: float, radius: float, mu0=None,
             floor = value - 1e-12 * max(1.0, abs(value))
             for _ in range(60):
                 cand = alpha + d
-                cand_P, cand_v = _projections(cand, fam)
-                cand_value = _objective(cand, y, lam, cand_v, mu0, radius)
+                cand_P, cand_v = _projections(cand, loop)
+                cand_value = _objective(cand, b, lam, cand_v, mu0, radius)
                 if cand_value >= floor:
                     break
                 d = 0.5 * d

@@ -250,17 +250,12 @@ def reference_l1_path_stops(F: np.ndarray, y: np.ndarray, classes):
 # system from the family's cached F'F, kept as the reference the tests
 # compare it against: it forms Fd = F_S C and Fd'Fd at O(m s^2) per solve.
 
-def reference_woodbury_solve(fam, w, r, lam, q=None, shrink=0.0):
-    """(K(w) + lam I - shrink (F q)(F q)') x = r for a rank-one family with
-    s = |supp w| < m, through Fd = F_S sqrt(w_S) or F_S chol(M_SS)."""
+def reference_woodbury_solve(fam, w, r, lam):
+    """(K(w) + lam I) x = r for a rank-one family with s = |supp w| < m,
+    through Fd = F_S sqrt(w_S)."""
     support = w > 0
     s = int(np.count_nonzero(support))
-    F = fam.features[:, support]
-    if q is None:
-        Fd = F * np.sqrt(w[support])
-    else:
-        q = q[support]
-        Fd = F @ np.linalg.cholesky(np.diag(w[support]) - shrink * np.outer(q, q))
+    Fd = fam.features[:, support] * np.sqrt(w[support])
     H = Fd.T @ Fd
     H[np.diag_indices(s)] += lam
 

@@ -216,7 +216,7 @@ def _reference_scale(spec, x, z):
     offset_data=st.booleans(),
     duplicates=st.integers(0, 5),
     scale=st.floats(0.3, 3.0),
-    degree=st.integers(1, 3),
+    degree=st.integers(1, 5),
     seed=st.integers(0, 10_000),
 )
 def test_block_evaluator_matches_scalar_reference(kind, m, n, d, offset_data, duplicates,

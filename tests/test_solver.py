@@ -286,9 +286,10 @@ def test_feature_route_matches_dense_reference(m, p, seed, support, t):
     # without the Newton system's rank-one term, on families with zero and
     # duplicate columns. With q on the support S of mu and shrink = t /
     # (q_S' diag(mu_S)^(-1) q_S), t < 1, the matrix M = diag(mu) - shrink
-    # q q' is positive definite on S. The Woodbury route, built from the
-    # family's F'F, also agrees with the route it replaced, which formed
-    # F_S C (helpers.reference_woodbury_solve).
+    # q q' is positive definite on S; the rank-one term always takes the
+    # formed route. The Woodbury route, built from the family's F'F, also
+    # agrees with the route it replaced, which formed F_S C
+    # (helpers.reference_woodbury_solve).
     rng = np.random.default_rng(seed)
     F = rng.standard_normal((m, p))
     F[:, rng.random(p) < 0.2] = 0.0
@@ -311,56 +312,73 @@ def test_feature_route_matches_dense_reference(m, p, seed, support, t):
         shrink = t / scale if scale > 0.0 else 0.0
         B -= shrink * np.outer(F @ q, F @ q)
     reference = solver._solve_pd(B, y)
-    # The dense solver runs exactly when s >= m.
+    # The dense solver runs exactly when s >= m or q is given.
     solve_pd = mock.Mock(wraps=solver._solve_pd)
     with mock.patch.object(solver, "_solve_pd", solve_pd):
         alpha = solver._ridge_solve(fam, mu, y, lam, q, shrink)
-    assert solve_pd.call_count == (s >= m)
+    assert solve_pd.call_count == (s >= m or q is not None)
     assert np.linalg.norm(alpha - reference) <= 1e-10 * np.linalg.norm(reference)
     assert np.linalg.norm(B @ alpha - y) <= 1e-8 * np.linalg.norm(y)
-    if s < m:
-        replaced = reference_woodbury_solve(fam, mu, y, lam, q, shrink)
+    if s < m and q is None:
+        replaced = reference_woodbury_solve(fam, mu, y, lam)
         assert np.linalg.norm(alpha - replaced) <= 1e-10 * np.linalg.norm(replaced)
         assert np.linalg.norm(B @ replaced - y) <= 1e-8 * np.linalg.norm(y)
 
 
 def test_feature_gram_is_cached_per_family_and_read_only():
     # The Woodbury route builds F'F once per rank-one family, on its first
-    # solve, and keeps it read-only; a subset or select_kernels child
-    # builds its own, and a Gram family never builds one.
+    # solve, and fit_l2's Newton loop builds the QR twin (Q, the family of
+    # R's columns) on its first run when p < m; both stay read-only. A
+    # subset or select_kernels child builds its own, a Gram family never
+    # builds either, and a rank-one family with p >= m no twin.
     rng = np.random.default_rng(3)
     F = rng.standard_normal((12, 4))
     y = rng.standard_normal(12)
     fam = mk.KernelFamily(F)
-    assert fam._ff is None
+    assert fam._ff is None and fam._twin is None
     solver._ridge_solve(fam, np.ones(4), y, 1.0)
     G = fam._ff
     npt.assert_array_equal(G, F.T @ F)
     assert not G.flags.writeable
     with pytest.raises(ValueError):
         G[0, 0] = 0.0
+    mk.fit_l2(fam, y, 0.1, 0.0)
+    assert fam._twin is None
     mk.fit_l2(fam, y, 0.1, 10.0)
+    twin = fam._twin
+    Q, T = twin
+    assert Q.shape == (12, 4) and T.features.shape == (4, 4)
+    npt.assert_allclose(Q.T @ Q, np.eye(4), atol=1e-14)
+    npt.assert_allclose(Q @ T.features, F, atol=1e-14)
+    for array in (Q, T.features):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0, 0] = 0.0
+    mk.fit_l2(fam, y, 0.01, 1.0)
     mk.fit_l1(fam, y, 0.1, 1.0)
-    assert fam._ff is G
+    assert fam._ff is G and fam._twin is twin
     for child in (fam.subset(np.arange(2, 12)), fam.select_kernels([1, 3])):
-        assert child._ff is None
+        assert child._ff is None and child._twin is None
         mk.fit_l2(child, y[:child.m], 0.1, 10.0)
         npt.assert_array_equal(child._ff, child.features.T @ child.features)
-    assert fam._ff is G
+        Q, T = child._twin
+        npt.assert_allclose(Q @ T.features, child.features, atol=1e-14)
+    assert fam._ff is G and fam._twin is twin
     gram = mk.KernelFamily.from_grams(kernel_stack(fam))
-    mk.fit_l2(gram, y, 0.1, 10.0)
+    wide = mk.KernelFamily(rng.standard_normal((4, 6)))
+    for other in (gram, wide):
+        mk.fit_l2(other, y[:other.m], 0.1, 10.0)
+        assert other._twin is None
     assert gram._ff is None
 
 
 def test_feature_route_reports_eigenvalue_on_failure():
-    # A negative shift makes H = C'F'FC + lam I indefinite; too large a
-    # shrink makes M = diag(w) - shrink q q' indefinite. Both raise
-    # NumericalError, which a CV fold records, with H's or M's eigenvalue.
+    # A negative shift makes H = C'F'FC + lam I indefinite, which raises
+    # NumericalError, which a CV fold records, with H's eigenvalue.
     fam = mk.KernelFamily(np.zeros((3, 1)))
-    for lam, q, shrink in [(-1.0, None, 0.0), (1.0, np.ones(1), 2.0)]:
-        with pytest.raises(NumericalError) as err:
-            solver._ridge_solve(fam, np.ones(1), np.ones(3), lam, q, shrink)
-        assert "smallest eigenvalue ~ -1.0" in str(err.value)
+    with pytest.raises(NumericalError) as err:
+        solver._ridge_solve(fam, np.ones(1), np.ones(3), -1.0)
+    assert "smallest eigenvalue ~ -1.0" in str(err.value)
 
 
 def test_feature_route_nan_features_raise():
@@ -683,6 +701,76 @@ def test_fit_l2_from_any_start_matches_cold_fit_and_oracle(kind, m, seed, radius
         assert abs(report.objective_value - value) <= 1e-6 * max(1.0, abs(value))
     epsilon = 1e-8 * (1.0 + float(np.linalg.norm(y)))
     assert max(mk.kkt_residuals(model, fam, y)) <= 10.0 * epsilon
+
+
+@settings(max_examples=60)
+@given(m=st.integers(3, 20), seed=st.integers(0, 10_000),
+       columns=st.sampled_from(["random", "zero", "duplicate", "rank_deficient"]),
+       log_lambda0=st.floats(-6.0, 0.0),
+       radius=st.one_of(st.just(0.0), st.floats(0.0, 1e3), st.just(1e3)),
+       start=st.sampled_from(["cold", "warm", "outside"]))
+def test_fit_l2_qr_twin_matches_the_formed_loop(m, seed, columns, log_lambda0, radius, start):
+    # On a rank-one family with p < m the Newton loop runs on the p-row QR
+    # twin; the Gram stack of the same kernels runs the m x m formed loop.
+    # Both reach the same fixed point, from a cold start, a fit at another
+    # lambda0 and a start with a part outside range(F), which moves no v_k.
+    # From lambda0 = 1e-3 up they agree to the bounds of criterion 1.
+    # Below it, at large radii, the formed loop's v carries the roundoff of
+    # alpha's large part outside range(F): there it may stop unconverged
+    # or miss criterion 1, and the twin must do no worse.
+    rng = np.random.default_rng(seed)
+    p = int(rng.integers(1, m))
+    F = rng.standard_normal((m, p))
+    if columns == "zero":
+        F[:, rng.random(p) < 0.3] = 0.0
+    elif columns == "duplicate":
+        F[:, -1] = F[:, 0]
+    elif columns == "rank_deficient":
+        rank = max(1, p // 2)
+        F = F[:, :rank] @ rng.standard_normal((rank, p))
+    fam = mk.KernelFamily(F / (max(np.linalg.norm(F, 2), 1.0) * np.sqrt(1.0 + radius)))
+    gram = mk.KernelFamily.from_grams(kernel_stack(fam))
+    y = rng.standard_normal(m)
+    lambda0 = 10.0 ** log_lambda0
+    s = {"cold": None,
+         "warm": mk.fit_l2(fam, y, 10.0 * lambda0, radius)[0].alpha,
+         "outside": fam.features @ rng.standard_normal(p) + rng.standard_normal(m)}[start]
+    twin, twin_report = mk.fit_l2(fam, y, lambda0, radius, start=s)
+    formed, formed_report = mk.fit_l2(gram, y, lambda0, radius, start=s)
+    assert twin.converged
+    epsilon = 1e-8 * (1.0 + float(np.linalg.norm(y)))
+    twin_kkt, formed_kkt = (max(mk.kkt_residuals(model, fam, y)) for model in (twin, formed))
+    if lambda0 >= 1e-3:
+        assert formed.converged
+        assert twin_kkt <= 10.0 * epsilon
+        for a, b in ((twin.weights.mu, formed.weights.mu), (twin.alpha, formed.alpha)):
+            assert np.linalg.norm(a - b) <= 1e-9 * np.linalg.norm(b)
+        return
+    value = formed_report.objective_value
+    assert abs(twin_report.objective_value - value) <= 1e-10 * abs(value)
+    assert twin_kkt <= max(10.0 * epsilon, formed_kkt)
+    if formed.converged and formed_kkt <= 10.0 * epsilon:
+        for a, b, rtol in ((twin.weights.mu, formed.weights.mu, 1e-8),
+                           (twin.alpha, formed.alpha, 1e-9)):
+            assert np.linalg.norm(a - b) <= rtol * np.linalg.norm(b)
+
+
+def test_fit_l2_qr_twin_weights_of_equal_kernels_meet_the_kkt_bound():
+    # Two equal feature columns give R columns equal only to roundoff, and
+    # a start outside range(F) at a tiny ridge leaves Q'alpha a large part
+    # along Q's column outside range(F). The twin's v would carry that
+    # roundoff into mu; the weights returned are the closed form of the
+    # full family's v, as without the twin, and meet criterion 1's bound.
+    for seed in range(100):
+        rng = np.random.default_rng(seed)
+        f = rng.standard_normal(3)
+        fam = mk.KernelFamily(np.column_stack([f, f]) / (np.linalg.norm(f) * np.sqrt(2002.0)))
+        y = rng.standard_normal(3)
+        s = fam.features @ rng.standard_normal(2) + rng.standard_normal(3)
+        model, _ = mk.fit_l2(fam, y, 1e-6, 1e3, start=s)
+        epsilon = 1e-8 * (1.0 + float(np.linalg.norm(y)))
+        assert model.converged
+        assert max(mk.kkt_residuals(model, fam, y)) <= 10.0 * epsilon
 
 
 def test_fit_l2_start_at_the_cold_fit_ends_there():
