@@ -4,6 +4,7 @@ kernel families), and deterministic splits and folds."""
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from itertools import chain, repeat
 from typing import Optional, Sequence
@@ -99,7 +100,7 @@ def load_delimited(path, label_column: int = -1, delimiter: str = ",",
                 raise DataError(
                     f"line {lineno}, column {col + 1}: non-numeric value {cell!r}"
                 ) from exc
-            if not np.isfinite(val):
+            if not math.isfinite(val):
                 raise DataError(f"line {lineno}, column {col + 1}: non-finite value {cell!r}")
             feats.append(val)
         token = row[label_idx]
@@ -112,7 +113,7 @@ def load_delimited(path, label_column: int = -1, delimiter: str = ",",
                 label = float(token)
             except ValueError as exc:
                 raise DataError(f"line {lineno}: non-numeric label {token!r}") from exc
-        if not np.isfinite(label):
+        if not math.isfinite(label):
             raise DataError(f"line {lineno}: non-finite label {token!r}")
         X_rows.append(feats)
         y_vals.append(label)
@@ -147,7 +148,7 @@ def load_text_corpus(path):
                 label = float(token)
             except ValueError as exc:
                 raise DataError(f"line {lineno}: non-numeric label {token!r}") from exc
-            if not np.isfinite(label):
+            if not math.isfinite(label):
                 raise DataError(f"line {lineno}: non-finite label {token!r}")
             docs.append(tokenize(text))
             labels.append(label)
@@ -192,16 +193,25 @@ def _windows(corpus, n: int, code: dict):
 
 
 def _group_rows(rows: np.ndarray):
-    """Group the equal rows of an (N, n) integer array with one sort.
+    """Group the equal rows of an (N, n) array of integers >= -1 with one sort.
 
     Returns ``(group, first)``: ``group[i]`` numbers row i's group, the
     groups numbered in lexicographic order of their rows, and
-    ``rows[first[g]]`` is the row of group g.
+    ``rows[first[g]]`` is the row of group g. Rows sort by one int64 key,
+    their entries + 1 as digits in base max + 2; before a column that
+    could carry it past 2**63, the key is replaced by its dense rank, so
+    it is exact while N (max + 2) <= 2**63, as for word ids.
     """
-    order = np.lexsort(rows.T[::-1])
-    ranked = rows[order]
+    base = int(rows.max(initial=-1)) + 2
+    key = np.zeros(len(rows), dtype=np.int64)
+    for col in rows.T:
+        if (int(key.max(initial=0)) + 1) * base > 2**63:
+            key = np.unique(key, return_inverse=True)[1]
+        key = key * base + (col + 1)
+    order = np.argsort(key)
+    ranked = key[order]
     new = np.ones(len(rows), dtype=bool)
-    np.any(ranked[1:] != ranked[:-1], axis=1, out=new[1:])
+    np.not_equal(ranked[1:], ranked[:-1], out=new[1:])
     group = np.empty(len(rows), dtype=np.intp)
     group[order] = np.cumsum(new) - 1
     return group, order[new]

@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .kernels import (EXPLICIT_MAP_KINDS, KernelFamily, KernelSpec, _FRACTION, _NONNEGATIVE,
-                      _POSITIVE, _as_matrix, _as_vector, _int, as_family, compute_kappa)
+                      _POSITIVE, _as_matrix, _as_vector, _int, _norm, as_family, compute_kappa)
 from .solver import MklModel, MuWeights, krr_solve, quad_forms
 
 
@@ -28,11 +28,11 @@ def kkt_residuals(model: MklModel, family: KernelFamily, y) -> tuple:
     y = _as_vector(y, "y", fam.m, DataError)
     alpha = model.alpha
     K = fam.combined_entries(model.weights.mu)
-    r_alpha = float(np.linalg.norm(K @ alpha + model.lam * alpha - y))
+    r_alpha = _norm(K @ alpha + model.lam * alpha - y)
     v = quad_forms(alpha, fam)
-    nv = float(np.linalg.norm(v))
+    nv = _norm(v)
     w = model.weights
-    r_mu = float(np.linalg.norm((w.mu - w.mu0) * nv - w.radius * v)) / max(nv, 1e-30)
+    r_mu = _norm((w.mu - w.mu0) * nv - w.radius * v) / max(nv, 1e-30)
     return r_alpha, r_mu
 
 
@@ -50,8 +50,8 @@ def weight_shift_identity_gap(v, v_prime, radius: float) -> float:
     w = _as_vector(v_prime, "v_prime", v.shape[0], ConfigError)
     if np.any(v < 0) or np.any(w < 0):
         raise ConfigError("quadratic-form vectors must be nonnegative")
-    n1 = float(np.linalg.norm(v))
-    n2 = float(np.linalg.norm(w))
+    n1 = _norm(v)
+    n2 = _norm(w)
     if n1 == 0.0 or n2 == 0.0:
         raise ConfigError("weight-shift identity requires nonzero vectors")
     dv = w - v
@@ -162,7 +162,7 @@ def stability_trial(specs: Sequence[KernelSpec], X, y, lambda0: float,
     y_E = np.concatenate([y, swap_ys, extra_ys])
     fam = KernelFamily.from_specs(specs, E)
     G = fam.combined_entries(weights.mu)
-    kappa = compute_kappa(fam, float(np.linalg.norm(weights.mu0)) + weights.radius)
+    kappa = compute_kappa(fam, _norm(weights.mu0) + weights.radius)
 
     K = G[:m, :m]
     alpha = krr_solve(K, y, lam)

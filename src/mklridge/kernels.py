@@ -27,6 +27,8 @@ EXPLICIT_MAP_KINDS = ("rank1_feature", "constant_offset")
 def _is_number(value, integral: bool = False) -> bool:
     """Whether ``value`` is a finite real number, or with ``integral`` an
     integer; a bool is neither, and 2.0 is not an integer."""
+    if type(value) in (int, float):  # the usual case, without the slower ABC checks
+        return type(value) is int or (not integral and math.isfinite(value))
     kind = numbers.Integral if integral else numbers.Real
     return (isinstance(value, kind) and not isinstance(value, bool)
             and (isinstance(value, numbers.Integral) or math.isfinite(value)))
@@ -107,6 +109,13 @@ def _as_vector(x, name: str = "vector", length=None, finite=None) -> np.ndarray:
     if finite is not None and not np.isfinite(x).all():
         raise finite(f"{name} contains non-finite values")
     return x
+
+
+def _norm(x: np.ndarray) -> float:
+    """||x|| of a 1-d float64 array, bit for bit np.linalg.norm's, at less cost:
+    the dot of a contiguous copy, since a strided dot rounds differently."""
+    x = x.ravel(order="K")
+    return math.sqrt(x.dot(x))
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,7 @@ import scipy.linalg.lapack
 from . import kernels
 from .errors import ConfigError, DataError, NumericalError, ShapeError
 from .kernels import (_NONNEGATIVE, _POSITIVE, _as_matrix, _as_vector, _explicit_features, _int,
-                      as_family)
+                      _norm, as_family)
 
 log = logging.getLogger(__name__)
 
@@ -66,14 +66,15 @@ def _refined(solve, matvec, y: np.ndarray, smallest) -> np.ndarray:
     # in the system passes the unchecked Cholesky), is reported as a
     # numerical failure with an eigenvalue estimate of the system matrix.
     alpha = solve(y)
-    ynorm = float(np.linalg.norm(y))
+    ynorm = _norm(y)
     resid = y - matvec(alpha)
-    if np.linalg.norm(resid) > 1e-14 * max(ynorm, 1.0):
+    rnorm = _norm(resid)
+    if rnorm > 1e-14 * max(ynorm, 1.0):
         alpha = alpha + solve(resid)
-        resid = y - matvec(alpha)
-    if not np.linalg.norm(resid) <= 1e-8 * ynorm:
+        rnorm = _norm(y - matvec(alpha))
+    if not rnorm <= 1e-8 * ynorm:
         raise NumericalError(
-            f"linear solve residual {np.linalg.norm(resid):.3e} exceeds tolerance; "
+            f"linear solve residual {rnorm:.3e} exceeds tolerance; "
             f"smallest eigenvalue ~ {smallest():.6e}"
         )
     return alpha
@@ -112,11 +113,11 @@ def _ridge_solve(fam, w: np.ndarray, r: np.ndarray, lam: float, q=None,
     check the residual against the m x m system, with ``_solve_pd``'s
     refinement and tolerance.
     """
-    support = w > 0
-    s = int(np.count_nonzero(support))
-    if fam.features is None or s >= fam.m or q is not None:
+    support = None if fam.features is None or q is not None else w > 0
+    s = fam.m if support is None else int(np.count_nonzero(support))
+    if s >= fam.m:
         B = fam.combined_entries(w)
-        B[np.diag_indices(fam.m)] += lam
+        B.flat[::fam.m + 1] += lam
         if q is not None:
             _add_outer(B, (fam.features @ q)[:, None], -shrink)
         return _solve_pd(B, r)
@@ -126,7 +127,7 @@ def _ridge_solve(fam, w: np.ndarray, r: np.ndarray, lam: float, q=None,
     # C is diagonal: it is applied as the vector of its diagonal.
     C = np.sqrt(w)
     H = G * np.outer(C, C)
-    H[np.diag_indices(s)] += lam
+    H.flat[::s + 1] += lam
 
     def smallest():
         # Eigenvalues of F_S C C'F_S' + lam I: those of H, and lam (s < m).
@@ -253,7 +254,7 @@ class MuWeights:
         _NONNEGATIVE.check("radius", self.radius)
         if not np.all(np.isfinite(mu) & (mu >= -1e-12)):
             raise ConfigError("mu must be finite and nonnegative")
-        if np.linalg.norm(mu - mu0) > self.radius + 1e-9 * max(1.0, self.radius):
+        if _norm(mu - mu0) > self.radius + 1e-9 * max(1.0, self.radius):
             raise ConfigError("mu lies outside the feasible ball around mu0")
         mu = np.maximum(mu, 0.0)
         mu.flags.writeable = False
@@ -279,11 +280,11 @@ def _validated_mu0(mu0, p: int) -> np.ndarray:
     return mu0
 
 
-def _weight_step(v: np.ndarray, mu0: np.ndarray, radius: float) -> np.ndarray:
+def _weight_step(v: np.ndarray, mu0: np.ndarray, radius: float, nv=None) -> np.ndarray:
     # The closed form mu = mu0 + radius * v/||v||, or mu0 when ||v|| is
     # numerically zero and the direction immaterial, for inputs already
-    # checked: v >= 0, a valid anchor mu0 and a finite radius >= 0.
-    nv = float(np.linalg.norm(v))
+    # checked: v >= 0, a valid anchor mu0, a finite radius >= 0, and nv = ||v|| or None.
+    nv = _norm(v) if nv is None else nv
     if nv <= DEGENERATE_V_TOL * v.shape[0]:
         return mu0.copy()
     return mu0 + radius * (v / nv)
@@ -306,7 +307,7 @@ def _objective(alpha, y, lam: float, v, mu0, radius: float) -> float:
         -lam * (alpha @ alpha)
         + 2.0 * (alpha @ y)
         - mu0 @ v
-        - radius * np.linalg.norm(v)
+        - radius * _norm(v)
     )
 
 
@@ -371,13 +372,13 @@ def _newton_step(fam, alpha, P, v, y, lam: float, mu0, radius: float):
     residual check is then relative to R, while at a large c and a small
     lam the solve for H^(-1) y can fail its check.
     """
-    mu = _weight_step(v, mu0, radius)
-    nv = float(np.linalg.norm(v))
+    nv = _norm(v)
+    mu = _weight_step(v, mu0, radius, nv)
     c = 2.0 * radius / nv
     if fam.features is None:
         Z = P.T
         H = fam.combined_entries(mu)
-        H[np.diag_indices(fam.m)] += lam
+        H.flat[::fam.m + 1] += lam
         vhat = v / nv
         _add_outer(H, Z - np.outer(Z @ vhat, vhat), c)
         return mu, -_solve_pd(H, Z @ mu + lam * alpha - y)
@@ -442,7 +443,7 @@ def fit_l2(family, y, lambda0: float, radius: float, mu0=None,
     fam, y, lam = _fit_setup(family, y, lambda0, max_iters, radius)
     mu0 = _validated_mu0(mu0, fam.p)
     if epsilon is None:
-        epsilon = 1e-8 * (1.0 + float(np.linalg.norm(y)))
+        epsilon = 1e-8 * (1.0 + _norm(y))
     _POSITIVE.check("epsilon", epsilon)
 
     alpha = None
@@ -473,7 +474,7 @@ def fit_l2(family, y, lambda0: float, radius: float, mu0=None,
         value = _objective(alpha, b, lam, v, mu0, radius)
         for iterations in range(1, max_iters + 1):
             mu, d = _newton_step(loop, alpha, P, v, b, lam, mu0, radius)
-            step = float(np.linalg.norm(d))
+            step = _norm(d)
             if step < epsilon:
                 alpha = alpha + d
                 # The closed form of the full family's v, as without the twin.
@@ -509,7 +510,7 @@ def fit_l2(family, y, lambda0: float, radius: float, mu0=None,
         iterations=iterations,
         converged=converged,
         final_step=step,
-        certificate_gap=float(radius * np.linalg.norm(v) - v @ (mu - mu0)),
+        certificate_gap=float(radius * _norm(v) - v @ (mu - mu0)),
     )
     return model, SolveReport(_objective(alpha, y, lam, v, mu0, radius))
 
@@ -530,7 +531,7 @@ def project_ball_cone(x, mu0, radius: float) -> np.ndarray:
     mu0 = _as_vector(mu0, "mu0", x.shape[0])
     z = np.maximum(x, mu0)
     d = z - mu0
-    nd = float(np.linalg.norm(d))
+    nd = _norm(d)
     if nd > radius:
         z = mu0 + d * (radius / nd)
     return z
@@ -580,7 +581,7 @@ def _pgd_minimize(value_grad, project, lmo, x0, tol, max_iters):
     val, grad, extra = value_grad(x)
     recent = collections.deque([val], maxlen=PGD_MEMORY)
     gap = float("inf")
-    t = 1.0 / max(float(np.linalg.norm(grad)), 1e-12)
+    t = 1.0 / max(_norm(grad), 1e-12)
     prev_x = None
     prev_grad = None
     it = 0
@@ -648,7 +649,7 @@ def oracle_fit(family, y, lambda0: float, radius: float, mu0=None,
         return project_ball_cone(x, mu0, radius)
 
     def lmo(grad):
-        gn = float(np.linalg.norm(grad))
+        gn = _norm(grad)
         if gn == 0.0:
             return mu0
         return mu0 - radius * (grad / gn)

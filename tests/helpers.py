@@ -1,6 +1,7 @@
 """Shared random-instance generators, brute-force reference searches, the
-Counter n-gram reference, the reference lasso-path walk, the reference
-Woodbury solve and the method-major CV loop."""
+Counter n-gram reference, the lexsort row grouping, the reference
+lasso-path walk, the reference Woodbury solve and the method-major CV
+loop."""
 
 from collections import Counter
 from typing import Sequence
@@ -133,6 +134,19 @@ def counts_for(per_doc_counters, vocab: NgramVocabulary) -> np.ndarray:
 def counter_apply_vocabulary(corpus: Sequence[Sequence[str]], vocab: NgramVocabulary) -> np.ndarray:
     per_doc = [_doc_ngrams(list(doc), vocab.n) for doc in corpus]
     return counts_for(per_doc, vocab)
+
+
+# ``mklridge.data._group_rows`` as it was before it sorted one integer key
+# per row: a lexsort of the columns, kept as the reference for that key.
+
+def lexsort_group_rows(rows: np.ndarray):
+    order = np.lexsort(rows.T[::-1])
+    ranked = rows[order]
+    new = np.ones(len(rows), dtype=bool)
+    np.any(ranked[1:] != ranked[:-1], axis=1, out=new[1:])
+    group = np.empty(len(rows), dtype=np.intp)
+    group[order] = np.cumsum(new) - 1
+    return group, order[new]
 
 
 # The lasso-path walk and active-block factor updates that

@@ -1,7 +1,7 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mklridge as mk
@@ -9,7 +9,7 @@ from mklridge import ConfigError, DataError
 from mklridge.data import apply_vocabulary, load_text_corpus, split_indices
 
 from helpers import (counter_apply_vocabulary, counter_build_ngram_features, kernel_stack,
-                     rank1_all_family)
+                     lexsort_group_rows, rank1_all_family)
 
 
 # --- load_delimited -----------------------------------------------------------
@@ -180,10 +180,19 @@ def _corpus(tokens):
     return st.lists(st.lists(st.sampled_from(tokens), max_size=10), min_size=1, max_size=8)
 
 
+def _skewed_corpus(docs: int, seed: int):
+    # Geometric draws over 30 words, so many trigrams repeat.
+    rng = np.random.default_rng(seed)
+    return [[f"w{i}" for i in np.minimum(rng.geometric(0.25, size=int(length)) - 1, 29)]
+            for length in rng.integers(0, 40, size=docs)]
+
+
 @settings(max_examples=150)
 @given(train=_corpus(_TOKENS), test=st.lists(st.lists(st.sampled_from(_TOKENS + _UNSEEN),
                                                       max_size=10), max_size=6),
        n=st.integers(1, 4), top=st.integers(1, 30))
+@example(train=_skewed_corpus(60, 1), test=_skewed_corpus(15, 2) + [["w0", "unseen", "w1"]],
+         n=3, top=40)
 def test_ngram_counts_match_counter_reference(train, test, n, top):
     _assert_matches_counter_reference(train, test, n, top)
 
@@ -206,6 +215,33 @@ def test_ngram_ids_do_not_overflow():
     train.append(words[-8:] * 3)
     test = [doc[:20] + ["unseen"] + doc[20:] for doc in train[::3]]
     _assert_matches_counter_reference(train, test, n=8, top=50)
+
+
+def _assert_groups_match_lexsort(rows):
+    group, first = mk.data._group_rows(rows)
+    ref_group, ref_first = lexsort_group_rows(rows)
+    npt.assert_array_equal(group, ref_group, strict=True)
+    npt.assert_array_equal(rows[first], rows[ref_first], strict=True)
+
+
+@settings(max_examples=150)
+@given(n=st.integers(1, 8), count=st.integers(0, 60), high=st.sampled_from([1, 3, 300, 2**31 + 7]),
+       seed=st.integers(0, 2**32 - 1))
+def test_group_rows_matches_the_lexsort_reference(n, count, high, seed):
+    # A few distinct ids, -1 and the largest among them, so rows repeat.
+    rng = np.random.default_rng(seed)
+    pool = np.append(rng.integers(-1, high, size=3), [-1, high - 1])
+    _assert_groups_match_lexsort(rng.choice(pool, size=(count, n)))
+
+
+def test_group_rows_ranks_keys_that_would_pass_2_63():
+    # Ids near 2**31 put a three-column key past 2**63, so the third column
+    # is merged into dense ranks; without them the key would wrap.
+    rng = np.random.default_rng(3)
+    pool = np.array([-1, 0, 2**31 - 2, 2**31 - 1, 2**31 + 5])
+    rows = rng.choice(pool, size=(200, 3))
+    _assert_groups_match_lexsort(rows)
+    assert len(mk.data._group_rows(rows)[1]) == len(np.unique(rows, axis=0))
 
 
 @pytest.mark.parametrize("n, top, message", [(0, 5, "n must be an integer of at least 1"),

@@ -1,5 +1,9 @@
+import math
+import numbers
 import re
 import tracemalloc
+from decimal import Decimal
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -758,6 +762,41 @@ def test_scalar_argument_takes_numpy_scalars_but_not_arrays(name, good, call):
     call(np.asarray(good)[()])  # np.float64 or np.int64
     with pytest.raises(ConfigError, match=rf"\b{name} must be "):
         call(np.asarray(good))
+
+
+def _abc_is_number(value, integral):
+    # kernels._is_number without its fast path for plain ints and floats.
+    kind = numbers.Integral if integral else numbers.Real
+    return (isinstance(value, kind) and not isinstance(value, bool)
+            and (isinstance(value, numbers.Integral) or math.isfinite(value)))
+
+
+@pytest.mark.parametrize("integral", [False, True])
+@pytest.mark.parametrize("value", [
+    0, 7, -3, 2**70, True, False, 0.0, -0.0, 2.0, 1.5, -1e308, math.nan, math.inf, -math.inf,
+    np.float64(2.0), np.float64(math.nan), np.float64(math.inf), np.int64(3), np.bool_(True),
+    Fraction(1, 3), Fraction(4, 1), Decimal("1.5"), Decimal("NaN"), 1 + 0j, complex(2, 0),
+    "1", None])
+def test_is_number_fast_path_changes_no_answer(value, integral):
+    assert mk.kernels._is_number(value, integral) is _abc_is_number(value, integral)
+
+
+@settings(max_examples=300)
+@given(length=st.integers(0, 400), low=st.floats(-160, 160), width=st.floats(0, 320),
+       step=st.sampled_from([1, 2, 3, -1]), seed=st.integers(0, 2**32 - 1),
+       special=st.sampled_from([None, 0.0, -0.0, math.nan, math.inf, -math.inf]))
+def test_norm_is_np_linalg_norm_bit_for_bit(length, low, width, step, seed, special):
+    # Magnitudes 1e-160 to 1e160, so the sum of squares can underflow or
+    # overflow; strided views too, whose dot rounds apart from a contiguous one.
+    rng = np.random.default_rng(seed)
+    size = length * abs(step)
+    exponents = np.minimum(low + width * rng.random(size), 160.0)
+    base = rng.choice([-1.0, 1.0], size=size) * 10.0 ** exponents
+    if special is not None and size:
+        base[rng.integers(size, size=3)] = special
+    x = base[::step]
+    with np.errstate(over="ignore"):  # both warn on an overflowing sum of squares
+        assert np.array_equal(mk.kernels._norm(x), np.linalg.norm(x), equal_nan=True)
 
 
 # --- array arguments -------------------------------------------------------
