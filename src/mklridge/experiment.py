@@ -393,13 +393,16 @@ def build_family(kernels_cfg: dict, train: Dataset) -> KernelFamily:
 # ---------------------------------------------------------------------------
 
 def _predict_rows(family: KernelFamily, mu, alpha, train_idx, query_idx) -> np.ndarray:
-    """Within-sample prediction using the family's precomputed kernels."""
+    """Within-sample prediction from the family's kernels (a Gram family's weighted ones)."""
     if family.features is not None:
         F = family.features
         return F[query_idx] @ (mu * (F[train_idx].T @ alpha))
     a = np.zeros(family.m)
     a[train_idx] = alpha
-    return mu @ (family.stack[:, query_idx] @ a)
+    P = np.zeros((family.p, len(query_idx)))
+    for k in np.flatnonzero(mu):
+        P[k] = family.stack[k][query_idx] @ a
+    return mu @ P
 
 
 def _fit_for_combo(method, family, y, combo: dict, cfg: ExperimentConfig, start=None,

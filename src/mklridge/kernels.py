@@ -450,12 +450,16 @@ class KernelFamily:
         return KernelFamily._of(specs, stack=stack)
 
     def combined_entries(self, mu) -> np.ndarray:
-        """Sum_k mu_k K_k as a new array: one matrix product over the
-        feature columns, or one contraction of the stack whose entries
-        equal the kernel-by-kernel sum in index order bit for bit."""
+        """Sum_k mu_k K_k as a new array. A rank-one family's is X X' with
+        X = F sqrt(mu), one BLAS syrk, so exactly symmetric (a negative or NaN
+        weight is a ConfigError); a Gram family's is one contraction of the
+        stack equal to the kernel-by-kernel sum in index order bit for bit."""
         mu = _as_vector(mu, "mu", self.p)
         if self.features is not None:
-            return (self.features * mu) @ self.features.T
+            if not mu.min() >= 0.0:
+                raise ConfigError("mu has a negative or NaN entry")
+            X = self.features * np.sqrt(mu)
+            return X @ X.T
         if self.m > 1:
             return np.einsum("k,kij->ij", mu, self.stack)
         # At m = 1 the k axis is contiguous and einsum sums it in blocks.
@@ -476,7 +480,7 @@ def combine(family: KernelFamily, mu) -> np.ndarray:
     """The weighted kernel K(mu) = sum_k mu_k K_k of a KernelFamily, mu >= 0.
 
     It is :meth:`KernelFamily.combined_entries`, the K(mu) the solvers use,
-    unchecked: a rank-one family's product is symmetric only to roundoff.
+    unchanged: exactly symmetric on both layouts, so ``from_grams`` takes it.
     """
     fam = as_family(family)
     mu = np.asarray(mu, dtype=np.float64)

@@ -109,9 +109,9 @@ def _ridge_solve(fam, w: np.ndarray, r: np.ndarray, lam: float, q=None,
     lam I_s, where G = F'F is the family's cached Gram of its feature
     columns. So a solve costs two m x s products with F_S (F itself when
     S is every kernel) and O(s^3) work. Every other case forms the m x m
-    matrix from ``combined_entries(w)`` for ``_solve_pd``. Both routes
-    check the residual against the m x m system, with ``_solve_pd``'s
-    refinement and tolerance.
+    matrix ``combined_entries(w)`` (of a rank-one family X X', exactly
+    symmetric) for ``_solve_pd``. Both routes check the residual against
+    the m x m system, with ``_solve_pd``'s refinement and tolerance.
     """
     support = None if fam.features is None or q is not None else w > 0
     s = fam.m if support is None else int(np.count_nonzero(support))
@@ -157,9 +157,9 @@ def krr_solve(K, y, lam: float) -> np.ndarray:
     K must be finite, symmetric and PSD and lam finite and > 0, so K +
     lam I is positive definite and a Cholesky solve applies. The Cholesky
     factor reads only K's lower triangle, so K is rejected unless
-    max|K - K'| <= 1e-12 max(1, max|K|): a bound on the whole matrix, as
-    the rank-one K(mu) of ``combine`` is symmetric only to roundoff
-    relative to its largest entry, not to each entry.
+    max|K - K'| <= 1e-12 max(1, max|K|): a bound on the whole matrix, as a
+    general product (F * mu) @ F' is symmetric only to roundoff relative to
+    its largest entry. The rank-one K(mu) of ``combine`` is X X', exactly so.
     """
     A = _as_matrix(K, "K")
     if A.shape[0] != A.shape[1]:
@@ -690,26 +690,26 @@ def _chol_append(L: np.ndarray, g: np.ndarray, gjj: float):
     pivot = gjj - float(row @ row)
     if info != 0 or not pivot > 0.0:
         return None
-    out = np.zeros((n + 1, n + 1), order="F")
+    out = np.empty((n + 1, n + 1), order="F")
     out[:n, :n] = L
+    out[:n, n] = 0.0
     out[n, :n] = row
     out[n, n] = np.sqrt(pivot)
     return out
 
 
-def _chol_delete(L: np.ndarray, i: int):
+def _chol_delete(L: np.ndarray, i: int, lower: np.ndarray):
     # Lower factor of B with row and column i removed, from the lower factor
-    # L of B. Rows and columns before i keep their entries; the trailing
-    # block T T' + l l' (l the part of column i below the diagonal) is
-    # refactored. Only L's lower triangle is read, and the result's upper
-    # triangle is zero. None if that factorization fails.
+    # L of B, or None if the refactor fails. Rows and columns before i keep
+    # their entries; the trailing block T T' + l l' (l the part of column i
+    # below the diagonal) is refactored. Only L's lower triangle is read, by
+    # the mask ``lower`` (np.tri of L's order or more); out's upper is zero.
     n = L.shape[0] - 1
     out = np.zeros((n, n), order="F")
-    lower = np.tri(n, dtype=bool)
     np.copyto(out[:i, :i], L[:i, :i], where=lower[:i, :i])
     out[i:, :i] = L[i + 1:, :i]
     tail, col = out[i:, i:], L[i + 1:, i]
-    np.copyto(tail, L[i + 1:, i + 1:], where=lower[i:, i:])
+    np.copyto(tail, L[i + 1:, i + 1:], where=lower[i:n, i:n])
     if col.size:
         tail[...], info = scipy.linalg.lapack.dpotrf(tail @ tail.T + np.outer(col, col),
                                                      lower=1)
@@ -772,6 +772,8 @@ def _l1_path_stops(F: np.ndarray, y: np.ndarray, classes):
     den, joins, crossing = np.empty((2, p)), np.empty((2, p)), np.empty((2, p), dtype=bool)
     leaves, inactive = np.empty(p), np.ones(p, dtype=bool)
     inactive[A[0]] = False
+    sgn_d, leaving, lower = np.empty(p), np.empty(p, dtype=bool), np.tri(p, dtype=bool)
+    cs = [lam / budget for lam, budget in classes]
     L = None
     for knots in range(1, L1_PATH_MAX_KNOTS * p + 1):
         act, sgn = A[:n], s[:n]
@@ -810,34 +812,35 @@ def _l1_path_stops(F: np.ndarray, y: np.ndarray, classes):
         np.minimum(joins, t, out=joins)
         lv = leaves[:n]
         lv.fill(-np.inf)
-        np.divide(u, d, out=lv, where=sgn * d < 0.0)
+        np.less(np.multiply(sgn, d, out=sgn_d[:n]), 0.0, out=leaving[:n])
+        np.divide(u, d, out=lv, where=leaving[:n])
         np.minimum(lv, t, out=lv)
         side, k = divmod(int(joins.argmax()), p)
         i = int(lv.argmax())
-        event = max(joins[side, k], lv[i])
+        t_join, t_leave = float(joins[side, k]), float(lv[i])
+        event = max(t_join, t_leave)
         walking = []
         for q in pending:
-            lam, budget = classes[q]
-            c = lam / budget
+            c = cs[q]
             t_stop = c * su / (1.0 + c * sd)
             if event <= t_stop:
                 w = np.abs(u - t_stop * d)
                 mu = np.zeros(F.shape[1])
-                mu[keep[act]] = budget * (w / w.sum())
+                mu[keep[act]] = classes[q][1] * (w / w.sum())
                 stops[q] = (mu, knots)
             else:
                 walking.append(q)
         pending = walking
         if not pending:
             return stops
-        if joins[side, k] >= lv[i]:
-            t = float(joins[side, k])
+        if t_join >= t_leave:
+            t = t_join
             L = _chol_append(L, G[act, k], G[k, k])
             A[n], s[n], inactive[k] = k, 1.0 - 2.0 * side, False
             n += 1
         else:
-            t = float(lv[i])
-            L = _chol_delete(L, i)
+            t = t_leave
+            L = _chol_delete(L, i, lower)
             ud[A[i]], inactive[A[i]] = 0.0, True
             A[i:n - 1], s[i:n - 1] = A[i + 1:n], s[i + 1:n]
             n -= 1

@@ -9,7 +9,7 @@ from unittest import mock
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mklridge as mk
@@ -345,22 +345,58 @@ def test_combine_rejects_non_finite_weights(bad):
 
 def test_combine_takes_a_rank_one_product_as_it_is():
     # Two widely scaled rank-one kernels whose terms cancel in K[0, 1]:
-    # each is about 4e6 and their sum about -4e-3. The product
-    # (F * mu) @ F' rounds F_0k mu_k F_1k and F_1k mu_k F_0k apart, so K
-    # misses the Gram check's symmetry bound 1e-12 max(1, |K_ij|) by far.
-    # It is still the valid PSD K(mu) the solvers form, and combine
-    # returns it unchanged.
+    # each is about 4e6 and their sum about -4e-3. A general product
+    # (F * mu) @ F' rounds F_0k mu_k F_1k and F_1k mu_k F_0k apart, and
+    # missed the Gram check's symmetry bound 1e-12 max(1, |K_ij|) by far.
+    # X X' with X = F sqrt(mu) computes one triangle and copies it, so K is
+    # exactly symmetric: combine returns it unchanged and from_grams takes it.
     mu = np.array([3.3, 7.1])
     a, b, c = 1234.567, 2345.678, 987.654
     d = -(mu[0] * a * c) / (mu[1] * b) * (1.0 + 1e-9)
     fam = mk.KernelFamily([[a, b], [c, d]])
     K = mk.combine(fam, mu)
     assert K.tobytes() == fam.combined_entries(mu).tobytes()
-    with pytest.raises(NumericalError, match="not symmetric"):
-        mk.KernelFamily.from_grams([K])
+    assert np.array_equal(K, K.T)
+    assert abs(K[0, 1]) < 1e-2 * abs(mu[0] * a * c)
+    assert mk.KernelFamily.from_grams([K]).stack[0].tobytes() == K.tobytes()
     y = np.array([1.0, -2.0])
     alpha = mk.krr_solve(K, y, 0.1)
     assert np.linalg.norm((K + 0.1 * np.eye(2)) @ alpha - y) <= 1e-8 * np.linalg.norm(y)
+
+
+def _exact_rank_one_sum(F, mu):
+    # sum_k mu_k f_k f_k' and sum_k mu_k |f_k||f_k|', each entry an exact
+    # rational sum rounded once.
+    m, p = F.shape
+    terms = [[[Fraction(mu[k]) * Fraction(F[i, k]) * Fraction(F[j, k]) for k in range(p)]
+              for j in range(m)] for i in range(m)]
+    exact = np.array([[float(sum(t)) for t in row] for row in terms])
+    scale = np.array([[float(sum(abs(x) for x in t)) for t in row] for row in terms])
+    return exact, scale
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 9), p=st.integers(1, 24))
+@example(seed=0, m=1, p=1)
+@example(seed=1, m=1, p=6)
+@example(seed=2, m=6, p=1)
+def test_rank_one_combined_entries_is_exactly_symmetric_and_accurate(seed, m, p):
+    # Widely scaled columns, some of them zero, and some zero weights.
+    rng = np.random.default_rng(seed)
+    F = rng.standard_normal((m, p)) * 10.0 ** rng.uniform(-3.0, 3.0, p)
+    F[:, rng.random(p) < 0.2] = 0.0
+    mu = rng.uniform(0.0, 10.0, p) * (rng.random(p) >= 0.3)
+    K = mk.KernelFamily(F).combined_entries(mu)
+    assert np.array_equal(K, K.T)
+    exact, scale = _exact_rank_one_sum(F, mu)
+    assert np.all(np.abs(K - exact) <= (p + 3) * np.finfo(float).eps * scale)
+
+
+@pytest.mark.parametrize("bad", [-0.5, -1e-300, np.nan])
+def test_rank_one_combined_entries_rejects_a_negative_or_nan_weight(bad):
+    fam = mk.KernelFamily(np.arange(1.0, 7.0).reshape(3, 2))
+    with pytest.raises(ConfigError, match="negative or NaN"):
+        fam.combined_entries(np.array([1.0, bad]))
 
 
 def test_combine_length_mismatch():

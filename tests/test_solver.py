@@ -69,16 +69,16 @@ def test_krr_rejects_an_asymmetric_kernel_and_takes_rank_one_products():
     # solved as [[2, 0], [0, 2]] plus refinement against the full matrix.
     with pytest.raises(NumericalError, match="not symmetric"):
         mk.krr_solve(np.array([[2.0, 1.0], [0.0, 2.0]]), [1.0, 1.0], 1.0)
-    # Random rank-one K(mu) with widely scaled columns are symmetric only to
-    # roundoff relative to max|K|; the entrywise Gram bound rejects some of
-    # them, the bound on the whole matrix none.
+    # Random rank-one products (F * mu) @ F' with widely scaled columns are
+    # symmetric only to roundoff relative to max|K|; the entrywise Gram
+    # bound rejects some of them, the bound on the whole matrix none.
     rng = np.random.default_rng(1)
     entrywise = 0
     for _ in range(2000):
         m, p = int(rng.integers(2, 61)), int(rng.integers(1, 301))
         F = rng.standard_normal((m, p)) * 10.0 ** rng.uniform(-3.0, 3.0, p)
         mu = rng.uniform(0.0, 10.0, p) * (rng.uniform(size=p) >= 0.3)
-        K = mk.KernelFamily(F).combined_entries(mu)
+        K = (F * mu) @ F.T
         try:
             mk.KernelFamily.from_grams([K])
         except NumericalError:
@@ -1027,9 +1027,9 @@ def test_l1_path_stops_match_one_walk_per_class():
     leaves = []
     delete = solver._chol_delete
 
-    def counting_delete(L, i):
+    def counting_delete(L, i, lower):
         leaves.append(i)
-        return delete(L, i)
+        return delete(L, i, lower)
 
     @settings(max_examples=100)
     @given(**_RANK1_CASES, classes=_L1_CLASSES)
@@ -1121,9 +1121,9 @@ def test_l1_path_stops_match_the_reference_walk_bit_for_bit():
     leaves = []
     delete = solver._chol_delete
 
-    def counting_delete(L, i):
+    def counting_delete(L, i, lower):
         leaves.append(i)
-        return delete(L, i)
+        return delete(L, i, lower)
 
     @settings(max_examples=100)
     @given(**_RANK1_CASES, classes=_L1_CLASSES)
@@ -1157,8 +1157,10 @@ def test_chol_delete_reads_only_the_lower_triangle(i):
     L = np.asfortranarray(np.linalg.cholesky(B))
     dirty = L.copy(order="F")
     dirty[np.triu_indices(7, 1)] = np.nan
-    out = solver._chol_delete(L, i)
-    npt.assert_array_equal(solver._chol_delete(dirty, i), out)
+    # The walk's mask is np.tri of its column count, larger than the factor.
+    lower = np.tri(9, dtype=bool)
+    out = solver._chol_delete(L, i, lower)
+    npt.assert_array_equal(solver._chol_delete(dirty, i, lower), out)
     npt.assert_array_equal(out, _reference_chol_delete(L, i))
     rest = np.delete(np.arange(7), i)
     npt.assert_allclose(out @ out.T, B[np.ix_(rest, rest)], rtol=1e-12, atol=1e-12)
@@ -1169,6 +1171,7 @@ def test_chol_append_and_delete_report_a_block_that_loses_definiteness():
     grown = solver._chol_append(L, np.array([2.0, 1.0]), 5.0)
     npt.assert_allclose(grown @ grown.T, [[4.0, 2.0, 2.0], [2.0, 2.0, 1.0], [2.0, 1.0, 5.0]],
                         rtol=1e-15)
+    assert not np.triu(grown, 1).any()
     # The new row is (1, 0), so a corner entry of 1 leaves the pivot 0 (a
     # singular block) and one of 0.5 a negative pivot (an indefinite one).
     assert solver._chol_append(L, np.array([2.0, 1.0]), 1.0) is None
@@ -1177,8 +1180,9 @@ def test_chol_append_and_delete_report_a_block_that_loses_definiteness():
     # deleting row and column 0 leaves [[1, 0], [0, 0]], which dpotrf
     # cannot factor; deleting the last keeps [[1, 1], [1, 1]]'s factor.
     L = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]], order="F")
-    assert solver._chol_delete(L, 0) is None
-    npt.assert_array_equal(solver._chol_delete(L, 2), [[1.0, 0.0], [1.0, 0.0]])
+    lower = np.tri(3, dtype=bool)
+    assert solver._chol_delete(L, 0, lower) is None
+    npt.assert_array_equal(solver._chol_delete(L, 2, lower), [[1.0, 0.0], [1.0, 0.0]])
 
 
 def _one_failure(fn, calls):
