@@ -485,11 +485,15 @@ def _fold_grid(method, family, fold, y, combos: list, cfg: ExperimentConfig) -> 
     kernels the predictions slice. A NumericalError propagates; the fold
     loop records it as the method's failure.
 
-    Two methods take a shortcut on a rank-one family. Every best_single
-    ridge fit has a closed form (solver._single_kernel_predictions), so
-    one pass scores the whole grid. One lasso-path walk gives the l1mkl
-    start of every combo (solver._l1_path_stops); fit_l1 still certifies
-    each.
+    uniform and best_single fit at radius 0, where fit_l2's fit is its
+    anchor ridge solve at mu = 1, on the family or on kernel k alone. So
+    each of their combos is that one ``solver._ridge_solve`` call and
+    fit_l2's ``solver._projections`` after it, whose PSD check on a Gram
+    family is fit_l2's only other failure there, with fit_l2's info. On a
+    rank-one family every best_single solve has a closed form
+    (solver._single_kernel_predictions), so one pass scores the whole
+    grid. One lasso-path walk gives the l1mkl start of every combo on a
+    rank-one family (solver._l1_path_stops); fit_l1 still certifies each.
 
     Otherwise the fold's first combo starts cold and every later one
     starts from a neighbouring fit on this fold. An l2mkl fit starts from
@@ -497,18 +501,16 @@ def _fold_grid(method, family, fold, y, combos: list, cfg: ExperimentConfig) -> 
     and in the first lambda0 row from the previous combo's; l1mkl on a
     Gram family starts from the previous combo's mu scaled to the new
     budget. Both solvers converge from any start, so a start only changes
-    how many steps a fit takes. uniform and best_single fit at radius 0,
-    where there is nothing to start.
+    how many steps a fit takes.
     """
     tr_idx, va_idx, sub = fold
     y_tr = y[tr_idx]
+    anchor = {"iterations": 1, "converged": True}
     if method == "best_single" and family.features is not None:
         preds = solver._single_kernel_predictions(sub.features, y_tr, family.features[va_idx],
                                                   sorted(cfg.lambda0_grid))
-        # What fit_l2 reports at radius 0: the anchor solve is the fit.
-        info = {"iterations": 1, "converged": True}
         # Combos run lambda0-major, then kernel, as the rows of this reshape.
-        return [(row, info) for row in preds.transpose(0, 2, 1).reshape(len(combos), -1)]
+        return [(row, anchor) for row in preds.transpose(0, 2, 1).reshape(len(combos), -1)]
     stops = None
     if method == "l1mkl" and family.features is not None:
         stops = solver._l1_path_stops(sub.features, y_tr,
@@ -524,7 +526,14 @@ def _fold_grid(method, family, fold, y, combos: list, cfg: ExperimentConfig) -> 
         elif n and method == "l1mkl":
             prev_combo, prev_mu, _ = fits[-1]
             start = (prev_mu * (combo["budget"] / prev_combo["budget"]), 0)
-        mu_full, alpha, info = _fit_for_combo(method, sub, y_tr, combo, cfg, start)
+        if method in ("uniform", "best_single"):
+            fit = sub if method == "uniform" else sub.select_kernels([combo["kernel"]])
+            alpha = solver._ridge_solve(fit, np.ones(fit.p), y_tr, combo["lambda0"] * sub.m)
+            solver._projections(alpha, fit)  # the PSD check of a Gram family's quadratic forms
+            mu_full = np.ones(sub.p) if fit is sub else 1.0 * (np.arange(sub.p) == combo["kernel"])
+            info = anchor
+        else:
+            mu_full, alpha, info = _fit_for_combo(method, sub, y_tr, combo, cfg, start)
         grid.append((_predict_rows(family, mu_full, alpha, tr_idx, va_idx), info))
         fits.append((combo, mu_full, alpha))
     return grid

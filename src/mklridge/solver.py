@@ -60,11 +60,12 @@ def _cholesky(B: np.ndarray, smallest) -> np.ndarray:
     return L
 
 
-def _refined(solve, matvec, y: np.ndarray, smallest) -> np.ndarray:
+def _refined(solve, matvec, y: np.ndarray, smallest, scale) -> np.ndarray:
     # One iterative-refinement pass keeps the residual y - matvec(alpha)
-    # near machine level; a residual above 1e-8 ||y||, or a NaN one (a NaN
-    # in the system passes the unchecked Cholesky), is reported as a
-    # numerical failure with an eigenvalue estimate of the system matrix.
+    # near machine level. A residual above 1e-8 ||y|| whose normwise backward
+    # error ||r|| / (scale() ||alpha|| + ||y||), scale() a bound on ||B|| formed
+    # only then, also exceeds 1e-8, or a NaN one (a NaN in the system passes the
+    # unchecked Cholesky), is a numerical failure with an eigenvalue estimate of B.
     alpha = solve(y)
     ynorm = _norm(y)
     resid = y - matvec(alpha)
@@ -72,7 +73,7 @@ def _refined(solve, matvec, y: np.ndarray, smallest) -> np.ndarray:
     if rnorm > 1e-14 * max(ynorm, 1.0):
         alpha = alpha + solve(resid)
         rnorm = _norm(y - matvec(alpha))
-    if not rnorm <= 1e-8 * ynorm:
+    if not (rnorm <= 1e-8 * ynorm or rnorm <= 1e-8 * (scale() * _norm(alpha) + ynorm)):
         raise NumericalError(
             f"linear solve residual {rnorm:.3e} exceeds tolerance; "
             f"smallest eigenvalue ~ {smallest():.6e}"
@@ -87,7 +88,7 @@ def _solve_pd(B: np.ndarray, y: np.ndarray) -> np.ndarray:
 
     L = _cholesky(B, smallest)
     return _refined(lambda r: scipy.linalg.lapack.dpotrs(L, r, lower=1)[0],
-                    lambda a: B @ a, y, smallest)
+                    lambda a: B @ a, y, smallest, lambda: float(np.linalg.norm(B)))
 
 
 def _add_outer(H: np.ndarray, W: np.ndarray, scale: float) -> None:
@@ -142,7 +143,9 @@ def _ridge_solve(fam, w: np.ndarray, r: np.ndarray, lam: float, q=None,
         z = scipy.linalg.lapack.dpotrs(L, C * (F.T @ b), lower=1)[0]
         return (b - F @ (C * z)) / lam
 
-    return _refined(solve, lambda x: lam * x + F @ (C * (C * (F.T @ x))), r, smallest)
+    # ||F_S C C'F_S' + lam I|| <= ||F_S C||_F^2 + lam = sum_S w_k G_kk + lam.
+    return _refined(solve, lambda x: lam * x + F @ (C * (C * (F.T @ x))), r, smallest,
+                    lambda: float(np.diagonal(G) @ w) + lam)
 
 
 def _ridge_value_grad(fam, y: np.ndarray, lam: float, mu: np.ndarray):

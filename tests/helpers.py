@@ -1,7 +1,7 @@
 """Shared random-instance generators, brute-force reference searches, the
 Counter n-gram reference, the lexsort row grouping, the reference
-lasso-path walk, the reference Woodbury solve and the method-major CV
-loop."""
+lasso-path walk, the reference Woodbury solve, the method-major CV loop
+and the radius-0 CV fits through ``fit_l2``."""
 
 from collections import Counter
 from typing import Sequence
@@ -282,7 +282,8 @@ def reference_woodbury_solve(fam, w, r, lam):
         z = scipy.linalg.lapack.dpotrs(L, Fd.T @ b, lower=1)[0] if s else np.zeros(0)
         return (b - Fd @ z) / lam
 
-    return _refined(solve, lambda x: lam * x + Fd @ (Fd.T @ x), r, smallest)
+    return _refined(solve, lambda x: lam * x + Fd @ (Fd.T @ x), r, smallest,
+                    lambda: float(np.linalg.norm(Fd)) ** 2 + lam)
 
 
 # The method-major CV loop that ``experiment._run_trial`` replaced with a
@@ -313,3 +314,25 @@ def method_major_run_trial(t, source, cfg, trial_seed):
         record["trial"] = t
         per_method[method] = record
     return per_method, audit
+
+
+# The radius-0 CV fits that ``experiment._fold_grid`` replaced with one
+# ridge solve per combo, kept as the reference the tests compare it
+# against: each uniform or best_single combo is a ``fit_l2`` at radius 0,
+# predicted through ``_predict_rows``.
+
+def fit_l2_radius0_grid(method, family, fold, y, combos):
+    """What ``experiment._fold_grid`` returns for ``uniform`` or
+    ``best_single``, with each info cut to its iterations and convergence."""
+    tr_idx, va_idx, sub = fold
+    grid = []
+    for combo in combos:
+        fit = sub if method == "uniform" else sub.select_kernels([combo["kernel"]])
+        model, _ = mk.fit_l2(fit, y[tr_idx], combo["lambda0"], 0.0)
+        mu = model.weights.mu
+        if method == "best_single":
+            mu = np.zeros(family.p)
+            mu[combo["kernel"]] = model.weights.mu[0]
+        info = {"iterations": model.iterations, "converged": model.converged}
+        grid.append((experiment._predict_rows(family, mu, model.alpha, tr_idx, va_idx), info))
+    return grid

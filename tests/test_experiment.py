@@ -10,6 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mklridge as mk
 from mklridge import ConfigError, DataError, NumericalError, ShapeError
@@ -22,8 +24,8 @@ from mklridge.experiment import (DEFAULT_BUDGET_GRID, DEFAULT_LAMBDA0_GRID,
                                  run_diagnose, run_experiment, run_fit,
                                  write_json_atomic)
 
-from helpers import (counter_apply_vocabulary, counter_build_ngram_features, kernel_stack,
-                     method_major_run_trial)
+from helpers import (counter_apply_vocabulary, counter_build_ngram_features,
+                     fit_l2_radius0_grid, kernel_stack, method_major_run_trial)
 
 
 # --- metrics ---------------------------------------------------------------
@@ -692,6 +694,77 @@ def test_best_single_on_rank1_family_is_plain_krr_per_kernel():
     assert rec["cv_score"] == pytest.approx(best[0], rel=1e-12)
     assert rec["cv_fits"] == {"fits": fam.p * 2 * 3, "unconverged": 0,
                               "iterations": [1, 1.0, 1]}
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except NumericalError as exc:
+        return str(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), layout=st.sampled_from(["features", "gram"]),
+       m=st.integers(3, 24), p=st.integers(1, 30), zero=st.booleans(), twin=st.booleans(),
+       lambda0s=st.lists(st.sampled_from([1e-4, 1e-3, 0.01, 0.1, 1.0]), min_size=1,
+                         max_size=3, unique=True))
+def test_radius0_fold_grid_matches_fit_l2_bit_for_bit(seed, layout, m, p, zero, twin, lambda0s):
+    # Each uniform and best_single combo is one ridge solve: its predictions
+    # and info are those of fit_l2 at radius 0, bit for bit, on rank-one
+    # families with p < m and p >= m and on Gram families, with a zero and
+    # a duplicate column. A rank-one best_single grid keeps its closed form
+    # (test_best_single_on_rank1_family_is_plain_krr_per_kernel).
+    rng = np.random.default_rng(seed)
+    F = rng.standard_normal((m, p)) * rng.uniform(0.1, 10.0, p)
+    if zero:
+        F[:, rng.integers(p)] = 0.0
+    if twin:
+        F = np.column_stack([F, F[:, 0]])
+    if layout == "features":
+        fam = mk.KernelFamily(F)
+    else:
+        A = rng.standard_normal((m, m))
+        fam = mk.KernelFamily.from_grams([np.outer(f, f) for f in F.T] + [A @ A.T / m])
+    y = rng.standard_normal(m)
+    perm = rng.permutation(m)
+    n_tr = int(rng.integers(2, m))
+    tr, va = np.sort(perm[:n_tr]), np.sort(perm[n_tr:])
+    fold = (tr, va, fam.subset(tr))
+    cfg = ExperimentConfig.from_dict(_tiny_config(lambda0_grid=lambda0s))
+    for method in ["uniform"] + ["best_single"] * (layout == "gram"):
+        combos = _combo_grid(method, cfg, fam.p)
+        got = _outcome(lambda: experiment._fold_grid(method, fam, fold, y, combos, cfg))
+        want = _outcome(lambda: fit_l2_radius0_grid(method, fam, fold, y, combos))
+        assert type(got) is type(want)
+        if isinstance(got, str):
+            assert got == want
+            continue
+        assert len(got) == len(want) == len(combos)
+        for (pred, info), (want_pred, want_info) in zip(got, want):
+            assert pred.tobytes() == want_pred.tobytes()
+            assert info == want_info == {"iterations": 1, "converged": True}
+
+
+def test_radius0_fold_grid_keeps_fit_l2_s_psd_check():
+    # A from_grams kernel that is slightly indefinite on the training rows
+    # (eigenvalue -1e-3), with the training targets along that eigenvector:
+    # the ridge solve succeeds, and the quadratic form is no roundoff.
+    n, m = 20, 26
+    Q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((n, n)))
+    K = np.eye(m)
+    K[:n, :n] = (Q * np.append(1.0 / np.arange(1, n), -1e-3)) @ Q.T
+    fam = mk.KernelFamily.from_grams([(K + K.T) / 2.0, np.eye(m)])
+    tr, va = np.arange(n), np.arange(n, m)
+    y = np.append(Q[:, -1], np.zeros(m - n))
+    fold = (tr, va, fam.subset(tr))
+    cfg = ExperimentConfig.from_dict(_tiny_config(lambda0_grid=[0.01]))
+    for method in ("uniform", "best_single"):
+        combos = _combo_grid(method, cfg, fam.p)
+        with pytest.raises(NumericalError, match=r"kernel not PSD\?") as new:
+            experiment._fold_grid(method, fam, fold, y, combos, cfg)
+        with pytest.raises(NumericalError) as old:
+            fit_l2_radius0_grid(method, fam, fold, y, combos)
+        assert str(new.value) == str(old.value)
 
 
 @pytest.mark.parametrize("method", ["l2mkl", "l1mkl"])

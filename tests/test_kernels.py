@@ -212,6 +212,10 @@ def _reference_scale(spec, x, z):
 
 
 @settings(max_examples=60, deadline=None)
+# 25 rows against 30 x 200 (cross_gram) or 25 x 200 (build_gram) take
+# Gaussian chunks of 10 and 13 rows: neither divides 25.
+@example(kind="gaussian", m=25, n=30, d=200, offset_data=False, duplicates=2, scale=1.0,
+         degree=1, seed=0)
 @given(
     kind=st.sampled_from(mk.kernels.KINDS),
     m=st.integers(1, 30),
@@ -535,6 +539,25 @@ def test_family_subset_lazy_matches_direct_build():
     direct = rank1_all_family(X[idx], include_offset=True)
     npt.assert_array_equal(kernel_stack(sub), kernel_stack(direct))
     assert sub.kappa0 == direct.kappa0
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 20), p=st.integers(1, 4),
+       picks=st.lists(st.integers(0, 19), min_size=1, max_size=30))
+def test_subset_gathers_the_three_axis_index_bit_for_bit(seed, m, p, picks):
+    # Kernel by kernel against one three-axis gather, for unsorted and
+    # repeated row indices.
+    rng = np.random.default_rng(seed)
+    mats = []
+    for _ in range(p):
+        A = rng.standard_normal((m, int(rng.integers(1, m + 1))))
+        mats.append(A @ A.T)
+    fam = mk.KernelFamily.from_grams(mats)
+    idx = np.array([i % m for i in picks])
+    sub = fam.subset(idx)
+    assert sub.stack.flags.c_contiguous and not sub.stack.flags.writeable
+    want = fam.stack[np.ix_(range(p), idx, idx)]
+    assert sub.stack.shape == want.shape and sub.stack.tobytes() == want.tobytes()
 
 
 def test_family_select_kernels():
