@@ -12,8 +12,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .kernels import (_BOOL, _CHAR, _FRACTION, _INTEGER, _LABEL_MAP, _as_matrix, _as_vector, _int,
-                      _one_of)
+from .kernels import (_BOOL, _CHAR, _FRACTION, _INTEGER, _LABEL_MAP, _as_matrix, _as_vector,
+                      _checked_indices, _int, _one_of)
 
 TASKS = ("regression", "classification_pm1")
 
@@ -43,7 +43,8 @@ class Dataset:
         return self.X.shape[0]
 
     def take(self, indices) -> "Dataset":
-        idx = np.asarray(indices, dtype=np.intp)
+        """The rows at ``indices``, integers in [0, m); anything else is a ShapeError."""
+        idx = _checked_indices(indices, self.m, "row")
         return Dataset(X=self.X[idx], y=self.y[idx], task=self.task)
 
 

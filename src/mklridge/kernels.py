@@ -303,12 +303,10 @@ class KernelFamily:
       features[:, k]), for rank-one kernels. Solvers use it as an exact
       fast path: ridge systems are solved in |supp mu| dimensions when that
       is below m, with the same residual guarantee as the dense solve.
-      Those systems are built from F'F, which the family computes on their
-      first solve and keeps read-only beside ``features`` (p^2 doubles).
-      When p < m it likewise keeps, from the first ``fit_l2`` Newton loop,
-      a QR twin: the reduced QR F = QR and the rank-one family of R's
-      columns (m x p + p x p doubles). A ``subset`` or ``select_kernels``
-      child computes its own of each.
+      When p < m the family keeps, from its first such solve or ``fit_l2``
+      Newton loop, its one solver cache: a read-only QR twin, the reduced
+      QR F = QR and the rank-one family of R's columns (m x p + p x p
+      doubles). A ``subset`` or ``select_kernels`` child computes its own.
       ``KernelFamily(features, specs)`` builds one.
     - ``stack``, a C-contiguous p x m x m array whose slice ``stack[k]``
       is the Gram matrix K_k, for every other family. K(mu), the quadratic
@@ -341,21 +339,13 @@ class KernelFamily:
             raise ShapeError("specs and kernel counts differ")
         self.features = features
         self.stack = stack
-        self._ff = None
         self._twin = None
-
-    def _feature_gram(self) -> np.ndarray:
-        # F'F of a rank-one family, computed on the first call and read-only.
-        if self._ff is None:
-            self._ff = self.features.T @ self.features
-            self._ff.flags.writeable = False
-        return self._ff
 
     def _qr_twin(self):
         # (Q, twin) of a rank-one family with p < m, else None: F = QR with
         # orthonormal columns in Q, and twin the p-row family of R's columns,
-        # so K_k = Q T_k Q' with T_k the twin's kernel k. Computed on the
-        # first call and read-only.
+        # so K_k = Q T_k Q' with T_k the twin's kernel k, and F'F = R'R is a
+        # p-row product. Computed on the first call and read-only.
         if self.features is None or self._p >= self._m:
             return None
         if self._twin is None:
@@ -490,7 +480,7 @@ def combine(family: KernelFamily, mu) -> np.ndarray:
     unchanged: exactly symmetric on both layouts, so ``from_grams`` takes it.
     """
     fam = as_family(family)
-    mu = np.asarray(mu, dtype=np.float64)
+    mu = _as_vector(mu, "mu", fam.p)
     if not (np.isfinite(mu).all() and np.all(mu >= 0)):
         raise ConfigError("combination weights must be finite and nonnegative")
     return fam.combined_entries(mu)

@@ -98,33 +98,33 @@ def _add_outer(H: np.ndarray, W: np.ndarray, scale: float) -> None:
     scipy.linalg.blas.dgemm(scale, W, W, beta=1.0, c=H.T, trans_b=True, overwrite_c=True)
 
 
-def _ridge_solve(fam, w: np.ndarray, r: np.ndarray, lam: float, q=None,
-                 shrink: float = 0.0) -> np.ndarray:
-    """Solve (K(w) + lam I - shrink (F q)(F q)') x = r for weights w >= 0.
+def _ridge_solve(fam, w: np.ndarray, r: np.ndarray, lam: float) -> np.ndarray:
+    """Solve (K(w) + lam I) x = r for weights w >= 0.
 
-    The rank-one term needs a rank-one family, K(w) = F diag(w) F', and
-    the caller keeps the matrix positive definite. This is the one route
-    rule: without that term, a rank-one family with s = |supp w| < m is
-    solved in s dimensions by the Woodbury identity, x = (r - F_S C z) /
-    lam with z = H^(-1) C'F_S'r, C = diag(sqrt(w_S)) and H = C G_SS C +
-    lam I_s, where G = F'F is the family's cached Gram of its feature
-    columns. So a solve costs two m x s products with F_S (F itself when
-    S is every kernel) and O(s^3) work. Every other case forms the m x m
-    matrix ``combined_entries(w)`` (of a rank-one family X X', exactly
-    symmetric) for ``_solve_pd``. Both routes check the residual against
-    the m x m system, with ``_solve_pd``'s refinement and tolerance.
+    This is the one route rule. A rank-one family, K(w) = F diag(w) F',
+    with s = |supp w| < m is solved in s dimensions by the Woodbury
+    identity, x = (r - F_S C z) / lam with z = H^(-1) C'F_S'r, C =
+    diag(sqrt(w_S)) and H = C G_SS C + lam I_s. G = F'F is never formed
+    whole: G_SS = T_S'T_S comes from the active columns of the family's
+    thinnest factor T with T'T = F'F, the p x p R of its QR twin when
+    p < m and F itself otherwise. So a solve costs the product T_S'T_S,
+    two m x s products with F_S (F itself when S is every kernel) and
+    O(s^3) work. Every other case forms the m x m matrix
+    ``combined_entries(w)`` (of a rank-one family X X', exactly symmetric)
+    for ``_solve_pd``. Both routes check the residual against the m x m
+    system, with ``_solve_pd``'s refinement and tolerance.
     """
-    support = None if fam.features is None or q is not None else w > 0
+    support = None if fam.features is None else w > 0
     s = fam.m if support is None else int(np.count_nonzero(support))
     if s >= fam.m:
         B = fam.combined_entries(w)
         B.flat[::fam.m + 1] += lam
-        if q is not None:
-            _add_outer(B, (fam.features @ q)[:, None], -shrink)
         return _solve_pd(B, r)
-    F, G = fam.features, fam._feature_gram()
+    _, thin = fam._qr_twin() or (None, fam)
+    F, T = fam.features, thin.features
     if s < fam.p:
-        F, G, w = F[:, support], G[np.ix_(support, support)], w[support]
+        F, T, w = F[:, support], T[:, support], w[support]
+    G = T.T @ T
     # C is diagonal: it is applied as the vector of its diagonal.
     C = np.sqrt(w)
     H = G * np.outer(C, C)
@@ -366,27 +366,31 @@ def _newton_step(fam, alpha, P, v, y, lam: float, mu0, radius: float):
 
     With Z = [K_1 alpha, ..., K_p alpha], v^ = v/||v|| and c = 2 radius/||v||,
     the Jacobian of R is H = K(mu) + lam I + c Z (I - v^v^') Z', which is
-    symmetric with H >= K(mu) + lam I. A Gram family has Z = P' and forms H
-    in the buffer of ``combined_entries(mu)``. A rank-one family has
-    Z = F diag(P), so H = lam I + F M F' with M = diag(mu + c v) -
-    (c/||v||^2) q q', q = P v; M >= diag(mu) is positive definite, and
-    ``_ridge_solve`` forms H and solves it. The step is solved from R rather than as
-    H^(-1) y - alpha, the same point (H alpha - R = y): the solve's
-    residual check is then relative to R, while at a large c and a small
-    lam the solve for H^(-1) y can fail its check.
+    symmetric with H >= K(mu) + lam I. Both layouts form it as one
+    ``combined_entries``, plus lam I, plus one outer product scale W W'.
+    A Gram family has Z = P', combines mu and takes W = Z - (Z v^)v^' with
+    scale c. A rank-one family has Z = F diag(P), so c Z Z' = K(c v): it
+    combines mu + c v and takes W = F q, q = P v, with scale -c/||v||^2.
+    Its middle matrix diag(mu + c v) - (c/||v||^2) q q' is at least
+    diag(mu), so H stays positive definite. The step is solved from R
+    rather than as H^(-1) y - alpha, the same point (H alpha - R = y): the
+    solve's residual check is then relative to R, while at a large c and
+    a small lam the solve for H^(-1) y can fail its check.
     """
     nv = _norm(v)
     mu = _weight_step(v, mu0, radius, nv)
     c = 2.0 * radius / nv
     if fam.features is None:
-        Z = P.T
-        H = fam.combined_entries(mu)
-        H.flat[::fam.m + 1] += lam
-        vhat = v / nv
-        _add_outer(H, Z - np.outer(Z @ vhat, vhat), c)
-        return mu, -_solve_pd(H, Z @ mu + lam * alpha - y)
-    R = fam.features @ (mu * P) + lam * alpha - y
-    return mu, -_ridge_solve(fam, mu + c * v, R, lam, P * v, c / nv**2)
+        Z, vhat = P.T, v / nv
+        H, W, scale = fam.combined_entries(mu), Z - np.outer(Z @ vhat, vhat), c
+        R = Z @ mu + lam * alpha - y
+    else:
+        F = fam.features
+        H, W, scale = fam.combined_entries(mu + c * v), (F @ (P * v))[:, None], -c / nv**2
+        R = F @ (mu * P) + lam * alpha - y
+    H.flat[::fam.m + 1] += lam
+    _add_outer(H, W, scale)
+    return mu, -_solve_pd(H, R)
 
 
 def fit_l2(family, y, lambda0: float, radius: float, mu0=None,
@@ -532,6 +536,7 @@ def project_ball_cone(x, mu0, radius: float) -> np.ndarray:
     """
     x = _as_vector(x, "x")
     mu0 = _as_vector(mu0, "mu0", x.shape[0])
+    _NONNEGATIVE.check("radius", radius)
     z = np.maximum(x, mu0)
     d = z - mu0
     nd = _norm(d)

@@ -260,9 +260,9 @@ def reference_l1_path_stops(F: np.ndarray, y: np.ndarray, classes):
     return stops
 
 
-# The Woodbury route of ``solver._ridge_solve`` before it built its s x s
-# system from the family's cached F'F, kept as the reference the tests
-# compare it against: it forms Fd = F_S C and Fd'Fd at O(m s^2) per solve.
+# An independent Woodbury solve, kept as the reference the tests compare
+# ``solver._ridge_solve``'s route against: where the route scales G_SS from
+# the family's thinnest factor, this forms Fd = F_S C and Fd'Fd from F.
 
 def reference_woodbury_solve(fam, w, r, lam):
     """(K(w) + lam I) x = r for a rank-one family with s = |supp w| < m,

@@ -5,7 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mklridge as mk
-from mklridge import ConfigError, DataError
+from mklridge import ConfigError, DataError, ShapeError
 from mklridge.data import apply_vocabulary, load_text_corpus, split_indices
 
 from helpers import (counter_apply_vocabulary, counter_build_ngram_features, kernel_stack,
@@ -410,3 +410,22 @@ def test_dataset_validation():
         mk.Dataset(X=np.array([[np.nan]]), y=np.array([1.0]))
     with pytest.raises(DataError):
         mk.Dataset(X=np.ones((2, 1)), y=np.array([1.0, 2.0]), task="classification_pm1")
+
+
+@pytest.mark.parametrize("indices", [
+    [0.7, 1.2], np.array([0.5]), [-1], np.array([-1]), [3], [True, False, True],
+    np.array([True, False, True]), [[0, 1]]])
+def test_dataset_take_rejects_what_is_not_a_row_index(indices):
+    # numpy would truncate 0.7 to 0, wrap -1 to the last row and read
+    # booleans as integers (or as a mask).
+    ds = mk.Dataset(X=np.arange(6.0).reshape(3, 2), y=np.arange(3.0))
+    with pytest.raises(ShapeError):
+        ds.take(indices)
+
+
+def test_dataset_take_selects_rows_in_order():
+    ds = mk.Dataset(X=np.arange(6.0).reshape(3, 2), y=np.arange(3.0))
+    for indices in ([2, 0, 2], np.array([1], dtype=np.int32)):
+        part = ds.take(indices)
+        npt.assert_array_equal(part.X, ds.X[np.asarray(indices)])
+        npt.assert_array_equal(part.y, ds.y[np.asarray(indices)])

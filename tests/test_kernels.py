@@ -409,6 +409,12 @@ def test_combine_length_mismatch():
         mk.combine(fam, [1.0, 1.0, 1.0])
 
 
+def test_combine_rejects_weights_that_are_not_numbers():
+    fam = _random_family(3, p=3)
+    with pytest.raises(ConfigError, match="mu must be an array of numbers"):
+        mk.combine(fam, ["a", "b", "c"])
+
+
 # --- kappa ------------------------------------------------------------------
 
 def test_compute_kappa_unit():

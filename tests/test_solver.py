@@ -293,75 +293,58 @@ def test_objective_zero_radius_is_plain_dual_value(seed):
 @settings(max_examples=120)
 @given(
     m=st.integers(2, 40),
-    p=st.integers(1, 60),
+    narrow=st.booleans(),
     seed=st.integers(0, 10_000),
-    support=st.sampled_from(("random", "empty", "m-1", "all")),
-    t=st.one_of(st.none(), st.floats(0.0, 1.0, exclude_max=True)),
+    support=st.sampled_from(("random", "empty", "all-but-one", "m-1", "all")),
 )
-def test_feature_route_matches_dense_reference(m, p, seed, support, t):
-    # Both routes of _ridge_solve against the formed matrix, with and
-    # without the Newton system's rank-one term, on families with zero and
-    # duplicate columns. With q on the support S of mu and shrink = t /
-    # (q_S' diag(mu_S)^(-1) q_S), t < 1, the matrix M = diag(mu) - shrink
-    # q q' is positive definite on S; the rank-one term always takes the
-    # formed route. The Woodbury route, built from the family's F'F, also
-    # agrees with the route it replaced, which formed F_S C
-    # (helpers.reference_woodbury_solve).
+def test_feature_route_matches_dense_reference(m, narrow, seed, support):
+    # Both routes of _ridge_solve against the formed matrix, on families
+    # with zero and duplicate columns, p < m (the Woodbury system built
+    # from the QR twin's R) and p >= m (built from F), and full, partial
+    # and empty supports. The Woodbury route also agrees with an
+    # independent one that forms F_S C (helpers.reference_woodbury_solve).
     rng = np.random.default_rng(seed)
+    p = int(rng.integers(1, m)) if narrow else int(rng.integers(m, 61))
     F = rng.standard_normal((m, p))
     F[:, rng.random(p) < 0.2] = 0.0
     for k in np.flatnonzero(rng.random(p) < 0.2):
         F[:, k] = F[:, rng.integers(p)]
     fam = mk.KernelFamily(F)
-    s = {"random": int(rng.integers(0, min(p, m - 1) + 1)),
-         "empty": 0, "m-1": min(p, m - 1), "all": p}[support]
+    s = {"random": int(rng.integers(0, min(p, m - 1) + 1)), "empty": 0,
+         "all-but-one": p - 1, "m-1": min(p, m - 1), "all": p}[support]
     mu = np.zeros(p)
     on = rng.choice(p, size=s, replace=False)
     mu[on] = rng.uniform(0.01, 3.0, size=s)
     y = rng.standard_normal(m)
     lam = float(rng.uniform(0.005, 0.5)) * m
     B = mk.combine(fam, mu) + lam * np.eye(m)
-    q, shrink = None, 0.0
-    if t is not None:
-        q = np.zeros(p)
-        q[on] = rng.standard_normal(s)
-        scale = float(q[on] @ (q[on] / mu[on]))
-        shrink = t / scale if scale > 0.0 else 0.0
-        B -= shrink * np.outer(F @ q, F @ q)
     reference = solver._solve_pd(B, y)
-    # The dense solver runs exactly when s >= m or q is given.
+    # The dense solver runs exactly when s >= m.
     solve_pd = mock.Mock(wraps=solver._solve_pd)
     with mock.patch.object(solver, "_solve_pd", solve_pd):
-        alpha = solver._ridge_solve(fam, mu, y, lam, q, shrink)
-    assert solve_pd.call_count == (s >= m or q is not None)
+        alpha = solver._ridge_solve(fam, mu, y, lam)
+    assert solve_pd.call_count == (s >= m)
+    assert (fam._twin is not None) == (p < m)
     assert np.linalg.norm(alpha - reference) <= 1e-10 * np.linalg.norm(reference)
     assert np.linalg.norm(B @ alpha - y) <= 1e-8 * np.linalg.norm(y)
-    if s < m and q is None:
+    if s < m:
         replaced = reference_woodbury_solve(fam, mu, y, lam)
         assert np.linalg.norm(alpha - replaced) <= 1e-10 * np.linalg.norm(replaced)
         assert np.linalg.norm(B @ replaced - y) <= 1e-8 * np.linalg.norm(y)
 
 
-def test_feature_gram_is_cached_per_family_and_read_only():
-    # The Woodbury route builds F'F once per rank-one family, on its first
-    # solve, and fit_l2's Newton loop builds the QR twin (Q, the family of
-    # R's columns) on its first run when p < m; both stay read-only. A
-    # subset or select_kernels child builds its own, a Gram family never
-    # builds either, and a rank-one family with p >= m no twin.
+def test_qr_twin_is_the_only_solver_cache_and_read_only():
+    # A rank-one family with p < m builds its QR twin (Q, the family of R's
+    # columns) on its first Woodbury solve and keeps it read-only; fit_l2's
+    # Newton loop and later solves reuse it. A subset or select_kernels
+    # child builds its own. A rank-one family with p >= m and a Gram family
+    # build nothing: no attribute is added or replaced.
     rng = np.random.default_rng(3)
     F = rng.standard_normal((12, 4))
     y = rng.standard_normal(12)
     fam = mk.KernelFamily(F)
-    assert fam._ff is None and fam._twin is None
-    solver._ridge_solve(fam, np.ones(4), y, 1.0)
-    G = fam._ff
-    npt.assert_array_equal(G, F.T @ F)
-    assert not G.flags.writeable
-    with pytest.raises(ValueError):
-        G[0, 0] = 0.0
-    mk.fit_l2(fam, y, 0.1, 0.0)
     assert fam._twin is None
-    mk.fit_l2(fam, y, 0.1, 10.0)
+    solver._ridge_solve(fam, np.array([1.0, 0.0, 2.0, 0.5]), y, 1.0)
     twin = fam._twin
     Q, T = twin
     assert Q.shape == (12, 4) and T.features.shape == (4, 4)
@@ -371,22 +354,77 @@ def test_feature_gram_is_cached_per_family_and_read_only():
         assert not array.flags.writeable
         with pytest.raises(ValueError):
             array[0, 0] = 0.0
+    mk.fit_l2(fam, y, 0.1, 10.0)
     mk.fit_l2(fam, y, 0.01, 1.0)
     mk.fit_l1(fam, y, 0.1, 1.0)
-    assert fam._ff is G and fam._twin is twin
+    assert fam._twin is twin
     for child in (fam.subset(np.arange(2, 12)), fam.select_kernels([1, 3])):
-        assert child._ff is None and child._twin is None
-        mk.fit_l2(child, y[:child.m], 0.1, 10.0)
-        npt.assert_array_equal(child._ff, child.features.T @ child.features)
+        assert child._twin is None
+        solver._ridge_solve(child, np.ones(child.p), y[:child.m], 1.0)
         Q, T = child._twin
         npt.assert_allclose(Q @ T.features, child.features, atol=1e-14)
-    assert fam._ff is G and fam._twin is twin
+    assert fam._twin is twin
     gram = mk.KernelFamily.from_grams(kernel_stack(fam))
     wide = mk.KernelFamily(rng.standard_normal((4, 6)))
-    for other in (gram, wide):
+    for other, w in ((gram, np.ones(4)), (wide, np.array([1.0, 0.0, 0.0, 2.0, 0.0, 0.0]))):
+        before = dict(vars(other))
+        solver._ridge_solve(other, w, y[:other.m], 1.0)
         mk.fit_l2(other, y[:other.m], 0.1, 10.0)
-        assert other._twin is None
-    assert gram._ff is None
+        mk.fit_l1(other, y[:other.m], 0.1, 1.0)
+        assert vars(other).keys() == before.keys()
+        assert all(vars(other)[name] is value for name, value in before.items())
+
+
+@settings(max_examples=80)
+@given(
+    m=st.integers(2, 30),
+    twin=st.booleans(),
+    seed=st.integers(0, 10_000),
+    columns=st.sampled_from(("random", "zero", "duplicate")),
+    radius=st.floats(0.01, 10.0),
+)
+def test_newton_step_on_rank_one_families_matches_the_dense_jacobian(m, twin, seed, columns,
+                                                                     radius):
+    # _newton_step forms a rank-one family's H as K(mu + c v) + lam I minus
+    # one outer product. It equals the dense Jacobian H = K(mu) + lam I +
+    # c Z (I - v^v^') Z' with Z = F diag(P), and its step -H^(-1) R the dense
+    # one, on a family with p >= m and on the p-row QR twin of one with
+    # p < m, with zero and duplicate columns.
+    rng = np.random.default_rng(seed)
+    p = int(rng.integers(1, m)) if twin else int(rng.integers(m, 2 * m + 2))
+    F = rng.standard_normal((m, p))
+    if columns == "zero":
+        F[:, 1:][:, rng.random(p - 1) < 0.4] = 0.0
+    elif columns == "duplicate":
+        F[:, -1] = F[:, 0]
+    fam = mk.KernelFamily(F)
+    alpha, y = rng.standard_normal(m), rng.standard_normal(m)
+    Q, fam = fam._qr_twin() or (None, fam)
+    assert (Q is not None) == twin
+    if twin:
+        alpha, y = Q.T @ alpha, Q.T @ y
+    F = fam.features
+    lam = float(rng.uniform(0.01, 0.5)) * fam.m
+    mu0 = np.ones(fam.p)
+    seen = []
+    solve_pd = solver._solve_pd
+
+    def capture(B, rhs):
+        seen.append(B.copy())
+        return solve_pd(B, rhs)
+
+    with mock.patch.object(solver, "_solve_pd", capture):
+        P, v = solver._projections(alpha, fam)
+        mu, d = solver._newton_step(fam, alpha, P, v, y, lam, mu0, radius)
+    [H] = seen
+    nv = np.linalg.norm(v)
+    vhat, c = v / nv, 2.0 * radius / nv
+    Z, K = F * P, (F * mu) @ F.T
+    H_ref = K + lam * np.eye(fam.m) + c * Z @ (np.eye(fam.p) - np.outer(vhat, vhat)) @ Z.T
+    d_ref = -np.linalg.solve(H_ref, K @ alpha + lam * alpha - y)
+    npt.assert_allclose(mu, mu0 + radius * vhat, rtol=1e-14)
+    assert np.linalg.norm(H - H_ref) <= 1e-10 * np.linalg.norm(H_ref)
+    assert np.linalg.norm(d - d_ref) <= 1e-10 * np.linalg.norm(d_ref)
 
 
 def test_feature_route_reports_eigenvalue_on_failure():
@@ -849,6 +887,13 @@ def test_ball_cone_projection_is_nearest_point(p, seed, radius):
     nd = float(np.linalg.norm(d))
     ball = mu0 + d * (radius / nd) if nd > radius else x_up
     assert project_ball_cone(x_up, mu0, radius).tobytes() == ball.tobytes()
+
+
+@pytest.mark.parametrize("radius", [-1.0, np.nan, np.inf, True, "1"])
+def test_ball_cone_projection_rejects_a_bad_radius(radius):
+    # Radius -1 would return a point outside the set, and NaN x unclipped.
+    with pytest.raises(ConfigError, match="radius"):
+        project_ball_cone([3.0, 3.0], [1.0, 1.0], radius)
 
 
 @settings(max_examples=50)
