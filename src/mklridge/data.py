@@ -13,9 +13,14 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .kernels import (_BOOL, _CHAR, _FRACTION, _INTEGER, _LABEL_MAP, _as_matrix, _as_vector,
-                      _checked_indices, _int, _one_of)
+                      _check, _checked_indices, _int, _one_of)
 
 TASKS = ("regression", "classification_pm1")
+
+# The settings of load_delimited, with their rules; a config's delimited
+# dataset obeys the same table.
+_DELIMITED_RULES = {"label_column": _INTEGER, "delimiter": _CHAR, "task": _one_of(TASKS),
+                    "label_map": _LABEL_MAP, "header": _BOOL}
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,11 +66,9 @@ def load_delimited(path, label_column: int = -1, delimiter: str = ",",
     their line and column. The settings obey the config's rules for a
     delimited dataset.
     """
-    _INTEGER.check("label_column", label_column)
-    _CHAR.check("delimiter", delimiter)
-    _one_of(TASKS).check("task", task)
-    _LABEL_MAP.check("label_map", label_map)
-    _BOOL.check("header", header)
+    settings = {"label_column": label_column, "delimiter": delimiter, "task": task,
+                "label_map": label_map, "header": header}
+    _check("delimited dataset", _DELIMITED_RULES, settings)
     rows = []
     try:
         fh = open(path, newline="", encoding="utf-8-sig")

@@ -12,7 +12,8 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .kernels import (EXPLICIT_MAP_KINDS, KernelFamily, KernelSpec, _FRACTION, _NONNEGATIVE,
-                      _POSITIVE, _as_matrix, _as_vector, _int, _norm, as_family, compute_kappa)
+                      _POSITIVE, _as_matrix, _as_vector, _check, _int, _norm, _required,
+                      as_family, compute_kappa)
 from .solver import MklModel, MuWeights, krr_solve, quad_forms
 
 
@@ -219,6 +220,13 @@ class BoundValues:
     generalization_gap: float
 
 
+# The arguments of bound_values, with their rules; a diagnose config's
+# bounds section obeys the same table.
+_BOUND_RULES = {"kappa": _required(_POSITIVE), "max_error": _required(_POSITIVE),
+                "radius": _required(_NONNEGATIVE), "lambda0": _required(_POSITIVE),
+                "p": _required(_int(1)), "m": _required(_int(1)), "delta": _required(_FRACTION)}
+
+
 def bound_values(kappa: float, max_error: float, radius: float, lambda0: float,
                  p: int, m: int, delta: float) -> BoundValues:
     """Learned-kernel stability constants.
@@ -229,10 +237,7 @@ def bound_values(kappa: float, max_error: float, radius: float, lambda0: float,
     generalization gap 2 beta + (4 m beta + M) sqrt(log(1/delta) / (2m)).
     No tightness is claimed; radius = 0 recovers the fixed-kernel case.
     """
-    for name, value, rule in (("kappa", kappa, _POSITIVE), ("max_error", max_error, _POSITIVE),
-                              ("radius", radius, _NONNEGATIVE), ("lambda0", lambda0, _POSITIVE),
-                              ("p", p, _int(1)), ("m", m, _int(1)), ("delta", delta, _FRACTION)):
-        rule.check(name, value)
+    _check("bounds", _BOUND_RULES, locals())
     c0 = 2.0 * kappa * max_error + 4.0 * radius * max_error * math.sqrt(kappa) * (kappa / lambda0 + 1.0)
     c1 = 16.0 * radius**2 * max_error * kappa**1.5 / lambda0
     beta = 2.0 * max_error * (c0 + c1 * math.sqrt(p)) / (lambda0 * m)

@@ -13,17 +13,18 @@ import hashlib
 import json
 import os
 import tempfile
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from typing import Optional
 
 import numpy as np
 
 from . import diagnostics, solver
-from .data import (TASKS, Dataset, apply_vocabulary, build_ngram_features,
+from .data import (TASKS, Dataset, _DELIMITED_RULES, apply_vocabulary, build_ngram_features,
                    load_delimited, load_text_corpus, make_folds, split_indices)
+from .diagnostics import _BOUND_RULES
 from .errors import ConfigError, DataError, NumericalError
-from .kernels import (KernelFamily, KernelSpec, _BOOL, _CHAR, _FRACTION, _INTEGER, _LABEL_MAP,
-                      _NONNEGATIVE, _POSITIVE, _Rule, _as_vector, _int, _is_number, _one_of)
+from .kernels import (KernelFamily, KernelSpec, _BOOL, _FRACTION, _NONNEGATIVE, _POSITIVE, _Rule,
+                      _SPEC_RULES, _as_vector, _check, _int, _is_number, _one_of, _required)
 from .solver import MuWeights, fit_l1, fit_l2, predict_weighted
 
 METHODS = ("l2mkl", "l1mkl", "uniform", "best_single")
@@ -71,10 +72,6 @@ def _optional(rule: _Rule) -> _Rule:
     return _Rule(f"{rule.text} or null", lambda v: v is None or rule.test(v))
 
 
-def _required(rule: _Rule) -> _Rule:
-    return rule._replace(required=True)
-
-
 def _list_of(item: _Rule, nonempty=False, distinct=False) -> _Rule:
     text = f"a list of {'one or more ' * nonempty}{'distinct ' * distinct}values, each {item.text}"
     return _Rule(text, lambda v: isinstance(v, (list, tuple)) and len(v) >= nonempty
@@ -97,10 +94,7 @@ _RULES = {
         "l1_max_iters": _int(1), "l1_tol": _POSITIVE, "out": _optional(_TEXT), "fit": _OBJECT,
     },
     "dataset": ("kind", None, {
-        "delimited": {"path": _required(_TEXT),
-                      "label_column": _INTEGER,
-                      "delimiter": _CHAR, "task": _one_of(TASKS), "label_map": _LABEL_MAP,
-                      "header": _BOOL, "split_fraction": _FRACTION},
+        "delimited": {"path": _required(_TEXT), **_DELIMITED_RULES, "split_fraction": _FRACTION},
         "text": {"path": _required(_TEXT), "task": _one_of(TASKS), "split_fraction": _FRACTION},
         "synthetic_sparse": {"n_features": _int(1), "n_informative": _int(1),
                              "coef": _Rule("a finite number", _is_number),
@@ -112,13 +106,7 @@ _RULES = {
         "rank1_all": {"include_offset": _BOOL},
         "ngram_rank1": {"n": _int(1), "top": _int(1), "include_offset": _BOOL},
     }),
-    "kernel spec": ("kind", None, {
-        "gaussian": {"bandwidth": _required(_POSITIVE)},
-        "linear": {},
-        "polynomial": {"degree": _required(_int(1)), "offset": _NONNEGATIVE},
-        "rank1_feature": {"feature_index": _required(_int(0))},
-        "constant_offset": {},
-    }),
+    "kernel spec": _SPEC_RULES,
     "fit": ("method", "l2mkl", {
         "l2mkl": {"lambda0": _POSITIVE, "radius": _NONNEGATIVE},
         "l1mkl": {"lambda0": _POSITIVE, "budget": _POSITIVE},
@@ -128,36 +116,8 @@ _RULES = {
     "identity": {"cases": _int(1), "dim": _int(1), "radius": _NONNEGATIVE, "seed": _int(0)},
     "stability": {"m": _int(1), "d": _int(1), "trials": _int(1), "lambda0": _POSITIVE,
                   "seed": _int(0)},
-    "bounds": {"kappa": _required(_POSITIVE), "max_error": _required(_POSITIVE),
-               "radius": _required(_NONNEGATIVE), "lambda0": _required(_POSITIVE),
-               "p": _required(_int(1)), "m": _required(_int(1)),
-               "delta": _required(_FRACTION)},
+    "bounds": _BOUND_RULES,
 }
-
-
-def _check(name: str, section, path: str = ""):
-    """Raise ConfigError unless ``section`` is a JSON object whose keys and
-    values obey ``_RULES[name]``; ``path`` prefixes key names in errors.
-    Returns the section's selector value, or None if it has no selector."""
-    if not isinstance(section, dict):
-        raise ConfigError(f"{path[:-1] or name} must be a JSON object, got {section!r}")
-    rules, kind, selector, where = _RULES[name], None, (), ""
-    if isinstance(rules, tuple):
-        key, default, by_kind = rules
-        kind = section.get(key, default)
-        if not (isinstance(kind, str) and kind in by_kind):
-            raise ConfigError(f"unknown {name} {key} {kind!r}; expected one of {list(by_kind)}")
-        rules, selector, where = by_kind[kind], (key,), f" for {key} {kind!r}"
-    unknown = set(section).difference(rules, selector)
-    if unknown:
-        raise ConfigError(f"unknown {name} keys{where}: {sorted(unknown)}")
-    missing = [key for key, rule in rules.items() if rule.required and key not in section]
-    if missing:
-        raise ConfigError(f"missing {name} keys{where}: {missing}")
-    for key, rule in rules.items():
-        if key in section:
-            rule.check(path + key, section[key])
-    return kind
 
 
 @dataclass(frozen=True)
@@ -180,11 +140,12 @@ class ExperimentConfig:
     fit: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        _check("config", self.to_dict())
-        _check("dataset", self.dataset, "dataset.")
-        if _check("kernels", self.kernels, "kernels.") == "explicit":
+        _check("config", _RULES["config"], self.to_dict())
+        _check("dataset", _RULES["dataset"], self.dataset, "dataset.")
+        if _check("kernels", _RULES["kernels"], self.kernels, "kernels.") == "explicit":
             for i, spec in enumerate(self.kernels["specs"]):
-                _check("kernel spec", spec, f"kernels.specs[{i}].")
+                _check("kernel spec", _RULES["kernel spec"], spec, f"kernels.specs[{i}].")
+        _check("fit", _RULES["fit"], self.fit, "fit.")
         if (self.dataset["kind"] == "text") != (self.kernels["kind"] == "ngram_rank1"):
             raise ConfigError("text datasets need the ngram_rank1 kernel recipe, "
                               "and ngram_rank1 needs a text dataset")
@@ -202,7 +163,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        _check("config", d)  # cls(**d) cannot take an unknown or a missing key
+        _check("config", _RULES["config"], d)  # cls(**d) cannot take an unknown or a missing key
         return cls(**d)
 
     @classmethod
@@ -314,6 +275,12 @@ def synthetic_sparse(dataset_cfg: dict, rng: np.random.Generator):
     return train, test
 
 
+def _set_keys(section: dict, keys) -> dict:
+    """The settings among ``keys`` that ``section`` sets, so that an unset
+    one takes its default from the signature of the function they go to."""
+    return {key: section[key] for key in keys if key in section}
+
+
 class _Source:
     """Loads the raw data once and materializes per-trial train/test splits."""
 
@@ -323,17 +290,10 @@ class _Source:
         self.kind = ds["kind"]
         self.fraction = ds.get("split_fraction", 0.5)
         if self.kind == "delimited":
-            self.base = load_delimited(
-                ds["path"],
-                label_column=ds.get("label_column", -1),
-                delimiter=ds.get("delimiter", ","),
-                task=ds.get("task", "regression"),
-                label_map=ds.get("label_map"),
-                header=ds.get("header", False),
-            )
+            self.base = load_delimited(ds["path"], **_set_keys(ds, _DELIMITED_RULES))
         elif self.kind == "text":
             self.docs, self.labels = load_text_corpus(ds["path"])
-            self.task = ds.get("task", "regression")
+            self.dataset_keys = _set_keys(ds, ("task",))
 
     def trial_data(self, trial_seed: np.random.SeedSequence):
         """Returns (train, test, audit) for one trial."""
@@ -352,15 +312,11 @@ class _Source:
         else:  # text
             n_docs = len(self.docs)
             tr, te = split_indices(n_docs, self.fraction, split_seed)
-            kcfg = self.cfg.kernels
-            counts_tr, vocab = build_ngram_features(
-                [self.docs[i] for i in tr],
-                n=kcfg.get("n", 2),
-                top=kcfg.get("top", 100),
-            )
+            counts_tr, vocab = build_ngram_features([self.docs[i] for i in tr],
+                                                    **_set_keys(self.cfg.kernels, ("n", "top")))
             counts_te = apply_vocabulary([self.docs[i] for i in te], vocab)
-            train = Dataset(X=counts_tr, y=self.labels[tr], task=self.task)
-            test = Dataset(X=counts_te, y=self.labels[te], task=self.task)
+            train = Dataset(X=counts_tr, y=self.labels[tr], **self.dataset_keys)
+            test = Dataset(X=counts_te, y=self.labels[te], **self.dataset_keys)
         overlap = len(set(tr.tolist()) & set(te.tolist()))
         if overlap:
             raise ConfigError("internal split error: train and test rows overlap")
@@ -750,7 +706,7 @@ def emit_tables(report: dict, out_dir, fmt: str = "csv") -> dict:
 
 def run_fit(config: ExperimentConfig) -> dict:
     """Fit one model on the first trial's training rows and summarize it."""
-    method = _check("fit", config.fit, "fit.")
+    method = config.fit.get("method", "l2mkl")
     source = _Source(config)
     seed = np.random.SeedSequence(0 if config.seed is None else config.seed)
     train, _test, _audit = source.trial_data(seed.spawn(1)[0])
@@ -776,11 +732,11 @@ def run_fit(config: ExperimentConfig) -> dict:
 
 def run_diagnose(config: dict) -> dict:
     """Run the verification suites named in the config; see README."""
-    _check("diagnose", config)
+    _check("diagnose", _RULES["diagnose"], config)
     if not config:
         raise ConfigError("diagnose config selects no sections")
     for name, sec in config.items():
-        _check(name, sec, f"{name}.")
+        _check(name, _RULES[name], sec, f"{name}.")
     out = {}
 
     if "identity" in config:
@@ -830,10 +786,6 @@ def run_diagnose(config: dict) -> dict:
         }
 
     if "bounds" in config:
-        vals = diagnostics.bound_values(**config["bounds"])
-        out["bounds"] = {
-            "c0": vals.c0, "c1": vals.c1, "beta": vals.beta,
-            "generalization_gap": vals.generalization_gap,
-        }
+        out["bounds"] = asdict(diagnostics.bound_values(**config["bounds"]))
 
     return out

@@ -18,8 +18,6 @@ import numpy as np
 
 from .errors import ConfigError, DataError, NumericalError, ShapeError
 
-KINDS = ("gaussian", "linear", "polynomial", "rank1_feature", "constant_offset")
-
 # Feature-map kinds with a finite, explicitly known embedding.
 EXPLICIT_MAP_KINDS = ("rank1_feature", "constant_offset")
 
@@ -65,6 +63,38 @@ _BOOL = _Rule("true or false", lambda v: isinstance(v, bool))
 _CHAR = _Rule("a one-character string", lambda v: isinstance(v, str) and len(v) == 1)
 _LABEL_MAP = _Rule("null or a JSON object of finite numbers", lambda v: v is None or (
     isinstance(v, dict) and all(map(_is_number, v.values()))))
+
+
+def _required(rule: _Rule) -> _Rule:
+    return rule._replace(required=True)
+
+
+def _check(name: str, rules, section, path: str = ""):
+    """Raise ConfigError unless ``section`` is a JSON object whose keys and
+    values obey ``rules``: a {key: rule} table, or a (selector key, its
+    default, {selector value: table}) triple. ``name`` labels the section
+    and ``path`` prefixes key names in errors. Returns the section's
+    selector value, or None if it has no selector."""
+    if not isinstance(section, dict):
+        raise ConfigError(f"{path[:-1] or name} must be a JSON object, got {section!r}")
+    kind, selector, where = None, (), ""
+    if isinstance(rules, tuple):
+        key, default, by_kind = rules
+        kind = section.get(key, default)
+        if not (isinstance(kind, str) and kind in by_kind):
+            raise ConfigError(f"unknown {name} {key} {kind!r}; expected one of {list(by_kind)}")
+        rules, selector, where = by_kind[kind], (key,), f" for {key} {kind!r}"
+    unknown = set(section).difference(rules, selector)
+    if unknown:
+        raise ConfigError(f"unknown {name} keys{where}: {sorted(unknown)}")
+    missing = [key for key, rule in rules.items() if rule.required and key not in section]
+    if missing:
+        raise ConfigError(f"missing {name} keys{where}: {missing}")
+    for key, rule in rules.items():
+        if key in section:
+            rule.check(path + key, section[key])
+    return kind
+
 
 _FLOAT64 = np.dtype(np.float64)
 
@@ -118,13 +148,27 @@ def _norm(x: np.ndarray) -> float:
     return math.sqrt(x.dot(x))
 
 
+# The fields each kind of kernel spec takes, with their rules; a config's
+# kernel specs obey the same table.
+_SPEC_RULES = ("kind", None, {
+    "gaussian": {"bandwidth": _required(_POSITIVE)},
+    "linear": {},
+    # A negative offset would break positive semidefiniteness.
+    "polynomial": {"degree": _required(_int(1)), "offset": _NONNEGATIVE},
+    "rank1_feature": {"feature_index": _required(_int(0))},
+    "constant_offset": {},
+})
+KINDS = tuple(_SPEC_RULES[2])
+
+
 @dataclass(frozen=True)
 class KernelSpec:
     """One base kernel. Build instances through the classmethod constructors.
 
     Kinds: ``gaussian`` (bandwidth sigma), ``linear``, ``polynomial``
-    (degree, additive offset), ``rank1_feature`` (product of one feature
-    coordinate), ``constant_offset`` (all-ones kernel acting as a bias).
+    (degree, additive offset, 1.0 when unset), ``rank1_feature`` (product
+    of one feature coordinate), ``constant_offset`` (all-ones kernel acting
+    as a bias). A spec takes only its kind's fields; None leaves one unset.
     """
 
     kind: str
@@ -134,18 +178,9 @@ class KernelSpec:
     feature_index: Optional[int] = None
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ConfigError(f"unknown kernel kind {self.kind!r}; expected one of {KINDS}")
-        if self.kind == "gaussian":
-            _POSITIVE.check("gaussian bandwidth", self.bandwidth)
-        if self.kind == "polynomial":
-            _int(1).check("polynomial degree", self.degree)
-            if self.offset is None:
-                object.__setattr__(self, "offset", 1.0)
-            # A negative offset would break positive semidefiniteness.
-            _NONNEGATIVE.check("polynomial offset", self.offset)
-        if self.kind == "rank1_feature":
-            _int(0).check("rank1_feature feature_index", self.feature_index)
+        _check("kernel spec", _SPEC_RULES, {k: v for k, v in vars(self).items() if v is not None})
+        if self.kind == "polynomial" and self.offset is None:
+            object.__setattr__(self, "offset", 1.0)
 
     @classmethod
     def gaussian(cls, bandwidth: float) -> "KernelSpec":
@@ -447,14 +482,15 @@ class KernelFamily:
         return KernelFamily._of(specs, stack=stack)
 
     def combined_entries(self, mu) -> np.ndarray:
-        """Sum_k mu_k K_k as a new array. A rank-one family's is X X' with
-        X = F sqrt(mu), one BLAS syrk, so exactly symmetric (a negative or NaN
-        weight is a ConfigError); a Gram family's is one contraction of the
-        stack equal to the kernel-by-kernel sum in index order bit for bit."""
+        """Sum_k mu_k K_k as a new array; a weight that is negative, NaN or
+        infinite is a ConfigError. A rank-one family's is X X' with X =
+        F sqrt(mu), one BLAS syrk, so exactly symmetric; a Gram family's is
+        one contraction of the stack equal to the kernel-by-kernel sum in
+        index order bit for bit."""
         mu = _as_vector(mu, "mu", self.p)
+        if not (mu.min() >= 0.0 and mu.max() < math.inf):
+            raise ConfigError("mu must be finite and nonnegative")
         if self.features is not None:
-            if not mu.min() >= 0.0:
-                raise ConfigError("mu has a negative or NaN entry")
             X = self.features * np.sqrt(mu)
             return X @ X.T
         if self.m > 1:
@@ -474,16 +510,11 @@ def as_family(obj) -> KernelFamily:
 
 
 def combine(family: KernelFamily, mu) -> np.ndarray:
-    """The weighted kernel K(mu) = sum_k mu_k K_k of a KernelFamily, mu >= 0.
-
-    It is :meth:`KernelFamily.combined_entries`, the K(mu) the solvers use,
-    unchanged: exactly symmetric on both layouts, so ``from_grams`` takes it.
+    """The weighted kernel K(mu) = sum_k mu_k K_k of a KernelFamily, mu
+    finite and >= 0: :meth:`KernelFamily.combined_entries`, the K(mu) the
+    solvers use, exactly symmetric on both layouts, so ``from_grams`` takes it.
     """
-    fam = as_family(family)
-    mu = _as_vector(mu, "mu", fam.p)
-    if not (np.isfinite(mu).all() and np.all(mu >= 0)):
-        raise ConfigError("combination weights must be finite and nonnegative")
-    return fam.combined_entries(mu)
+    return as_family(family).combined_entries(mu)
 
 
 def compute_kappa(family: KernelFamily, mu_norm_bound: float) -> float:

@@ -162,7 +162,8 @@ def krr_solve(K, y, lam: float) -> np.ndarray:
     factor reads only K's lower triangle, so K is rejected unless
     max|K - K'| <= 1e-12 max(1, max|K|): a bound on the whole matrix, as a
     general product (F * mu) @ F' is symmetric only to roundoff relative to
-    its largest entry. The rank-one K(mu) of ``combine`` is X X', exactly so.
+    its largest entry. ``combine``'s K(mu), ``KernelFamily.combined_entries``,
+    is exactly symmetric on both layouts.
     """
     A = _as_matrix(K, "K")
     if A.shape[0] != A.shape[1]:
@@ -532,10 +533,11 @@ def project_ball_cone(x, mu0, radius: float) -> np.ndarray:
     The set is the orthant cone with apex mu0 cut by a ball centred on
     that apex, so the nearest point is the cone clip max(x, mu0) followed
     by the ball clip (rescale z - mu0 to length radius if longer). A point
-    already in the set is returned unchanged, bit for bit.
+    already in the set is returned unchanged, bit for bit. ``x`` and
+    ``mu0`` must be finite.
     """
-    x = _as_vector(x, "x")
-    mu0 = _as_vector(mu0, "mu0", x.shape[0])
+    x = _as_vector(x, "x", finite=ConfigError)
+    mu0 = _as_vector(mu0, "mu0", x.shape[0], ConfigError)
     _NONNEGATIVE.check("radius", radius)
     z = np.maximum(x, mu0)
     d = z - mu0
@@ -546,18 +548,22 @@ def project_ball_cone(x, mu0, radius: float) -> np.ndarray:
 
 
 def project_l1_orthant(x, budget: float) -> np.ndarray:
-    """Project onto {mu >= 0, sum(mu) <= budget} (sort-based, exact)."""
-    x = _as_vector(x, "x")
+    """Project a finite ``x`` onto {mu >= 0, sum(mu) <= budget}, budget >= 0
+    (sort-based, exact)."""
+    x = _as_vector(x, "x", finite=ConfigError)
+    _NONNEGATIVE.check("budget", budget)
     clipped = np.maximum(x, 0.0)
     if clipped.sum() <= budget:
         return clipped
     # Projection lands on the face sum(mu) = budget: shift-and-clip with
-    # the usual sorted-cumulative-sum threshold.
+    # the usual sorted-cumulative-sum threshold. No entry passes its test
+    # when the budget is 0, or is lost in rounding against u[0]; rho = 0,
+    # theta = u[0] - budget, is then the answer.
     u = np.sort(x)[::-1]
     css = np.cumsum(u)
     j = np.arange(1, x.shape[0] + 1)
-    cond = u - (css - budget) / j > 0
-    rho = int(np.nonzero(cond)[0][-1])
+    passing = np.flatnonzero(u - (css - budget) / j > 0)
+    rho = int(passing[-1]) if passing.size else 0
     theta = (css[rho] - budget) / (rho + 1.0)
     return np.maximum(x - theta, 0.0)
 

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mklridge as mk
@@ -150,6 +150,9 @@ _TEXT = {"kind": "text", "path": "corpus.txt"}
     ({"kernels": {"kind": "ngram_rank1"}}, "ngram_rank1"),
     ({"kernels": {"kind": "explicit", "specs": [{"kind": "linear", "gamma": 2.0}]}},
      r"kernel spec keys.*gamma"),
+    # Only fit reads the fit section, but every command checks it.
+    ({"fit": {"method": "bogus"}}, "unknown fit method 'bogus'"),
+    ({"fit": {"lambda0": 0.1, "budget": 1.0}}, r"unknown fit keys.*budget"),
 ])
 def test_config_rejects_bad_sections_at_load(tmp_path, overrides, match):
     cfg = _tiny_config(trials=1, **overrides)
@@ -158,6 +161,41 @@ def test_config_rejects_bad_sections_at_load(tmp_path, overrides, match):
     result = CliRunner().invoke(main, ["experiment", "--config", _write_config(tmp_path, cfg)])
     assert result.exit_code == 1
     assert "config error" in result.output
+
+
+# Each rule's boundary on both sides, and values of the wrong type.
+_SPEC_VALUES = st.sampled_from([0, 1, 2, 0.0, 0.5, -1, -0.5, 1.5, True, math.nan, math.inf, "1"])
+_SPEC_FIELDS = ("bandwidth", "degree", "offset", "feature_index")
+
+
+@st.composite
+def _spec_dicts(draw):
+    # Any subset of the fields a kind takes, and at times one more field.
+    kind = draw(st.sampled_from(mk.kernels.KINDS + ("sigmoid", 1)))
+    own = {"gaussian": ["bandwidth"], "polynomial": ["degree", "offset"],
+           "rank1_feature": ["feature_index"]}.get(kind)
+    fields = draw(st.dictionaries(st.sampled_from(own), _SPEC_VALUES)) if own else {}
+    extra = draw(st.dictionaries(st.sampled_from(_SPEC_FIELDS), _SPEC_VALUES, max_size=1))
+    return {"kind": kind, **fields, **extra}
+
+
+@settings(max_examples=400, deadline=None)
+@example(spec={"kind": "linear", "offset": 3.0})
+@example(spec={"kind": "polynomial", "degree": 1, "offset": 0.0})
+@given(spec=_spec_dicts())
+def test_kernel_spec_accepts_what_a_config_spec_accepts(spec):
+    # One table checks both, so they cannot drift apart. None is left out:
+    # it is how KernelSpec leaves a field unset, and a config has no null spec field.
+    def rejects(make):
+        try:
+            make()
+        except ConfigError:
+            return True
+        return False
+
+    cfg = _tiny_config(trials=1, kernels={"kind": "explicit", "specs": [spec]})
+    config_rejects = rejects(lambda: ExperimentConfig.from_dict(cfg))
+    assert rejects(lambda: mk.KernelSpec(**spec)) == config_rejects
 
 
 @pytest.mark.parametrize("overrides, match", [
@@ -1224,9 +1262,9 @@ def test_run_fit_summary_layout(method):
     {"method": "uniform", "budget": 1.0},
 ])
 def test_run_fit_rejects_unknown_or_inapplicable_keys(fit):
-    cfg = ExperimentConfig.from_dict(_tiny_config(trials=1, fit=fit))
+    # The config rejects them at load, so every command does, not only fit.
     with pytest.raises(ConfigError, match="unknown fit keys"):
-        run_fit(cfg)
+        ExperimentConfig.from_dict(_tiny_config(trials=1, fit=fit))
 
 
 def test_run_diagnose_validates_sections():

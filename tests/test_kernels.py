@@ -73,6 +73,19 @@ def test_spec_constructors_do_not_truncate():
     assert KernelSpec.polynomial(np.int64(3)).degree == 3
 
 
+@pytest.mark.parametrize("kind, spare", [
+    ("gaussian", "degree"), ("linear", "offset"), ("polynomial", "feature_index"),
+    ("rank1_feature", "bandwidth"), ("constant_offset", "offset"),
+])
+def test_spec_rejects_a_field_its_kind_does_not_use(kind, spare):
+    # The kernel would ignore it: a linear kernel has no offset to add.
+    needed = {"gaussian": {"bandwidth": 1.0}, "polynomial": {"degree": 2},
+              "rank1_feature": {"feature_index": 0}}.get(kind, {})
+    message = f"unknown kernel spec keys for kind {kind!r}: [{spare!r}]"
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        KernelSpec(kind=kind, **needed, **{spare: 3.0})
+
+
 # --- one-pair examples: cross_gram on one-row inputs ------------------------
 
 def test_eval_linear_dot():
@@ -396,11 +409,14 @@ def test_rank_one_combined_entries_is_exactly_symmetric_and_accurate(seed, m, p)
     assert np.all(np.abs(K - exact) <= (p + 3) * np.finfo(float).eps * scale)
 
 
-@pytest.mark.parametrize("bad", [-0.5, -1e-300, np.nan])
+@pytest.mark.parametrize("bad", [-0.5, -1e-300, np.nan, np.inf, -np.inf])
 def test_rank_one_combined_entries_rejects_a_negative_or_nan_weight(bad):
-    fam = mk.KernelFamily(np.arange(1.0, 7.0).reshape(3, 2))
-    with pytest.raises(ConfigError, match="negative or NaN"):
-        fam.combined_entries(np.array([1.0, bad]))
+    # Both layouts: unchecked, a Gram family's K(mu) would be indefinite or
+    # all NaN, and a rank-one family's would hold infinities.
+    rank_one = mk.KernelFamily(np.arange(1.0, 7.0).reshape(3, 2))
+    for fam in (rank_one, mk.KernelFamily.from_grams(kernel_stack(rank_one))):
+        with pytest.raises(ConfigError, match="mu must be finite and nonnegative"):
+            fam.combined_entries(np.array([1.0, bad]))
 
 
 def test_combine_length_mismatch():

@@ -896,6 +896,38 @@ def test_ball_cone_projection_rejects_a_bad_radius(radius):
         project_ball_cone([3.0, 3.0], [1.0, 1.0], radius)
 
 
+@pytest.mark.parametrize("budget", [-1.0, -100.0, np.nan, np.inf, True, "1"])
+def test_l1_projection_rejects_a_bad_budget(budget):
+    # Unchecked, -1, -100 and NaN would raise a raw IndexError, and
+    # infinity would return x clipped.
+    with pytest.raises(ConfigError, match="^budget must be "):
+        project_l1_orthant([1.0, 2.0], budget)
+
+
+@pytest.mark.parametrize("x, budget", [([1.0, 2.0], 0.0), ([0.5, -3.0], 0.0),
+                                       ([1e20, 1.0], 1e-10)])
+def test_l1_projection_where_no_entry_passes_the_threshold(x, budget):
+    # At budget 0, or one lost in rounding against the largest entry, the
+    # threshold test passes no sorted entry.
+    z = project_l1_orthant(x, budget)
+    assert np.all(z >= 0.0) and z.sum() <= budget
+    if budget == 0.0:
+        assert z.tolist() == [0.0, 0.0]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("project", [
+    lambda x: project_l1_orthant(x, 1.0),
+    lambda x: project_ball_cone(x, [1.0, 1.0], 1.0),
+    lambda x: project_ball_cone([1.0, 1.0], x, 1.0),
+], ids=["l1-x", "ball-cone-x", "ball-cone-mu0"])
+def test_projections_reject_a_non_finite_point(project, bad):
+    # Unchecked, project_l1_orthant would raise a raw IndexError on NaN and
+    # +inf, and project_ball_cone would return NaN.
+    with pytest.raises(ConfigError, match="contains non-finite values"):
+        project([bad, 2.0])
+
+
 @settings(max_examples=50)
 @given(p=st.integers(1, 8), seed=st.integers(0, 5000), budget=st.floats(0.1, 10.0))
 def test_l1_projection_is_nearest_point(p, seed, budget):
