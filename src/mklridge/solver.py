@@ -48,6 +48,10 @@ PGD_MEMORY = 10
 # Lasso-path segments per distinct column before the L1 homotopy gives up.
 L1_PATH_MAX_KNOTS = 4
 
+# The lasso walk forms G = F'F when its distinct columns number at most this
+# many times its rows, and works from the columns of F otherwise.
+L1_PATH_GRAM_RATIO = 1.6
+
 
 def _cholesky(B: np.ndarray, smallest) -> np.ndarray:
     # Lower Cholesky factor of B by LAPACK dpotrf; its upper triangle is left
@@ -479,7 +483,12 @@ def fit_l2(family, y, lambda0: float, radius: float, mu0=None,
         # (I - QQ')y / lam, moves no weight and the final solve gives it.
         Q, loop = fam._qr_twin() or (None, fam)
         b, alpha = (y, alpha) if Q is None else (Q.T @ y, Q.T @ alpha)
-        value = _objective(alpha, b, lam, v, mu0, radius)
+        # The line search compares each candidate's J on the loop's own v,
+        # so the start's J is taken on it too: the full family's v of a
+        # start far outside range(F) is off by its roundoff, which can
+        # exceed the search's allowance. The first step keeps that v.
+        value = _objective(alpha, b, lam, v if Q is None else _projections(alpha, loop)[1],
+                           mu0, radius)
         for iterations in range(1, max_iters + 1):
             mu, d = _newton_step(loop, alpha, P, v, b, lam, mu0, radius)
             step = _norm(d)
@@ -501,7 +510,9 @@ def fit_l2(family, y, lambda0: float, radius: float, mu0=None,
                     break
                 d = 0.5 * d
             else:
-                raise NumericalError("weight-learning iteration diverged to non-finite values")
+                raise NumericalError(
+                    f"weight-learning line search found no ascent from J = {value:.17g}: "
+                    f"no halving of the Newton step (||d|| = {step:.3e}) reached it in 60")
             alpha, P, v, value = cand, cand_P, cand_v, cand_value
             if not v.any():
                 mu = mu0
@@ -714,21 +725,27 @@ def _chol_append(L: np.ndarray, g: np.ndarray, gjj: float):
 
 def _chol_delete(L: np.ndarray, i: int, lower: np.ndarray):
     # Lower factor of B with row and column i removed, from the lower factor
-    # L of B, or None if the refactor fails. Rows and columns before i keep
-    # their entries; the trailing block T T' + l l' (l the part of column i
-    # below the diagonal) is refactored. Only L's lower triangle is read, by
-    # the mask ``lower`` (np.tri of L's order or more); out's upper is zero.
+    # L of B, or None if the update degenerates. Rows and columns before i
+    # keep their entries. The k x k trailing block needs T~ with T~ T~' =
+    # T T' + l l' (T the trailing block of L, l the part of column i below
+    # the diagonal): that is R'R for the QR of [T'; l'], an upper triangle
+    # over one row, which LAPACK dtpqrt makes in O(k^2). Rows of R are scaled
+    # to a positive diagonal and R' is written in; a zero on R's diagonal (a
+    # singular block) gives None. Only L's lower triangle is read, by the
+    # mask ``lower`` (np.tri of L's order or more): dtpqrt reads only the
+    # upper triangle of T'. out's upper triangle is zero.
     n = L.shape[0] - 1
     out = np.zeros((n, n), order="F")
     np.copyto(out[:i, :i], L[:i, :i], where=lower[:i, :i])
     out[i:, :i] = L[i + 1:, :i]
-    tail, col = out[i:, i:], L[i + 1:, i]
-    np.copyto(tail, L[i + 1:, i + 1:], where=lower[i:n, i:n])
-    if col.size:
-        tail[...], info = scipy.linalg.lapack.dpotrf(tail @ tail.T + np.outer(col, col),
-                                                     lower=1)
-        if info != 0:
+    k = n - i
+    if k:
+        R, _, _, info = scipy.linalg.lapack.dtpqrt(0, min(8, k), L[i + 1:, i + 1:].T,
+                                                  L[None, i + 1:, i])
+        diag = R.diagonal()
+        if info != 0 or not np.abs(diag).min() > 0.0:
             return None
+        np.multiply(R.T, np.sign(diag), out=out[i:, i:], where=lower[:k, :k])
     return out
 
 
@@ -743,20 +760,30 @@ def _l1_path_stops(F: np.ndarray, y: np.ndarray, classes):
     That w solves the lasso min 1/2 ||y - Fw||^2 + t ||w||_1 at
     t = c ||w||_1, so the LARS-lasso homotopy (Efron et al. 2004) walks t
     down from max |F'y|: on each segment the active weights are
-    w_A = u - t d with G_AA [u, d] = [(F'y)_A, s_A], so t - c ||w||_1 is
-    affine in t and its root is t = c s'u / (1 + c s'd) > 0. An all-zero
-    column has corr = 0 throughout, so it never joins.
+    w_A = u - t d with G_AA [u, d] = [(F'y)_A, s_A], G = F'F, so
+    t - c ||w||_1 is affine in t and its root is t = c s'u / (1 + c s'd) > 0.
+    An all-zero column has corr = 0 throughout, so it never joins.
 
     ||w(t)||_1 grows as t falls, so t/||w(t)||_1 = c has one root and a
     smaller c stops later: one walk, to the smallest c, passes every
     class's stop. Each segment stops every class still walking whose root
     lies on it, so every class gets exactly what a walk of its own would.
     The lower Cholesky factor of G_AA is updated as columns join (one
-    triangular solve) and leave (the trailing block is refactored), and
-    refactored from scratch when an update loses definiteness. The active
-    set, its signs and the event search live in length-p buffers that each
-    knot updates in place, so a knot makes one solve, one G product and a
-    fixed, small set of array operations.
+    triangular solve) and leave (a QR update of the trailing block, O(k^2)
+    for k rows, ``_chol_delete``), and refactored from scratch when an
+    update loses definiteness.
+
+    The walk takes one of two routes to G's entries, by the shape of its
+    m x p matrix of distinct columns. With p <= ``L1_PATH_GRAM_RATIO`` m
+    it forms G once, and each knot's correlation update is G [u, d] on
+    the active rows. A wider family never forms G: the update is
+    F'(F_A [u, d]), a first factor comes from F_A'F_A, and a joining
+    column f_k brings F_A'f_k and f_k'f_k, from a copy of the active
+    columns in join order. Both routes walk the same knots; their stops
+    differ only by roundoff. The active set, its signs and the event
+    search live in length-p buffers that each knot updates in place, so
+    a knot makes one solve, one correlation update and a fixed, small
+    set of array operations.
 
     Returns one ``(mu, knots)`` per class, in the given order; ``knots``
     is the number of segments walked up to that class's stop. ``mu`` is
@@ -766,14 +793,13 @@ def _l1_path_stops(F: np.ndarray, y: np.ndarray, classes):
     """
     keep = _distinct_columns(F)
     Fk = F[:, keep]
-    G = Fk.T @ Fk
     Fty = Fk.T @ y
     stops = [(None, 0)] * len(classes)
     t = float(np.abs(Fty).max(initial=0.0))
     if t == 0.0:
         return stops
     pending = list(range(len(classes)))
-    p = keep.size
+    m, p = Fk.shape
     # The active columns and their signs are the first n entries of A and
     # s. ud holds [u, d] on the active rows and zeros elsewhere, so G @ ud
     # is the product with the active block's columns. rhs holds the n x 2
@@ -781,6 +807,13 @@ def _l1_path_stops(F: np.ndarray, y: np.ndarray, classes):
     A, s, n = np.empty(p, dtype=np.intp), np.empty(p), 1
     A[0] = np.argmax(np.abs(Fty))
     s[0] = np.sign(Fty[A[0]])
+    if p <= L1_PATH_GRAM_RATIO * m:
+        G = Fk.T @ Fk
+    else:
+        # The first n columns of FA are the active columns, in A's order.
+        G, Fk = None, np.asfortranarray(Fk)
+        FA, Fud = np.empty((m, p), order="F"), np.empty((m, 2))
+        FA[:, 0] = Fk[:, A[0]]
     rhs, ud, ua, b = np.empty(2 * p), np.zeros((p, 2)), np.empty((p, 2)), np.empty(p)
     signs = np.array([[1.0], [-1.0]])
     den, joins, crossing = np.empty((2, p)), np.empty((2, p)), np.empty((2, p), dtype=bool)
@@ -792,7 +825,8 @@ def _l1_path_stops(F: np.ndarray, y: np.ndarray, classes):
     for knots in range(1, L1_PATH_MAX_KNOTS * p + 1):
         act, sgn = A[:n], s[:n]
         if L is None:
-            L, info = scipy.linalg.lapack.dpotrf(G[np.ix_(act, act)], lower=1)
+            block = G[np.ix_(act, act)] if G is not None else FA[:, :n].T @ FA[:, :n]
+            L, info = scipy.linalg.lapack.dpotrf(block, lower=1)
             if info != 0:
                 break
         ud_A = rhs[:2 * n].reshape((n, 2), order="F")
@@ -813,8 +847,12 @@ def _l1_path_stops(F: np.ndarray, y: np.ndarray, classes):
         # 1e-9 of 1 counts as no root. Row 0 of joins holds b/(1 - a) and
         # row 1 -b/(1 + a), formed as b/(-1 - a) (equal, as rounding is
         # symmetric in sign); a division that is no root is not made.
-        ud[act] = ud_A
-        np.matmul(G, ud, out=ua)
+        if G is not None:
+            ud[act] = ud_A
+            np.matmul(G, ud, out=ua)
+        else:
+            np.matmul(FA[:, :n], ud_A, out=Fud)
+            np.matmul(Fk.T, Fud, out=ua)
         np.subtract(Fty, ua[:, 0], out=b)
         a = ua[:, 1]
         np.less(a, 1.0 - 1e-9, out=crossing[0])
@@ -849,7 +887,11 @@ def _l1_path_stops(F: np.ndarray, y: np.ndarray, classes):
             return stops
         if t_join >= t_leave:
             t = t_join
-            L = _chol_append(L, G[act, k], G[k, k])
+            if G is not None:
+                L = _chol_append(L, G[act, k], G[k, k])
+            else:
+                FA[:, n] = f = Fk[:, k]
+                L = _chol_append(L, FA[:, :n].T @ f, f @ f)
             A[n], s[n], inactive[k] = k, 1.0 - 2.0 * side, False
             n += 1
         else:
@@ -857,6 +899,8 @@ def _l1_path_stops(F: np.ndarray, y: np.ndarray, classes):
             L = _chol_delete(L, i, lower)
             ud[A[i]], inactive[A[i]] = 0.0, True
             A[i:n - 1], s[i:n - 1] = A[i + 1:n], s[i + 1:n]
+            if G is None:
+                FA[:, i:n - 1] = FA[:, i + 1:n]
             n -= 1
     for q in pending:
         stops[q] = (None, knots)

@@ -1,7 +1,8 @@
 """Shared random-instance generators, brute-force reference searches, the
 Counter n-gram reference, the lexsort row grouping, the reference
-lasso-path walk, the reference Woodbury solve, the method-major CV loop
-and the radius-0 CV fits through ``fit_l2``."""
+lasso-path walk on both routes with either leave update, the reference
+Woodbury solve, the method-major CV loop and the radius-0 CV fits through
+``fit_l2``."""
 
 from collections import Counter
 from typing import Sequence
@@ -11,9 +12,9 @@ import scipy.linalg.lapack
 
 import mklridge as mk
 from mklridge import ConfigError, DataError, NgramVocabulary, NumericalError
-from mklridge import diagnostics, experiment
+from mklridge import diagnostics, experiment, solver
 from mklridge.data import make_folds
-from mklridge.solver import L1_PATH_MAX_KNOTS, _cholesky, _distinct_columns, _refined
+from mklridge.solver import _cholesky, _distinct_columns, _refined
 
 
 def random_psd_instance(seed, m_range=(5, 30), p_range=(1, 8)):
@@ -151,7 +152,9 @@ def lexsort_group_rows(rows: np.ndarray):
 
 # The lasso-path walk and active-block factor updates that
 # ``mklridge.solver`` replaced with in-place buffers, kept as the reference
-# the tests compare it against bit for bit.
+# the tests compare it against bit for bit, and the refactor of the trailing
+# block that the QR update of ``solver._chol_delete`` replaced, kept as the
+# reference the tests compare that update's results against.
 
 def _reference_chol_append(L: np.ndarray, g: np.ndarray, gjj: float):
     # Lower factor of [[B, g], [g', gjj]] from the lower factor L of B: one
@@ -172,10 +175,26 @@ def _reference_chol_append(L: np.ndarray, g: np.ndarray, gjj: float):
 def _reference_chol_delete(L: np.ndarray, i: int):
     # Lower factor of B with row and column i removed, from the lower factor
     # L of B. Rows and columns before i keep their entries; the trailing
-    # block T T' + l l' (l the part of column i below the diagonal) is
-    # refactored. None if that factorization fails.
-    out = np.delete(np.delete(L, i, axis=0), i, axis=1)
-    tail, col = L[i + 1:, i + 1:], L[i + 1:, i]
+    # block is R' for the QR of [T'; l'] (T L's trailing block, l the part of
+    # column i below the diagonal), with R's rows scaled to a positive
+    # diagonal. None if R has a zero on its diagonal.
+    out = np.delete(np.delete(np.tril(L), i, axis=0), i, axis=1)
+    k = out.shape[0] - i
+    if k:
+        R = scipy.linalg.lapack.dtpqrt(0, min(8, k), np.triu(L[i + 1:, i + 1:].T),
+                                       L[None, i + 1:, i])[0]
+        diag = np.diag(R)
+        if not np.all(diag != 0.0):
+            return None
+        out[i:, i:] = np.triu(R).T * np.sign(diag)
+    return out
+
+
+def refactor_chol_delete(L: np.ndarray, i: int):
+    # What ``_reference_chol_delete`` returns, with the trailing block
+    # T T' + l l' refactored by dpotrf. None if that factorization fails.
+    out = np.delete(np.delete(np.tril(L), i, axis=0), i, axis=1)
+    tail, col = np.tril(L[i + 1:, i + 1:]), L[i + 1:, i]
     if col.size:
         out[i:, i:], info = scipy.linalg.lapack.dpotrf(tail @ tail.T + np.outer(col, col),
                                                        lower=1)
@@ -184,24 +203,34 @@ def _reference_chol_delete(L: np.ndarray, i: int):
     return out
 
 
-def reference_l1_path_stops(F: np.ndarray, y: np.ndarray, classes):
+def reference_l1_path_stops(F: np.ndarray, y: np.ndarray, classes, gram=None,
+                            delete=_reference_chol_delete):
     """What ``solver._l1_path_stops`` returns: the same walk, with fresh
-    arrays at every knot."""
+    arrays at every knot. ``gram`` picks the route: True forms G = F'F,
+    False works from the active columns, and None takes the walk's rule.
+    ``delete`` is the factor update when a column leaves."""
     keep = _distinct_columns(F)
     Fk = F[:, keep]
-    G = Fk.T @ Fk
     Fty = Fk.T @ y
     stops = [(None, 0)] * len(classes)
     t = float(np.abs(Fty).max(initial=0.0))
     if t == 0.0:
         return stops
+    if gram is None:
+        gram = keep.size <= solver.L1_PATH_GRAM_RATIO * len(y)
+    if gram:
+        G = Fk.T @ Fk
+    else:
+        Fk = np.asfortranarray(Fk)
     pending = list(range(len(classes)))
     j = int(np.argmax(np.abs(Fty)))
     A, s = np.array([j]), np.sign(Fty[[j]])
     L = None
-    for knots in range(1, L1_PATH_MAX_KNOTS * keep.size + 1):
+    for knots in range(1, solver.L1_PATH_MAX_KNOTS * keep.size + 1):
+        F_A = None if gram else np.asfortranarray(Fk[:, A])
         if L is None:
-            L, info = scipy.linalg.lapack.dpotrf(G[np.ix_(A, A)], lower=1)
+            L, info = scipy.linalg.lapack.dpotrf(G[np.ix_(A, A)] if gram else F_A.T @ F_A,
+                                                 lower=1)
             if info != 0:
                 break
         ud_A, _ = scipy.linalg.lapack.dpotrs(L, np.column_stack([Fty[A], s]), lower=1)
@@ -217,9 +246,12 @@ def reference_l1_path_stops(F: np.ndarray, y: np.ndarray, classes):
         # ones that touches the boundary has |a_j| = 1 and rides it;
         # adding it would make the active block singular, so |a_j| within
         # 1e-9 of 1 counts as no root.
-        ud = np.zeros((G.shape[0], 2))
-        ud[A, 0], ud[A, 1] = u, d
-        ua = G @ ud
+        if gram:
+            ud = np.zeros((G.shape[0], 2))
+            ud[A, 0], ud[A, 1] = u, d
+            ua = G @ ud
+        else:
+            ua = Fk.T @ (F_A @ ud_A)
         b = Fty - ua[:, 0]
         a = ua[:, 1]
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -249,11 +281,15 @@ def reference_l1_path_stops(F: np.ndarray, y: np.ndarray, classes):
             return stops
         if joins[side, k] >= leaves[i]:
             t = float(joins[side, k])
-            L = _reference_chol_append(L, G[A, k], G[k, k])
+            if gram:
+                L = _reference_chol_append(L, G[A, k], G[k, k])
+            else:
+                f = Fk[:, k]
+                L = _reference_chol_append(L, F_A.T @ f, f @ f)
             A, s = np.append(A, k), np.append(s, 1.0 - 2.0 * side)
         else:
             t = float(leaves[i])
-            L = _reference_chol_delete(L, i)
+            L = delete(L, i)
             A, s = np.delete(A, i), np.delete(s, i)
     for q in pending:
         stops[q] = (None, knots)

@@ -309,7 +309,10 @@ def test_criterion_8_uci_check_optional():
 
 
 def test_criterion_9_full_determinism(tmp_path):
-    # Experiment reports: identical bytes across reruns of the same seed.
+    # Experiment reports: identical bytes across reruns of the same seed,
+    # at the fixed BLAS thread count that conftest.py pins. At another
+    # count BLAS may sum in another order; CI's "Reports across BLAS
+    # thread counts" step bounds what may then move.
     cfg = ExperimentConfig.from_dict({
         "dataset": {"kind": "synthetic_sparse", "n_features": 10, "n_informative": 3,
                     "noise_sigma": 0.4, "train_size": 30, "test_size": 30},

@@ -15,7 +15,7 @@ from mklridge.solver import project_ball_cone, project_l1_orthant
 
 from helpers import (_reference_chol_delete, ball_grid_points, dual_objective_grid_min,
                      kernel_stack, random_psd_instance, rank1_all_family,
-                     reference_l1_path_stops, reference_woodbury_solve,
+                     reference_l1_path_stops, reference_woodbury_solve, refactor_chol_delete,
                      simplex_grid_points)
 
 # A broken active-block factor or an unguarded division on the lasso path
@@ -838,6 +838,79 @@ def test_fit_l2_start_at_the_cold_fit_ends_there():
     assert warm_report.objective_value == pytest.approx(report.objective_value, rel=1e-12)
 
 
+
+def _objective_bound(m, p, *fits):
+    # Bound on the gap between two reported objectives of one problem. At
+    # the final ridge solve, J = G(mu) - gap with gap = certificate_gap, and
+    # G(mu) - gap <= G* <= G(mu), so both objectives lie within the larger
+    # gap below G*; evaluating J's four terms adds rounding of (m + p) eps
+    # times their magnitudes.
+    eps = np.finfo(float).eps
+    bound = 0.0
+    for model, y in fits:
+        a, v, w = model.alpha, model.quad, model.weights
+        scale = (model.lam * (a @ a) + 2.0 * abs(a @ y) + w.mu0 @ v
+                 + w.radius * np.linalg.norm(v))
+        bound = max(bound, abs(model.certificate_gap) + (m + p) * eps * scale)
+    return bound
+
+
+def _warm_and_cold(F, y, lambda0, radius):
+    # The fit at lambda0 started from the fit at lambda0 / 1.4, as a CV
+    # grid chains them, and the cold fit at lambda0.
+    fam = mk.KernelFamily(F)
+    previous, _ = mk.fit_l2(fam, y, lambda0 / 1.4, radius)
+    return (mk.fit_l2(fam, y, lambda0, radius, start=previous.alpha),
+            mk.fit_l2(fam, y, lambda0, radius))
+
+
+def test_fit_l2_twin_warm_start_is_judged_by_the_twin_objective():
+    # A start from the fit at a smaller lambda0 carries a large part
+    # (I - QQ')y / lam outside range(F). On the full family its v is off by
+    # roundoff, so its J there lay above every twin candidate's J by more
+    # than the line search's allowance, and no halving passed: this fit
+    # raised. Judged on the twin's own v, it converges to the cold fit.
+    rng = np.random.default_rng(0)
+    F, y = rng.standard_normal((26, 9)), rng.standard_normal(26)
+    (warm, warm_report), (cold, cold_report) = _warm_and_cold(F, y, 1.76e-6, 1.0)
+    assert warm.converged and cold.converged
+    assert abs(warm_report.objective_value - cold_report.objective_value) <= _objective_bound(
+        26, 9, (warm, y), (cold, y))
+
+
+@settings(max_examples=80)
+@given(m=st.integers(12, 39), seed=st.integers(0, 10_000), log_lambda0=st.floats(-7.0, -3.0),
+       radius=st.sampled_from([1.0, 10.0, 100.0]), data=st.data())
+def test_fit_l2_twin_warm_start_converges_wherever_the_cold_fit_does(m, seed, log_lambda0,
+                                                                    radius, data):
+    # p < m families at small lambda0, where a warm start's part outside
+    # range(F) is largest: started from the neighbouring fit, a fit
+    # converges wherever the cold one does, to the same objective.
+    p = data.draw(st.integers(2, m - 1), label="p")
+    rng = np.random.default_rng(seed)
+    F, y = rng.standard_normal((m, p)), rng.standard_normal(m)
+    (warm, warm_report), (cold, cold_report) = _warm_and_cold(F, y, 10.0 ** log_lambda0, radius)
+    assert warm.converged or not cold.converged
+    assert abs(warm_report.objective_value - cold_report.objective_value) <= _objective_bound(
+        m, p, (warm, y), (cold, y))
+
+
+def test_fit_l2_says_when_its_line_search_finds_no_ascent():
+    # With every candidate's J below the start's, no halving passes and
+    # the error names the start's J and the step's length.
+    fam, y, lambda0, radius = random_psd_instance(3)
+    objective = solver._objective
+    calls = []
+
+    def start_then_minus_inf(*args):
+        calls.append(1)
+        return objective(*args) if len(calls) == 1 else -np.inf
+
+    with mock.patch.object(solver, "_objective", start_then_minus_inf), \
+            pytest.raises(NumericalError, match=r"no ascent from J = .*\|\|d\|\| = "):
+        mk.fit_l2(fam, y, lambda0, radius)
+    assert len(calls) == 61
+
 @settings(max_examples=30)
 @given(m=st.integers(3, 20), seed=st.integers(0, 10_000), lambda0=st.floats(0.01, 1.0),
        budget=st.floats(0.1, 100.0), start=st.sampled_from(["random", "zero", "far"]))
@@ -1207,11 +1280,17 @@ def _assert_identical_stops(stops, expected):
             npt.assert_array_equal(mu, mu_ref)
 
 
+# L1_PATH_GRAM_RATIO values that send every walk down one route.
+_ROUTES = {"gram": np.inf, "direct": 0.0}
+
+
 @_NO_PATH_WARNINGS
 def test_l1_path_stops_match_the_reference_walk_bit_for_bit():
     # The in-place walk makes the floating-point operations of the walk it
     # replaced (tests/helpers.py), so its stops are the same bits and its
-    # knot counts the same. Columns leave on some of these paths.
+    # knot counts the same: on the route its rule picks, and on each route
+    # forced, against that route's reference. Columns leave on some of
+    # these paths.
     leaves = []
     delete = solver._chol_delete
 
@@ -1227,9 +1306,65 @@ def test_l1_path_stops_match_the_reference_walk_bit_for_bit():
         with mock.patch.object(solver, "_chol_delete", counting_delete):
             stops = solver._l1_path_stops(F, y, classes)
         _assert_identical_stops(stops, reference_l1_path_stops(F, y, classes))
+        for route, ratio in _ROUTES.items():
+            with mock.patch.object(solver, "L1_PATH_GRAM_RATIO", ratio):
+                stops = solver._l1_path_stops(F, y, classes)
+            _assert_identical_stops(
+                stops, reference_l1_path_stops(F, y, classes, gram=route == "gram"))
 
     check()
     assert leaves
+
+
+def _assert_stops_within_the_error_model(stops, expected, F, classes):
+    # The same knots, and stops that differ by roundoff only. A stop's mu is
+    # budget |u - t d| / ||u - t d||_1 with G_AA [u, d] = [(F'y)_A, s_A],
+    # solved from a factor that carries the backward error of up to one
+    # update a knot: [u, d] moves by about knots eps cond(G_AA) relative,
+    # and mu by that times the budget.
+    eps = np.finfo(float).eps
+    assert len(stops) == len(expected)
+    for (mu, knots), (mu_ref, knots_ref), (_, budget) in zip(stops, expected, classes):
+        assert knots == knots_ref
+        assert (mu is None) == (mu_ref is None)
+        if mu is not None:
+            F_A = F[:, mu_ref > 0]
+            cond = np.linalg.cond(F_A.T @ F_A)
+            assert np.max(np.abs(mu - mu_ref)) <= 16.0 * knots * cond * eps * budget
+
+
+@_NO_PATH_WARNINGS
+@settings(max_examples=100)
+@given(**_RANK1_CASES, classes=_L1_CLASSES)
+def test_l1_path_routes_match_the_refactor_walk(m, wide, extra, seed, classes):
+    # The walk that formed G and refactored the trailing block when a
+    # column left (tests/helpers.py) against both routes with the QR
+    # update, and the two routes against each other: the same knots, and
+    # stops within the error model.
+    F, y = _rank1_case(m, wide, extra, seed)
+    classes = [(10.0 ** log_lambda0 * m, budget) for log_lambda0, budget in classes]
+    refactored = reference_l1_path_stops(F, y, classes, gram=True, delete=refactor_chol_delete)
+    routes = {}
+    for route, ratio in _ROUTES.items():
+        with mock.patch.object(solver, "L1_PATH_GRAM_RATIO", ratio):
+            routes[route] = solver._l1_path_stops(F, y, classes)
+        _assert_stops_within_the_error_model(routes[route], refactored, F, classes)
+    _assert_stops_within_the_error_model(routes["direct"], routes["gram"], F, classes)
+
+
+@_NO_PATH_WARNINGS
+@pytest.mark.parametrize("m, gram", [(160, True), (200, True), (40, False)])
+def test_l1_path_route_by_shape(m, gram):
+    # The benchmark's rank-one family has 201 distinct columns: 160 rows a
+    # CV fold and 200 at the refit, both walked on G; 40 rows are walked
+    # from the columns. Each walk is its route's reference walk bit for bit.
+    rng = np.random.default_rng(m)
+    F = np.column_stack([rng.standard_normal((m, 200)), np.ones(m)])
+    y = F[:, :10] @ rng.standard_normal(10) + 0.5 * rng.standard_normal(m)
+    classes = [(lambda0 * m, budget) for lambda0 in (1e-3, 0.1) for budget in (1.0, 100.0)]
+    assert (201 <= solver.L1_PATH_GRAM_RATIO * m) == gram
+    _assert_identical_stops(solver._l1_path_stops(F, y, classes),
+                            reference_l1_path_stops(F, y, classes, gram=gram))
 
 
 @_NO_PATH_WARNINGS
@@ -1258,6 +1393,37 @@ def test_chol_delete_reads_only_the_lower_triangle(i):
     npt.assert_array_equal(out, _reference_chol_delete(L, i))
     rest = np.delete(np.arange(7), i)
     npt.assert_allclose(out @ out.T, B[np.ix_(rest, rest)], rtol=1e-12, atol=1e-12)
+
+
+@settings(max_examples=150)
+@given(n=st.integers(1, 24), rank=st.integers(1, 26), seed=st.integers(0, 10_000),
+       log_shift=st.sampled_from([-13.0, -8.0, -3.0, 0.0]), log_spread=st.floats(0.0, 6.0))
+def test_chol_delete_factors_the_block_without_row_and_column_i(n, rank, seed, log_shift,
+                                                                 log_spread):
+    # B = X X' + shift I with columns of X spread over up to six decades;
+    # at rank < n and a tiny shift, B is next to singular. For every i the
+    # update factors B with row and column i removed to the backward error
+    # of the factor it starts from plus its QR's: at most about
+    # (n + 1) eps sqrt(B_jj B_kk) each, so 4 (n + 1) eps bounds entry jk.
+    # The factor has a positive diagonal, as a Cholesky factor does.
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, rank)) * 10.0 ** rng.uniform(-log_spread, 0.0, rank)
+    B = X @ X.T
+    B[np.diag_indices(n)] += 10.0 ** log_shift * float(np.diag(B).max())
+    L = np.asfortranarray(np.linalg.cholesky(B))
+    dirty = L.copy(order="F")
+    dirty[np.triu_indices(n, 1)] = np.nan
+    lower = np.tri(n + 2, dtype=bool)
+    eps = np.finfo(float).eps
+    for i in range(n):
+        out = solver._chol_delete(L, i, lower)
+        assert out is not None and np.all(np.diag(out) > 0.0)
+        npt.assert_array_equal(solver._chol_delete(dirty, i, lower), out)
+        assert not np.triu(out, 1).any()
+        rest = np.delete(np.arange(n), i)
+        B_i = B[np.ix_(rest, rest)]
+        root = np.sqrt(np.diag(B_i))
+        assert np.all(np.abs(out @ out.T - B_i) <= 4.0 * (n + 1) * eps * np.outer(root, root))
 
 
 def test_chol_append_and_delete_report_a_block_that_loses_definiteness():
