@@ -48,10 +48,6 @@ PGD_MEMORY = 10
 # Lasso-path segments per distinct column before the L1 homotopy gives up.
 L1_PATH_MAX_KNOTS = 4
 
-# The lasso walk forms G = F'F when its distinct columns number at most this
-# many times its rows, and works from the columns of F otherwise.
-L1_PATH_GRAM_RATIO = 1.6
-
 
 def _cholesky(B: np.ndarray, smallest) -> np.ndarray:
     # Lower Cholesky factor of B by LAPACK dpotrf; its upper triangle is left
@@ -760,30 +756,23 @@ def _l1_path_stops(F: np.ndarray, y: np.ndarray, classes):
     That w solves the lasso min 1/2 ||y - Fw||^2 + t ||w||_1 at
     t = c ||w||_1, so the LARS-lasso homotopy (Efron et al. 2004) walks t
     down from max |F'y|: on each segment the active weights are
-    w_A = u - t d with G_AA [u, d] = [(F'y)_A, s_A], G = F'F, so
-    t - c ||w||_1 is affine in t and its root is t = c s'u / (1 + c s'd) > 0.
-    An all-zero column has corr = 0 throughout, so it never joins.
+    w_A = u - t d with F_A'F_A [u, d] = [(F'y)_A, s_A], so t - c ||w||_1
+    is affine in t and its root is t = c s'u / (1 + c s'd) > 0. An
+    all-zero column has corr = 0 throughout, so it never joins.
 
     ||w(t)||_1 grows as t falls, so t/||w(t)||_1 = c has one root and a
     smaller c stops later: one walk, to the smallest c, passes every
     class's stop. Each segment stops every class still walking whose root
     lies on it, so every class gets exactly what a walk of its own would.
-    The lower Cholesky factor of G_AA is updated as columns join (one
-    triangular solve) and leave (a QR update of the trailing block, O(k^2)
-    for k rows, ``_chol_delete``), and refactored from scratch when an
-    update loses definiteness.
-
-    The walk takes one of two routes to G's entries, by the shape of its
-    m x p matrix of distinct columns. With p <= ``L1_PATH_GRAM_RATIO`` m
-    it forms G once, and each knot's correlation update is G [u, d] on
-    the active rows. A wider family never forms G: the update is
-    F'(F_A [u, d]), a first factor comes from F_A'F_A, and a joining
-    column f_k brings F_A'f_k and f_k'f_k, from a copy of the active
-    columns in join order. Both routes walk the same knots; their stops
-    differ only by roundoff. The active set, its signs and the event
-    search live in length-p buffers that each knot updates in place, so
-    a knot makes one solve, one correlation update and a fixed, small
-    set of array operations.
+    The walk never forms the p x p G = F'F. It keeps a copy F_A of the
+    active columns in join order; each knot's correlation update is
+    F'(F_A [u, d]). The lower Cholesky factor of F_A'F_A is updated as
+    columns join (F_A'f_k and f_k'f_k, one triangular solve) and leave (a
+    QR update of the trailing block, O(k^2) for k rows, ``_chol_delete``),
+    and refactored from scratch when an update loses definiteness. The
+    active set, its signs and the event search live in length-p buffers
+    that each knot updates in place, so a knot makes one solve, two
+    products with columns of F and a fixed, small set of array operations.
 
     Returns one ``(mu, knots)`` per class, in the given order; ``knots``
     is the number of segments walked up to that class's stop. ``mu`` is
@@ -792,7 +781,7 @@ def _l1_path_stops(F: np.ndarray, y: np.ndarray, classes):
     ``L1_PATH_MAX_KNOTS`` segments per distinct column.
     """
     keep = _distinct_columns(F)
-    Fk = F[:, keep]
+    Fk = np.asfortranarray(F[:, keep])
     Fty = Fk.T @ y
     stops = [(None, 0)] * len(classes)
     t = float(np.abs(Fty).max(initial=0.0))
@@ -801,20 +790,14 @@ def _l1_path_stops(F: np.ndarray, y: np.ndarray, classes):
     pending = list(range(len(classes)))
     m, p = Fk.shape
     # The active columns and their signs are the first n entries of A and
-    # s. ud holds [u, d] on the active rows and zeros elsewhere, so G @ ud
-    # is the product with the active block's columns. rhs holds the n x 2
-    # column-major system that dpotrs solves in place.
+    # s, and the first n columns of FA are those columns of F. rhs holds
+    # the n x 2 column-major system that dpotrs solves in place.
     A, s, n = np.empty(p, dtype=np.intp), np.empty(p), 1
     A[0] = np.argmax(np.abs(Fty))
     s[0] = np.sign(Fty[A[0]])
-    if p <= L1_PATH_GRAM_RATIO * m:
-        G = Fk.T @ Fk
-    else:
-        # The first n columns of FA are the active columns, in A's order.
-        G, Fk = None, np.asfortranarray(Fk)
-        FA, Fud = np.empty((m, p), order="F"), np.empty((m, 2))
-        FA[:, 0] = Fk[:, A[0]]
-    rhs, ud, ua, b = np.empty(2 * p), np.zeros((p, 2)), np.empty((p, 2)), np.empty(p)
+    FA, Fud = np.empty((m, p), order="F"), np.empty((m, 2))
+    FA[:, 0] = Fk[:, A[0]]
+    rhs, ua, b = np.empty(2 * p), np.empty((p, 2)), np.empty(p)
     signs = np.array([[1.0], [-1.0]])
     den, joins, crossing = np.empty((2, p)), np.empty((2, p)), np.empty((2, p), dtype=bool)
     leaves, inactive = np.empty(p), np.ones(p, dtype=bool)
@@ -825,8 +808,7 @@ def _l1_path_stops(F: np.ndarray, y: np.ndarray, classes):
     for knots in range(1, L1_PATH_MAX_KNOTS * p + 1):
         act, sgn = A[:n], s[:n]
         if L is None:
-            block = G[np.ix_(act, act)] if G is not None else FA[:, :n].T @ FA[:, :n]
-            L, info = scipy.linalg.lapack.dpotrf(block, lower=1)
+            L, info = scipy.linalg.lapack.dpotrf(FA[:, :n].T @ FA[:, :n], lower=1)
             if info != 0:
                 break
         ud_A = rhs[:2 * n].reshape((n, 2), order="F")
@@ -847,12 +829,8 @@ def _l1_path_stops(F: np.ndarray, y: np.ndarray, classes):
         # 1e-9 of 1 counts as no root. Row 0 of joins holds b/(1 - a) and
         # row 1 -b/(1 + a), formed as b/(-1 - a) (equal, as rounding is
         # symmetric in sign); a division that is no root is not made.
-        if G is not None:
-            ud[act] = ud_A
-            np.matmul(G, ud, out=ua)
-        else:
-            np.matmul(FA[:, :n], ud_A, out=Fud)
-            np.matmul(Fk.T, Fud, out=ua)
+        np.matmul(FA[:, :n], ud_A, out=Fud)
+        np.matmul(Fk.T, Fud, out=ua)
         np.subtract(Fty, ua[:, 0], out=b)
         a = ua[:, 1]
         np.less(a, 1.0 - 1e-9, out=crossing[0])
@@ -887,20 +865,16 @@ def _l1_path_stops(F: np.ndarray, y: np.ndarray, classes):
             return stops
         if t_join >= t_leave:
             t = t_join
-            if G is not None:
-                L = _chol_append(L, G[act, k], G[k, k])
-            else:
-                FA[:, n] = f = Fk[:, k]
-                L = _chol_append(L, FA[:, :n].T @ f, f @ f)
+            FA[:, n] = f = Fk[:, k]
+            L = _chol_append(L, FA[:, :n].T @ f, f @ f)
             A[n], s[n], inactive[k] = k, 1.0 - 2.0 * side, False
             n += 1
         else:
             t = t_leave
             L = _chol_delete(L, i, lower)
-            ud[A[i]], inactive[A[i]] = 0.0, True
+            inactive[A[i]] = True
             A[i:n - 1], s[i:n - 1] = A[i + 1:n], s[i + 1:n]
-            if G is None:
-                FA[:, i:n - 1] = FA[:, i + 1:n]
+            FA[:, i:n - 1] = FA[:, i + 1:n]
             n -= 1
     for q in pending:
         stops[q] = (None, knots)

@@ -1,8 +1,7 @@
 """Shared random-instance generators, brute-force reference searches, the
 Counter n-gram reference, the lexsort row grouping, the reference
-lasso-path walk on both routes with either leave update, the reference
-Woodbury solve, the method-major CV loop and the radius-0 CV fits through
-``fit_l2``."""
+lasso-path walk and the walk it replaced, the reference Woodbury solve,
+the method-major CV loop and the radius-0 CV fits through ``fit_l2``."""
 
 from collections import Counter
 from typing import Sequence
@@ -12,9 +11,9 @@ import scipy.linalg.lapack
 
 import mklridge as mk
 from mklridge import ConfigError, DataError, NgramVocabulary, NumericalError
-from mklridge import diagnostics, experiment, solver
+from mklridge import diagnostics, experiment
 from mklridge.data import make_folds
-from mklridge.solver import _cholesky, _distinct_columns, _refined
+from mklridge.solver import L1_PATH_MAX_KNOTS, _cholesky, _distinct_columns, _refined
 
 
 def random_psd_instance(seed, m_range=(5, 30), p_range=(1, 8)):
@@ -152,9 +151,10 @@ def lexsort_group_rows(rows: np.ndarray):
 
 # The lasso-path walk and active-block factor updates that
 # ``mklridge.solver`` replaced with in-place buffers, kept as the reference
-# the tests compare it against bit for bit, and the refactor of the trailing
-# block that the QR update of ``solver._chol_delete`` replaced, kept as the
-# reference the tests compare that update's results against.
+# the tests compare it against bit for bit, and the walk before that: it
+# formed G = F'F and refactored the trailing block where the QR update of
+# ``solver._chol_delete`` now works, kept as the reference the tests compare
+# the walk's knots and stops against within the error model.
 
 def _reference_chol_append(L: np.ndarray, g: np.ndarray, gjj: float):
     # Lower factor of [[B, g], [g', gjj]] from the lower factor L of B: one
@@ -190,7 +190,7 @@ def _reference_chol_delete(L: np.ndarray, i: int):
     return out
 
 
-def refactor_chol_delete(L: np.ndarray, i: int):
+def _refactor_chol_delete(L: np.ndarray, i: int):
     # What ``_reference_chol_delete`` returns, with the trailing block
     # T T' + l l' refactored by dpotrf. None if that factorization fails.
     out = np.delete(np.delete(np.tril(L), i, axis=0), i, axis=1)
@@ -203,33 +203,28 @@ def refactor_chol_delete(L: np.ndarray, i: int):
     return out
 
 
-def reference_l1_path_stops(F: np.ndarray, y: np.ndarray, classes, gram=None,
-                            delete=_reference_chol_delete):
+def reference_l1_path_stops(F: np.ndarray, y: np.ndarray, classes, refactor=False):
     """What ``solver._l1_path_stops`` returns: the same walk, with fresh
-    arrays at every knot. ``gram`` picks the route: True forms G = F'F,
-    False works from the active columns, and None takes the walk's rule.
-    ``delete`` is the factor update when a column leaves."""
+    arrays at every knot. ``refactor=True`` walks as the solver did before
+    its QR leave update: it forms G = F'F once, takes G's entries from it,
+    and refactors the trailing block when a column leaves."""
     keep = _distinct_columns(F)
-    Fk = F[:, keep]
+    Fk = np.asfortranarray(F[:, keep])
     Fty = Fk.T @ y
     stops = [(None, 0)] * len(classes)
     t = float(np.abs(Fty).max(initial=0.0))
     if t == 0.0:
         return stops
-    if gram is None:
-        gram = keep.size <= solver.L1_PATH_GRAM_RATIO * len(y)
-    if gram:
+    if refactor:
         G = Fk.T @ Fk
-    else:
-        Fk = np.asfortranarray(Fk)
     pending = list(range(len(classes)))
     j = int(np.argmax(np.abs(Fty)))
     A, s = np.array([j]), np.sign(Fty[[j]])
     L = None
-    for knots in range(1, solver.L1_PATH_MAX_KNOTS * keep.size + 1):
-        F_A = None if gram else np.asfortranarray(Fk[:, A])
+    for knots in range(1, L1_PATH_MAX_KNOTS * keep.size + 1):
+        F_A = None if refactor else np.asfortranarray(Fk[:, A])
         if L is None:
-            L, info = scipy.linalg.lapack.dpotrf(G[np.ix_(A, A)] if gram else F_A.T @ F_A,
+            L, info = scipy.linalg.lapack.dpotrf(G[np.ix_(A, A)] if refactor else F_A.T @ F_A,
                                                  lower=1)
             if info != 0:
                 break
@@ -246,7 +241,7 @@ def reference_l1_path_stops(F: np.ndarray, y: np.ndarray, classes, gram=None,
         # ones that touches the boundary has |a_j| = 1 and rides it;
         # adding it would make the active block singular, so |a_j| within
         # 1e-9 of 1 counts as no root.
-        if gram:
+        if refactor:
             ud = np.zeros((G.shape[0], 2))
             ud[A, 0], ud[A, 1] = u, d
             ua = G @ ud
@@ -281,7 +276,7 @@ def reference_l1_path_stops(F: np.ndarray, y: np.ndarray, classes, gram=None,
             return stops
         if joins[side, k] >= leaves[i]:
             t = float(joins[side, k])
-            if gram:
+            if refactor:
                 L = _reference_chol_append(L, G[A, k], G[k, k])
             else:
                 f = Fk[:, k]
@@ -289,7 +284,7 @@ def reference_l1_path_stops(F: np.ndarray, y: np.ndarray, classes, gram=None,
             A, s = np.append(A, k), np.append(s, 1.0 - 2.0 * side)
         else:
             t = float(leaves[i])
-            L = delete(L, i)
+            L = _refactor_chol_delete(L, i) if refactor else _reference_chol_delete(L, i)
             A, s = np.delete(A, i), np.delete(s, i)
     for q in pending:
         stops[q] = (None, knots)

@@ -15,8 +15,7 @@ from mklridge.solver import project_ball_cone, project_l1_orthant
 
 from helpers import (_reference_chol_delete, ball_grid_points, dual_objective_grid_min,
                      kernel_stack, random_psd_instance, rank1_all_family,
-                     reference_l1_path_stops, reference_woodbury_solve, refactor_chol_delete,
-                     simplex_grid_points)
+                     reference_l1_path_stops, reference_woodbury_solve, simplex_grid_points)
 
 # A broken active-block factor or an unguarded division on the lasso path
 # shows as a RuntimeWarning (overflow, invalid value, divide by zero); these
@@ -838,7 +837,6 @@ def test_fit_l2_start_at_the_cold_fit_ends_there():
     assert warm_report.objective_value == pytest.approx(report.objective_value, rel=1e-12)
 
 
-
 def _objective_bound(m, p, *fits):
     # Bound on the gap between two reported objectives of one problem. At
     # the final ridge solve, J = G(mu) - gap with gap = certificate_gap, and
@@ -910,6 +908,7 @@ def test_fit_l2_says_when_its_line_search_finds_no_ascent():
             pytest.raises(NumericalError, match=r"no ascent from J = .*\|\|d\|\| = "):
         mk.fit_l2(fam, y, lambda0, radius)
     assert len(calls) == 61
+
 
 @settings(max_examples=30)
 @given(m=st.integers(3, 20), seed=st.integers(0, 10_000), lambda0=st.floats(0.01, 1.0),
@@ -1280,17 +1279,11 @@ def _assert_identical_stops(stops, expected):
             npt.assert_array_equal(mu, mu_ref)
 
 
-# L1_PATH_GRAM_RATIO values that send every walk down one route.
-_ROUTES = {"gram": np.inf, "direct": 0.0}
-
-
 @_NO_PATH_WARNINGS
 def test_l1_path_stops_match_the_reference_walk_bit_for_bit():
     # The in-place walk makes the floating-point operations of the walk it
     # replaced (tests/helpers.py), so its stops are the same bits and its
-    # knot counts the same: on the route its rule picks, and on each route
-    # forced, against that route's reference. Columns leave on some of
-    # these paths.
+    # knot counts the same. Columns leave on some of these paths.
     leaves = []
     delete = solver._chol_delete
 
@@ -1306,11 +1299,6 @@ def test_l1_path_stops_match_the_reference_walk_bit_for_bit():
         with mock.patch.object(solver, "_chol_delete", counting_delete):
             stops = solver._l1_path_stops(F, y, classes)
         _assert_identical_stops(stops, reference_l1_path_stops(F, y, classes))
-        for route, ratio in _ROUTES.items():
-            with mock.patch.object(solver, "L1_PATH_GRAM_RATIO", ratio):
-                stops = solver._l1_path_stops(F, y, classes)
-            _assert_identical_stops(
-                stops, reference_l1_path_stops(F, y, classes, gram=route == "gram"))
 
     check()
     assert leaves
@@ -1319,9 +1307,9 @@ def test_l1_path_stops_match_the_reference_walk_bit_for_bit():
 def _assert_stops_within_the_error_model(stops, expected, F, classes):
     # The same knots, and stops that differ by roundoff only. A stop's mu is
     # budget |u - t d| / ||u - t d||_1 with G_AA [u, d] = [(F'y)_A, s_A],
-    # solved from a factor that carries the backward error of up to one
-    # update a knot: [u, d] moves by about knots eps cond(G_AA) relative,
-    # and mu by that times the budget.
+    # G_AA = F_A'F_A, solved from a factor that carries the backward error
+    # of up to one update a knot: [u, d] moves by about knots eps cond(G_AA)
+    # relative, and mu by that times the budget.
     eps = np.finfo(float).eps
     assert len(stops) == len(expected)
     for (mu, knots), (mu_ref, knots_ref), (_, budget) in zip(stops, expected, classes):
@@ -1336,35 +1324,15 @@ def _assert_stops_within_the_error_model(stops, expected, F, classes):
 @_NO_PATH_WARNINGS
 @settings(max_examples=100)
 @given(**_RANK1_CASES, classes=_L1_CLASSES)
-def test_l1_path_routes_match_the_refactor_walk(m, wide, extra, seed, classes):
+def test_l1_path_stops_match_the_refactor_walk(m, wide, extra, seed, classes):
     # The walk that formed G and refactored the trailing block when a
-    # column left (tests/helpers.py) against both routes with the QR
-    # update, and the two routes against each other: the same knots, and
-    # stops within the error model.
+    # column left (tests/helpers.py) against the walk from F's columns with
+    # the QR update: the same knots, and stops within the error model.
     F, y = _rank1_case(m, wide, extra, seed)
     classes = [(10.0 ** log_lambda0 * m, budget) for log_lambda0, budget in classes]
-    refactored = reference_l1_path_stops(F, y, classes, gram=True, delete=refactor_chol_delete)
-    routes = {}
-    for route, ratio in _ROUTES.items():
-        with mock.patch.object(solver, "L1_PATH_GRAM_RATIO", ratio):
-            routes[route] = solver._l1_path_stops(F, y, classes)
-        _assert_stops_within_the_error_model(routes[route], refactored, F, classes)
-    _assert_stops_within_the_error_model(routes["direct"], routes["gram"], F, classes)
-
-
-@_NO_PATH_WARNINGS
-@pytest.mark.parametrize("m, gram", [(160, True), (200, True), (40, False)])
-def test_l1_path_route_by_shape(m, gram):
-    # The benchmark's rank-one family has 201 distinct columns: 160 rows a
-    # CV fold and 200 at the refit, both walked on G; 40 rows are walked
-    # from the columns. Each walk is its route's reference walk bit for bit.
-    rng = np.random.default_rng(m)
-    F = np.column_stack([rng.standard_normal((m, 200)), np.ones(m)])
-    y = F[:, :10] @ rng.standard_normal(10) + 0.5 * rng.standard_normal(m)
-    classes = [(lambda0 * m, budget) for lambda0 in (1e-3, 0.1) for budget in (1.0, 100.0)]
-    assert (201 <= solver.L1_PATH_GRAM_RATIO * m) == gram
-    _assert_identical_stops(solver._l1_path_stops(F, y, classes),
-                            reference_l1_path_stops(F, y, classes, gram=gram))
+    _assert_stops_within_the_error_model(solver._l1_path_stops(F, y, classes),
+                                         reference_l1_path_stops(F, y, classes, refactor=True),
+                                         F, classes)
 
 
 @_NO_PATH_WARNINGS
