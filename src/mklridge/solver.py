@@ -593,10 +593,15 @@ def _pgd_minimize(value_grad, project, lmo, x0, tol, max_iters):
     ``value_grad(x) -> (val, grad, extra)``, ``project(x)`` maps onto the
     feasible set, ``lmo(grad)`` returns the feasible minimizer of the
     linearized objective. Uses Barzilai-Borwein step seeds safeguarded by
-    a nonmonotone backtracking line search: the sufficient-decrease test
-    is taken against the largest of the last ``PGD_MEMORY`` accepted
-    values (Grippo, Lampariello & Lucidi 1986; Birgin, Martinez & Raydan
-    2000), so a BB step that briefly raises the objective is still taken.
+    a nonmonotone backtracking line search (Grippo, Lampariello & Lucidi
+    1986; Birgin, Martinez & Raydan 2000). Each step first tries the
+    projected BB point and takes it if it passes an Armijo test with
+    constant 1e-4 against the current value, as a long step onto a
+    vertex often does. Otherwise the step size halves, and the point is
+    re-projected, until a candidate lies below the quadratic upper bound
+    ``ref + grad.d + ||d||^2 / (2 t)``, where ``ref`` is the largest of the
+    last ``PGD_MEMORY`` accepted values, so a BB step that briefly raises
+    the objective is still taken.
     """
     x = project(np.asarray(x0, dtype=np.float64))
     val, grad, extra = value_grad(x)
@@ -618,8 +623,9 @@ def _pgd_minimize(value_grad, project, lmo, x0, tol, max_iters):
                 t = float(dx @ dx) / denom
         t = min(max(t, 1e-16), 1e16)
         ref = max(recent)
+        slack = 1e-12 * max(1.0, abs(val))
         accepted = False
-        for _ in range(60):
+        for k in range(60):
             cand = project(x - t * grad)
             d = cand - x
             dnorm2 = float(d @ d)
@@ -627,7 +633,9 @@ def _pgd_minimize(value_grad, project, lmo, x0, tol, max_iters):
                 # Projected step is a fixed point at this step size.
                 break
             cval, cgrad, cextra = value_grad(cand)
-            if cval <= ref + float(grad @ d) + dnorm2 / (2.0 * t) + 1e-12 * max(1.0, abs(val)):
+            slope = float(grad @ d)
+            if (cval <= ref + slope + dnorm2 / (2.0 * t) + slack
+                    or (k == 0 and cval <= val + 1e-4 * slope + slack)):
                 prev_x, prev_grad = x, grad
                 x, val, grad, extra = cand, cval, cgrad, cextra
                 recent.append(val)

@@ -5,7 +5,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 import scipy.linalg.lapack
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mklridge as mk
@@ -1107,7 +1107,9 @@ def test_l1_matches_simplex_grid():
 @settings(max_examples=12)
 @given(seed=st.integers(0, 10_000), budget=st.floats(0.2, 5.0))
 def test_l1_never_worse_than_simplex_grid(seed, budget):
-    # The nonmonotone line search may raise the objective for a few steps;
+    # A step that fails the Armijo test against the current value halves
+    # and re-projects until it passes a test against the largest of the
+    # last 10 accepted values, so the objective may rise for a few steps;
     # the certified end point must still beat every lattice point.
     fam, y, lambda0, _ = random_psd_instance(seed, m_range=(10, 10), p_range=(3, 3))
     res = mk.fit_l1(fam, y, lambda0, budget)
@@ -1119,6 +1121,61 @@ def test_l1_never_worse_than_simplex_grid(seed, budget):
     vstar = mk.quad_forms(res.alpha, fam)
     allowance = max(np.linalg.norm(vstar), 1.0) * (0.01 * budget) * 4.0
     assert grid_min - res.objective_value <= allowance
+
+
+# The dense benchmark's kernels: Gaussian bandwidths 1, 3 and 10, linear,
+# and polynomials of degree 2 and 3.
+_DENSE_SPECS = (KernelSpec.gaussian(1.0), KernelSpec.gaussian(3.0), KernelSpec.gaussian(10.0),
+                KernelSpec.linear(), KernelSpec.polynomial(2), KernelSpec.polynomial(3))
+
+
+@pytest.mark.parametrize("m", [40, 60])
+@pytest.mark.parametrize("seed", range(6))
+def test_l1_gram_fit_takes_the_projected_step_whole(seed, m):
+    # From uniform weights the first projected step lands on the cubic
+    # kernel's vertex, which is optimal. It lowers the objective, so the
+    # line search must take it whole and certify it: at most 4
+    # value/gradient calls, and the vertex bit for bit. A search that only
+    # accepts points below the quadratic upper bound shortens that step and
+    # takes 8 to 10 calls.
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((m, 10))
+    y = X[:, :3].sum(axis=1) + 0.5 * rng.standard_normal(m)
+    fam = mk.KernelFamily.from_specs(_DENSE_SPECS, X)
+    with mock.patch.object(solver, "_ridge_value_grad", wraps=solver._ridge_value_grad) as spy:
+        res = mk.fit_l1(fam, y, 1e-3, 1.0)
+    assert res.converged
+    npt.assert_array_equal(res.mu, [0.0, 0.0, 0.0, 0.0, 0.0, 1.0])
+    assert spy.call_count <= 4
+
+
+_GRAM_SPECS = (KernelSpec.gaussian(0.3),) + _DENSE_SPECS
+
+
+@settings(max_examples=200)
+@given(seed=st.integers(0, 10_000), specs=st.lists(st.sampled_from(_GRAM_SPECS),
+                                                   min_size=2, max_size=8),
+       m=st.integers(15, 60), lambda0=st.floats(1e-4, 1.0), budget=st.floats(0.1, 100.0))
+@example(seed=1952, specs=[_GRAM_SPECS[i] for i in (1, 4, 0, 2)], m=33,
+         lambda0=0.0004912014686043951, budget=1.4153097605650198)
+def test_l1_gram_fit_beats_uniform_and_every_vertex(seed, specs, m, lambda0, budget):
+    # The uniform weights and each vertex budget * e_k are feasible, so the
+    # certified fit is no worse than any of them, up to its own tolerance.
+    # The example has a steep linear kernel beside flat Gaussian ones: a
+    # search that halves along one projected direction, accepting against
+    # the largest recent value, zigzags there and is still unconverged
+    # after 2000 steps.
+    rng = np.random.default_rng(seed)
+    X = rng.choice([0.3, 1.0, 3.0]) * rng.standard_normal((m, int(rng.integers(1, 11))))
+    y = rng.standard_normal(m)
+    fam = mk.KernelFamily.from_specs(specs, X)
+    tol = 1e-8
+    res = mk.fit_l1(fam, y, lambda0, budget, tol=tol)
+    assert res.converged
+    p = len(specs)
+    for mu in [np.full(p, budget / p), *(budget * np.eye(p))]:
+        G = solver._ridge_value_grad(fam, y, lambda0 * m, mu)[0]
+        assert res.objective_value <= G + tol * max(1.0, abs(G))
 
 
 @settings(max_examples=40)
