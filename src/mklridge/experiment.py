@@ -348,11 +348,15 @@ def build_family(kernels_cfg: dict, train: Dataset) -> KernelFamily:
 # Cross-validated method runners
 # ---------------------------------------------------------------------------
 
-def _predict_rows(family: KernelFamily, mu, alpha, train_idx, query_idx) -> np.ndarray:
-    """Within-sample prediction from the family's kernels (a Gram family's weighted ones)."""
+def _predict_rows(family: KernelFamily, fold, mu, alpha) -> np.ndarray:
+    """Within-sample prediction of a fold's validation rows from a fit on
+    its training rows, through the family's kernels (a Gram family's
+    weighted ones). ``fold`` is ``_fold_grid``'s (train indices, validation
+    indices, train-fold family) triple; a rank-one fit's training rows are
+    the train-fold family's features, ``family.features[train_idx]``."""
+    train_idx, query_idx, sub = fold
     if family.features is not None:
-        F = family.features
-        return F[query_idx] @ (mu * (F[train_idx].T @ alpha))
+        return family.features[query_idx] @ (mu * (sub.features.T @ alpha))
     a = np.zeros(family.m)
     a[train_idx] = alpha
     P = np.zeros((family.p, len(query_idx)))
@@ -490,19 +494,21 @@ def _fold_grid(method, family, fold, y, combos: list, cfg: ExperimentConfig) -> 
             info = anchor
         else:
             mu_full, alpha, info = _fit_for_combo(method, sub, y_tr, combo, cfg, start)
-        grid.append((_predict_rows(family, mu_full, alpha, tr_idx, va_idx), info))
+        grid.append((_predict_rows(family, fold, mu_full, alpha), info))
         fits.append((combo, mu_full, alpha))
     return grid
 
 
 def _run_method_trial(method, family, combos: list, cv: list, train: Dataset,
-                      test: Dataset, cfg: ExperimentConfig):
-    """Select the combo with the best mean CV score, refit it on the full
-    trial training set, and score it on the held-out test rows.
+                      cfg: ExperimentConfig):
+    """Select the combo with the best mean CV score and refit it on the
+    full trial training set.
 
     ``cv`` holds one (validation indices, grid) pair per fold, in fold
     order, where grid is ``_fold_grid``'s list for ``combos``; the CV
-    fits themselves ran in ``_run_trial``'s fold loop.
+    fits themselves ran in ``_run_trial``'s fold loop. Returns the
+    method's record, whose ``metrics`` entry is None until ``_run_trial``
+    scores the test rows, and the refit's weights and duals.
     """
     y = train.y
     score_rows = _ROW_METRICS[cfg.metrics[0]]
@@ -511,9 +517,6 @@ def _run_method_trial(method, family, combos: list, cv: list, train: Dataset,
     best = min(range(len(combos)), key=scores.__getitem__)  # the first strict minimum
 
     mu_full, alpha, info = _fit_for_combo(method, family, y, combos[best], cfg, kkt=True)
-    preds = predict_weighted(family.specs, mu_full, alpha, train.X, test.X)
-    metrics = {name: float(_ROW_METRICS[name](preds, test.y)) for name in cfg.metrics}
-
     cv_infos = [info for _, grid in cv for _, info in grid]
     iterations = [i["iterations"] for i in cv_infos]
     record = {
@@ -524,10 +527,10 @@ def _run_method_trial(method, family, combos: list, cv: list, train: Dataset,
             "unconverged": sum(not i["converged"] for i in cv_infos),
             "iterations": [min(iterations), float(np.median(iterations)), max(iterations)],
         },
-        "metrics": metrics,
+        "metrics": None,
     }
     record.update(info)
-    return record
+    return record, mu_full, alpha
 
 
 def _run_trial(t: int, source: _Source, cfg: ExperimentConfig,
@@ -543,6 +546,11 @@ def _run_trial(t: int, source: _Source, cfg: ExperimentConfig,
 
     A method's first NumericalError, in fold order, records it as failed
     for the trial and skips its later folds; the other methods go on.
+
+    Every method that refits is then scored on the test rows by one
+    ``predict_weighted`` call with the refits' weights and duals stacked
+    row-wise, in method order, so each test cross kernel that some method
+    weights is evaluated once per trial.
     """
     train, test, audit = source.trial_data(trial_seed)
     family = build_family(cfg.kernels, train)
@@ -569,14 +577,22 @@ def _run_trial(t: int, source: _Source, cfg: ExperimentConfig,
             except NumericalError as exc:
                 per_method[method] = {"failed": str(exc)}
         del fold  # the next fold's family is built only after this one is freed
+    refits = {}  # method: (mu, alpha) of its refit
     for method in cfg.methods:
         if method not in per_method:
             try:
-                per_method[method] = _run_method_trial(method, family, combos[method],
-                                                       cv[method], train, test, cfg)
+                record, mu, alpha = _run_method_trial(method, family, combos[method],
+                                                      cv[method], train, cfg)
+                per_method[method], refits[method] = record, (mu, alpha)
             except NumericalError as exc:
                 per_method[method] = {"failed": str(exc)}
         per_method[method]["trial"] = t
+    if refits:
+        mus, alphas = zip(*refits.values())
+        preds = predict_weighted(family.specs, np.array(mus), np.array(alphas), train.X, test.X)
+        scores = {name: _ROW_METRICS[name](preds, test.y) for name in cfg.metrics}
+        for j, method in enumerate(refits):
+            per_method[method]["metrics"] = {name: float(s[j]) for name, s in scores.items()}
     return per_method, audit
 
 

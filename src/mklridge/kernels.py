@@ -484,20 +484,26 @@ class KernelFamily:
     def combined_entries(self, mu) -> np.ndarray:
         """Sum_k mu_k K_k as a new array; a weight that is negative, NaN or
         infinite is a ConfigError. A rank-one family's is X X' with X =
-        F sqrt(mu), one BLAS syrk, so exactly symmetric; a Gram family's is
-        one contraction of the stack equal to the kernel-by-kernel sum in
-        index order bit for bit."""
+        F sqrt(mu), one BLAS syrk, so exactly symmetric. A Gram family's is
+        one contraction of the stack when every weight is nonzero, else the
+        sum over the kernels with a nonzero weight only; either equals the
+        kernel-by-kernel sum over all of them in index order bit for bit,
+        since that sum starts at +0 and so never holds a -0 that adding a
+        zero-weight term's +-0 could change."""
         mu = _as_vector(mu, "mu", self.p)
         if not (mu.min() >= 0.0 and mu.max() < math.inf):
             raise ConfigError("mu must be finite and nonnegative")
         if self.features is not None:
             X = self.features * np.sqrt(mu)
             return X @ X.T
-        if self.m > 1:
+        weighted = np.flatnonzero(mu)
+        if self.m > 1 and weighted.size == self.p:
             return np.einsum("k,kij->ij", mu, self.stack)
-        # At m = 1 the k axis is contiguous and einsum sums it in blocks.
-        out = np.zeros((1, 1))
-        for k in range(self.p):
+        # einsum would need the weighted kernels copied out of the stack, a
+        # larger peak than one term at a time; and at m = 1 the k axis is
+        # contiguous and einsum sums it in blocks.
+        out = np.zeros((self.m, self.m))
+        for k in weighted:
             out += mu[k] * self.stack[k]
         return out
 

@@ -30,8 +30,8 @@ import scipy.linalg.lapack
 
 from . import kernels
 from .errors import ConfigError, DataError, NumericalError, ShapeError
-from .kernels import (_NONNEGATIVE, _POSITIVE, _as_matrix, _as_vector, _explicit_features, _int,
-                      _norm, as_family)
+from .kernels import (_NONNEGATIVE, _POSITIVE, _as_float64, _as_matrix, _as_vector,
+                      _explicit_features, _int, _norm, as_family)
 
 log = logging.getLogger(__name__)
 
@@ -958,33 +958,67 @@ def fit_l1(family, y, lambda0: float, budget: float,
     )
 
 
+def _stack_rows(x, name: str, length: int, finite, stacked: bool, count=None) -> np.ndarray:
+    # ``x`` as a 2-d array of rows of ``length``: one row when not
+    # ``stacked``, else a stack of them (``count`` rows, when given). Errors
+    # name ``name``, as _as_vector's do; rows are contiguous, so each row's
+    # products round as the one-row call's.
+    x = _as_float64(x, name)
+    if not stacked:
+        return _as_vector(x, name, length, finite)[None]
+    if x.ndim != 2 or x.shape[1] != length or count not in (None, x.shape[0]):
+        rows = "" if count is None else f"{count} "
+        raise ShapeError(f"{name} must be a stack of {rows}rows of length {length}, "
+                         f"got shape {x.shape}")
+    if not np.isfinite(x).all():
+        raise finite(f"{name} contains non-finite values")
+    return np.ascontiguousarray(x)
+
+
 def predict_weighted(specs, mu, alpha, X_train, X):
     """Evaluate h(x) = sum_i alpha_i sum_k mu_k K_k(x_i, x).
 
     ``X`` may be a single point (returns a float) or a matrix of points
-    (returns a vector). Rank-one families are evaluated through their
-    feature columns; other kinds fall back to per-kernel cross matrices.
+    (returns a vector). Every weight must be finite and >= 0, as in
+    ``combine``; anything else is a ConfigError.
+
+    ``mu`` and ``alpha`` may also be r x p and r x m stacks, one predictor
+    a row: the result then gains a leading axis of r, and row j equals the
+    call with ``mu[j]`` and ``alpha[j]`` bit for bit. Rank-one families
+    are evaluated through their feature columns, taken once for all rows.
+    Other kinds evaluate the cross matrix of each kernel that some row
+    weights once, and apply it to every row that weights it, in kernel
+    order, so at most one cross matrix is alive at a time.
     """
     if specs is None:
         raise ConfigError("prediction requires evaluable kernel specs")
     X_train = _as_matrix(X_train, "X_train")
-    mu = _as_vector(mu, "mu", len(specs), ConfigError)
-    alpha = _as_vector(alpha, "alpha", X_train.shape[0], DataError)
+    mu = _as_float64(mu, "mu")
+    stacked = mu.ndim == 2
+    mu = _stack_rows(mu, "mu", len(specs), ConfigError, stacked)
+    alpha = _stack_rows(alpha, "alpha", X_train.shape[0], DataError, stacked, len(mu))
+    if (mu < 0.0).any():
+        raise ConfigError("mu must be finite and nonnegative")
     single = np.ndim(X) == 1
     Xq = _as_matrix([X] if single else X, "X", cols=X_train.shape[1])
 
+    out = np.zeros((len(mu), Xq.shape[0]))
     f_train = _explicit_features(specs, X_train)
     if f_train is not None:
-        out = _explicit_features(specs, Xq) @ (mu * (f_train.T @ alpha))
+        f_query = _explicit_features(specs, Xq)
+        for row, w, a in zip(out, mu, alpha):
+            row[:] = f_query @ (w * (f_train.T @ a))
     else:
-        out = np.zeros(Xq.shape[0])
-        for k, spec in enumerate(specs):
-            if mu[k] == 0.0:
-                continue
+        for k in np.flatnonzero(mu.any(axis=0)):
             # Looked up on the module at call time, so a wrapper installed
             # over kernels.cross_gram (a profiler's, say) sees this call.
-            out += mu[k] * (kernels.cross_gram(spec, Xq, X_train) @ alpha)
-    return float(out[0]) if single else out
+            C = kernels.cross_gram(specs[k], Xq, X_train)
+            for j in np.flatnonzero(mu[:, k]):
+                out[j] += mu[j, k] * (C @ alpha[j])
+            del C
+    if single:
+        out = out[:, 0]
+    return out if stacked else (float(out[0]) if single else out[0])
 
 
 def predict(model: MklModel, specs, X_train, X):

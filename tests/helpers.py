@@ -320,7 +320,9 @@ def reference_woodbury_solve(fam, w, r, lam):
 # The method-major CV loop that ``experiment._run_trial`` replaced with a
 # fold-major one, kept as the reference the tests compare it against: it
 # builds every fold's family before any method runs, then runs each method
-# over all folds. Selection, refit and test scoring are the package's own.
+# over all folds. Selection and the refit are the package's own; each
+# method's test rows are scored by its own ``predict_weighted`` call, the
+# per-method scoring that ``_run_trial``'s one stacked call replaced.
 
 def method_major_run_trial(t, source, cfg, trial_seed):
     """What ``experiment._run_trial`` returns, with every fold family alive
@@ -339,7 +341,11 @@ def method_major_run_trial(t, source, cfg, trial_seed):
         try:
             cv = [(fold[1], experiment._fold_grid(method, family, fold, train.y, combos, cfg))
                   for fold in folds]
-            record = experiment._run_method_trial(method, family, combos, cv, train, test, cfg)
+            record, mu, alpha = experiment._run_method_trial(method, family, combos, cv, train,
+                                                             cfg)
+            preds = mk.predict_weighted(family.specs, mu, alpha, train.X, test.X)
+            record["metrics"] = {name: getattr(mk, f"metric_{name}")(preds, test.y)
+                                 for name in cfg.metrics}
         except NumericalError as exc:
             record = {"failed": str(exc)}
         record["trial"] = t
@@ -365,5 +371,5 @@ def fit_l2_radius0_grid(method, family, fold, y, combos):
             mu = np.zeros(family.p)
             mu[combo["kernel"]] = model.weights.mu[0]
         info = {"iterations": model.iterations, "converged": model.converged}
-        grid.append((experiment._predict_rows(family, mu, model.alpha, tr_idx, va_idx), info))
+        grid.append((experiment._predict_rows(family, fold, mu, model.alpha), info))
     return grid

@@ -511,6 +511,37 @@ def test_fold_major_cv_matches_method_major_reference(monkeypatch, kernels):
     assert report == dumps_canonical(run_experiment(cfg))
 
 
+def test_a_trial_evaluates_each_weighted_test_kernel_once(monkeypatch):
+    # Four methods on three Gram kernels: uniform and l2mkl weight every
+    # kernel, so scoring each method by its own predict_weighted call would
+    # evaluate some test cross kernels two to four times. The trial's one
+    # stacked call evaluates each kernel that some method weights once, in
+    # kernel order; CV predicts from the family's stack and evaluates none.
+    specs = [{"kind": "gaussian", "bandwidth": 2.0}, {"kind": "linear"},
+             {"kind": "polynomial", "degree": 2}]
+    cfg = ExperimentConfig.from_dict(_tiny_config(kernels={"kind": "explicit", "specs": specs},
+                                                  trials=1, radius_grid=[1.0, 10.0]))
+    assert len(cfg.methods) == 4
+    evaluated, weights = [], []
+    cross_gram, predict_weighted = mk.kernels.cross_gram, experiment.predict_weighted
+
+    def counting_cross_gram(spec, A, B):
+        evaluated.append(spec)
+        return cross_gram(spec, A, B)
+
+    def recording_predict_weighted(specs_, mu, *args):
+        weights.append(np.atleast_2d(mu))
+        return predict_weighted(specs_, mu, *args)
+
+    monkeypatch.setattr(mk.kernels, "cross_gram", counting_cross_gram)
+    monkeypatch.setattr(experiment, "predict_weighted", recording_predict_weighted)
+    report = run_experiment(cfg)
+    assert all(entry["failed"] == 0 for entry in report["methods"].values())
+    weighted = np.flatnonzero(np.vstack(weights).any(axis=0))
+    assert len(weights) == 1 and len(weights[0]) == 4
+    assert evaluated == [mk.KernelSpec(**specs[k]) for k in weighted]
+
+
 def test_fold_failure_skips_the_method_s_later_folds(monkeypatch):
     # l2mkl is the only method fitting at a positive radius; its first fit
     # on fold 2 (of 0-3) fails. Fold-major and method-major runs record the
@@ -861,7 +892,7 @@ def test_weight_learner_selection_replays_every_fit(method, kernels):
                                   tol=cfg.l1_tol, max_iters=cfg.l1_max_iters, start=start)
                 mu, alpha = model.mu, model.alpha
             fits.append((model.iterations, model.converged))
-            preds = experiment._predict_rows(fam, mu, alpha, tr, va)
+            preds = experiment._predict_rows(fam, (tr, va, sub), mu, alpha)
             scores.append(mk.metric_rmse(preds, train.y[va]))
             done.append((combo, mu, alpha))
         fold_scores.append(scores)
@@ -1371,8 +1402,9 @@ def test_benchmark_tracer_finds_every_site():
         trace.uninstall()
     assert trace.absent == []
     assert not [s for s in trace.spans if s[4] and "raised" in s[4]]
-    # One method-trial span per method and trial: it covers selection,
-    # the refit and test scoring; the CV grids run outside it, fold by fold.
+    # One method-trial span per method and trial: it covers selection and
+    # the refit; the CV grids run outside it, fold by fold, and so does the
+    # trial's one test-scoring predict_weighted call.
     method_spans = [s[0] for s in trace.spans if s[0].startswith("experiment.method_trial.")]
     assert sorted(method_spans) == sorted(f"experiment.method_trial.{m}" for m in cfg.methods)
     fits = tracer.fit_outcomes(trace.spans)

@@ -320,13 +320,33 @@ def test_combine_matches_independent_loop_exactly(seed, p):
 
 
 @settings(max_examples=60)
-@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 40), p=st.integers(1, 12))
-def test_combined_entries_is_the_index_order_sum_bit_for_bit(seed, m, p):
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 40), p=st.integers(1, 12),
+       support=st.sampled_from(["some", "one", "none"]))
+@example(seed=3, m=5, p=4, support="one")
+@example(seed=4, m=1, p=3, support="one")
+def test_combined_entries_is_the_index_order_sum_bit_for_bit(seed, m, p, support):
+    # combined_entries sums only the kernels with a nonzero weight. The
+    # kernels hold exact zeros: a linear kernel on orthogonal rows (+0) and
+    # entries set to -0. Some weights are zero, and some 5e-324, whose
+    # product with a negative entry underflows to -0. A sum that started
+    # from its first weighted term instead of +0 would keep a -0 where the
+    # loop holds +0, and tobytes() tells those apart.
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((p, m, m))
-    fam = mk.KernelFamily.from_grams([g + g.T for g in A @ A.transpose(0, 2, 1)])
+    grams = [g + g.T for g in A @ A.transpose(0, 2, 1)]
+    X = np.zeros((m, m))
+    X[np.arange(m), rng.integers(0, m, m)] = rng.standard_normal(m)
+    grams[0] = mk.build_gram(KernelSpec.linear(), X)
+    signed = rng.random((m, m)) < 0.2
+    grams[-1] = np.where(signed | signed.T, -0.0, grams[-1])
+    fam = mk.KernelFamily.from_grams(grams)
     mu = rng.uniform(0.0, 3.0, size=p)
     mu[rng.random(p) < 0.3] = 0.0
+    mu[rng.random(p) < 0.2] = 5e-324
+    if support == "one":
+        mu = np.where(np.arange(p) == rng.integers(p), mu.max() + 1.0, 0.0)
+    elif support == "none":
+        mu = np.zeros(p)
     K = fam.combined_entries(mu)
     acc = np.zeros((m, m))
     for k in range(p):
@@ -726,12 +746,12 @@ def test_stack_matches_per_kernel_loops(seed, m, p, zero, twin):
     mu = rng.uniform(0.0, 2.0, size=fam.p)
     mu[rng.random(fam.p) < 0.3] = 0.0
     a = alpha[:n_tr]
-    got = experiment._predict_rows(fam, mu, a, tr, va)
+    sub = fam.subset(tr)
+    got = experiment._predict_rows(fam, (tr, va, sub), mu, a)
     want = sum(w * (K[np.ix_(va, tr)] @ a) for w, K in zip(mu, mats))
     assert np.all(np.abs(got - want) <= tol * (mu @ norms) * np.linalg.norm(a))
 
     # Children: read-only, gathered exactly; one kernel is a view.
-    sub = fam.subset(tr)
     assert not sub.stack.flags.writeable and sub.stack.flags.c_contiguous
     for G, K in zip(sub.stack, mats):
         assert np.array_equal(G, K[np.ix_(tr, tr)])
@@ -945,6 +965,11 @@ ARRAY_ARGUMENTS = [
     ("y", lambda v: mk.Dataset(X=_X, y=v), _Y, _Y[:-1], DataError),
     ("prediction", lambda v: mk.metric_rmse(v, _Y), _Y, _X, DataError),
     ("target", lambda v: mk.metric_rmse(_Y, v), _Y, _Y[:-1], DataError),
+    # predict_weighted's stacked weights and duals, one predictor a row.
+    ("mu", lambda v: mk.predict_weighted(_RANK1_SPECS, v, np.tile(_Y, (2, 1)), _X, _X),
+     np.ones((2, 2)), np.ones((2, 3)), ConfigError),
+    ("alpha", lambda v: mk.predict_weighted(_RANK1_SPECS, np.ones((2, 2)), v, _X, _X),
+     np.tile(_Y, (2, 1)), np.tile(_Y, (3, 1)), DataError),
 ]
 ARRAY_IDS = [f"{i}-{name}" for i, (name, *_) in enumerate(ARRAY_ARGUMENTS)]
 
@@ -976,3 +1001,26 @@ def test_array_argument_with_a_nan_is_a_data_or_config_error(name, call, good, w
 def test_array_argument_numpy_cannot_convert_is_a_config_error(name, call, good, wrong, finite):
     with pytest.raises(ConfigError, match=rf"{_names(name)}must be an array of numbers"):
         call(np.full(np.shape(good), "a", dtype=object))
+
+
+# predict_weighted rejects a negative, NaN or infinite weight, in any row
+# of a stack, with a ConfigError as combine does: an unchecked negative
+# weight sums an indefinite kernel. (call on a weight vector of length 2,
+# as a table id)
+WEIGHT_ARGUMENTS = {
+    "predict-rank-one": lambda mu: mk.predict_weighted(_RANK1_SPECS, mu, _Y, _X, _X),
+    "predict-gram": lambda mu: mk.predict_weighted(_GFAM.specs, mu, _Y, _X, _X),
+    "predict-gram-point": lambda mu: mk.predict_weighted(_GFAM.specs, mu, _Y, _X, _X[0]),
+    "predict-stacked-rank-one": lambda mu: mk.predict_weighted(
+        _RANK1_SPECS, np.vstack([np.ones(2), mu]), np.tile(_Y, (2, 1)), _X, _X),
+    "predict-stacked-gram": lambda mu: mk.predict_weighted(
+        _GFAM.specs, np.vstack([np.ones(2), mu]), np.tile(_Y, (2, 1)), _X, _X),
+}
+
+
+@pytest.mark.parametrize("bad", [-0.5, -1e-300, np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("call", WEIGHT_ARGUMENTS.values(), ids=WEIGHT_ARGUMENTS.keys())
+def test_predict_weights_must_be_finite_and_nonnegative(call, bad):
+    call(np.array([1.0, -0.0]))
+    with pytest.raises(ConfigError, match="^mu (must be finite and nonnegative|contains non-fin)"):
+        call(np.array([1.0, bad]))

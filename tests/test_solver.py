@@ -478,7 +478,7 @@ def test_single_kernel_predictions_match_fit_l2(m, q, seed, log_lambda0s):
             model, _ = mk.fit_l2(sub.select_kernels([k]), y[tr], lambda0, 0.0)
             mu_full = np.zeros(fam.p)
             mu_full[k] = model.weights.mu[0]
-            ref = experiment._predict_rows(fam, mu_full, model.alpha, tr, va)
+            ref = experiment._predict_rows(fam, (tr, va, sub), mu_full, model.alpha)
             cond = float((ff + lam) / lam)
             assert np.linalg.norm(preds[i, :, k] - ref) <= 1e-10 * cond * np.linalg.norm(ref)
 
@@ -1681,6 +1681,54 @@ def test_predict_rank1_feature_path_matches_cross_gram():
     for k, spec in enumerate(fam.specs):
         slow += model.weights.mu[k] * (mk.cross_gram(spec, X_test, X_train) @ model.alpha)
     npt.assert_allclose(fast, slow, rtol=1e-12, atol=1e-12)
+
+
+_PREDICT_SPECS = {
+    "gram": [KernelSpec.gaussian(1.5), KernelSpec.linear(), KernelSpec.polynomial(2),
+             KernelSpec.polynomial(3, 0.5)],
+    "rank1": [KernelSpec.rank1(0), KernelSpec.rank1(2), KernelSpec.constant(), KernelSpec.rank1(1)],
+    "mixed": [KernelSpec.rank1(1), KernelSpec.gaussian(0.8), KernelSpec.constant(),
+              KernelSpec.linear()],
+}
+
+
+def _one_row_prediction(specs, mu, alpha, X_train, X):
+    # predict_weighted's formula for one (mu, alpha) pair before it took
+    # stacks: feature columns for rank-one kinds, else one cross matrix per
+    # weighted kernel, summed in kernel order.
+    f_train = mk.kernels._explicit_features(specs, X_train)
+    if f_train is not None:
+        return mk.kernels._explicit_features(specs, X) @ (mu * (f_train.T @ alpha))
+    out = np.zeros(X.shape[0])
+    for k, spec in enumerate(specs):
+        if mu[k] != 0.0:
+            out += mu[k] * (mk.cross_gram(spec, X, X_train) @ alpha)
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(sorted(_PREDICT_SPECS)),
+       rows=st.integers(1, 4), m=st.integers(1, 12), n=st.integers(1, 7), single=st.booleans())
+@example(seed=0, kind="gram", rows=3, m=5, n=1, single=True)
+def test_stacked_predict_weighted_rows_equal_one_row_calls_bit_for_bit(seed, kind, rows, m, n,
+                                                                      single):
+    # Row j of a stacked call is the one-row call with mu[j] and alpha[j],
+    # which is the one-row formula, bit for bit. Weights of both signed
+    # zeros, rows that weight nothing and kernels no row weights included.
+    rng = np.random.default_rng(seed)
+    specs = _PREDICT_SPECS[kind]
+    X_train = rng.standard_normal((m, 3))
+    X = rng.standard_normal(3) if single else rng.standard_normal((n, 3))
+    mu = rng.uniform(0.0, 3.0, (rows, len(specs))) * (rng.random((rows, len(specs))) >= 0.4)
+    mu[mu == 0.0] = rng.choice([0.0, -0.0], np.count_nonzero(mu == 0.0))
+    alpha = rng.standard_normal((rows, m))
+    got = mk.predict_weighted(specs, mu, alpha, X_train, X)
+    assert got.shape == ((rows,) if single else (rows, n))
+    for j in range(rows):
+        one = mk.predict_weighted(specs, mu[j].copy(), alpha[j].copy(), X_train, X)
+        assert isinstance(one, float) if single else one.shape == (n,)
+        ref = _one_row_prediction(specs, mu[j], alpha[j], X_train, np.atleast_2d(X))
+        assert np.atleast_1d(got[j]).tobytes() == np.atleast_1d(one).tobytes() == ref.tobytes()
 
 
 def test_predict_dimension_mismatch():
